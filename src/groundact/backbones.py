@@ -124,7 +124,7 @@ def visual_encode(frames: np.ndarray, params: VisualStubParams,
     frames: [..., T, H_px, W_px, C], already sampled to T frames.
     """
     patches = Tensor(_patchify(np.asarray(frames, dtype=np.float64), cfg))
-    v = T.add(T.matmul(patches, params.proj), params.bias)
+    v = T.linear(patches, params.proj, params.bias)
     v = nn.positional_encode(v, params.spatial_pe)
     return VideoFeatures(v_f=v)
 

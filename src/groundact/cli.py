@@ -172,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train on a corpus directory")
     t.add_argument("--config", help="INI config file (defaults otherwise)")
     t.add_argument("--data", required=True)
-    t.add_argument("--mode", choices=["full", "weak"], default="full")
+    t.add_argument("--mode", choices=["full", "weak"],
+                   help="supervision mode (default: [train] mode)")
     t.add_argument("--seed", type=int)
     t.add_argument("--steps", type=int, help="cap on training steps")
     t.add_argument("--out", help="checkpoint path")

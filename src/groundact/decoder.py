@@ -45,9 +45,9 @@ class BoxHeadParams:
                    nn.zeros_param(d, 4), nn.zeros_param(4))
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = T.relu(T.add(T.matmul(x, self.w1), self.b1))
-        h = T.relu(T.add(T.matmul(h, self.w2), self.b2))
-        return T.add(T.matmul(h, self.w3), self.b3)
+        h = T.relu(T.linear(x, self.w1, self.b1))
+        h = T.relu(T.linear(h, self.w2, self.b2))
+        return T.linear(h, self.w3, self.b3)
 
 
 @dataclass
@@ -110,13 +110,13 @@ class DecoderOutput:
 
 def classify_group(group_row: Tensor, params: ActionDecoderParams) -> Tensor:
     """Linear map d -> G on the group-token embedding [B, d]."""
-    return T.add(T.matmul(group_row, params.group_w), params.group_b)
+    return T.linear(group_row, params.group_w, params.group_b)
 
 
 def classify_actions(actor_embeddings: Tensor,
                      params: ActionDecoderParams) -> Tensor:
     """Row-wise linear map d -> A on actor embeddings [..., N, d]."""
-    return T.add(T.matmul(actor_embeddings, params.action_w), params.action_b)
+    return T.linear(actor_embeddings, params.action_w, params.action_b)
 
 
 def decode(rep: SharedRepresentation,
@@ -188,9 +188,9 @@ def decode(rep: SharedRepresentation,
         x = T.add(x, nn.multi_head_attention(h, h, layer.self_attn_actors,
                                              None, ctx))
 
-        # spatial cross-attention: queries over each frame's grid, frame-averaged
-        q = T.broadcast_to(T.reshape(nn.layer_norm(x, layer.norm_spatial),
-                                     (b, 1, n + 1, d)), (b, t, n + 1, d))
+        # spatial cross-attention: queries over each frame's grid, frame-averaged;
+        # the frame axis of the queries broadcasts inside the attention
+        q = T.reshape(nn.layer_norm(x, layer.norm_spatial), (b, 1, n + 1, d))
         spat = nn.multi_head_attention(q, rep.video, layer.temporal_spatial_attn,
                                        None, ctx)     # [B, T, N, d]
         x = T.add(x, T.tmean(spat, axis=1))
@@ -201,8 +201,8 @@ def decode(rep: SharedRepresentation,
                       rep.text_mask if rep.text_mask is not None
                       else np.ones((b, rep.text.shape[1]), dtype=bool)]
         if use_tf:
-            emb = T.add(T.matmul(Tensor(np.asarray(gt_boxes, dtype=np.float64)),
-                                 params.gt_box_proj), params.gt_box_bias)
+            emb = T.linear(np.asarray(gt_boxes, dtype=np.float64),
+                           params.gt_box_proj, params.gt_box_bias)
             keys.append(emb)
             mask_parts.append(gt_mask if gt_mask is not None
                               else np.ones(gt_boxes.shape[:2], dtype=bool))

@@ -87,7 +87,7 @@ def fuse(boxes: ActorBoxSet, t_f: Tensor, params: ActorFusionParams,
     b = np.asarray(boxes.boxes, dtype=np.float64)
     d = params.box_proj.shape[1]
 
-    box_emb = T.add(T.matmul(Tensor(b), params.box_proj), params.box_bias)
+    box_emb = T.linear(b, params.box_proj, params.box_bias)
     box_emb = T.add(box_emb, Tensor(box_coordinate_encoding(b, d)))
 
     normed = nn.layer_norm(t_f, params.text_norm)

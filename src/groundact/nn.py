@@ -24,9 +24,14 @@ class RunContext:
     rng: Optional[np.random.Generator] = None
 
     def drop(self, x, rate: float):
+        keep = self.keep_mask(x.shape, rate)
+        return x if keep is None else T.mul(x, Tensor(keep))
+
+    def keep_mask(self, shape, rate: float) -> Optional[np.ndarray]:
+        """Inverted-dropout multiplier on a training pass, else None."""
         if self.training and self.rng is not None and rate > 0:
-            return T.dropout(x, rate, self.rng)
-        return x
+            return (self.rng.random(shape) >= rate) / (1.0 - rate)
+        return None
 
 
 EVAL = RunContext(training=False)
@@ -95,26 +100,16 @@ class AttentionParams:
                    wo, dropout_rate)
 
 
-def _split_heads(x: Tensor, h: int):
-    # [..., L, d] -> [..., h, L, d/h]
-    *batch, L, d = x.shape
-    x = T.reshape(x, (*batch, L, h, d // h))
-    axes = tuple(range(len(batch))) + (len(batch) + 1, len(batch), len(batch) + 2)
-    return T.transpose(x, axes)
-
-
-def _merge_heads(x: Tensor):
-    # [..., h, L, dh] -> [..., L, h*dh]
-    *batch, h, L, dh = x.shape
-    axes = tuple(range(len(batch))) + (len(batch) + 1, len(batch), len(batch) + 2)
-    return T.reshape(T.transpose(x, axes), (*batch, L, h * dh))
-
-
 def multi_head_attention(q_seq: Tensor, kv_seq: Tensor, params: AttentionParams,
                          mask: Optional[np.ndarray] = None,
                          ctx: RunContext = EVAL) -> Tensor:
-    """Scaled dot-product attention; self-attention when q_seq is kv_seq.
+    """Scaled dot-product attention as one graph node; self-attention when
+    q_seq is kv_seq.
 
+    Covers the Q/K/V projections, the head split, the scaled and masked
+    scores, softmax, dropout on the attention weights, the weighted sum, the
+    head merge and the output projection; the backward is written out by
+    hand.  The leading axes of q_seq and kv_seq broadcast against each other.
     mask is a boolean array broadcastable to [..., Lq, Lk]; True marks keys
     that may be attended to.  Every query row must keep at least one key.
     """
@@ -126,20 +121,60 @@ def multi_head_attention(q_seq: Tensor, kv_seq: Tensor, params: AttentionParams,
         raise ContractError("attention mask has a fully masked query row")
 
     h = params.num_heads
-    q = _split_heads(T.matmul(q_seq, params.wq), h)
-    k = _split_heads(T.matmul(kv_seq, params.wk), h)
-    v = _split_heads(T.matmul(kv_seq, params.wv), h)
+    dh = d // h
+    wq, wk, wv, wo = params.wq, params.wk, params.wv, params.wo
+    xq, xkv = q_seq.data, kv_seq.data
 
-    scale = 1.0 / np.sqrt(d // h)
-    scores = T.mul(T.matmul(q, T.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))), scale)
+    def split(x):       # [..., L, d] -> [..., h, L, dh]
+        return np.swapaxes(x.reshape(*x.shape[:-1], h, dh), -2, -3)
+
+    def merge(x):       # [..., h, L, dh] -> [..., L, d]
+        x = np.swapaxes(x, -2, -3)
+        return x.reshape(*x.shape[:-2], d)
+
+    q = split(xq @ wq.data)
+    k = split(xkv @ wk.data)
+    v = split(xkv @ wv.data)
+    scale = 1.0 / np.sqrt(dh)
+    scores = (q @ np.swapaxes(k, -1, -2)) * scale
     if mask is not None:
         m = np.expand_dims(mask, -3) if mask.ndim >= 3 else mask
-        m = np.broadcast_to(m, scores.shape)
-        scores = T.where(m, scores, Tensor(np.full(scores.shape, -1e9)))
-    attn = T.softmax(scores, axis=-1)
-    attn = ctx.drop(attn, params.dropout_rate)
-    out = _merge_heads(T.matmul(attn, v))
-    return T.matmul(out, params.wo)
+        scores = np.where(np.broadcast_to(m, scores.shape), scores, -1e9)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    keep = ctx.keep_mask(attn.shape, params.dropout_rate)
+    dropped = attn if keep is None else attn * keep
+    merged = merge(dropped @ v)
+    data = merged @ wo.data
+
+    seqs = (q_seq,) if q_seq is kv_seq else (q_seq, kv_seq)
+    parents = seqs + (wq, wk, wv, wo)
+    req = any(p.requires_grad for p in parents)
+
+    def backward(g):
+        if wo.requires_grad:
+            wo.accumulate(T.rows(merged).T @ T.rows(g))
+        d_out = split(g @ wo.data.T)                        # [..., h, Lq, dh]
+        d_attn = d_out @ np.swapaxes(v, -1, -2)            # [..., h, Lq, Lk]
+        d_v = np.swapaxes(dropped, -1, -2) @ d_out         # [..., h, Lk, dh]
+        if keep is not None:
+            d_attn *= keep
+        # softmax backward; masked weights are exactly 0, so are their scores'
+        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+        d_scores *= scale
+        d_q = T.unbroadcast(merge(d_scores @ k), xq.shape)
+        d_k = T.unbroadcast(merge(np.swapaxes(d_scores, -1, -2) @ q), xkv.shape)
+        d_v = T.unbroadcast(merge(d_v), xkv.shape)
+        for w, x, dw in ((wq, xq, d_q), (wk, xkv, d_k), (wv, xkv, d_v)):
+            if w.requires_grad:
+                w.accumulate(T.rows(x).T @ T.rows(dw))
+        # for self-attention both writes land in the same tensor
+        if q_seq.requires_grad:
+            q_seq.accumulate(d_q @ wq.data.T)
+        if kv_seq.requires_grad:
+            kv_seq.accumulate(d_k @ wk.data.T + d_v @ wv.data.T)
+
+    return Tensor(data, req, parents, backward if req else None)
 
 
 # -- feed forward ------------------------------------------------------------
@@ -171,9 +206,9 @@ def feed_forward(x: Tensor, params: FeedForwardParams,
     if x.shape[-1] != params.w1.shape[0]:
         raise ShapeError(f"ffn width mismatch: {x.shape} vs {params.w1.shape}")
     act = _ACTIVATIONS[params.activation]
-    hidden = act(T.add(T.matmul(x, params.w1), params.b1))
+    hidden = act(T.linear(x, params.w1, params.b1))
     hidden = ctx.drop(hidden, params.dropout_rate)
-    return T.add(T.matmul(hidden, params.w2), params.b2)
+    return T.linear(hidden, params.w2, params.b2)
 
 
 # -- layer norm --------------------------------------------------------------
@@ -189,11 +224,33 @@ class LayerNormParams:
 
 
 def layer_norm(x: Tensor, params: LayerNormParams, eps: float = 1e-5) -> Tensor:
-    mean = T.tmean(x, axis=-1, keepdims=True)
-    centered = T.sub(x, mean)
-    var = T.tmean(T.mul(centered, centered), axis=-1, keepdims=True)
-    normed = T.div(centered, T.sqrt(T.add(var, eps)))
-    return T.add(T.mul(normed, params.gamma), params.beta)
+    """Normalize the last axis, then scale and shift; one graph node."""
+    gamma, beta = params.gamma, params.beta
+    n = x.shape[-1]
+    if gamma.shape != (n,) or beta.shape != (n,):
+        raise ShapeError(f"layer norm of width {n} with gamma {gamma.shape}, "
+                         f"beta {beta.shape}")
+    mean = x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
+    centered = x.data - mean
+    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
+    std = np.sqrt(var + eps)
+    normed = centered / std
+    data = normed * gamma.data + beta.data
+    req = x.requires_grad or gamma.requires_grad or beta.requires_grad
+
+    def backward(g):
+        if gamma.requires_grad:
+            gamma.accumulate(T.rows(g * normed).sum(axis=0))
+        if beta.requires_grad:
+            beta.accumulate(T.rows(g).sum(axis=0))
+        if x.requires_grad:
+            gn = g * gamma.data
+            dot = (gn * normed).sum(axis=-1, keepdims=True) * (1.0 / n)
+            gn -= gn.sum(axis=-1, keepdims=True) * (1.0 / n)
+            gn -= normed * dot
+            x.accumulate(gn / std)
+
+    return Tensor(data, req, (x, gamma, beta), backward if req else None)
 
 
 # -- conv1d ------------------------------------------------------------------
@@ -218,10 +275,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     windows = [T.getitem(x, (..., slice(off, off + L), slice(None)))
                for off in range(k)]
     unfolded = T.concat(windows, axis=-1)            # [..., L, k*c_in]
-    out = T.matmul(unfolded, T.reshape(kernel, (k * c_in, c_out)))
-    if bias is not None:
-        out = T.add(out, bias)
-    return out
+    return T.linear(unfolded, T.reshape(kernel, (k * c_in, c_out)), bias)
 
 
 # -- positional encodings ----------------------------------------------------

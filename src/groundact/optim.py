@@ -86,9 +86,10 @@ def clip_grad_norm(params: Dict[str, Tensor], max_norm: float) -> float:
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / (norm + 1e-12)
+        # out of place: a gradient array may be shared by several tensors
         for p in params.values():
             if p.grad is not None:
-                p.grad *= scale
+                p.grad = p.grad * scale
     return norm
 
 

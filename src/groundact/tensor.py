@@ -32,7 +32,7 @@ def _as_array(x, dtype=np.float64) -> np.ndarray:
     return np.asarray(x, dtype=dtype)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the original operand shape."""
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
@@ -92,9 +92,12 @@ class Tensor:
         self._backward_run = False
 
     def accumulate(self, g: np.ndarray):
+        # the first write may alias another node's gradient (``add`` hands
+        # the same array to both parents), so later writes add out of place
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.asarray(g)
+        else:
+            self.grad = self.grad + g
 
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
@@ -201,9 +204,9 @@ def _binary(a, b, fwd, bwd_a, bwd_b) -> Tensor:
 
     def backward(g):
         if a.requires_grad or a._parents:
-            a.accumulate(_unbroadcast(bwd_a(g, a.data, b.data), a.shape))
+            a.accumulate(unbroadcast(bwd_a(g, a.data, b.data), a.shape))
         if b.requires_grad or b._parents:
-            b.accumulate(_unbroadcast(bwd_b(g, a.data, b.data), b.shape))
+            b.accumulate(unbroadcast(bwd_b(g, a.data, b.data), b.shape))
 
     return Tensor(data, req, (a, b), backward if req else None)
 
@@ -261,6 +264,11 @@ def minimum(a, b):
     return _binary(a, b, np.minimum, bwd_a, bwd_b)
 
 
+def rows(x: np.ndarray) -> np.ndarray:
+    """[..., n] -> [rows, n]."""
+    return x.reshape(-1, x.shape[-1])
+
+
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -272,11 +280,44 @@ def matmul(a, b):
 
     def backward(g):
         if a.requires_grad or a._parents:
-            a.accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+            a.accumulate(unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad or b._parents:
-            b.accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+            if b.ndim == 2:
+                # one 2-d GEMM over all rows of a, not a batched one + a sum
+                b.accumulate(rows(a.data).T @ rows(g))
+            else:
+                b.accumulate(unbroadcast(np.swapaxes(a.data, -1, -2) @ g,
+                                          b.shape))
 
     return Tensor(data, req, (a, b), backward if req else None)
+
+
+def linear(x, w, b=None):
+    """x @ w + b over the last axis: x [..., n], w [n, m], b [m] or None."""
+    x, w = as_tensor(x), as_tensor(w)
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear needs x [..., n] and w [n, m], got "
+                         f"{x.shape} and {w.shape}")
+    if b is not None:
+        b = as_tensor(b)
+        if b.shape != w.shape[1:]:
+            raise ShapeError(f"linear bias {b.shape} does not match w {w.shape}")
+    data = x.data @ w.data
+    if b is not None:
+        data += b.data
+    parents = (x, w) if b is None else (x, w, b)
+    req = any(p.requires_grad for p in parents)
+
+    def backward(g):
+        g2 = rows(g)
+        if x.requires_grad:
+            x.accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w.accumulate(rows(x.data).T @ g2)
+        if b is not None and b.requires_grad:
+            b.accumulate(g2.sum(axis=0))
+
+    return Tensor(data, req, parents, backward if req else None)
 
 
 # -- nonlinearities ----------------------------------------------------------
@@ -290,16 +331,18 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def gelu(x):
-    def fwd(v):
-        return 0.5 * v * (1.0 + np.tanh(_GELU_C * (v + 0.044715 * v ** 3)))
+    """tanh-approximated GELU; backward reuses the forward tanh."""
+    x = as_tensor(x)
+    v = x.data
+    t = np.tanh(_GELU_C * (v + 0.044715 * (v * v * v)))
+    data = 0.5 * v * (1.0 + t)
+    req = x.requires_grad
 
-    def bwd(g, v, out):
-        inner = _GELU_C * (v + 0.044715 * v ** 3)
-        t = np.tanh(inner)
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * v ** 2)
-        return g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner)
+    def backward(g):
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (v * v))
+        x.accumulate(g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner))
 
-    return _unary(x, fwd, bwd)
+    return Tensor(data, req, (x,), backward if req else None)
 
 
 def sigmoid(x):
@@ -349,15 +392,6 @@ def clip(x, lo, hi):
     """Clamp values; gradient is zero outside [lo, hi]."""
     return _unary(x, lambda v: np.clip(v, lo, hi),
                   lambda g, v, out: g * ((v >= lo) & (v <= hi)))
-
-
-def dropout(x, rate: float, rng: np.random.Generator):
-    """Inverted dropout; identity when rate == 0."""
-    x = as_tensor(x)
-    if rate <= 0.0:
-        return x
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return mul(x, Tensor(mask))
 
 
 def where(cond: np.ndarray, a, b):
@@ -500,7 +534,7 @@ def broadcast_to(x, shape):
     req = x.requires_grad
 
     def backward(g):
-        x.accumulate(_unbroadcast(g, x.shape))
+        x.accumulate(unbroadcast(g, x.shape))
 
     return Tensor(data, req, (x,), backward if req else None)
 
@@ -579,20 +613,37 @@ def save_arrays(path, arrays: dict):
 
 
 def load_arrays(path) -> dict:
+    """Read a container written by :func:`save_arrays`.
+
+    A malformed or truncated file raises ValueError naming the path and the
+    array being read.
+    """
     with open(path, "rb") as fh:
+        def read(n: int, what: str) -> bytes:
+            buf = fh.read(n)
+            if len(buf) != n:
+                raise ValueError(f"{path}: truncated container: {what} needs "
+                                 f"{n} bytes, {len(buf)} left")
+            return buf
+
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a tensor container")
-        version, count = struct.unpack("<II", fh.read(8))
+        version, count = struct.unpack("<II", read(8, "header"))
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported container version {version}")
         out = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            tag, ndim = struct.unpack("<BB", fh.read(2))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+        for i in range(count):
+            (nlen,) = struct.unpack("<H", read(2, f"array #{i} name length"))
+            name = read(nlen, f"array #{i} name").decode("utf-8")
+            tag, ndim = struct.unpack("<BB", read(2, f"array {name!r} header"))
+            shape = struct.unpack(f"<{ndim}I",
+                                  read(4 * ndim, f"array {name!r} shape"))
+            if tag not in _DTYPE_TAGS:
+                raise ValueError(f"{path}: array {name!r} has unknown dtype "
+                                 f"tag {tag}")
             dtype = _DTYPE_TAGS[tag]
             nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-            arr = np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(shape)
+            arr = np.frombuffer(read(nbytes, f"array {name!r} data"),
+                                dtype=dtype).reshape(shape)
             out[name] = arr.astype(dtype.newbyteorder("="))
         return out

@@ -18,7 +18,8 @@ from . import backbones as bb
 from . import data as D
 from . import nn
 from . import tensor as T
-from .config import ExperimentConfig, config_from_dict, config_to_dict
+from .config import (ConfigError, ExperimentConfig, config_from_dict,
+                     config_to_dict)
 from .losses import hungarian_match, match_cost, total_objective
 from .metrics import (ActorPrediction, PredictionRecord, group_activity_vote,
                       mca, mean_per_class_accuracy)
@@ -249,13 +250,18 @@ class TrainResult:
     checkpoint_path: Optional[str] = None
 
 
-def train(cfg: ExperimentConfig, corpus, mode: str = "full",
+def train(cfg: ExperimentConfig, corpus, mode: Optional[str] = None,
           log_path: Optional[str] = None,
           checkpoint_path: Optional[str] = None,
           max_steps: Optional[int] = None,
           eval_corpus=None, vocab: Optional[List[str]] = None) -> TrainResult:
-    """Seeded full training loop over (clip, annotation) pairs."""
+    """Seeded full training loop over (clip, annotation) pairs.
+
+    ``mode`` defaults to ``cfg.train.mode``.
+    """
     cfg.validate()
+    if mode is None:
+        mode = cfg.train.mode
     if mode not in ("full", "weak"):
         raise TrainingError(f"unknown mode {mode!r}")
     vocab = vocab or bb.load_vocab()
@@ -263,6 +269,11 @@ def train(cfg: ExperimentConfig, corpus, mode: str = "full",
     rng = np.random.default_rng(seed)
 
     anns = [a for _, a in corpus]
+    for ann in anns:
+        if len(ann.actors) > cfg.model.num_queries:
+            raise ConfigError(
+                f"clip {ann.clip_id!r} has {len(ann.actors)} actors, more "
+                f"than [model] num_queries = {cfg.model.num_queries}")
     if mode == "weak":
         anns = [D.weak_supervision_view(a) for a in anns]
     clips = [c for c, _ in corpus]
@@ -303,11 +314,10 @@ def train(cfg: ExperimentConfig, corpus, mode: str = "full",
                                         fallback)
             loss_val = loss.item()
             if not np.isfinite(loss_val):
-                if checkpoint_path and last_good is not None:
-                    pass  # best checkpoint already on disk
+                kept = ("" if last_good is None else
+                        f"; checkpoint from step {last_good} retained")
                 raise TrainingError(
-                    f"loss diverged (NaN/Inf) at step {step}; last good "
-                    f"checkpoint retained")
+                    f"loss diverged (NaN/Inf) at step {step}{kept}")
             if initial_loss is None:
                 initial_loss = loss_val
             model.zero_grad()
@@ -453,7 +463,7 @@ def linear_probe(embeddings: np.ndarray, labels: np.ndarray,
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             x = Tensor(embeddings[idx])
-            logits = T.add(T.matmul(x, w), b)
+            logits = T.linear(x, w, b)
             logp = T.log_softmax(logits, axis=-1)
             nll = T.mul(T.tmean(logp[np.arange(len(idx)), labels[idx]]), -1.0)
             for p in params.values():

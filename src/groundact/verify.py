@@ -35,6 +35,44 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
     rhs_b = u(2, 3, 4)
     m34, m43, m22, m83, m543 = u(3, 4), u(3, 4), u(2, 2), u(8, 3), u(5, 4, 3)
     v4 = u(4)
+    m_lin = u(2, 3, 3)
+    m_ln = u(2, 3, 4)
+    m_self, m_cross = u(2, 3, 4), u(2, 3, 2, 4)
+    key_mask = np.array([[[True, False, True], [True, True, False]],
+                         [[False, True, True], [True, True, True]]])[:, None]
+    attn = nn.AttentionParams.init(rng, 4, 2)
+
+    def unpack(x, *shapes):
+        """Consecutive slices of a flat input, reshaped."""
+        out, at = [], 0
+        for s in shapes:
+            n = int(np.prod(s))
+            out.append(T.reshape(x[at:at + n], s))
+            at += n
+        return out
+
+    def linear(x):
+        xs, w, b = unpack(x, (2, 3, 4), (4, 3), (3,))
+        return T.tsum(T.mul(T.linear(xs, w, b), m_lin))
+
+    def layer_norm(x):
+        xs, g, b = unpack(x, (2, 3, 4), (4,), (4,))
+        return T.tsum(T.mul(nn.layer_norm(xs, nn.LayerNormParams(g, b)), m_ln))
+
+    def self_attention(x):
+        # dropout on, with a fresh generator per call so f is deterministic
+        xs, wq, wk, wv, wo = unpack(x, (2, 3, 4), *[(4, 4)] * 4)
+        p = nn.AttentionParams(2, 4, wq, wk, wv, wo, dropout_rate=0.25)
+        ctx = nn.RunContext(training=True, rng=np.random.default_rng(0))
+        return T.tsum(T.mul(nn.multi_head_attention(xs, xs, p, None, ctx),
+                            m_self))
+
+    def cross_attention(x):
+        # 4-d queries broadcast over the frame axis of the keys, masked keys
+        q, kv = unpack(x, (2, 1, 2, 4), (2, 3, 3, 4))
+        out = nn.multi_head_attention(q, kv, attn, key_mask)
+        return T.tsum(T.mul(out, m_cross))
+
     cases = [
         ("add", lambda x: T.tsum(T.add(x, b)), u(4, 3)),
         ("sub", lambda x: T.tsum(T.sub(x, b)), u(4, 3)),
@@ -76,6 +114,10 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
          lambda x: T.mul(T.tsum(T.mul(T.log_softmax(x, axis=-1),
                                       Tensor(np.eye(4)[:, :3]))), -1.0),
          u(4, 3)),
+        ("linear", linear, u(24 + 12 + 3)),
+        ("layer_norm", layer_norm, u(24 + 4 + 4)),
+        ("self_attention", self_attention, u(24 + 4 * 16)),
+        ("cross_attention", cross_attention, u(16 + 72)),
     ]
     return cases
 

@@ -94,6 +94,24 @@ def test_train_eval_retrieve_pipeline(workspace, capsys):
     assert "sim=" in out[0] and "clip=" in out[0]
 
 
+def test_train_reads_mode_from_config(workspace):
+    tmp, data, cfg = workspace
+    cfg.write_text(TINY_INI + "mode = weak\n")
+    log = tmp / "weak.jsonl"
+    rc = main(["train", "--config", str(cfg), "--data", str(data),
+               "--steps", "2", "--log", str(log)])
+    assert rc == 0
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len(records) == 2
+    assert all(r["action_bce"] == 0 for r in records)
+    # an explicit flag still wins over the file
+    rc = main(["train", "--config", str(cfg), "--data", str(data),
+               "--steps", "2", "--log", str(log), "--mode", "full"])
+    assert rc == 0
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert all(r["action_bce"] > 0 for r in records)
+
+
 def test_eval_unknown_metric_fails(workspace):
     tmp, data, cfg = workspace
     ckpt = tmp / "m.ckpt"

@@ -291,3 +291,156 @@ def test_layer_norm_shift_scale_invariant(seed):
     b = layer_norm(Tensor(4.0 * x + 7.0), p).data
     # invariance is exact only at eps=0; the stabiliser leaves ~eps-sized slack
     np.testing.assert_allclose(a, b, atol=1e-3)
+
+
+# -- fused ops against their composed references ------------------------------
+#
+# The references below rebuild attention and layer norm from tensor
+# primitives, one graph node per step, the way the blocks were first written.
+# The fused ops must agree with them in value and in every gradient.
+
+def _composed_attention(q_seq, kv_seq, params, mask=None, rng=None):
+    def split(x):       # [..., L, d] -> [..., h, L, d/h]
+        *batch, L, d = x.shape
+        x = T.reshape(x, (*batch, L, params.num_heads, d // params.num_heads))
+        nb = len(batch)
+        return T.transpose(x, tuple(range(nb)) + (nb + 1, nb, nb + 2))
+
+    def merge(x):       # [..., h, L, dh] -> [..., L, h*dh]
+        *batch, h, L, dh = x.shape
+        nb = len(batch)
+        x = T.transpose(x, tuple(range(nb)) + (nb + 1, nb, nb + 2))
+        return T.reshape(x, (*batch, L, h * dh))
+
+    q = split(T.matmul(q_seq, params.wq))
+    k = split(T.matmul(kv_seq, params.wk))
+    v = split(T.matmul(kv_seq, params.wv))
+    kt = T.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
+    scale = 1.0 / np.sqrt(params.d_model // params.num_heads)
+    scores = T.mul(T.matmul(q, kt), scale)
+    if mask is not None:
+        m = np.expand_dims(mask, -3) if mask.ndim >= 3 else mask
+        m = np.broadcast_to(m, scores.shape)
+        scores = T.where(m, scores, Tensor(np.full(scores.shape, -1e9)))
+    attn = T.softmax(scores, axis=-1)
+    if rng is not None:
+        rate = params.dropout_rate
+        attn = T.mul(attn, Tensor((rng.random(attn.shape) >= rate)
+                                  / (1.0 - rate)))
+    return T.matmul(merge(T.matmul(attn, v)), params.wo)
+
+
+def _composed_layer_norm(x, params, eps=1e-5):
+    mean = T.tmean(x, axis=-1, keepdims=True)
+    centered = T.sub(x, mean)
+    var = T.tmean(T.mul(centered, centered), axis=-1, keepdims=True)
+    normed = T.div(centered, T.sqrt(T.add(var, eps)))
+    return T.add(T.mul(normed, params.gamma), params.beta)
+
+
+def _value_and_grads(f, inputs, weight):
+    """f(*inputs), and the gradient of sum(f * weight) for each input."""
+    for x in inputs:
+        x.zero_grad()
+    out = f(*inputs)
+    T.tsum(T.mul(out, weight)).backward()
+    return out.data, [x.grad for x in inputs]
+
+
+def _assert_agree(fused, composed, inputs, weight):
+    out_f, grads_f = _value_and_grads(fused, inputs, weight)
+    out_c, grads_c = _value_and_grads(composed, inputs, weight)
+    np.testing.assert_allclose(out_f, out_c, rtol=0, atol=1e-12)
+    for gf, gc in zip(grads_f, grads_c):
+        assert gf.shape == gc.shape
+        np.testing.assert_allclose(gf, gc, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["self", "cross_masked", "spatial_4d"])
+def test_fused_attention_matches_composed(case):
+    rng = np.random.default_rng(11)
+    d, heads = 8, 2
+    p = rand_attention(rng, d, heads)
+    mask = None
+    if case == "self":
+        x = Tensor(rng.normal(size=(2, 5, d)), requires_grad=True)
+        seqs, out_shape = [x], (2, 5, d)
+    elif case == "cross_masked":
+        q = Tensor(rng.normal(size=(2, 3, d)), requires_grad=True)
+        kv = Tensor(rng.normal(size=(2, 4, d)), requires_grad=True)
+        mask = rng.random((2, 3, 4)) < 0.6
+        mask[..., 0] = True
+        seqs, out_shape = [q, kv], (2, 3, d)
+    else:
+        # the decoder's spatial cross-attention: one query set per clip,
+        # broadcast over the frames of a [B, T, HW, d] grid
+        q = Tensor(rng.normal(size=(2, 1, 3, d)), requires_grad=True)
+        kv = Tensor(rng.normal(size=(2, 4, 5, d)), requires_grad=True)
+        seqs, out_shape = [q, kv], (2, 4, 3, d)
+    weight = Tensor(rng.normal(size=out_shape))
+    inputs = seqs + [p.wq, p.wk, p.wv, p.wo]
+
+    def call(attention):
+        def f(*xs):
+            q, kv = (xs[0], xs[0]) if case == "self" else xs[:2]
+            return attention(q, kv, p, mask)
+        return f
+
+    _assert_agree(call(multi_head_attention), call(_composed_attention),
+                  inputs, weight)
+
+
+def test_fused_attention_dropout_matches_composed_with_equal_seeds():
+    rng = np.random.default_rng(12)
+    d = 8
+    p = AttentionParams.init(rng, d, 2, dropout_rate=0.3)
+    x = Tensor(rng.normal(size=(2, 6, d)), requires_grad=True)
+    weight = Tensor(rng.normal(size=(2, 6, d)))
+    inputs = [x, p.wq, p.wk, p.wv, p.wo]
+
+    def fused(x, *_):
+        ctx = RunContext(training=True, rng=np.random.default_rng(7))
+        return multi_head_attention(x, x, p, None, ctx)
+
+    def composed(x, *_):
+        return _composed_attention(x, x, p, rng=np.random.default_rng(7))
+
+    out_f, _ = _value_and_grads(fused, inputs, weight)
+    out_c, _ = _value_and_grads(composed, inputs, weight)
+    np.testing.assert_array_equal(out_f, out_c)
+    _assert_agree(fused, composed, inputs, weight)
+    # the mask is drawn once per call, at the same point of the stream
+    ctx = RunContext(training=True, rng=np.random.default_rng(7))
+    multi_head_attention(x, x, p, None, ctx)
+    gen = np.random.default_rng(7)
+    gen.random((2, 2, 6, 6))
+    assert ctx.rng.random() == gen.random()
+
+
+def test_fused_attention_gradient_flows_only_where_required():
+    rng = np.random.default_rng(13)
+    p = rand_attention(rng, 4, 2)
+    q = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    kv = Tensor(rng.normal(size=(5, 4)))
+    T.tsum(multi_head_attention(q, kv, p)).backward()
+    assert q.grad is not None and q.grad.shape == (3, 4)
+    assert kv.grad is None
+    assert all(w.grad is not None for w in (p.wq, p.wk, p.wv, p.wo))
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 6), (2, 3, 4, 6)])
+def test_fused_layer_norm_matches_composed(shape):
+    rng = np.random.default_rng(14)
+    p = LayerNormParams(Tensor(rng.normal(size=shape[-1]), requires_grad=True),
+                        Tensor(rng.normal(size=shape[-1]), requires_grad=True))
+    x = Tensor(rng.normal(size=shape) * 2 + 1, requires_grad=True)
+    weight = Tensor(rng.normal(size=shape))
+    _assert_agree(lambda x, g, b: layer_norm(x, p),
+                  lambda x, g, b: _composed_layer_norm(x, p),
+                  [x, p.gamma, p.beta], weight)
+
+
+def test_fused_layer_norm_rejects_mismatched_params():
+    p = LayerNormParams.init(5)
+    with pytest.raises(ShapeError):
+        layer_norm(Tensor(np.zeros((2, 4))), p)

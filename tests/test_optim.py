@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groundact import optim
+from groundact import tensor as T
 from groundact.config import TrainConfig
 from groundact.optim import (OptimizerError, OptimizerState, adam_step,
                              clip_grad_norm, cosine_decay, lr_at,
@@ -168,3 +169,31 @@ def test_probe_decay_monotone(step):
     assert cosine_decay(step, 100, 1e-3) >= cosine_decay(step + 1, 100, 1e-3)
     assert cosine_decay(0, 100, 1e-3) == 1e-3
     assert cosine_decay(100, 100, 1e-3) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_clip_scales_shared_gradient_arrays_once_each():
+    # add passes one gradient array to both parents, so the two parameters'
+    # .grad may be the same object; clipping must still scale each once
+    a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    b = Tensor(np.array([0.5, 3.0]), requires_grad=True)
+    params = {"a": a, "b": b}
+
+    def loss():
+        return T.tsum(T.mul(T.add(a, b), Tensor(np.array([3.0, 4.0]))))
+
+    loss().backward()
+    np.testing.assert_array_equal(a.grad, [3.0, 4.0])
+    np.testing.assert_array_equal(b.grad, [3.0, 4.0])
+    norm = clip_grad_norm(params, max_norm=1.0)
+    assert norm == pytest.approx(np.sqrt(50.0))
+    scale = 1.0 / (np.sqrt(50.0) + 1e-12)
+    np.testing.assert_allclose(a.grad, np.array([3.0, 4.0]) * scale,
+                               rtol=1e-15)
+    np.testing.assert_allclose(b.grad, np.array([3.0, 4.0]) * scale,
+                               rtol=1e-15)
+
+    for p in params.values():
+        p.zero_grad()
+    loss().backward()
+    np.testing.assert_array_equal(a.grad, [3.0, 4.0])
+    np.testing.assert_array_equal(b.grad, [3.0, 4.0])

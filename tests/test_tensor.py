@@ -294,3 +294,91 @@ def test_container_rejects_bad_magic(tmp_path):
 def test_container_rejects_unknown_dtype(tmp_path):
     with pytest.raises(ValueError):
         T.save_arrays(tmp_path / "x.bin", {"c": np.zeros(2, dtype=complex)})
+
+
+def test_container_truncated_names_path_and_array(tmp_path):
+    path = tmp_path / "arrays.bin"
+    T.save_arrays(path, {"first": np.zeros(4), "second": np.ones((8, 8))})
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) - 100])
+    with pytest.raises(ValueError, match=r"arrays\.bin.*'second'"):
+        T.load_arrays(path)
+    path.write_bytes(data[:6])
+    with pytest.raises(ValueError, match="truncated"):
+        T.load_arrays(path)
+
+
+# -- fused ops against their composed references ------------------------------
+
+def _grads(f, inputs, weight):
+    for x in inputs:
+        x.zero_grad()
+    out = f(*inputs)
+    T.tsum(T.mul(out, weight)).backward()
+    return out.data, [x.grad for x in inputs]
+
+
+@pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4), (2, 3, 5, 4)])
+@pytest.mark.parametrize("bias", [True, False])
+def test_linear_matches_matmul_plus_bias(x_shape, bias):
+    rng = np.random.default_rng(21)
+    x = t(rng.normal(size=x_shape))
+    w = t(rng.normal(size=(4, 3)))
+    b = t(rng.normal(size=3))
+    weight = Tensor(rng.normal(size=x_shape[:-1] + (3,)))
+    inputs = [x, w, b]
+    fused = lambda x, w, b: T.linear(x, w, b if bias else None)
+    composed = lambda x, w, b: (T.add(T.matmul(x, w), b) if bias
+                                else T.matmul(x, w))
+    out_f, g_f = _grads(fused, inputs, weight)
+    out_c, g_c = _grads(composed, inputs, weight)
+    np.testing.assert_array_equal(out_f, out_c)
+    for gf, gc in zip(g_f[:2 + bias], g_c[:2 + bias]):
+        np.testing.assert_allclose(gf, gc, rtol=0, atol=1e-12)
+    if not bias:
+        assert b.grad is None
+
+
+def test_linear_shape_errors():
+    with pytest.raises(ShapeError):
+        T.linear(t(np.zeros((2, 4))), t(np.zeros((3, 3))))
+    with pytest.raises(ShapeError):
+        T.linear(t(np.zeros((2, 4))), t(np.zeros((4, 3))), t(np.zeros(4)))
+
+
+def test_matmul_2d_rhs_gradient_sums_over_all_leading_axes():
+    rng = np.random.default_rng(22)
+    a = t(rng.normal(size=(2, 3, 4, 5)))
+    b = t(rng.normal(size=(5, 2)))
+    weight = rng.normal(size=(2, 3, 4, 2))
+    T.tsum(T.mul(T.matmul(a, b), Tensor(weight))).backward()
+    np.testing.assert_allclose(b.grad, np.einsum("abik,abij->kj", a.data,
+                                                 weight), rtol=0, atol=1e-12)
+
+
+def test_gelu_matches_composed_reference():
+    rng = np.random.default_rng(23)
+    x = t(rng.normal(size=(3, 4, 5)) * 3)
+    weight = Tensor(rng.normal(size=(3, 4, 5)))
+    c = np.sqrt(2.0 / np.pi)
+
+    def composed(x):
+        cube = T.mul(T.mul(x, x), x)
+        inner = T.mul(T.add(x, T.mul(cube, 0.044715)), c)
+        return T.mul(T.mul(x, 0.5), T.add(T.tanh(inner), 1.0))
+
+    out_f, (g_f,) = _grads(T.gelu, [x], weight)
+    out_c, (g_c,) = _grads(composed, [x], weight)
+    np.testing.assert_allclose(out_f, out_c, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(g_f, g_c, rtol=0, atol=1e-12)
+
+
+def test_first_gradient_write_may_alias_without_corrupting():
+    # add hands one gradient array to both parents; a later write to one of
+    # them must not show up in the other
+    a, b = t([1.0, 2.0]), t([3.0, 4.0])
+    s = T.add(a, b)
+    loss = T.tsum(T.add(T.mul(s, 2.0), T.mul(a, 5.0)))
+    loss.backward()
+    np.testing.assert_array_equal(a.grad, [7.0, 7.0])
+    np.testing.assert_array_equal(b.grad, [2.0, 2.0])

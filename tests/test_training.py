@@ -9,7 +9,8 @@ import pytest
 from groundact import backbones as bb
 from groundact import data as D
 from groundact import training as tr
-from groundact.config import ExperimentConfig, ModelConfig, TrainConfig
+from groundact.config import (ConfigError, ExperimentConfig, ModelConfig,
+                              TrainConfig)
 from groundact.model import GroundedModel, make_batch, slice_output
 from groundact.tensor import Tensor
 from groundact.training import (TrainingError, evaluate, linear_probe,
@@ -124,6 +125,16 @@ def test_checkpoint_preserves_optimizer_state(tmp_path):
     np.testing.assert_array_equal(opt2.v[name], opt.v[name])
 
 
+def test_truncated_checkpoint_names_path_and_array(tmp_path):
+    cfg = tiny_cfg()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, GroundedModel(cfg.model, seed=0), cfg)
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+    with pytest.raises(ValueError, match=r"model\.ckpt: truncated .*array '"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_wrong_shape_rejected(tmp_path):
     cfg = tiny_cfg()
     model = GroundedModel(cfg.model, seed=0)
@@ -173,6 +184,18 @@ def test_train_rejects_bad_mode_and_overlong_run():
         train(tiny_cfg(), corpus, mode="semi", vocab=VOCAB)
     with pytest.raises(TrainingError):
         train(tiny_cfg(), corpus, max_steps=10 ** 6, vocab=VOCAB)
+
+
+def test_train_rejects_more_actors_than_queries_before_step_0(tmp_path):
+    corpus = D.generate_corpus(seed=0, num_clips=3, num_actors=3, t_total=4,
+                               raster=(8, 8))
+    cfg = tiny_cfg()
+    cfg.model.num_queries = 2
+    log = tmp_path / "log.jsonl"
+    with pytest.raises(ConfigError, match="num_queries") as err:
+        train(cfg, corpus, log_path=str(log), max_steps=2, vocab=VOCAB)
+    assert corpus[0][1].clip_id in str(err.value)
+    assert not log.exists()
 
 
 def test_train_loss_moves():
