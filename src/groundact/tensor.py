@@ -282,12 +282,7 @@ def matmul(a, b):
         if a.requires_grad or a._parents:
             a.accumulate(unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad or b._parents:
-            if b.ndim == 2:
-                # one 2-d GEMM over all rows of a, not a batched one + a sum
-                b.accumulate(rows(a.data).T @ rows(g))
-            else:
-                b.accumulate(unbroadcast(np.swapaxes(a.data, -1, -2) @ g,
-                                          b.shape))
+            b.accumulate(unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return Tensor(data, req, (a, b), backward if req else None)
 

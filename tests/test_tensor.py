@@ -346,13 +346,13 @@ def test_linear_shape_errors():
         T.linear(t(np.zeros((2, 4))), t(np.zeros((4, 3))), t(np.zeros(4)))
 
 
-def test_matmul_2d_rhs_gradient_sums_over_all_leading_axes():
+def test_linear_weight_gradient_sums_over_all_leading_axes():
     rng = np.random.default_rng(22)
-    a = t(rng.normal(size=(2, 3, 4, 5)))
-    b = t(rng.normal(size=(5, 2)))
+    x = t(rng.normal(size=(2, 3, 4, 5)))
+    w = t(rng.normal(size=(5, 2)))
     weight = rng.normal(size=(2, 3, 4, 2))
-    T.tsum(T.mul(T.matmul(a, b), Tensor(weight))).backward()
-    np.testing.assert_allclose(b.grad, np.einsum("abik,abij->kj", a.data,
+    T.tsum(T.mul(T.linear(x, w), Tensor(weight))).backward()
+    np.testing.assert_allclose(w.grad, np.einsum("abik,abij->kj", x.data,
                                                  weight), rtol=0, atol=1e-12)
 
 
