@@ -8,12 +8,10 @@ train accuracy on the group-activity labels.
 
 import argparse
 
-import numpy as np
-
 from groundact import backbones as bb
 from groundact import data as D
-from groundact.model import make_batch
-from groundact.training import linear_probe, load_checkpoint
+from groundact.training import (extract_embeddings, linear_probe,
+                                load_checkpoint)
 
 
 def main():
@@ -29,14 +27,7 @@ def main():
     corpus = D.generate_corpus(seed=args.seed, num_clips=args.clips,
                                num_actors=2, t_total=cfg.model.frames,
                                raster=(cfg.model.raster_h, cfg.model.raster_w))
-    anns = [a for _, a in corpus]
-    batch = make_batch([c for c, _ in corpus],
-                       [D.prompt_for(a) for a in anns],
-                       cfg.model, vocab, anns)
-    rep, _ = model.forward(batch)
-    emb = rep.group.data.reshape(len(corpus), -1)
-    labels = np.array([a.group_activity for a in anns])
-
+    emb, labels = extract_embeddings(model, corpus, cfg, vocab)
     res = linear_probe(emb, labels, num_classes=len(D.GROUPS),
                        epochs=args.epochs, seed=args.seed)
     print(f"probe train accuracy over {args.clips} clips: "

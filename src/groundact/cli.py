@@ -76,7 +76,7 @@ def cmd_eval(args) -> int:
     out = {}
     for m in wanted:
         if m == "mca":
-            out["mca"] = ev.mca
+            out["mca"] = ev.group_accuracy
         elif m == "merged-mca":
             out["merged_mca"] = ev.merged_mca
         elif m == "mpca":

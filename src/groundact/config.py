@@ -50,7 +50,6 @@ class ModelConfig:
     # toggles
     use_fast_branch: bool = True
     use_actor_fusion: bool = True
-    fusion_refeed: bool = False   # also re-fuse predicted boxes at layers > 0
     teacher_forcing: bool = False
     fusion_kernel: int = 3
 
@@ -158,6 +157,15 @@ def _parse_value(text: str, ftype):
     return text
 
 
+def _known_fields(section: str, keys) -> dict:
+    """The section's fields by name; an unknown key is a ConfigError."""
+    known = {f.name: f for f in fields(_SECTIONS[section])}
+    for key in keys:
+        if key not in known:
+            raise ConfigError(f"unknown key [{section}] {key}")
+    return known
+
+
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -168,10 +176,9 @@ def load_config(path) -> ExperimentConfig:
         if not parser.has_section(section):
             continue
         target = getattr(cfg, section)
-        known = {f.name: f for f in fields(cls)}
-        for key, raw in parser.items(section):
-            if key not in known:
-                raise ConfigError(f"unknown key [{section}] {key}")
+        items = parser.items(section)
+        known = _known_fields(section, [key for key, _ in items])
+        for key, raw in items:
             setattr(target, key, _parse_value(raw, known[key].type))
     cfg.validate()
     return cfg
@@ -192,10 +199,11 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    cfg = ExperimentConfig(
-        model=ModelConfig(**d.get("model", {})),
-        loss=LossWeights(**d.get("loss", {})),
-        train=TrainConfig(**d.get("train", {})),
-    )
+    parts = {}
+    for section, cls in _SECTIONS.items():
+        values = d.get(section, {})
+        _known_fields(section, values)
+        parts[section] = cls(**values)
+    cfg = ExperimentConfig(**parts)
     cfg.validate()
     return cfg

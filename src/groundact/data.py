@@ -16,11 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .backbones import VideoClip
-
-
-class DataError(ValueError):
-    pass
+from .backbones import DataError, VideoClip
 
 
 class ParseError(ValueError):

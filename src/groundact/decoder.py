@@ -150,20 +150,16 @@ def decode(rep: SharedRepresentation,
     ref = reference_logits(ref_params)               # [N, 4]
     box_logits = T.broadcast_to(T.reshape(ref, (1, n, 1, 4)), (b, n, t, 4))
 
-    def fused_queries(logits_data: np.ndarray) -> Tensor:
-        key_boxes = 1.0 / (1.0 + np.exp(-logits_data[:, :, keyframe, :]))
-        key_boxes = np.clip(key_boxes, 1e-4, 1.0 - 1e-4)
-        out = fuse(ActorBoxSet(key_boxes, source="layer-prediction"),
-                   rep.text, fusion_params, rep.text_mask)
-        return out.bt_f
-
     # one shared base embedding for every query slot; actor-specific identity
     # (which query is which actor) comes only from the fusion features, whose
     # coordinate encodings of the per-query reference boxes differ per slot
     x = T.broadcast_to(T.reshape(params.learned_queries, (1, 1, d)),
                        (b, n, d))
     if fusion_params is not None and cfg.use_actor_fusion:
-        x = T.add(x, fused_queries(box_logits.data))
+        key_boxes = 1.0 / (1.0 + np.exp(-box_logits.data[:, :, keyframe, :]))
+        key_boxes = np.clip(key_boxes, 1e-4, 1.0 - 1e-4)
+        x = T.add(x, fuse(ActorBoxSet(key_boxes, source="layer-prediction"),
+                          rep.text, fusion_params, rep.text_mask).bt_f)
 
     # the group token rides through the decoder as row N: it joins actor
     # self-attention and both cross-attentions, but has no box head, and its
@@ -176,13 +172,6 @@ def decode(rep: SharedRepresentation,
     per_layer_embeddings: List[Tensor] = []
 
     for li, layer in enumerate(params.layers):
-        if (li > 0 and cfg.fusion_refeed
-                and fusion_params is not None and cfg.use_actor_fusion):
-            # feed the previous layer's (detached) boxes back through fusion;
-            # only the actor rows receive the refeed
-            x = T.concat([T.add(x[:, :n, :], fused_queries(box_logits.data)),
-                          x[:, n:, :]], axis=1)
-
         # actor self-attention
         h = nn.layer_norm(x, layer.norm_self)
         x = T.add(x, nn.multi_head_attention(h, h, layer.self_attn_actors,

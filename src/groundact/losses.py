@@ -57,8 +57,8 @@ def giou(a, b) -> float:
     return giou_corners(cxcywh_to_corners(a), cxcywh_to_corners(b))
 
 
-def giou_matrix(pred_cxcywh: np.ndarray, gt_cxcywh: np.ndarray) -> np.ndarray:
-    """Pairwise gIoU, pred [N, 4] x gt [M, 4] -> [M, N]."""
+def pairwise_iou(pred_cxcywh: np.ndarray, gt_cxcywh: np.ndarray):
+    """Pairwise IoU and gIoU, pred [N, 4] x gt [M, 4] -> ([M, N], [M, N])."""
     p = cxcywh_to_corners(pred_cxcywh)[None, :, :]
     g = cxcywh_to_corners(gt_cxcywh)[:, None, :]
     area_p = (p[..., 2] - p[..., 0]) * (p[..., 3] - p[..., 1])
@@ -69,7 +69,8 @@ def giou_matrix(pred_cxcywh: np.ndarray, gt_cxcywh: np.ndarray) -> np.ndarray:
     union = area_p + area_g - inter
     hull = ((np.maximum(p[..., 2], g[..., 2]) - np.minimum(p[..., 0], g[..., 0]))
             * (np.maximum(p[..., 3], g[..., 3]) - np.minimum(p[..., 1], g[..., 1])))
-    return inter / union - (hull - union) / hull
+    iou = inter / union
+    return iou, iou - (hull - union) / hull
 
 
 # -- differentiable losses ---------------------------------------------------
@@ -92,23 +93,32 @@ def _giou_tensor(pred_corners: Tensor, gt_corners: Tensor) -> Tensor:
     return T.sub(T.div(inter, union), T.div(T.sub(hull, union), hull))
 
 
-def giou_loss(pred: Tensor, gt) -> Tensor:
-    """Mean of (1 - gIoU) over matched (cx, cy, w, h) pairs [..., P, 4]."""
+def giou_loss(pred: Tensor, gt, weights=None) -> Tensor:
+    """Mean of (1 - gIoU) over matched (cx, cy, w, h) pairs [..., P, 4];
+    with ``weights`` (broadcastable to [..., P]), their weighted sum."""
     if _pair_count(pred) == 0:
         warnings.warn("giou_loss on empty match set, returning 0")
         return Tensor(np.zeros(()))
-    gt = gt if isinstance(gt, Tensor) else Tensor(np.asarray(gt, dtype=np.float64))
+    if not isinstance(gt, Tensor):
+        gt = np.asarray(gt, dtype=np.float64)
     g = _giou_tensor(cxcywh_to_corners(pred), cxcywh_to_corners(gt))
-    return T.tmean(T.sub(1.0, g))
+    return _pair_mean(T.sub(1.0, g), weights)
 
 
-def l1_loss(pred: Tensor, gt) -> Tensor:
-    """Mean absolute coordinate difference over matched pairs."""
+def l1_loss(pred: Tensor, gt, weights=None) -> Tensor:
+    """Mean absolute coordinate difference over matched pairs [..., P, 4];
+    with ``weights`` (broadcastable to [..., P]), the weighted sum over pairs
+    of each pair's mean."""
     if _pair_count(pred) == 0:
         warnings.warn("l1_loss on empty match set, returning 0")
         return Tensor(np.zeros(()))
-    gt = gt if isinstance(gt, Tensor) else Tensor(np.asarray(gt, dtype=np.float64))
-    return T.tmean(T.absolute(T.sub(pred, gt)))
+    diff = T.absolute(T.sub(pred, gt))
+    return _pair_mean(diff, None if weights is None
+                      else np.expand_dims(weights, -1) / pred.shape[-1])
+
+
+def _pair_mean(x: Tensor, weights) -> Tensor:
+    return T.tmean(x) if weights is None else T.tsum(T.mul(x, weights))
 
 
 def _pair_count(x) -> int:
@@ -157,7 +167,8 @@ def match_cost(pred_boxes: np.ndarray, pred_action_logits: Optional[np.ndarray],
     pred_boxes = np.asarray(pred_boxes, dtype=np.float64)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64)
     l1 = np.abs(gt_boxes[:, None, :] - pred_boxes[None, :, :]).sum(axis=-1)
-    cost = weights.l1 * l1 + weights.giou * (1.0 - giou_matrix(pred_boxes, gt_boxes))
+    giou_mat = pairwise_iou(pred_boxes, gt_boxes)[1]
+    cost = weights.l1 * l1 + weights.giou * (1.0 - giou_mat)
     if (not weak and weights.action_bce > 0 and pred_action_logits is not None
             and gt_actions is not None):
         probs = 1.0 / (1.0 + np.exp(-np.asarray(pred_action_logits,
@@ -166,6 +177,26 @@ def match_cost(pred_boxes: np.ndarray, pred_action_logits: Optional[np.ndarray],
             if actions:
                 cost[i] += weights.action_bce * (1.0 - probs[:, list(actions)].mean(axis=-1))
     return cost
+
+
+def keyframe_matches(boxes: np.ndarray, action_logits: Optional[np.ndarray],
+                     annotations, weights: LossWeights, keyframe: int,
+                     weak: bool = False) -> List[MatchResult]:
+    """Per clip, the minimum-cost match of its actors to its queries.
+
+    boxes [B, N, T, 4] and action_logits [B, N, A] (or None) are plain
+    arrays; the cost is taken on the keyframe boxes.  The action term is
+    dropped for weak mode and for weakly annotated clips.
+    """
+    matches = []
+    for i, ann in enumerate(annotations):
+        gt_key = np.stack([a.tube[keyframe] for a in ann.actors])
+        cost = match_cost(boxes[i, :, keyframe, :],
+                          None if action_logits is None else action_logits[i],
+                          gt_key, [sorted(a.actions) for a in ann.actors],
+                          weights, weak=weak or ann.weak)
+        matches.append(hungarian_match(cost))
+    return matches
 
 
 # -- classification terms ----------------------------------------------------
@@ -184,64 +215,77 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
 
 # -- total objective ---------------------------------------------------------
 
-def total_objective(decoder_out, annotation, weights: LossWeights,
+# gt box in the padded actor slots: valid, so gIoU stays finite at weight 0
+_PAD_BOX = np.array([0.5, 0.5, 0.5, 0.5])
+
+
+def total_objective(decoder_out, annotations, weights: LossWeights,
                     keyframe: int, weak: bool = False,
                     fallback_boxes: Optional[Tensor] = None):
-    """Eq.-style objective for one sample, accumulated over decoder layers.
+    """Batch objective: the mean over clips of each clip's objective,
+    accumulated over decoder layers.
 
-    decoder_out: DecoderOutput with per-layer [1, N, T, 4] box tubes.
-    annotation: SceneAnnotation with tubes sampled to the model's T frames.
+    decoder_out: DecoderOutput with per-layer [B, N, T, 4] box tubes.
+    annotations: one SceneAnnotation per clip, tubes sampled to T frames.
+    fallback_boxes [B, N, T, 4] stands in for the layers when there are none.
+    Matching runs per clip on plain arrays; every loss term is one op over
+    the whole batch, with actors padded to the largest clip and each clip's
+    boxes weighted 1/(B M_i T) so the sum equals the mean of per-clip means.
     Returns (scalar Tensor, breakdown dict of python floats).
     """
-    from .data import SceneAnnotation  # local import to avoid a cycle
-
-    ann: SceneAnnotation = annotation
-    if not ann.actors:
-        raise ValueError(f"annotation {ann.clip_id} has no actor boxes")
-    gt_tubes = np.stack([a.tube for a in ann.actors])        # [M, T, 4]
-    gt_key = gt_tubes[:, keyframe, :]
-    gt_actions = [sorted(a.actions) for a in ann.actors]
-    if weak:
-        gt_actions = [[] for _ in ann.actors]
+    anns = list(annotations)
+    for ann in anns:
+        if not ann.actors:
+            raise ValueError(f"annotation {ann.clip_id} has no actor boxes")
+    b = len(anns)
+    counts = np.array([len(a.actors) for a in anns])
+    frames = anns[0].actors[0].tube.shape[0]
+    gt = np.tile(_PAD_BOX, (b, counts.max(), frames, 1))    # [B, M, T, 4]
+    for i, ann in enumerate(anns):
+        gt[i, :counts[i]] = [a.tube for a in ann.actors]
+    valid = np.arange(gt.shape[1]) < counts[:, None]         # [B, M]
+    box_w = (valid / (b * counts[:, None] * frames))[:, :, None]
+    rows = np.arange(b)[:, None]
 
     layer_boxes = decoder_out.per_layer_boxes
     if not layer_boxes and fallback_boxes is not None:
         layer_boxes = [fallback_boxes]
+    if not weights.aux_layers:
+        layer_boxes = layer_boxes[-1:]
+    act_logits = (decoder_out.action_logits.data
+                  if decoder_out.action_logits is not None else None)
 
     total = Tensor(np.zeros(()))
     breakdown = {"l1": 0.0, "giou": 0.0, "group_ce": 0.0, "action_bce": 0.0}
-    match = None
-    for li, boxes in enumerate(layer_boxes):
-        if not weights.aux_layers and li < len(layer_boxes) - 1:
-            continue
-        b = boxes.data[0]                                    # [N, T, 4]
-        act_logits = (decoder_out.action_logits.data[0]
-                      if decoder_out.action_logits is not None else None)
-        cost = match_cost(b[:, keyframe, :], act_logits, gt_key,
-                          gt_actions, weights, weak=weak)
-        match = hungarian_match(cost)
-        pred_idx = match.pred_indices
-        matched_pred = boxes[0, pred_idx, :, :]              # [M, T, 4]
-        l1 = l1_loss(matched_pred, gt_tubes)
-        gl = giou_loss(T.reshape(matched_pred, (-1, 4)),
-                       gt_tubes.reshape(-1, 4))
+    matches = None
+    for boxes in layer_boxes:
+        matches = keyframe_matches(boxes.data, act_logits, anns, weights,
+                                   keyframe, weak)
+        # padded slots repeat the clip's matched queries, at weight 0
+        idx = np.stack([np.resize(m.pred_indices, gt.shape[1])
+                        for m in matches])
+        pred = boxes[rows, idx]                              # [B, M, T, 4]
+        l1 = l1_loss(pred, gt, box_w)
+        gl = giou_loss(pred, gt, box_w)
         total = T.add(total, T.add(T.mul(l1, weights.l1),
                                    T.mul(gl, weights.giou)))
         breakdown["l1"] += l1.item()
         breakdown["giou"] += gl.item()
 
-    if weights.group_ce > 0 and ann.group_activity is not None:
-        ce = cross_entropy(decoder_out.group_logits[0], ann.group_activity)
+    labelled = [i for i, a in enumerate(anns) if a.group_activity is not None]
+    if weights.group_ce > 0 and labelled:
+        logp = T.log_softmax(decoder_out.group_logits, axis=-1)    # [B, G]
+        picked = logp[labelled, [anns[i].group_activity for i in labelled]]
+        ce = T.mul(T.tsum(picked), -1.0 / b)
         total = T.add(total, T.mul(ce, weights.group_ce))
         breakdown["group_ce"] = ce.item()
 
-    if not weak and weights.action_bce > 0 and match is not None:
-        n, a = decoder_out.action_logits.shape[1:]
-        targets = np.zeros((n, a))
-        for gt_i, pred_j in match.pairs():
-            for act in gt_actions[gt_i]:
-                targets[pred_j, act] = 1.0
-        bce = binary_cross_entropy_with_logits(decoder_out.action_logits[0],
+    if not weak and weights.action_bce > 0 and matches is not None:
+        targets = np.zeros(decoder_out.action_logits.shape)       # [B, N, A]
+        for i, (ann, m) in enumerate(zip(anns, matches)):
+            for gt_i, pred_j in m.pairs():
+                targets[i, pred_j, ann.actors[gt_i].actions] = 1.0
+        bce = binary_cross_entropy_with_logits(decoder_out.action_logits,
                                                targets)
         total = T.add(total, T.mul(bce, weights.action_bce))
         breakdown["action_bce"] = bce.item()

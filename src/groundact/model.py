@@ -131,12 +131,3 @@ class GroundedModel:
     def keyframe(self) -> int:
         return self.cfg.frames // 2
 
-
-def slice_output(out: DecoderOutput, i: int) -> DecoderOutput:
-    """Single-sample view of a batched decoder output (graph preserved)."""
-    s = slice(i, i + 1)
-    return DecoderOutput(
-        per_layer_boxes=[b[s] for b in out.per_layer_boxes],
-        per_layer_actor_embeddings=[e[s] for e in out.per_layer_actor_embeddings],
-        action_logits=out.action_logits[s],
-        group_logits=out.group_logits[s])

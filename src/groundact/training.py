@@ -20,10 +20,10 @@ from . import nn
 from . import tensor as T
 from .config import (ConfigError, ExperimentConfig, config_from_dict,
                      config_to_dict)
-from .losses import hungarian_match, match_cost, total_objective
+from .losses import keyframe_matches, pairwise_iou, total_objective
 from .metrics import (ActorPrediction, PredictionRecord, group_activity_vote,
                       mca, mean_per_class_accuracy)
-from .model import Batch, GroundedModel, make_batch, slice_output
+from .model import Batch, GroundedModel, make_batch
 from .nn import RunContext
 from .optim import (OptimizerState, adam_step, clip_grad_norm, cosine_decay,
                     lr_at, sgd_momentum_step, wd_at)
@@ -86,17 +86,8 @@ def load_checkpoint(path) -> Tuple[GroundedModel, ExperimentConfig,
 
 def batch_objective(out, batch: Batch, cfg: ExperimentConfig, keyframe: int,
                     weak: bool, fallback_boxes=None):
-    total = Tensor(np.zeros(()))
-    agg = {"l1": 0.0, "giou": 0.0, "group_ce": 0.0, "action_bce": 0.0}
-    n = len(batch.annotations)
-    for i, ann in enumerate(batch.annotations):
-        fb = fallback_boxes[i:i + 1] if fallback_boxes is not None else None
-        li, bd = total_objective(slice_output(out, i), ann, cfg.loss,
-                                 keyframe, weak=weak, fallback_boxes=fb)
-        total = T.add(total, li)
-        for k in agg:
-            agg[k] += bd[k] / n
-    return T.mul(total, 1.0 / n), agg
+    return total_objective(out, batch.annotations, cfg.loss, keyframe,
+                           weak=weak, fallback_boxes=fallback_boxes)
 
 
 def _teacher_arrays(batch: Batch, keyframe: int):
@@ -126,7 +117,6 @@ def _reference_fallback(model: GroundedModel, b: int) -> Tensor:
 class EvalResult:
     group_accuracy: float
     merged_mca: float
-    mca: float
     mpca: float
     mean_keyframe_iou: float
     action_prf: Tuple[float, float, float]
@@ -143,24 +133,35 @@ def predict_actions(action_logits: np.ndarray) -> List[List[int]]:
     return out
 
 
-def predict_group(out_i, cfg, use_vote: bool) -> Tuple[int, float]:
-    """Group label via member majority vote over confident actor queries,
-    falling back to the group-token classifier."""
-    logits = out_i.group_logits.data[0]
-    probs = np.exp(logits - logits.max())
+def predict_group(group_logits: np.ndarray, action_logits: np.ndarray,
+                  use_vote: bool) -> Tuple[int, float]:
+    """Group label of one clip ([G] group and [N, A] action logits) via
+    member majority vote over confident actor queries, falling back to the
+    group-token classifier."""
+    probs = np.exp(group_logits - group_logits.max())
     probs /= probs.sum()
-    cls_label, cls_conf = int(np.argmax(logits)), float(probs.max())
+    cls_label, cls_conf = int(np.argmax(group_logits)), float(probs.max())
     if not use_vote:
         return cls_label, cls_conf
-    act = out_i.action_logits.data[0]
-    sig = 1.0 / (1.0 + np.exp(-act))
-    confident = [i for i in range(act.shape[0]) if sig[i].max() > 0.5]
+    sig = 1.0 / (1.0 + np.exp(-action_logits))
+    confident = [i for i in range(action_logits.shape[0]) if sig[i].max() > 0.5]
     if not confident:
         return cls_label, cls_conf
-    members = [[int(np.argmax(act[i]))] for i in confident]
+    members = [[int(np.argmax(action_logits[i]))] for i in confident]
     label = group_activity_vote(members, D.ACTION_TO_GROUP)
     conf = float(np.mean([sig[i].max() for i in confident]))
     return label, conf
+
+
+def infer(model: GroundedModel, corpus, cfg: ExperimentConfig,
+          vocab: List[str]):
+    """Batch the (clip, annotation) pairs with their prompts and run the
+    forward; returns (batch, shared representation, decoder output)."""
+    anns = [a for _, a in corpus]
+    batch = make_batch([c for c, _ in corpus], [D.prompt_for(a) for a in anns],
+                       cfg.model, vocab, anns)
+    rep, out = model.forward(batch)
+    return batch, rep, out
 
 
 def evaluate(model: GroundedModel, corpus, cfg: ExperimentConfig,
@@ -168,35 +169,27 @@ def evaluate(model: GroundedModel, corpus, cfg: ExperimentConfig,
     """Metrics over (clip, annotation) pairs; also emits prediction records."""
     if use_vote is None:
         use_vote = cfg.model.decoder_layers >= 1
-    clips = [c for c, _ in corpus]
-    anns = [a for _, a in corpus]
-    batch = make_batch(clips, [D.prompt_for(a) for a in anns],
-                       cfg.model, vocab, anns)
-    _, out = model.forward(batch)
+    batch, _, out = infer(model, corpus, cfg, vocab)
     keyframe = model.keyframe()
+    boxes = (out.final_boxes if out.per_layer_boxes
+             else _reference_fallback(model, len(corpus))).data
+    act_all = out.action_logits.data
+    matches = keyframe_matches(boxes, act_all, batch.annotations, cfg.loss,
+                               keyframe)
 
     pred_groups, gt_groups = [], []
     pred_sets, gt_sets = [], []
     ious, records = [], []
-    have_boxes = bool(out.per_layer_boxes)
-    for i, ann in enumerate(batch.annotations):
-        out_i = slice_output(out, i)
-        label, conf = predict_group(out_i, cfg, use_vote)
+    for i, (ann, match) in enumerate(zip(batch.annotations, matches)):
+        act_logits = act_all[i]
+        label, conf = predict_group(out.group_logits.data[i], act_logits,
+                                    use_vote)
         pred_groups.append(label)
         gt_groups.append(ann.group_activity)
 
-        act_logits = out_i.action_logits.data[0]
         query_actions = predict_actions(act_logits)
-        if have_boxes:
-            boxes = out_i.final_boxes.data[0]            # [N, T, 4]
-        else:
-            boxes = _reference_fallback(model, 1).data[0]
         gt_key = np.stack([a.tube[keyframe] for a in ann.actors])
-        cost = match_cost(boxes[:, keyframe, :], act_logits, gt_key,
-                          [a.actions for a in ann.actors], cfg.loss,
-                          weak=ann.weak)
-        match = hungarian_match(cost)
-        iou = _iou_matrix(boxes[:, keyframe, :], gt_key)
+        iou = pairwise_iou(boxes[i, :, keyframe, :], gt_key)[0]
         ious.extend(iou[match.gt_indices, match.pred_indices].tolist())
 
         matched_pred_actions = [set(query_actions[j]) for j in match.pred_indices]
@@ -210,8 +203,8 @@ def evaluate(model: GroundedModel, corpus, cfg: ExperimentConfig,
             actors=[ActorPrediction(
                 labels=query_actions[q],
                 confidences=[float(sig[q, a]) for a in query_actions[q]],
-                keyframe_box=[float(v) for v in boxes[q, keyframe]])
-                for q in range(boxes.shape[0])]))
+                keyframe_box=[float(v) for v in boxes[i, q, keyframe]])
+                for q in range(boxes.shape[1])]))
 
     from .metrics import multilabel_prf
     merge = {g: D.MERGED_GROUPS[D.GROUPS[g]] for g in range(len(D.GROUPS))}
@@ -221,22 +214,9 @@ def evaluate(model: GroundedModel, corpus, cfg: ExperimentConfig,
     return EvalResult(
         group_accuracy=mca(pred_groups, gt_groups),
         merged_mca=mca(pred_groups, gt_groups, merge=merge),
-        mca=mca(pred_groups, gt_groups),
         mpca=mean_per_class_accuracy(pred_groups, gt_groups),
         mean_keyframe_iou=float(np.mean(ious)) if ious else 0.0,
         action_prf=prf, records=records)
-
-
-def _iou_matrix(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    from .losses import cxcywh_to_corners
-    p = cxcywh_to_corners(pred)[None, :, :]
-    g = cxcywh_to_corners(gt)[:, None, :]
-    iw = np.clip(np.minimum(p[..., 2], g[..., 2]) - np.maximum(p[..., 0], g[..., 0]), 0, None)
-    ih = np.clip(np.minimum(p[..., 3], g[..., 3]) - np.maximum(p[..., 1], g[..., 1]), 0, None)
-    inter = iw * ih
-    area_p = (p[..., 2] - p[..., 0]) * (p[..., 3] - p[..., 1])
-    area_g = (g[..., 2] - g[..., 0]) * (g[..., 3] - g[..., 1])
-    return inter / (area_p + area_g - inter)
 
 
 # -- training loop -----------------------------------------------------------
@@ -375,25 +355,16 @@ def actor_embedding_pool(model: GroundedModel, corpus, cfg: ExperimentConfig,
     Returns (embeddings [C, d], entries), one entry per matched gt actor:
     dicts with clip_id, track_id, actions, keyframe_box.
     """
-    clips = [c for c, _ in corpus]
-    anns = [a for _, a in corpus]
-    batch = make_batch(clips, [D.prompt_for(a) for a in anns],
-                       cfg.model, vocab, anns)
-    _, out = model.forward(batch)
-    keyframe = model.keyframe()
-    if out.per_layer_actor_embeddings:
-        emb_all = out.per_layer_actor_embeddings[-1].data
-    else:
+    batch, _, out = infer(model, corpus, cfg, vocab)
+    if not out.per_layer_actor_embeddings:
         raise TrainingError("retrieval needs at least one decoder layer")
+    emb_all = out.per_layer_actor_embeddings[-1].data
     boxes_all = out.final_boxes.data
+    keyframe = model.keyframe()
+    matches = keyframe_matches(boxes_all, out.action_logits.data,
+                               batch.annotations, cfg.loss, keyframe)
     embeddings, entries = [], []
-    for i, ann in enumerate(batch.annotations):
-        gt_key = np.stack([a.tube[keyframe] for a in ann.actors])
-        cost = match_cost(boxes_all[i, :, keyframe, :],
-                          out.action_logits.data[i], gt_key,
-                          [a.actions for a in ann.actors], cfg.loss,
-                          weak=ann.weak)
-        match = hungarian_match(cost)
+    for i, (ann, match) in enumerate(zip(batch.annotations, matches)):
         for gt_i, pred_j in match.pairs():
             embeddings.append(emb_all[i, pred_j])
             entries.append({"clip_id": ann.clip_id,
@@ -435,14 +406,9 @@ class ProbeResult:
 def extract_embeddings(model: GroundedModel, corpus, cfg: ExperimentConfig,
                        vocab: List[str]) -> Tuple[np.ndarray, np.ndarray]:
     """Frozen group-token embeddings and group labels for probing."""
-    clips = [c for c, _ in corpus]
-    anns = [a for _, a in corpus]
-    batch = make_batch(clips, [D.prompt_for(a) for a in anns],
-                       cfg.model, vocab, anns)
-    rep, _ = model.forward(batch)
-    emb = rep.group.data[:, 0, :]
-    labels = np.array([a.group_activity for a in anns])
-    return emb, labels
+    _, rep, _ = infer(model, corpus, cfg, vocab)
+    return (rep.group.data[:, 0, :],
+            np.array([a.group_activity for _, a in corpus]))
 
 
 def linear_probe(embeddings: np.ndarray, labels: np.ndarray,

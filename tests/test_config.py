@@ -59,6 +59,14 @@ def test_unknown_key_rejected(tmp_path):
         load_config(path)
 
 
+def test_unknown_dict_field_names_section_and_key():
+    # a checkpoint written before a field was removed still stores it
+    d = config_to_dict(ExperimentConfig())
+    d["model"]["fusion_refeed"] = False
+    with pytest.raises(ConfigError, match=r"\[model\] fusion_refeed"):
+        config_from_dict(d)
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.ini")

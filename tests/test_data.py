@@ -106,6 +106,13 @@ def test_group_from_actions_tie_breaks_low():
         group_from_actions([[], []])
 
 
+def test_one_data_error_class():
+    from groundact import backbones
+    assert D.DataError is backbones.DataError
+    with pytest.raises(D.DataError):
+        backbones.tokenize("", backbones.load_vocab(), 8)
+
+
 def test_unknown_motion_kind_rejected():
     s = script(["stationary"])
     s.motions = ["teleport"]

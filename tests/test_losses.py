@@ -110,16 +110,21 @@ def test_giou_bounded_and_below_iou(seed):
     assert g <= iou + 1e-12
 
 
-def test_giou_matrix_agrees_with_scalar():
+def test_pairwise_iou_agrees_with_scalar():
     rng = np.random.default_rng(1)
     pred = rng.uniform(0.2, 0.8, size=(3, 4))
     gt = rng.uniform(0.2, 0.8, size=(2, 4))
     pred[:, 2:] = rng.uniform(0.05, 0.3, size=(3, 2))
     gt[:, 2:] = rng.uniform(0.05, 0.3, size=(2, 2))
-    mat = L.giou_matrix(pred, gt)
+    iou, mat = L.pairwise_iou(pred, gt)
     for i in range(2):
         for j in range(3):
             assert abs(mat[i, j] - L.giou(gt[i], pred[j])) <= 1e-12
+            a, b = L.cxcywh_to_corners(gt[i]), L.cxcywh_to_corners(pred[j])
+            iw = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
+            ih = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
+            union = gt[i, 2] * gt[i, 3] + pred[j, 2] * pred[j, 3] - iw * ih
+            assert abs(iou[i, j] - iw * ih / union) <= 1e-12
 
 
 # -- differentiable losses ---------------------------------------------------
@@ -302,7 +307,7 @@ def test_total_objective_weighting():
     ann = _annotation([gt_tube], [[0]])
     out = _fake_output([pred], action_logits=np.zeros((1, 1, 6)))
     w = LossWeights(group_ce=0.0, action_bce=0.0)
-    total, breakdown = L.total_objective(out, ann, w, keyframe=1)
+    total, breakdown = L.total_objective(out, [ann], w, keyframe=1)
     l1 = L.l1_loss(Tensor(pred[0, 0]), gt_tube).item()
     gl = L.giou_loss(Tensor(pred[0, 0]), gt_tube).item()
     assert abs(total.item() - (5 * l1 + 2 * gl)) <= 1e-10
@@ -315,7 +320,7 @@ def test_total_objective_perfect_prediction_zero():
     ann = _annotation([tube], [[0]])
     out = _fake_output([tube[None, None]])
     w = LossWeights(group_ce=0.0, action_bce=0.0)
-    total, _ = L.total_objective(out, ann, w, keyframe=1)
+    total, _ = L.total_objective(out, [ann], w, keyframe=1)
     assert total.item() == 0.0
 
 
@@ -328,9 +333,11 @@ def test_total_objective_aux_layers_toggle():
     ann = _annotation([tube], [[0]])
     w_all = LossWeights(group_ce=0.0, action_bce=0.0, aux_layers=True)
     w_last = LossWeights(group_ce=0.0, action_bce=0.0, aux_layers=False)
-    t_all, _ = L.total_objective(_fake_output(layers), ann, w_all, keyframe=1)
-    t_last, _ = L.total_objective(_fake_output(layers), ann, w_last, keyframe=1)
-    t_only, _ = L.total_objective(_fake_output(layers[-1:]), ann, w_all,
+    t_all, _ = L.total_objective(_fake_output(layers), [ann], w_all,
+                                 keyframe=1)
+    t_last, _ = L.total_objective(_fake_output(layers), [ann], w_last,
+                                  keyframe=1)
+    t_only, _ = L.total_objective(_fake_output(layers[-1:]), [ann], w_all,
                                   keyframe=1)
     assert abs(t_last.item() - t_only.item()) <= 1e-12
     assert t_all.item() > t_last.item()
@@ -346,8 +353,10 @@ def test_total_objective_gt_permutation_invariant():
     w = LossWeights()
     a1 = _annotation(tubes, [[0], [1]])
     a2 = _annotation(tubes[::-1], [[1], [0]])
-    t1, _ = L.total_objective(_fake_output([pred], logits), a1, w, keyframe=1)
-    t2, _ = L.total_objective(_fake_output([pred], logits), a2, w, keyframe=1)
+    t1, _ = L.total_objective(_fake_output([pred], logits), [a1], w,
+                              keyframe=1)
+    t2, _ = L.total_objective(_fake_output([pred], logits), [a2], w,
+                              keyframe=1)
     assert abs(t1.item() - t2.item()) <= 1e-10
 
 
@@ -356,7 +365,7 @@ def test_total_objective_no_actors_rejected():
     ann = SceneAnnotation(clip_id="empty", keyframe=0, actors=[],
                           group_activity=0)
     with pytest.raises(ValueError):
-        L.total_objective(_fake_output([np.zeros((1, 1, 1, 4))]), ann,
+        L.total_objective(_fake_output([np.zeros((1, 1, 1, 4))]), [ann],
                           LossWeights(), keyframe=0)
 
 
@@ -365,6 +374,192 @@ def test_weak_mode_zero_action_bce_in_breakdown():
     ann = _annotation([tube], [[2]])
     out = _fake_output([tube[None, None]],
                        action_logits=np.ones((1, 1, 6)))
-    _, breakdown = L.total_objective(out, ann, LossWeights(), keyframe=1,
+    _, breakdown = L.total_objective(out, [ann], LossWeights(), keyframe=1,
                                      weak=True)
     assert breakdown["action_bce"] == 0.0
+
+
+# -- batched objective against one clip at a time ----------------------------
+
+def _one_clip_objectives(out, anns, w, keyframe, weak=False,
+                         fallback_boxes=None):
+    """Mean over clips of the one-clip objective, each clip scored on its own
+    slice of the outputs: the reference the batched objective must equal."""
+    layers = out.per_layer_boxes or (
+        [fallback_boxes] if fallback_boxes is not None else [])
+    if not w.aux_layers:
+        layers = layers[-1:]
+    total = Tensor(np.zeros(()))
+    agg = {"l1": 0.0, "giou": 0.0, "group_ce": 0.0, "action_bce": 0.0}
+    b = len(anns)
+    for i, ann in enumerate(anns):
+        s = slice(i, i + 1)
+        gt = np.stack([a.tube for a in ann.actors])
+        acts = [[] if weak else sorted(a.actions) for a in ann.actors]
+        logits = out.action_logits[s]
+        match = None
+        for boxes in layers:
+            clip_boxes = boxes[s]
+            cost = L.match_cost(clip_boxes.data[0, :, keyframe],
+                                logits.data[0], gt[:, keyframe], acts, w,
+                                weak=weak)
+            match = L.hungarian_match(cost)
+            pred = clip_boxes[0, match.pred_indices]
+            l1 = L.l1_loss(pred, gt)
+            gl = L.giou_loss(T.reshape(pred, (-1, 4)), gt.reshape(-1, 4))
+            total = total + l1 * w.l1 + gl * w.giou
+            agg["l1"] += l1.item() / b
+            agg["giou"] += gl.item() / b
+        if w.group_ce > 0 and ann.group_activity is not None:
+            ce = L.cross_entropy(out.group_logits[s][0], ann.group_activity)
+            total = total + ce * w.group_ce
+            agg["group_ce"] += ce.item() / b
+        if not weak and w.action_bce > 0 and match is not None:
+            targets = np.zeros(logits.shape[1:])
+            for gt_i, pred_j in match.pairs():
+                targets[pred_j, acts[gt_i]] = 1.0
+            bce = L.binary_cross_entropy_with_logits(logits[0], targets)
+            total = total + bce * w.action_bce
+            agg["action_bce"] += bce.item() / b
+    return total * (1.0 / b), agg
+
+
+def _random_boxes(rng, shape):
+    boxes = rng.uniform(0.3, 0.7, size=shape + (4,))
+    boxes[..., 2:] = rng.uniform(0.1, 0.3, size=shape + (2,))
+    return boxes
+
+
+def _random_batch(rng, counts, queries=6, frames=3, layers=2, unlabelled=()):
+    """Arrays of a decoder output and annotations with the given actor
+    counts; clips listed in ``unlabelled`` have no group label."""
+    from groundact.data import ActorAnnotation, SceneAnnotation
+    b = len(counts)
+    arrays = {"boxes": [_random_boxes(rng, (b, queries, frames))
+                        for _ in range(layers)],
+              "actions": rng.normal(size=(b, queries, 6)),
+              "groups": rng.normal(size=(b, 6))}
+    anns = []
+    for i, m in enumerate(counts):
+        actors = [ActorAnnotation(j, _random_boxes(rng, (frames,)),
+                                  sorted(rng.choice(6, size=1 + j % 2,
+                                                    replace=False).tolist()))
+                  for j in range(m)]
+        anns.append(SceneAnnotation(
+            f"clip{i}", frames // 2, actors,
+            None if i in unlabelled else int(rng.integers(6))))
+    return arrays, anns
+
+
+def _output(arrays):
+    """Fresh leaf tensors over the arrays (each call a new graph)."""
+    from groundact.decoder import DecoderOutput
+    leaf = lambda a: Tensor(a.copy(), requires_grad=True)
+    return DecoderOutput([leaf(x) for x in arrays["boxes"]], [],
+                         leaf(arrays["actions"]), leaf(arrays["groups"]))
+
+
+def _assert_batched_equals_one_clip(arrays, anns, w, weak=False,
+                                    fallback=None):
+    keyframe = anns[0].keyframe
+    results = []
+    for objective in (L.total_objective, _one_clip_objectives):
+        out = _output(arrays)
+        fb = None if fallback is None else Tensor(fallback.copy(),
+                                                  requires_grad=True)
+        total, breakdown = objective(out, anns, w, keyframe, weak=weak,
+                                     fallback_boxes=fb)
+        total.backward()
+        grads = [np.zeros(x.shape) if x.grad is None else x.grad
+                 for x in out.per_layer_boxes + [out.action_logits,
+                                                 out.group_logits, fb]
+                 if x is not None]
+        results.append((total.item(), breakdown, grads))
+    (t_b, bd_b, g_b), (t_r, bd_r, g_r) = results
+    assert abs(t_b - t_r) <= 1e-12 * max(1.0, abs(t_r))
+    for k in bd_r:
+        assert abs(bd_b[k] - bd_r[k]) <= 1e-12, k
+    for gb, gr in zip(g_b, g_r):
+        np.testing.assert_allclose(gb, gr, rtol=0, atol=1e-12)
+    return t_b
+
+
+def test_batched_objective_ragged_equals_one_clip_mean():
+    arrays, anns = _random_batch(np.random.default_rng(10), [1, 4, 2, 6, 3])
+    assert _assert_batched_equals_one_clip(arrays, anns, LossWeights()) > 0
+
+
+def test_batched_objective_unlabelled_group_equals_one_clip_mean():
+    arrays, anns = _random_batch(np.random.default_rng(11), [2, 3, 1],
+                                 unlabelled=(1,))
+    _assert_batched_equals_one_clip(arrays, anns, LossWeights())
+
+
+def test_batched_objective_weak_equals_one_clip_mean():
+    from groundact.data import weak_supervision_view
+    arrays, anns = _random_batch(np.random.default_rng(12), [3, 1, 2])
+    _assert_batched_equals_one_clip(arrays, anns, LossWeights(), weak=True)
+    weak_anns = [weak_supervision_view(a) for a in anns]
+    _assert_batched_equals_one_clip(arrays, weak_anns, LossWeights(),
+                                    weak=True)
+
+
+def test_batched_objective_last_layer_only_equals_one_clip_mean():
+    arrays, anns = _random_batch(np.random.default_rng(13), [2, 5, 1],
+                                 layers=3)
+    _assert_batched_equals_one_clip(arrays, anns,
+                                    LossWeights(aux_layers=False))
+
+
+def test_batched_objective_fallback_boxes_equal_one_clip_mean():
+    rng = np.random.default_rng(14)
+    arrays, anns = _random_batch(rng, [2, 4, 1], layers=0)
+    fallback = _random_boxes(rng, (3, 6, 3))
+    _assert_batched_equals_one_clip(arrays, anns, LossWeights(),
+                                    fallback=fallback)
+
+
+def test_batched_objective_gradient_wrt_boxes():
+    arrays, anns = _random_batch(np.random.default_rng(15), [1, 3], layers=1)
+    out = _output(arrays)
+
+    def loss(boxes):
+        out.per_layer_boxes = [boxes]
+        return L.total_objective(out, anns, LossWeights(), keyframe=1)[0]
+
+    assert grad_check(loss, Tensor(arrays["boxes"][0])) <= 1e-6
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_batched_objective_invariant_to_clip_and_actor_order(seed):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 5, size=int(rng.integers(1, 5))).tolist()
+    arrays, anns = _random_batch(rng, counts, unlabelled=(0,))
+    w = LossWeights()
+    total, breakdown = L.total_objective(_output(arrays), anns, w, keyframe=1)
+
+    from dataclasses import replace
+    order = rng.permutation(len(anns))
+    shuffled = {"boxes": [x[order] for x in arrays["boxes"]],
+                "actions": arrays["actions"][order],
+                "groups": arrays["groups"][order]}
+    anns2 = [replace(anns[i], actors=[anns[i].actors[j] for j in
+                                      rng.permutation(len(anns[i].actors))])
+             for i in order]
+    total2, breakdown2 = L.total_objective(_output(shuffled), anns2, w,
+                                           keyframe=1)
+    assert abs(total.item() - total2.item()) <= 1e-12 * max(1.0, total.item())
+    for k in breakdown:
+        assert abs(breakdown[k] - breakdown2[k]) <= 1e-12
+
+
+def test_batched_objective_graph_size_independent_of_batch():
+    sizes = []
+    for counts in ([2, 1], [2, 1, 3, 1, 2, 4]):
+        arrays, anns = _random_batch(np.random.default_rng(16), counts,
+                                     unlabelled=(1,))
+        total, _ = L.total_objective(_output(arrays), anns, LossWeights(),
+                                     keyframe=1)
+        sizes.append(len(total.topo_order()))
+    assert sizes[0] == sizes[1]
