@@ -157,6 +157,14 @@ def _parse_value(text: str, ftype):
     return text
 
 
+def _known_sections(sections, where: str):
+    """An unknown section is a ConfigError naming it."""
+    for section in sections:
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}] in {where}; "
+                              f"expected one of {sorted(_SECTIONS)}")
+
+
 def _known_fields(section: str, keys) -> dict:
     """The section's fields by name; an unknown key is a ConfigError."""
     known = {f.name: f for f in fields(_SECTIONS[section])}
@@ -171,6 +179,7 @@ def load_config(path) -> ExperimentConfig:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    _known_sections(parser.sections(), path)
     cfg = ExperimentConfig()
     for section, cls in _SECTIONS.items():
         if not parser.has_section(section):
@@ -199,6 +208,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
+    _known_sections(d, "config dict")
     parts = {}
     for section, cls in _SECTIONS.items():
         values = d.get(section, {})

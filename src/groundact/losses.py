@@ -58,9 +58,10 @@ def giou(a, b) -> float:
 
 
 def pairwise_iou(pred_cxcywh: np.ndarray, gt_cxcywh: np.ndarray):
-    """Pairwise IoU and gIoU, pred [N, 4] x gt [M, 4] -> ([M, N], [M, N])."""
-    p = cxcywh_to_corners(pred_cxcywh)[None, :, :]
-    g = cxcywh_to_corners(gt_cxcywh)[:, None, :]
+    """Pairwise IoU and gIoU over shared leading axes,
+    pred [..., N, 4] x gt [..., M, 4] -> ([..., M, N], [..., M, N])."""
+    p = cxcywh_to_corners(pred_cxcywh)[..., None, :, :]
+    g = cxcywh_to_corners(gt_cxcywh)[..., :, None, :]
     area_p = (p[..., 2] - p[..., 0]) * (p[..., 3] - p[..., 1])
     area_g = (g[..., 2] - g[..., 0]) * (g[..., 3] - g[..., 1])
     iw = np.clip(np.minimum(p[..., 2], g[..., 2]) - np.maximum(p[..., 0], g[..., 0]), 0, None)
@@ -155,48 +156,99 @@ def hungarian_match(cost: np.ndarray) -> MatchResult:
     return MatchResult(rows, cols, float(cost[rows, cols].sum()))
 
 
+def _padded_actions(action_lists: Sequence[Sequence[int]]) -> np.ndarray:
+    """Per-actor action indices, ragged -> [M, K] int array padded with -1."""
+    out = np.full((len(action_lists), max(map(len, action_lists), default=0)),
+                  -1, dtype=np.int64)
+    for i, actions in enumerate(action_lists):
+        out[i, :len(actions)] = actions
+    return out
+
+
 def match_cost(pred_boxes: np.ndarray, pred_action_logits: Optional[np.ndarray],
-               gt_boxes: np.ndarray, gt_actions: Optional[Sequence[Sequence[int]]],
-               weights: LossWeights, weak: bool = False) -> np.ndarray:
-    """Pairwise matching cost [M, N] on keyframe boxes.
+               gt_boxes: np.ndarray, gt_actions, weights: LossWeights,
+               weak=False) -> np.ndarray:
+    """Pairwise matching cost on keyframe boxes over shared leading axes,
+    pred [..., N, 4] (logits [..., N, A]) x gt [..., M, 4] -> [..., M, N].
 
     cost(i, j) = l1_weight * |b_i - bhat_j|_1 + giou_weight * (1 - gIoU)
                  [+ bce_weight * mean over gt actions of (1 - sigmoid(logit))]
-    The action term is dropped in weakly supervised mode.
+    gt_actions is [..., M, K] action indices padded with -1, or
+    one clip's ragged per-actor lists.  The action term is dropped for
+    actors without actions and where ``weak`` (a bool or a [...] array of
+    per-clip flags) is set.
     """
     pred_boxes = np.asarray(pred_boxes, dtype=np.float64)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64)
-    l1 = np.abs(gt_boxes[:, None, :] - pred_boxes[None, :, :]).sum(axis=-1)
+    l1 = np.abs(gt_boxes[..., :, None, :] - pred_boxes[..., None, :, :]).sum(axis=-1)
     giou_mat = pairwise_iou(pred_boxes, gt_boxes)[1]
     cost = weights.l1 * l1 + weights.giou * (1.0 - giou_mat)
-    if (not weak and weights.action_bce > 0 and pred_action_logits is not None
+    if (weights.action_bce > 0 and pred_action_logits is not None
             and gt_actions is not None):
-        probs = 1.0 / (1.0 + np.exp(-np.asarray(pred_action_logits,
-                                                dtype=np.float64)))
-        for i, actions in enumerate(gt_actions):
-            if actions:
-                cost[i] += weights.action_bce * (1.0 - probs[:, list(actions)].mean(axis=-1))
+        acts = (gt_actions if isinstance(gt_actions, np.ndarray)
+                else _padded_actions(gt_actions))
+        used = (acts >= 0) & ~np.asarray(weak, dtype=bool)[..., None, None]
+        count = used.sum(axis=-1)                                 # [..., M]
+        if count.any():
+            probs = 1.0 / (1.0 + np.exp(-np.asarray(pred_action_logits,
+                                                    dtype=np.float64)))
+            # [..., M, N, K]: probability of query j for actor i's k-th action
+            picked = np.take_along_axis(probs[..., None, :, :],
+                                        np.where(used, acts, 0)[..., None, :],
+                                        axis=-1)
+            mean = ((picked * used[..., None, :]).sum(axis=-1)
+                    / np.maximum(count, 1)[..., None])
+            cost += np.where(count[..., None] > 0,
+                             weights.action_bce * (1.0 - mean), 0.0)
     return cost
 
 
+@dataclass
+class GroundTruth:
+    """A batch's ground-truth actors, padded to its largest clip."""
+    tubes: np.ndarray      # [B, M, T, 4]; padded slots hold a valid box
+    counts: np.ndarray     # [B] actors per clip
+    actions: np.ndarray    # [B, M, K] sorted action indices, padded with -1
+    weak: np.ndarray       # [B] clips annotated without actions
+
+
+# gt box in the padded actor slots: valid, so gIoU stays finite at weight 0
+_PAD_BOX = np.array([0.5, 0.5, 0.5, 0.5])
+
+
+def ground_truth(annotations) -> GroundTruth:
+    """Pad the clips' actor tubes and sorted action lists into arrays."""
+    anns = list(annotations)
+    for ann in anns:
+        if not ann.actors:
+            raise ValueError(f"annotation {ann.clip_id} has no actor boxes")
+    counts = np.array([len(a.actors) for a in anns])
+    frames = anns[0].actors[0].tube.shape[0]
+    tubes = np.tile(_PAD_BOX, (len(anns), counts.max(), frames, 1))
+    most = max(len(a.actions) for ann in anns for a in ann.actors)
+    actions = np.full(tubes.shape[:2] + (most,), -1, dtype=np.int64)
+    for i, ann in enumerate(anns):
+        tubes[i, :counts[i]] = [a.tube for a in ann.actors]
+        for j, actor in enumerate(ann.actors):
+            actions[i, j, :len(actor.actions)] = sorted(actor.actions)
+    return GroundTruth(tubes, counts, actions,
+                       np.array([a.weak for a in anns], dtype=bool))
+
+
 def keyframe_matches(boxes: np.ndarray, action_logits: Optional[np.ndarray],
-                     annotations, weights: LossWeights, keyframe: int,
+                     gt: GroundTruth, weights: LossWeights, keyframe: int,
                      weak: bool = False) -> List[MatchResult]:
     """Per clip, the minimum-cost match of its actors to its queries.
 
     boxes [B, N, T, 4] and action_logits [B, N, A] (or None) are plain
-    arrays; the cost is taken on the keyframe boxes.  The action term is
-    dropped for weak mode and for weakly annotated clips.
+    arrays; the cost is taken on the keyframe boxes, in one ``match_cost``
+    over the batch.  The action term is dropped for weak mode and for
+    weakly annotated clips.
     """
-    matches = []
-    for i, ann in enumerate(annotations):
-        gt_key = np.stack([a.tube[keyframe] for a in ann.actors])
-        cost = match_cost(boxes[i, :, keyframe, :],
-                          None if action_logits is None else action_logits[i],
-                          gt_key, [sorted(a.actions) for a in ann.actors],
-                          weights, weak=weak or ann.weak)
-        matches.append(hungarian_match(cost))
-    return matches
+    cost = match_cost(boxes[:, :, keyframe, :], action_logits,
+                      gt.tubes[:, :, keyframe, :], gt.actions, weights,
+                      weak=weak | gt.weak)
+    return [hungarian_match(cost[i, :m]) for i, m in enumerate(gt.counts)]
 
 
 # -- classification terms ----------------------------------------------------
@@ -215,10 +267,6 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
 
 # -- total objective ---------------------------------------------------------
 
-# gt box in the padded actor slots: valid, so gIoU stays finite at weight 0
-_PAD_BOX = np.array([0.5, 0.5, 0.5, 0.5])
-
-
 def total_objective(decoder_out, annotations, weights: LossWeights,
                     keyframe: int, weak: bool = False,
                     fallback_boxes: Optional[Tensor] = None):
@@ -228,21 +276,16 @@ def total_objective(decoder_out, annotations, weights: LossWeights,
     decoder_out: DecoderOutput with per-layer [B, N, T, 4] box tubes.
     annotations: one SceneAnnotation per clip, tubes sampled to T frames.
     fallback_boxes [B, N, T, 4] stands in for the layers when there are none.
-    Matching runs per clip on plain arrays; every loss term is one op over
-    the whole batch, with actors padded to the largest clip and each clip's
-    boxes weighted 1/(B M_i T) so the sum equals the mean of per-clip means.
+    The matching cost is one array op over the batch and the assignment is
+    solved per clip; every loss term is one op over the whole batch, with
+    actors padded to the largest clip and each clip's boxes weighted
+    1/(B M_i T) so the sum equals the mean of per-clip means.
     Returns (scalar Tensor, breakdown dict of python floats).
     """
     anns = list(annotations)
-    for ann in anns:
-        if not ann.actors:
-            raise ValueError(f"annotation {ann.clip_id} has no actor boxes")
-    b = len(anns)
-    counts = np.array([len(a.actors) for a in anns])
-    frames = anns[0].actors[0].tube.shape[0]
-    gt = np.tile(_PAD_BOX, (b, counts.max(), frames, 1))    # [B, M, T, 4]
-    for i, ann in enumerate(anns):
-        gt[i, :counts[i]] = [a.tube for a in ann.actors]
+    truth = ground_truth(anns)
+    gt, counts = truth.tubes, truth.counts                   # [B, M, T, 4]
+    b, frames = len(anns), gt.shape[2]
     valid = np.arange(gt.shape[1]) < counts[:, None]         # [B, M]
     box_w = (valid / (b * counts[:, None] * frames))[:, :, None]
     rows = np.arange(b)[:, None]
@@ -259,7 +302,7 @@ def total_objective(decoder_out, annotations, weights: LossWeights,
     breakdown = {"l1": 0.0, "giou": 0.0, "group_ce": 0.0, "action_bce": 0.0}
     matches = None
     for boxes in layer_boxes:
-        matches = keyframe_matches(boxes.data, act_logits, anns, weights,
+        matches = keyframe_matches(boxes.data, act_logits, truth, weights,
                                    keyframe, weak)
         # padded slots repeat the clip's matched queries, at weight 0
         idx = np.stack([np.resize(m.pred_indices, gt.shape[1])

@@ -13,6 +13,7 @@ Double precision is the default everywhere; the finite-difference checker
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,6 +43,23 @@ def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside the block: every tensor an op returns keeps no
+    parents and no backward, so intermediate values are freed as soon as
+    nothing else refers to them.  Re-entrant; the previous mode is restored
+    on exit, also when the block raises."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 class Tensor:
     """A value node in the computation graph.
 
@@ -56,6 +74,8 @@ class Tensor:
                  _parents: tuple = (), _backward: Optional[Callable] = None,
                  name: str = ""):
         self.data = _as_array(data) if not isinstance(data, np.ndarray) else data
+        if _parents and not _grad_enabled:
+            requires_grad, _parents, _backward = False, (), None
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self._parents = _parents
@@ -543,7 +563,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
     ``f`` must be scalar-valued.  Coordinates where the two one-sided
     differences disagree by more than ``kink_tol`` (relative) sit on a kink
     of a piecewise-smooth function (e.g. relu at 0) and are excluded from
-    the max, since a finite difference is meaningless there.
+    the max, since a finite difference is meaningless there.  The 2N
+    perturbed evaluations of ``f`` run under :func:`no_grad`.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
@@ -557,21 +578,22 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
     flat = x.data.reshape(-1)
     f0 = out.item()
     max_err = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = f(Tensor(x.data.copy())).item()
-        flat[i] = orig - eps
-        fm = f(Tensor(x.data.copy())).item()
-        flat[i] = orig
-        d_plus = (fp - f0) / eps
-        d_minus = (f0 - fm) / eps
-        scale = max(1.0, abs(d_plus), abs(d_minus))
-        if abs(d_plus - d_minus) > kink_tol * scale:
-            continue  # non-comparable kink coordinate
-        numeric = (fp - fm) / (2 * eps)
-        denom = max(1.0, abs(analytic[i]), abs(numeric))
-        max_err = max(max_err, abs(analytic[i] - numeric) / denom)
+    with no_grad():
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            fp = f(Tensor(x.data.copy())).item()
+            flat[i] = orig - eps
+            fm = f(Tensor(x.data.copy())).item()
+            flat[i] = orig
+            d_plus = (fp - f0) / eps
+            d_minus = (f0 - fm) / eps
+            scale = max(1.0, abs(d_plus), abs(d_minus))
+            if abs(d_plus - d_minus) > kink_tol * scale:
+                continue  # non-comparable kink coordinate
+            numeric = (fp - fm) / (2 * eps)
+            denom = max(1.0, abs(analytic[i]), abs(numeric))
+            max_err = max(max_err, abs(analytic[i] - numeric) / denom)
     return max_err
 
 

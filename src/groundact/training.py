@@ -20,7 +20,8 @@ from . import nn
 from . import tensor as T
 from .config import (ConfigError, ExperimentConfig, config_from_dict,
                      config_to_dict)
-from .losses import keyframe_matches, pairwise_iou, total_objective
+from .losses import (ground_truth, keyframe_matches, pairwise_iou,
+                     total_objective)
 from .metrics import (ActorPrediction, PredictionRecord, group_activity_vote,
                       mca, mean_per_class_accuracy)
 from .model import Batch, GroundedModel, make_batch
@@ -156,11 +157,13 @@ def predict_group(group_logits: np.ndarray, action_logits: np.ndarray,
 def infer(model: GroundedModel, corpus, cfg: ExperimentConfig,
           vocab: List[str]):
     """Batch the (clip, annotation) pairs with their prompts and run the
-    forward; returns (batch, shared representation, decoder output)."""
+    forward without building a graph; returns (batch, shared
+    representation, decoder output)."""
     anns = [a for _, a in corpus]
     batch = make_batch([c for c, _ in corpus], [D.prompt_for(a) for a in anns],
                        cfg.model, vocab, anns)
-    rep, out = model.forward(batch)
+    with T.no_grad():
+        rep, out = model.forward(batch)
     return batch, rep, out
 
 
@@ -174,8 +177,10 @@ def evaluate(model: GroundedModel, corpus, cfg: ExperimentConfig,
     boxes = (out.final_boxes if out.per_layer_boxes
              else _reference_fallback(model, len(corpus))).data
     act_all = out.action_logits.data
-    matches = keyframe_matches(boxes, act_all, batch.annotations, cfg.loss,
-                               keyframe)
+    gt = ground_truth(batch.annotations)
+    matches = keyframe_matches(boxes, act_all, gt, cfg.loss, keyframe)
+    iou_all = pairwise_iou(boxes[:, :, keyframe, :],
+                           gt.tubes[:, :, keyframe, :])[0]       # [B, M, N]
 
     pred_groups, gt_groups = [], []
     pred_sets, gt_sets = [], []
@@ -188,9 +193,7 @@ def evaluate(model: GroundedModel, corpus, cfg: ExperimentConfig,
         gt_groups.append(ann.group_activity)
 
         query_actions = predict_actions(act_logits)
-        gt_key = np.stack([a.tube[keyframe] for a in ann.actors])
-        iou = pairwise_iou(boxes[i, :, keyframe, :], gt_key)[0]
-        ious.extend(iou[match.gt_indices, match.pred_indices].tolist())
+        ious.extend(iou_all[i, match.gt_indices, match.pred_indices].tolist())
 
         matched_pred_actions = [set(query_actions[j]) for j in match.pred_indices]
         matched_gt_actions = [set(ann.actors[k].actions) for k in match.gt_indices]
@@ -344,7 +347,8 @@ def text_query_embedding(model: GroundedModel, prompt: str,
     tokens = bb.tokenize(prompt, vocab, model.cfg.l_max).tokens
     arr = np.array([tokens], dtype=np.int64)
     mask = np.ones_like(arr, dtype=bool)
-    feats = bb.text_encode(arr, model.params.text, model.cfg, mask)
+    with T.no_grad():
+        feats = bb.text_encode(arr, model.params.text, model.cfg, mask)
     return feats.t_f.data[0].mean(axis=0)
 
 
@@ -362,7 +366,8 @@ def actor_embedding_pool(model: GroundedModel, corpus, cfg: ExperimentConfig,
     boxes_all = out.final_boxes.data
     keyframe = model.keyframe()
     matches = keyframe_matches(boxes_all, out.action_logits.data,
-                               batch.annotations, cfg.loss, keyframe)
+                               ground_truth(batch.annotations), cfg.loss,
+                               keyframe)
     embeddings, entries = [], []
     for i, (ann, match) in enumerate(zip(batch.annotations, matches)):
         for gt_i, pred_j in match.pairs():
@@ -377,15 +382,18 @@ def actor_embedding_pool(model: GroundedModel, corpus, cfg: ExperimentConfig,
 def retrieval_recall(model: GroundedModel, corpus, cfg: ExperimentConfig,
                      vocab: List[str], ks=(1, 5, 10)) -> Dict[int, float]:
     """R@K: does an actor's embedding rank in the top K for the text query
-    built from its own action word?"""
+    built from its own action word?  Each distinct query is encoded once."""
     from .metrics import recall_at_k
     embeddings, entries = actor_embedding_pool(model, corpus, cfg, vocab)
+    encoded: Dict[str, np.ndarray] = {}
     queries, gt_idx = [], []
     for ci, entry in enumerate(entries):
         if not entry["actions"]:
             continue
         prompt = " ".join(D.ACTIONS[a] for a in entry["actions"])
-        queries.append(text_query_embedding(model, prompt, vocab))
+        if prompt not in encoded:
+            encoded[prompt] = text_query_embedding(model, prompt, vocab)
+        queries.append(encoded[prompt])
         gt_idx.append(ci)
     out = {}
     for k in ks:

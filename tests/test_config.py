@@ -67,6 +67,20 @@ def test_unknown_dict_field_names_section_and_key():
         config_from_dict(d)
 
 
+def test_unknown_ini_section_rejected(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[model]\nd_model = 64\n[modle]\nd_model = 7\n")
+    with pytest.raises(ConfigError, match=r"unknown section \[modle\]"):
+        load_config(path)
+
+
+def test_unknown_dict_section_rejected():
+    d = config_to_dict(ExperimentConfig())
+    d["modle"] = {"d_model": 7}
+    with pytest.raises(ConfigError, match=r"unknown section \[modle\]"):
+        config_from_dict(d)
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.ini")

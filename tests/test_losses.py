@@ -247,6 +247,57 @@ def test_match_cost_tie_break_lowest_index():
     assert L.hungarian_match(cost).pairs() == [(0, 0)]
 
 
+def _loop_match_cost(pred, logits, gt, gt_actions, w, weak):
+    """One clip's matching cost with the action term added actor by actor:
+    the reference for the masked, batched action term."""
+    l1 = np.abs(gt[:, None, :] - pred[None, :, :]).sum(axis=-1)
+    cost = w.l1 * l1 + w.giou * (1.0 - L.pairwise_iou(pred, gt)[1])
+    if not weak and w.action_bce > 0:
+        probs = 1.0 / (1.0 + np.exp(-logits))
+        for i, actions in enumerate(gt_actions):
+            if actions:
+                cost[i] += w.action_bce * (
+                    1.0 - probs[:, list(actions)].mean(axis=-1))
+    return cost
+
+
+def test_batched_match_cost_equals_per_clip_calls():
+    from dataclasses import replace
+    arrays, anns = _random_batch(np.random.default_rng(20),
+                                 [1, 6, 3, 2, 4, 5], layers=1)
+    anns[1].actors[0] = replace(anns[1].actors[0], actions=[])
+    for j, actions in enumerate(([5, 0, 3], [1, 2, 4, 0], [3, 1, 5, 4, 2])):
+        anns[4 + j % 2].actors[j] = replace(anns[4 + j % 2].actors[j],
+                                            actions=actions)
+    anns[2] = replace(anns[2], weak=True)
+    w, keyframe = LossWeights(), 1
+    boxes, logits = arrays["boxes"][0], arrays["actions"]
+    gt = L.ground_truth(anns)
+    assert gt.actions.shape == (6, 6, 5)
+    batched = L.match_cost(boxes[:, :, keyframe], logits,
+                           gt.tubes[:, :, keyframe], gt.actions, w,
+                           weak=gt.weak)
+    matches = L.keyframe_matches(boxes, logits, gt, w, keyframe)
+    for i, ann in enumerate(anns):
+        m = len(ann.actors)
+        acts = [sorted(a.actions) for a in ann.actors]
+        key = np.stack([a.tube[keyframe] for a in ann.actors])
+        one = L.match_cost(boxes[i, :, keyframe], logits[i], key, acts, w,
+                           weak=ann.weak)
+        np.testing.assert_array_equal(batched[i, :m], one)
+        np.testing.assert_array_equal(
+            one, _loop_match_cost(boxes[i, :, keyframe], logits[i], key,
+                                  acts, w, ann.weak))
+        assert matches[i].pairs() == L.hungarian_match(one).pairs()
+    # weak mode for the whole batch drops every action term
+    all_weak = L.match_cost(boxes[:, :, keyframe], logits,
+                            gt.tubes[:, :, keyframe], gt.actions, w,
+                            weak=True)
+    no_logits = L.match_cost(boxes[:, :, keyframe], None,
+                             gt.tubes[:, :, keyframe], gt.actions, w)
+    np.testing.assert_array_equal(all_weak, no_logits)
+
+
 # -- classification terms ----------------------------------------------------
 
 def test_cross_entropy_uniform_logits():

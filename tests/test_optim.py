@@ -81,6 +81,124 @@ def test_adam_converges_on_quadratic():
     assert abs(w.data[0] - 3.0) < 1e-2
 
 
+def reference_adam(params, state, lr, weight_decay=0.0):
+    """Adam one parameter at a time: the reference for the flat update."""
+    state.step += 1
+    bc1 = 1.0 - state.beta1 ** state.step
+    bc2 = 1.0 - state.beta2 ** state.step
+    for name, p in params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        m = state.m.setdefault(name, np.zeros_like(p.data))
+        v = state.v.setdefault(name, np.zeros_like(p.data))
+        m += (1 - state.beta1) * (g - m)
+        v += (1 - state.beta2) * (g * g - v)
+        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        if weight_decay:
+            update = update + weight_decay * p.data
+        p.data = p.data - lr * update
+
+
+SHAPES = {"w": (3, 4), "b": (4,), "s": (), "k": (2, 1, 3)}
+
+
+def twin_params(seed=0):
+    rng = np.random.default_rng(seed)
+    data = {k: rng.normal(size=s) for k, s in SHAPES.items()}
+    return [{k: Tensor(v.copy(), requires_grad=True) for k, v in data.items()}
+            for _ in range(2)]
+
+
+def set_grads(twins, rng, step):
+    for k, s in SHAPES.items():
+        # "b" has no gradient on odd steps, "s" never has one
+        g = None if k == "s" or (k == "b" and step % 2) else rng.normal(size=s)
+        for params in twins:
+            params[k].grad = None if g is None else g.copy()
+
+
+def assert_same(flat, ref, flat_state, ref_state):
+    for k in SHAPES:
+        np.testing.assert_array_equal(flat[k].data, ref[k].data)
+        np.testing.assert_array_equal(flat_state.m[k], ref_state.m[k])
+        np.testing.assert_array_equal(flat_state.v[k], ref_state.v[k])
+    assert flat_state.step == ref_state.step
+
+
+def test_adam_flat_update_bit_identical_to_per_parameter_loop():
+    flat, ref = twin_params()
+    flat_state, ref_state = OptimizerState("adam"), OptimizerState("adam")
+    rng = np.random.default_rng(1)
+    for step in range(20):
+        set_grads((flat, ref), rng, step)
+        lr, wd = 1e-2 * (1 + step % 3), 0.05 * (step % 4)
+        before = {k: (p.data, p.data.copy()) for k, p in flat.items()}
+        adam_step(flat, flat_state, lr, wd)
+        reference_adam(ref, ref_state, lr, wd)
+        assert_same(flat, ref, flat_state, ref_state)
+        # out of place: arrays handed out before the step keep their values
+        for held, copy in before.values():
+            np.testing.assert_array_equal(held, copy)
+
+
+def test_adam_partial_checkpoint_state_resumes_bit_identically(tmp_path):
+    flat, ref = twin_params(2)
+    flat_state, ref_state = OptimizerState("adam"), OptimizerState("adam")
+    rng = np.random.default_rng(3)
+    for step in range(3):
+        set_grads((flat, ref), rng, step)
+        adam_step(flat, flat_state, 1e-2, 0.1)
+        reference_adam(ref, ref_state, 1e-2, 0.1)
+    # a checkpoint holding moments for only some parameters
+    path = str(tmp_path / "opt.ckpt")
+    T.save_arrays(path, {**{f"m/{k}": flat_state.m[k] for k in ("w", "k")},
+                         **{f"v/{k}": flat_state.v[k] for k in ("w", "b")}})
+    arrays = T.load_arrays(path)
+    resumed = [OptimizerState("adam", step=3) for _ in range(2)]
+    for state in resumed:
+        state.m = {k[2:]: v.copy() for k, v in arrays.items()
+                   if k.startswith("m/")}
+        state.v = {k[2:]: v.copy() for k, v in arrays.items()
+                   if k.startswith("v/")}
+    for step in range(3, 8):
+        set_grads((flat, ref), rng, step)
+        adam_step(flat, resumed[0], 1e-2, 0.1)
+        reference_adam(ref, resumed[1], 1e-2, 0.1)
+        assert_same(flat, ref, *resumed)
+
+
+def test_adam_rereads_parameters_replaced_between_steps():
+    flat, ref = twin_params(4)
+    flat_state, ref_state = OptimizerState("adam"), OptimizerState("adam")
+    rng = np.random.default_rng(5)
+    for step in range(6):
+        if step in (2, 4):
+            replaced = rng.normal(size=SHAPES["w"])
+            flat["w"].data, ref["w"].data = replaced.copy(), replaced.copy()
+        set_grads((flat, ref), rng, step)
+        adam_step(flat, flat_state, 1e-2, 0.02)
+        reference_adam(ref, ref_state, 1e-2, 0.02)
+        assert_same(flat, ref, flat_state, ref_state)
+
+
+def test_adam_nan_gradient_after_first_step_aborts_untouched():
+    params, _ = twin_params(6)
+    state = OptimizerState("adam")
+    rng = np.random.default_rng(7)
+    set_grads((params,), rng, 0)
+    adam_step(params, state, 1e-2)
+    before = {k: p.data.copy() for k, p in params.items()}
+    moments = {k: (state.m[k].copy(), state.v[k].copy()) for k in SHAPES}
+    set_grads((params,), rng, 2)
+    params["b"].grad[1] = np.inf
+    with pytest.raises(OptimizerError, match="'b'"):
+        adam_step(params, state, 1e-2)
+    assert state.step == 1
+    for k, p in params.items():
+        np.testing.assert_array_equal(p.data, before[k])
+        np.testing.assert_array_equal(state.m[k], moments[k][0])
+        np.testing.assert_array_equal(state.v[k], moments[k][1])
+
+
 # -- sgd momentum ------------------------------------------------------------
 
 def test_sgd_momentum_accumulates_velocity():

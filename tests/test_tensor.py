@@ -382,3 +382,29 @@ def test_first_gradient_write_may_alias_without_corrupting():
     loss.backward()
     np.testing.assert_array_equal(a.grad, [7.0, 7.0])
     np.testing.assert_array_equal(b.grad, [2.0, 2.0])
+
+
+# -- no_grad -----------------------------------------------------------------
+
+def test_no_grad_builds_no_graph_and_restores_mode():
+    w = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
+    x = Tensor(np.array([[0.3, 0.7]]))
+    with T.no_grad():
+        with T.no_grad():
+            inner = T.gelu(T.linear(x, w))
+        outer = T.tsum(T.mul(inner, 2.0))
+    # leaves are unaffected; results keep no parents and no backward
+    assert w.requires_grad
+    for out in (inner, outer):
+        assert not out.requires_grad and out._backward is None
+        assert len(out.topo_order()) == 1
+    graph = T.tsum(T.mul(T.gelu(T.linear(x, w)), 2.0))
+    assert graph.item() == outer.item()
+    assert len(graph.topo_order()) > 1
+    with pytest.raises(ShapeError):
+        with T.no_grad():
+            T.add(w, np.ones(3))
+    # the mode is restored after an exception inside the block
+    restored = T.add(w, 1.0)
+    assert restored.requires_grad and restored._parents[0] is w
+

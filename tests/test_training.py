@@ -239,6 +239,50 @@ def test_retrieval_recall_bounds():
     assert 0.0 <= rec[1] <= rec[5] <= 1.0
 
 
+def test_retrieval_encodes_each_distinct_prompt_once(monkeypatch):
+    from groundact.metrics import recall_at_k
+    cfg = tiny_cfg()
+    corpus = tiny_corpus(n=8, seed=3)
+    model = GroundedModel(cfg.model, seed=5)
+    # the reference: one text encode per matched actor
+    embeddings, entries = tr.actor_embedding_pool(model, corpus, cfg, VOCAB)
+    prompts = [" ".join(D.ACTIONS[a] for a in e["actions"]) for e in entries]
+    queries = np.stack([tr.text_query_embedding(model, p, VOCAB)
+                        for p in prompts])
+    expected = {k: recall_at_k(queries, embeddings, list(range(len(entries))),
+                               k) for k in (1, 5)}
+
+    calls = []
+    encode = bb.text_encode
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(bb, "text_encode", counted)
+    rec = retrieval_recall(model, corpus, cfg, VOCAB, ks=(1, 5))
+    assert rec == expected
+    # one batched forward over the corpus, then one encode per prompt
+    assert len(entries) > len(set(prompts))
+    assert calls == [len(corpus)] + [1] * len(set(prompts))
+
+
+def test_infer_forward_equals_graph_forward_without_a_graph():
+    cfg = tiny_cfg()
+    corpus = tiny_corpus(n=3)
+    model = GroundedModel(cfg.model, seed=6)
+    batch, rep, out = tr.infer(model, corpus, cfg, VOCAB)
+    graph_rep, graph_out = model.forward(batch)
+    pairs = [(rep.group, graph_rep.group),
+             (out.action_logits, graph_out.action_logits),
+             (out.group_logits, graph_out.group_logits)]
+    pairs += list(zip(out.per_layer_boxes, graph_out.per_layer_boxes))
+    for fast, graph in pairs:
+        np.testing.assert_array_equal(fast.data, graph.data)
+        assert len(fast.topo_order()) == 1
+    assert len(graph_out.final_boxes.topo_order()) > 100
+
+
 # -- linear probe ------------------------------------------------------------
 
 def test_linear_probe_defaults_match_recipe():
