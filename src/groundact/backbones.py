@@ -9,7 +9,7 @@ trainable end to end.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import List, Optional
 
@@ -18,8 +18,7 @@ import numpy as np
 from . import nn
 from . import tensor as T
 from .config import ModelConfig
-from .nn import (AttentionParams, FeedForwardParams, LayerNormParams,
-                 PositionalEncoding, RunContext)
+from .nn import AttentionParams, FeedForwardParams, LayerNormParams, RunContext
 from .tensor import Tensor
 
 
@@ -82,27 +81,17 @@ def sample_frames(clip: VideoClip, t: int) -> VideoClip:
 
 
 @dataclass
-class VideoFeatures:
-    v_f: Tensor                 # [..., T, HW, d]
-
-
-@dataclass
-class TextFeatures:
-    t_f: Tensor                 # [..., L, d]
-    mask: Optional[np.ndarray] = None   # [..., L] True where real token
-
-
-@dataclass
 class VisualStubParams:
     proj: Tensor                # [patch_pixels * C, d]
     bias: Tensor                # [d]
-    spatial_pe: PositionalEncoding
+    spatial_pe: Tensor          # [HW, d], fixed 2-d sinusoidal rows
 
     @classmethod
     def init(cls, rng, cfg: ModelConfig):
         pp = cfg.patch_h * cfg.patch_w * cfg.channels
         return cls(nn.param(rng, pp, cfg.d_model), nn.zeros_param(cfg.d_model),
-                   PositionalEncoding.spatial(cfg.grid_h, cfg.grid_w, cfg.d_model))
+                   Tensor(nn.sinusoidal_2d_table(cfg.grid_h, cfg.grid_w,
+                                                 cfg.d_model)))
 
 
 def _patchify(frames: np.ndarray, cfg: ModelConfig) -> np.ndarray:
@@ -118,21 +107,21 @@ def _patchify(frames: np.ndarray, cfg: ModelConfig) -> np.ndarray:
 
 
 def visual_encode(frames: np.ndarray, params: VisualStubParams,
-                  cfg: ModelConfig) -> VideoFeatures:
+                  cfg: ModelConfig) -> Tensor:
     """Per-cell linear patch projection plus 2-d spatial positional encoding.
 
-    frames: [..., T, H_px, W_px, C], already sampled to T frames.
+    frames: [..., T, H_px, W_px, C], already sampled to T frames; returns
+    video features [..., T, HW, d].
     """
     patches = Tensor(_patchify(np.asarray(frames, dtype=np.float64), cfg))
     v = T.linear(patches, params.proj, params.bias)
-    v = nn.positional_encode(v, params.spatial_pe)
-    return VideoFeatures(v_f=v)
+    return nn.positional_encode(v, params.spatial_pe)
 
 
 @dataclass
 class TextStubParams:
     embedding: Tensor           # [V, d]
-    temporal_pe: PositionalEncoding
+    temporal_pe: Tensor         # [l_max, d], fixed sinusoidal rows
     attn: AttentionParams
     ffn: FeedForwardParams
     norm1: LayerNormParams
@@ -142,7 +131,7 @@ class TextStubParams:
     def init(cls, rng, cfg: ModelConfig):
         d = cfg.d_model
         return cls(nn.param(rng, cfg.vocab_size, d, scale=0.5),
-                   PositionalEncoding.temporal(cfg.l_max, d),
+                   Tensor(nn.sinusoidal_table(cfg.l_max, d)),
                    AttentionParams.init(rng, d, cfg.num_heads, cfg.dropout),
                    FeedForwardParams.init(rng, d, cfg.d_ff, dropout_rate=cfg.dropout),
                    LayerNormParams.init(d), LayerNormParams.init(d))
@@ -150,21 +139,22 @@ class TextStubParams:
 
 def text_encode(tokens: np.ndarray, params: TextStubParams, cfg: ModelConfig,
                 mask: Optional[np.ndarray] = None,
-                ctx: RunContext = nn.EVAL) -> TextFeatures:
+                ctx: RunContext = nn.EVAL) -> Tensor:
     """Embedding lookup + positional encoding + one pre-norm attention block.
 
     tokens: integer array [..., L]; mask marks real (non-padding) positions.
+    Returns text features [..., L, d].
     """
     tokens = np.asarray(tokens)
     if tokens.max(initial=0) >= cfg.vocab_size or tokens.min(initial=0) < 0:
         raise DataError(f"token index outside vocabulary of {cfg.vocab_size}")
     x = T.getitem(params.embedding, tokens)
     L = tokens.shape[-1]
-    x = nn.positional_encode(x, params.temporal_pe, np.arange(L))
+    x = nn.positional_encode(x, params.temporal_pe)
     attn_mask = None
     if mask is not None:
         attn_mask = np.expand_dims(mask, -2) & np.ones((L, 1), dtype=bool)
     h = nn.layer_norm(x, params.norm1)
     x = T.add(x, nn.multi_head_attention(h, h, params.attn, attn_mask, ctx))
-    x = T.add(x, nn.feed_forward(nn.layer_norm(x, params.norm2), params.ffn, ctx))
-    return TextFeatures(t_f=x, mask=mask)
+    return T.add(x, nn.feed_forward(nn.layer_norm(x, params.norm2), params.ffn,
+                                    ctx))

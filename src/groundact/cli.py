@@ -6,14 +6,13 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Tuple
 
 import numpy as np
 
 from . import backbones as bb
 from . import data as D
 from .backbones import VideoClip
-from .config import ExperimentConfig, load_config, save_config
+from .config import ExperimentConfig, load_config
 from .tensor import load_arrays, save_arrays
 
 

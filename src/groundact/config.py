@@ -47,10 +47,8 @@ class ModelConfig:
     num_actions: int = 6
     num_groups: int = 6
 
-    # toggles
-    use_fast_branch: bool = True
+    # actor fusion
     use_actor_fusion: bool = True
-    teacher_forcing: bool = False
     fusion_kernel: int = 3
 
     @property

@@ -2,17 +2,16 @@
 
 Actor queries start from the actor-fusion features, then each layer applies
 actor self-attention, spatial cross-attention over the per-frame grid,
-temporal cross-attention over pooled frames + text (+ embedded ground-truth
-boxes when teacher forcing is on), an FFN, and a box head that refines the
-per-frame box tube in inverse-sigmoid space.  The encoder's group token rides
-through the stack as an extra boxless row and its final embedding feeds the
-group-activity classifier.
+temporal cross-attention over pooled frames + text, an FFN, and a box head
+that refines the per-frame box tube in inverse-sigmoid space.  The encoder's
+group token rides through the stack as an extra boxless row and its final
+embedding feeds the group-activity classifier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from . import tensor as T
 from .config import ModelConfig
 from .encoder import SharedRepresentation
 from .fusion import (ActorBoxSet, ActorFusionParams, ReferenceBoxParams,
-                     box_coordinate_encoding, fuse, reference_logits)
+                     fuse, reference_logits)
 from .nn import (AttentionParams, FeedForwardParams, LayerNormParams,
                  RunContext)
 from .tensor import ContractError, Tensor
@@ -80,8 +79,6 @@ class ActionDecoderParams:
     group_w: Tensor                 # [d, G]
     group_b: Tensor                 # [G]
     learned_queries: Tensor         # [1, d], shared base query embedding
-    gt_box_proj: Tensor             # [4, d], teacher-forcing key embedder
-    gt_box_bias: Tensor
 
     @classmethod
     def init(cls, rng, cfg: ModelConfig):
@@ -90,8 +87,7 @@ class ActionDecoderParams:
                     for _ in range(cfg.decoder_layers)],
                    nn.param(rng, d, cfg.num_actions), nn.zeros_param(cfg.num_actions),
                    nn.param(rng, d, cfg.num_groups), nn.zeros_param(cfg.num_groups),
-                   nn.param(rng, 1, d, scale=0.02),
-                   nn.param(rng, 4, d, scale=1.0), nn.zeros_param(d))
+                   nn.param(rng, 1, d, scale=0.02))
 
 
 @dataclass
@@ -122,27 +118,19 @@ def classify_actions(actor_embeddings: Tensor,
 def decode(rep: SharedRepresentation,
            params: ActionDecoderParams,
            cfg: ModelConfig,
-           fusion_params: Optional[ActorFusionParams] = None,
-           ref_params: Optional[ReferenceBoxParams] = None,
-           keyframe: Optional[int] = None,
-           gt_boxes: Optional[np.ndarray] = None,
-           gt_mask: Optional[np.ndarray] = None,
+           fusion_params: ActorFusionParams,
+           ref_params: ReferenceBoxParams,
            ctx: RunContext = nn.EVAL) -> DecoderOutput:
     """Run the decoder stack and emit per-layer box tubes plus logits.
 
-    gt_boxes [B, M, 4] (with gt_mask [B, M]) is only consumed when
-    cfg.teacher_forcing is on and the pass is a training pass; inference is
-    bit-identical with and without the flag.
+    With cfg.use_actor_fusion the queries add the fused features of the
+    reference boxes at the keyframe t // 2.
     """
     if rep.video.ndim != 4:
         raise ContractError(f"shared representation missing video rows: "
                             f"{rep.video.shape}")
     b, t, hw, d = rep.video.shape
     n = cfg.num_queries
-    if keyframe is None:
-        keyframe = t // 2
-    if ref_params is None:
-        ref_params = ReferenceBoxParams.init(n)
 
     frame_feats = T.tmean(rep.video, axis=2)         # [B, T, d]
 
@@ -155,18 +143,22 @@ def decode(rep: SharedRepresentation,
     # coordinate encodings of the per-query reference boxes differ per slot
     x = T.broadcast_to(T.reshape(params.learned_queries, (1, 1, d)),
                        (b, n, d))
-    if fusion_params is not None and cfg.use_actor_fusion:
-        key_boxes = 1.0 / (1.0 + np.exp(-box_logits.data[:, :, keyframe, :]))
+    if cfg.use_actor_fusion:
+        key_boxes = 1.0 / (1.0 + np.exp(-box_logits.data[:, :, t // 2, :]))
         key_boxes = np.clip(key_boxes, 1e-4, 1.0 - 1e-4)
-        x = T.add(x, fuse(ActorBoxSet(key_boxes, source="layer-prediction"),
-                          rep.text, fusion_params, rep.text_mask).bt_f)
+        x = T.add(x, fuse(ActorBoxSet(key_boxes), rep.text, fusion_params,
+                          rep.text_mask))
 
     # the group token rides through the decoder as row N: it joins actor
     # self-attention and both cross-attentions, but has no box head, and its
     # final-layer embedding feeds the group classifier
     x = T.concat([x, rep.group], axis=1)                 # [B, N+1, d]
 
-    use_tf = cfg.teacher_forcing and ctx.training and gt_boxes is not None
+    # temporal cross-attention keys: every pooled frame, then the real tokens
+    text_mask = (rep.text_mask if rep.text_mask is not None
+                 else np.ones((b, rep.text.shape[1]), dtype=bool))
+    key_mask = np.concatenate([np.ones((b, t), dtype=bool), text_mask], axis=1)
+    attn_mask = np.expand_dims(key_mask, 1) & np.ones((n + 1, 1), dtype=bool)
 
     per_layer_boxes: List[Tensor] = []
     per_layer_embeddings: List[Tensor] = []
@@ -184,20 +176,8 @@ def decode(rep: SharedRepresentation,
                                        None, ctx)     # [B, T, N, d]
         x = T.add(x, T.tmean(spat, axis=1))
 
-        # temporal cross-attention over pooled frames + text (+ gt boxes)
-        keys = [frame_feats, rep.text]
-        mask_parts = [np.ones((b, t), dtype=bool),
-                      rep.text_mask if rep.text_mask is not None
-                      else np.ones((b, rep.text.shape[1]), dtype=bool)]
-        if use_tf:
-            emb = T.linear(np.asarray(gt_boxes, dtype=np.float64),
-                           params.gt_box_proj, params.gt_box_bias)
-            keys.append(emb)
-            mask_parts.append(gt_mask if gt_mask is not None
-                              else np.ones(gt_boxes.shape[:2], dtype=bool))
-        kv = T.concat(keys, axis=1)
-        key_mask = np.concatenate(mask_parts, axis=1)        # [B, K]
-        attn_mask = np.expand_dims(key_mask, 1) & np.ones((n + 1, 1), dtype=bool)
+        # temporal cross-attention over pooled frames + text
+        kv = T.concat([frame_feats, rep.text], axis=1)
         h = nn.layer_norm(x, layer.norm_cross)
         x = T.add(x, nn.multi_head_attention(h, kv, layer.temporal_cross_attn,
                                              attn_mask, ctx))

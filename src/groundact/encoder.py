@@ -3,22 +3,21 @@
 Each layer runs text self-attention, per-cell temporal self-attention on the
 video stream, video-to-text then text-to-video cross-attention, and a shared
 FFN.  A learnable group token rides along as an extra video-side row and its
-final embedding feeds the group-activity classifier.  An optional lightweight
+final embedding feeds the group-activity classifier.  A lightweight
 temporal-convolution fast branch re-injects per-frame dynamics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from . import nn
 from . import tensor as T
-from .config import ConfigError, ModelConfig
-from .nn import (AttentionParams, FeedForwardParams, LayerNormParams,
-                 PositionalEncoding, RunContext)
+from .config import ModelConfig
+from .nn import AttentionParams, FeedForwardParams, LayerNormParams, RunContext
 from .tensor import ShapeError, Tensor
 
 
@@ -73,30 +72,30 @@ class EncoderLayerParams:
 
 @dataclass
 class FastBranchParams:
-    kernel: Tensor                  # [k, d, d]
+    kernel: Tensor                  # [3, d, d], three frames wide
     bias: Tensor
 
     @classmethod
-    def init(cls, rng, cfg: ModelConfig, k: int = 3):
+    def init(cls, rng, cfg: ModelConfig):
         d = cfg.d_model
-        return cls(nn.param(rng, k, d, d, scale=0.02 / np.sqrt(d)),
+        return cls(nn.param(rng, 3, d, d, scale=0.02 / np.sqrt(d)),
                    nn.zeros_param(d))
 
 
 @dataclass
 class VLEncoderParams:
     group_token: Tensor             # [1, d]
-    temporal_pe: PositionalEncoding
+    temporal_pe: Tensor             # [max(T, 64), d], fixed sinusoidal rows
     layers: List[EncoderLayerParams]
-    fast_branch: Optional[FastBranchParams]
+    fast_branch: FastBranchParams
 
     @classmethod
     def init(cls, rng, cfg: ModelConfig):
         layers = [EncoderLayerParams.init(rng, cfg)
                   for _ in range(cfg.encoder_layers)]
-        fast = FastBranchParams.init(rng, cfg) if cfg.use_fast_branch else None
+        fast = FastBranchParams.init(rng, cfg)
         return cls(nn.param(rng, 1, cfg.d_model, scale=0.02),
-                   PositionalEncoding.temporal(max(cfg.frames, 64), cfg.d_model),
+                   Tensor(nn.sinusoidal_table(max(cfg.frames, 64), cfg.d_model)),
                    layers, fast)
 
 
@@ -126,14 +125,12 @@ def cross_modal_block(video_rows: Tensor, text_rows: Tensor,
 
 def encode(v_f: Tensor, t_f: Tensor, params: VLEncoderParams,
            cfg: ModelConfig, text_mask: Optional[np.ndarray] = None,
-           positional: bool = True,
            ctx: RunContext = nn.EVAL) -> SharedRepresentation:
     """Fuse video [B, T, HW, d] and text [B, L, d] into a shared representation.
 
-    Within each layer: text self-attention, per-cell temporal self-attention
-    on video (the group token attends only to itself), V2T, T2V, shared FFN.
-    ``positional=False`` skips the temporal encoding, restoring frame-
-    permutation equivariance of the stack.
+    The temporal encoding is added per frame first.  Within each layer: text
+    self-attention, per-cell temporal self-attention on video (the group
+    token attends only to itself), the fast branch, V2T, T2V, shared FFN.
     """
     if v_f.ndim != 4 or t_f.ndim != 3:
         raise ShapeError(f"expected batched inputs, got {v_f.shape}, {t_f.shape}")
@@ -141,11 +138,9 @@ def encode(v_f: Tensor, t_f: Tensor, params: VLEncoderParams,
     if d != cfg.d_model or t_f.shape[-1] != d:
         raise ShapeError(f"width mismatch: video {v_f.shape}, text {t_f.shape}")
 
-    video = v_f
-    if positional:
-        # temporal encoding added per frame, identical across cells
-        rows = T.getitem(params.temporal_pe.table, np.arange(t))   # [T, d]
-        video = T.add(video, T.reshape(rows, (1, t, 1, d)))
+    # temporal encoding added per frame, identical across cells
+    rows = T.getitem(params.temporal_pe, np.arange(t))       # [T, d]
+    video = T.add(v_f, T.reshape(rows, (1, t, 1, d)))
     text = t_f
     group = T.broadcast_to(T.reshape(params.group_token, (1, 1, d)), (b, 1, d))
 
@@ -171,11 +166,10 @@ def encode(v_f: Tensor, t_f: Tensor, params: VLEncoderParams,
             hg, hg, layer.video_temporal_self_attn, None, ctx))
 
         # fast branch: temporal conv over per-frame pooled features
-        if params.fast_branch is not None:
-            frame_means = T.tmean(video, axis=2)           # [B, T, d]
-            refined = nn.conv1d(frame_means, params.fast_branch.kernel,
-                                params.fast_branch.bias)
-            video = T.add(video, T.reshape(refined, (b, t, 1, d)))
+        frame_means = T.tmean(video, axis=2)               # [B, T, d]
+        refined = nn.conv1d(frame_means, params.fast_branch.kernel,
+                            params.fast_branch.bias)
+        video = T.add(video, T.reshape(refined, (b, t, 1, d)))
 
         # (c)+(d) bidirectional cross-attention over all video-side rows
         flat = T.concat([T.reshape(video, (b, t * hw, d)), group], axis=1)

@@ -23,7 +23,6 @@ from .tensor import ContractError, Tensor
 class ActorBoxSet:
     """Normalized (cx, cy, w, h) boxes, one per actor query."""
     boxes: np.ndarray               # [..., N, 4] in [0, 1]
-    source: str = "reference-init"  # reference-init | layer-prediction | ground-truth
 
     def validate(self):
         b = self.boxes
@@ -35,11 +34,6 @@ class ActorBoxSet:
             raise ContractError("degenerate box: non-positive width/height")
         if b.min() < 0 or b.max() > 1:
             raise ContractError("box coordinates outside [0, 1]")
-
-
-@dataclass
-class FusedActorFeatures:
-    bt_f: Tensor                    # [..., N, d]
 
 
 def box_coordinate_encoding(boxes: np.ndarray, d: int) -> np.ndarray:
@@ -77,11 +71,12 @@ class ActorFusionParams:
 
 
 def fuse(boxes: ActorBoxSet, t_f: Tensor, params: ActorFusionParams,
-         text_mask: Optional[np.ndarray] = None) -> FusedActorFeatures:
+         text_mask: Optional[np.ndarray] = None) -> Tensor:
     """Embed boxes, average with pooled normalized text, refine with conv1d.
 
     boxes.boxes: [B, N, 4] (consumed as plain values; the caller detaches
-    predicted boxes before fusing them back in).  t_f: [B, L, d].
+    predicted boxes before fusing them back in).  t_f: [B, L, d].  Returns
+    the actor features [B, N, d].
     """
     boxes.validate()
     b = np.asarray(boxes.boxes, dtype=np.float64)
@@ -101,8 +96,7 @@ def fuse(boxes: ActorBoxSet, t_f: Tensor, params: ActorFusionParams,
 
     # the two d-wide halves of [box_emb | pooled] averaged back to width d
     fused = T.mul(T.add(box_emb, pooled), 0.5)                 # [B, N, d]
-    refined = nn.conv1d(fused, params.conv_kernel, params.conv_bias)
-    return FusedActorFeatures(bt_f=refined)
+    return nn.conv1d(fused, params.conv_kernel, params.conv_bias)
 
 
 @dataclass
@@ -129,5 +123,4 @@ def reference_logits(params: ReferenceBoxParams) -> Tensor:
 
 def reference_boxes(params: ReferenceBoxParams) -> ActorBoxSet:
     logits = reference_logits(params)
-    return ActorBoxSet(boxes=1.0 / (1.0 + np.exp(-logits.data)),
-                       source="reference-init")
+    return ActorBoxSet(boxes=1.0 / (1.0 + np.exp(-logits.data)))

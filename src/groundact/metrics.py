@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -29,7 +29,6 @@ class LabelHierarchy:
     exactly one "Other" sentinel that triggers descent."""
     partitions: List[List[str]]
     other: str = "other"
-    multilabel: Optional[List[bool]] = None     # sigmoid vs softmax partitions
 
     def validate(self):
         seen: Set[str] = set()
@@ -49,7 +48,12 @@ class LabelHierarchy:
 
 def hierarchical_infer(partition_logits: Sequence[np.ndarray],
                        hierarchy: LabelHierarchy) -> str:
-    """Argmax partition by partition, descending only on the Other sentinel."""
+    """Argmax partition by partition, descending only on the Other sentinel.
+
+    A metric-only utility for label hierarchies: no prediction path calls
+    it.  The model predicts flat per-actor action labels and a group label
+    (``training.predict_actions`` / ``predict_group``).
+    """
     hierarchy.validate()
     if len(partition_logits) != len(hierarchy.partitions):
         raise MetricError(

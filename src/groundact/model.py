@@ -7,14 +7,13 @@ action decoder into one trainable object with a flat named-parameter view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import backbones as bb
 from . import nn
-from . import tensor as T
-from .config import ModelConfig
+from .config import ConfigError, ModelConfig
 from .decoder import ActionDecoderParams, DecoderOutput, decode
 from .encoder import SharedRepresentation, VLEncoderParams, encode
 from .fusion import ActorFusionParams, ReferenceBoxParams
@@ -31,9 +30,30 @@ class Batch:
     clip_ids: List[str]
 
 
+def _check_clip(clip: bb.VideoClip, cfg: ModelConfig):
+    """A clip whose frames do not fit the model is a ConfigError naming the
+    clip and the [model] key it breaks."""
+    if clip.frames.ndim != 4:
+        raise bb.DataError(f"clip {clip.clip_id!r}: frames must be "
+                           f"[T, H, W, C], got shape {clip.frames.shape}")
+    total, h, w, c = clip.frames.shape
+    for key, what, want, got in (("raster_h", "pixel rows", cfg.raster_h, h),
+                                 ("raster_w", "pixel columns", cfg.raster_w, w),
+                                 ("channels", "channels", cfg.channels, c)):
+        if got != want:
+            raise ConfigError(f"clip {clip.clip_id!r} has {got} {what}, but "
+                              f"[model] {key} = {want}")
+    if total < cfg.frames:
+        raise ConfigError(f"clip {clip.clip_id!r} has {total} frames, fewer "
+                          f"than [model] frames = {cfg.frames}")
+
+
 def make_batch(clips, prompts: Sequence[str], cfg: ModelConfig,
                vocab: List[str], annotations=None) -> Batch:
-    """Sample frames, tokenize and pad prompts, stack into arrays."""
+    """Check each clip against the config, sample frames, tokenize and pad
+    prompts, stack into arrays."""
+    for c in clips:
+        _check_clip(c, cfg)
     sampled = [bb.sample_frames(c, cfg.frames) for c in clips]
     frames = np.stack([c.frames for c in sampled])
     token_lists = [bb.tokenize(p, vocab, cfg.l_max).tokens for p in prompts]
@@ -110,22 +130,16 @@ class GroundedModel:
     def state_arrays(self) -> Dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.named_parameters().items()}
 
-    def forward(self, batch: Batch, ctx: RunContext = nn.EVAL,
-                teacher_boxes: Optional[np.ndarray] = None,
-                teacher_mask: Optional[np.ndarray] = None
+    def forward(self, batch: Batch, ctx: RunContext = nn.EVAL
                 ) -> Tuple[SharedRepresentation, DecoderOutput]:
-        cfg = self.cfg
-        v = bb.visual_encode(batch.frames, self.params.visual, cfg)
-        t = bb.text_encode(batch.tokens, self.params.text, cfg,
-                           batch.text_mask, ctx)
-        rep = encode(v.v_f, t.t_f, self.params.vl_encoder, cfg,
-                     text_mask=t.mask, ctx=ctx)
-        out = decode(rep, self.params.decoder, cfg,
-                     fusion_params=self.params.actor_fusion,
-                     ref_params=self.params.reference,
-                     keyframe=cfg.frames // 2,
-                     gt_boxes=teacher_boxes, gt_mask=teacher_mask,
-                     ctx=ctx)
+        cfg, params = self.cfg, self.params
+        v_f = bb.visual_encode(batch.frames, params.visual, cfg)
+        t_f = bb.text_encode(batch.tokens, params.text, cfg, batch.text_mask,
+                             ctx)
+        rep = encode(v_f, t_f, params.vl_encoder, cfg,
+                     text_mask=batch.text_mask, ctx=ctx)
+        out = decode(rep, params.decoder, cfg, params.actor_fusion,
+                     params.reference, ctx=ctx)
         return rep, out
 
     def keyframe(self) -> int:

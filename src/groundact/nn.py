@@ -90,11 +90,11 @@ class AttentionParams:
     dropout_rate: float = 0.0
 
     @classmethod
-    def init(cls, rng, d_model: int, num_heads: int, dropout_rate: float = 0.0,
-             zero_out: bool = False):
+    def init(cls, rng, d_model: int, num_heads: int, dropout_rate: float = 0.0):
         if d_model % num_heads:
             raise ShapeError(f"d_model {d_model} % num_heads {num_heads} != 0")
-        wo = zeros_param(d_model, d_model) if zero_out else param(rng, d_model, d_model)
+        # wo is drawn before wq, wk, wv; seeded inits depend on that order
+        wo = param(rng, d_model, d_model)
         return cls(num_heads, d_model, param(rng, d_model, d_model),
                    param(rng, d_model, d_model), param(rng, d_model, d_model),
                    wo, dropout_rate)
@@ -185,28 +185,22 @@ class FeedForwardParams:
     b1: Tensor
     w2: Tensor
     b2: Tensor
-    activation: str = "gelu"
     dropout_rate: float = 0.0
 
     @classmethod
-    def init(cls, rng, d: int, d_ff: int, activation: str = "gelu",
-             dropout_rate: float = 0.0):
+    def init(cls, rng, d: int, d_ff: int, dropout_rate: float = 0.0):
         if d_ff < d:
             raise ShapeError(f"d_ff {d_ff} < d {d}")
         return cls(param(rng, d, d_ff), zeros_param(d_ff),
-                   param(rng, d_ff, d), zeros_param(d),
-                   activation, dropout_rate)
-
-
-_ACTIVATIONS = {"relu": T.relu, "gelu": T.gelu, "tanh": T.tanh}
+                   param(rng, d_ff, d), zeros_param(d), dropout_rate)
 
 
 def feed_forward(x: Tensor, params: FeedForwardParams,
                  ctx: RunContext = EVAL) -> Tensor:
+    """GELU perceptron d -> d_ff -> d, with dropout on the hidden layer."""
     if x.shape[-1] != params.w1.shape[0]:
         raise ShapeError(f"ffn width mismatch: {x.shape} vs {params.w1.shape}")
-    act = _ACTIVATIONS[params.activation]
-    hidden = act(T.linear(x, params.w1, params.b1))
+    hidden = T.gelu(T.linear(x, params.w1, params.b1))
     hidden = ctx.drop(hidden, params.dropout_rate)
     return T.linear(hidden, params.w2, params.b2)
 
@@ -305,33 +299,11 @@ def sinusoidal_2d_table(h: int, w: int, d: int) -> np.ndarray:
     return table
 
 
-@dataclass
-class PositionalEncoding:
-    kind: str            # sinusoidal-temporal | sinusoidal-spatial-2d | learned
-    table: Tensor        # [max_len, d]; trainable iff kind == "learned"
-
-    @classmethod
-    def temporal(cls, max_len: int, d: int):
-        return cls("sinusoidal-temporal", Tensor(sinusoidal_table(max_len, d)))
-
-    @classmethod
-    def spatial(cls, h: int, w: int, d: int):
-        return cls("sinusoidal-spatial-2d", Tensor(sinusoidal_2d_table(h, w, d)))
-
-    @classmethod
-    def learned(cls, rng, max_len: int, d: int):
-        return cls("learned", param(rng, max_len, d, scale=0.02))
-
-
-def positional_encode(x: Tensor, pe: PositionalEncoding,
-                      positions=None) -> Tensor:
-    """Add encoding rows to the last-but-one axis of x."""
+def positional_encode(x: Tensor, table: Tensor) -> Tensor:
+    """Add the first rows of an encoding table [max_len, d] to the
+    last-but-one axis of x."""
     L = x.shape[-2]
-    if positions is None:
-        positions = np.arange(L)
-    positions = np.asarray(positions)
-    if positions.max(initial=0) >= pe.table.shape[0]:
+    if L > table.shape[0]:
         raise ContractError(
-            f"position {positions.max()} outside table of {pe.table.shape[0]} rows")
-    rows = T.getitem(pe.table, positions)
-    return T.add(x, rows)
+            f"position {L - 1} outside table of {table.shape[0]} rows")
+    return T.add(x, T.getitem(table, np.arange(L)))

@@ -8,15 +8,13 @@ contains no wall-clock fields.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import backbones as bb
 from . import data as D
-from . import nn
 from . import tensor as T
 from .config import (ConfigError, ExperimentConfig, config_from_dict,
                      config_to_dict)
@@ -37,7 +35,7 @@ class TrainingError(RuntimeError):
 
 # -- checkpoints -------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path, model: GroundedModel, cfg: ExperimentConfig,
@@ -65,7 +63,8 @@ def load_checkpoint(path) -> Tuple[GroundedModel, ExperimentConfig,
     meta = json.loads(bytes(arrays.pop("__meta__")).decode())
     if meta["format_version"] != CHECKPOINT_VERSION:
         raise TrainingError(f"checkpoint version {meta['format_version']} "
-                            f"unsupported")
+                            f"unsupported; this build reads version "
+                            f"{CHECKPOINT_VERSION}")
     cfg = config_from_dict(meta["config"])
     model = GroundedModel(cfg.model, seed=meta.get("seed", 0))
     model.load_state({k[len("param/"):]: v for k, v in arrays.items()
@@ -89,18 +88,6 @@ def batch_objective(out, batch: Batch, cfg: ExperimentConfig, keyframe: int,
                     weak: bool, fallback_boxes=None):
     return total_objective(out, batch.annotations, cfg.loss, keyframe,
                            weak=weak, fallback_boxes=fallback_boxes)
-
-
-def _teacher_arrays(batch: Batch, keyframe: int):
-    ms = [len(a.actors) for a in batch.annotations]
-    mmax = max(ms)
-    boxes = np.zeros((len(ms), mmax, 4))
-    mask = np.zeros((len(ms), mmax), dtype=bool)
-    for i, ann in enumerate(batch.annotations):
-        for j, actor in enumerate(ann.actors):
-            boxes[i, j] = actor.tube[keyframe]
-            mask[i, j] = True
-    return boxes, mask
 
 
 def _reference_fallback(model: GroundedModel, b: int) -> Tensor:
@@ -287,10 +274,7 @@ def train(cfg: ExperimentConfig, corpus, mode: Optional[str] = None,
                           full.text_mask[idx],
                           [full.annotations[i] for i in idx],
                           [full.clip_ids[i] for i in idx])
-            tf_boxes = tf_mask = None
-            if cfg.model.teacher_forcing:
-                tf_boxes, tf_mask = _teacher_arrays(batch, keyframe)
-            _, out = model.forward(batch, ctx, tf_boxes, tf_mask)
+            _, out = model.forward(batch, ctx)
             fallback = (_reference_fallback(model, bs)
                         if not out.per_layer_boxes else None)
             loss, agg = batch_objective(out, batch, cfg, keyframe, weak,
@@ -348,8 +332,8 @@ def text_query_embedding(model: GroundedModel, prompt: str,
     arr = np.array([tokens], dtype=np.int64)
     mask = np.ones_like(arr, dtype=bool)
     with T.no_grad():
-        feats = bb.text_encode(arr, model.params.text, model.cfg, mask)
-    return feats.t_f.data[0].mean(axis=0)
+        t_f = bb.text_encode(arr, model.params.text, model.cfg, mask)
+    return t_f.data[0].mean(axis=0)
 
 
 def actor_embedding_pool(model: GroundedModel, corpus, cfg: ExperimentConfig,

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .config import LossWeights, ModelConfig
+from .config import ModelConfig
 from .decoder import ActionDecoderParams, decode
 from .encoder import VLEncoderParams, encode
 from .fusion import ActorBoxSet, ActorFusionParams, ReferenceBoxParams, fuse
@@ -151,12 +151,12 @@ def block_cases(rng: np.random.Generator):
         boxes = ActorBoxSet(np.array([[[0.3, 0.4, 0.2, 0.2],
                                        [0.6, 0.5, 0.25, 0.3]]]))
         out = fuse(boxes, T.reshape(t_flat, (1, l, d)), fus)
-        return T.tsum(T.mul(out.bt_f, 0.1))
+        return T.tsum(T.mul(out, 0.1))
 
     def through_decoder(v_flat: Tensor) -> Tensor:
         v = T.reshape(v_flat, (1, t, hw, d))
         rep = encode(v, t_f0, enc, cfg)
-        out = decode(rep, dec, cfg, fusion_params=fus, ref_params=ref)
+        out = decode(rep, dec, cfg, fus, ref)
         gt = Tensor(np.array([[[0.3, 0.4, 0.2, 0.2]] * t]))
         box_terms = T.add(l1_loss(out.per_layer_boxes[-1][0, :1],
                                   np.array([[[0.3, 0.4, 0.2, 0.2]] * t])),

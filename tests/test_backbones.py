@@ -94,17 +94,17 @@ def test_visual_encode_shapes():
     params = bb.VisualStubParams.init(rng, cfg)
     frames = rng.random((3, cfg.frames, cfg.raster_h, cfg.raster_w, 1))
     vf = visual_encode(frames, params, cfg)
-    assert vf.v_f.shape == (3, cfg.frames, cfg.hw, cfg.d_model)
+    assert vf.shape == (3, cfg.frames, cfg.hw, cfg.d_model)
 
 
 def test_visual_encode_zero_frames_give_positional_code_only():
     cfg = toy_cfg()
     params = bb.VisualStubParams.init(np.random.default_rng(0), cfg)
     frames = np.zeros((1, cfg.frames, cfg.raster_h, cfg.raster_w, 1))
-    vf = visual_encode(frames, params, cfg).v_f.data
+    vf = visual_encode(frames, params, cfg).data
     # zero pixels -> bias + spatial encoding, identical across frames
     np.testing.assert_array_equal(vf[0, 0], vf[0, 1])
-    expected = params.bias.data + params.spatial_pe.table.data
+    expected = params.bias.data + params.spatial_pe.data
     np.testing.assert_allclose(vf[0, 0], expected, atol=1e-12)
 
 
@@ -114,10 +114,10 @@ def test_visual_encode_locality():
     rng = np.random.default_rng(1)
     params = bb.VisualStubParams.init(rng, cfg)
     frames = rng.random((1, cfg.frames, cfg.raster_h, cfg.raster_w, 1))
-    base = visual_encode(frames, params, cfg).v_f.data
+    base = visual_encode(frames, params, cfg).data
     bumped = frames.copy()
     bumped[0, 0, :cfg.patch_h, :cfg.patch_w, 0] += 1.0     # cell (0,0), frame 0
-    out = visual_encode(bumped, params, cfg).v_f.data
+    out = visual_encode(bumped, params, cfg).data
     diff = np.abs(out - base).sum(axis=-1)[0]              # [T, HW]
     assert diff[0, 0] > 1e-6
     diff[0, 0] = 0.0
@@ -136,7 +136,7 @@ def test_visual_encode_gradient_reaches_projection():
     rng = np.random.default_rng(2)
     params = bb.VisualStubParams.init(rng, cfg)
     frames = rng.random((1, cfg.frames, cfg.raster_h, cfg.raster_w, 1))
-    out = visual_encode(frames, params, cfg).v_f
+    out = visual_encode(frames, params, cfg)
     T.tsum(T.mul(out, out)).backward()
     assert params.proj.grad is not None and np.abs(params.proj.grad).max() > 0
 
@@ -147,8 +147,8 @@ def test_text_encode_shapes_and_determinism():
     cfg = toy_cfg()
     params = bb.TextStubParams.init(np.random.default_rng(3), cfg)
     tokens = np.array([[1, 2, 3], [4, 5, 0]])
-    a = text_encode(tokens, params, cfg).t_f.data
-    b = text_encode(tokens, params, cfg).t_f.data
+    a = text_encode(tokens, params, cfg).data
+    b = text_encode(tokens, params, cfg).data
     assert a.shape == (2, 3, cfg.d_model)
     np.testing.assert_array_equal(a, b)
 
@@ -156,8 +156,8 @@ def test_text_encode_shapes_and_determinism():
 def test_text_encode_token_identity_matters():
     cfg = toy_cfg()
     params = bb.TextStubParams.init(np.random.default_rng(4), cfg)
-    a = text_encode(np.array([[1, 2]]), params, cfg).t_f.data
-    b = text_encode(np.array([[1, 3]]), params, cfg).t_f.data
+    a = text_encode(np.array([[1, 2]]), params, cfg).data
+    b = text_encode(np.array([[1, 3]]), params, cfg).data
     assert np.abs(a - b).max() > 1e-6
 
 
@@ -166,8 +166,8 @@ def test_text_encode_padding_mask_blocks_attention():
     params = bb.TextStubParams.init(np.random.default_rng(5), cfg)
     tokens = np.array([[1, 2, 0, 0]])
     mask = np.array([[True, True, False, False]])
-    masked = text_encode(tokens, params, cfg, mask=mask).t_f.data
-    trimmed = text_encode(np.array([[1, 2]]), params, cfg).t_f.data
+    masked = text_encode(tokens, params, cfg, mask=mask).data
+    trimmed = text_encode(np.array([[1, 2]]), params, cfg).data
     np.testing.assert_allclose(masked[0, :2], trimmed[0], atol=1e-9)
 
 

@@ -30,14 +30,14 @@ def test_derived_sizes():
 def test_ini_round_trip(tmp_path):
     cfg = ExperimentConfig()
     cfg.model.d_model = 32
-    cfg.model.use_fast_branch = False
+    cfg.model.use_actor_fusion = False
     cfg.loss.giou = 3.5
     cfg.train.seed = 7
     path = tmp_path / "cfg.ini"
     save_config(cfg, path)
     loaded = load_config(path)
     assert loaded.model.d_model == 32
-    assert loaded.model.use_fast_branch is False
+    assert loaded.model.use_actor_fusion is False
     assert loaded.loss.giou == 3.5
     assert loaded.train.seed == 7
     # untouched fields keep defaults
@@ -88,7 +88,7 @@ def test_missing_file_rejected(tmp_path):
 
 def test_bad_boolean_rejected(tmp_path):
     path = tmp_path / "cfg.ini"
-    path.write_text("[model]\nuse_fast_branch = maybe\n")
+    path.write_text("[model]\nuse_actor_fusion = maybe\n")
     with pytest.raises(ConfigError):
         load_config(path)
 

@@ -1,9 +1,8 @@
-"""Box-refining decoder: reference start, tube validity, teacher forcing."""
+"""Box-refining decoder: reference start, tube validity, actor fusion."""
 
 import numpy as np
 import pytest
 
-from groundact import nn
 from groundact import tensor as T
 from groundact.config import ModelConfig
 from groundact.decoder import (ActionDecoderParams, DecoderOutput,
@@ -27,7 +26,7 @@ def make_rep(rng, cfg, b=1, l=4):
     v = Tensor(rng.normal(size=(b, cfg.frames, cfg.hw, cfg.d_model)))
     t = Tensor(rng.normal(size=(b, l, cfg.d_model)))
     enc_params = VLEncoderParams.init(rng, cfg)
-    return encode(v, t, enc_params, cfg, positional=False)
+    return encode(v, t, enc_params, cfg)
 
 
 def make_all(rng, cfg, b=1):
@@ -90,43 +89,15 @@ def test_zero_decoder_layers_yields_no_boxes_but_logits():
 def test_fusion_off_uses_learned_queries():
     cfg = toy_cfg(use_actor_fusion=False)
     rng = np.random.default_rng(4)
-    rep, dec, _, ref = make_all(rng, cfg)
-    out = decode(rep, dec, cfg, fusion_params=None, ref_params=ref)
+    rep, dec, fusion, ref = make_all(rng, cfg)
+    out = decode(rep, dec, cfg, fusion, ref)
     assert out.final_boxes.shape == (1, cfg.num_queries, cfg.frames, 4)
-    # learned queries receive gradient through the stack
+    # learned queries receive gradient through the stack; the config alone
+    # keeps the fusion parameters out of the graph
     T.tsum(out.action_logits).backward()
     assert dec.learned_queries.grad is not None
     assert np.abs(dec.learned_queries.grad).max() > 0
-
-
-def test_teacher_forcing_invisible_at_inference():
-    cfg = toy_cfg(teacher_forcing=True)
-    rng = np.random.default_rng(5)
-    rep, dec, fusion, ref = make_all(rng, cfg)
-    for layer in dec.layers:
-        layer.box_head.w3 = Tensor(rng.normal(size=(cfg.d_model, 4)),
-                                   requires_grad=True)
-    gt = rng.uniform(0.3, 0.7, size=(1, 2, 4))
-    plain = decode(rep, dec, cfg, fusion, ref)
-    with_gt = decode(rep, dec, cfg, fusion, ref, gt_boxes=gt,
-                     gt_mask=np.ones((1, 2), dtype=bool))
-    assert (plain.final_boxes.data.tobytes()
-            == with_gt.final_boxes.data.tobytes())
-
-
-def test_teacher_forcing_changes_training_pass():
-    cfg = toy_cfg(teacher_forcing=True)
-    rng = np.random.default_rng(6)
-    rep, dec, fusion, ref = make_all(rng, cfg)
-    for layer in dec.layers:
-        layer.box_head.w3 = Tensor(rng.normal(size=(cfg.d_model, 4)),
-                                   requires_grad=True)
-    ctx = nn.RunContext(training=True, rng=np.random.default_rng(0))
-    gt = rng.uniform(0.3, 0.7, size=(1, 2, 4))
-    plain = decode(rep, dec, cfg, fusion, ref, ctx=ctx)
-    forced = decode(rep, dec, cfg, fusion, ref, gt_boxes=gt,
-                    gt_mask=np.ones((1, 2), dtype=bool), ctx=ctx)
-    assert np.abs(plain.final_boxes.data - forced.final_boxes.data).max() > 1e-9
+    assert fusion.box_proj.grad is None
 
 
 def test_classifiers_are_rowwise_linear():

@@ -21,6 +21,13 @@ def toy_cfg(**kw):
     return ModelConfig(**base)
 
 
+def without_positional(params):
+    """Zero the temporal encoding table: adding exact zeros leaves the
+    stack frame-permutation equivariant."""
+    params.temporal_pe = Tensor(np.zeros_like(params.temporal_pe.data))
+    return params
+
+
 def rand_inputs(rng, cfg, b=2, l=4):
     v = Tensor(rng.normal(size=(b, cfg.frames, cfg.hw, cfg.d_model)))
     t = Tensor(rng.normal(size=(b, l, cfg.d_model)))
@@ -30,9 +37,9 @@ def rand_inputs(rng, cfg, b=2, l=4):
 def test_zero_layers_is_identity_concat():
     cfg = toy_cfg(encoder_layers=0)
     rng = np.random.default_rng(0)
-    params = VLEncoderParams.init(rng, cfg)
+    params = without_positional(VLEncoderParams.init(rng, cfg))
     v, t = rand_inputs(rng, cfg)
-    rep = encode(v, t, params, cfg, positional=False)
+    rep = encode(v, t, params, cfg)
     np.testing.assert_array_equal(rep.video.data, v.data)
     np.testing.assert_array_equal(rep.text.data, t.data)
     np.testing.assert_allclose(rep.group.data,
@@ -43,9 +50,9 @@ def test_zero_layers_is_identity_concat():
 def test_concat_view_layout():
     cfg = toy_cfg(encoder_layers=0)
     rng = np.random.default_rng(1)
-    params = VLEncoderParams.init(rng, cfg)
+    params = without_positional(VLEncoderParams.init(rng, cfg))
     v, t = rand_inputs(rng, cfg, b=1, l=4)
-    rep = encode(v, t, params, cfg, positional=False)
+    rep = encode(v, t, params, cfg)
     rows = rep.vt_f.data[0]
     layout = rep.layout
     tv = cfg.frames * cfg.hw
@@ -63,7 +70,7 @@ def test_positional_encoding_varies_frames():
     params = VLEncoderParams.init(rng, cfg)
     v = Tensor(np.zeros((1, cfg.frames, cfg.hw, cfg.d_model)))
     t = Tensor(np.zeros((1, 2, cfg.d_model)))
-    rep = encode(v, t, params, cfg, positional=True)
+    rep = encode(v, t, params, cfg)
     # each frame gets its own temporal code, constant across cells
     assert np.abs(rep.video.data[0, 0] - rep.video.data[0, 1]).max() > 1e-6
     for f in range(cfg.frames):
@@ -92,13 +99,16 @@ def test_single_frame_clip_supported():
 
 
 def test_frame_permutation_equivariance_without_positional():
-    cfg = toy_cfg(use_fast_branch=False)
+    cfg = toy_cfg()
     rng = np.random.default_rng(5)
-    params = VLEncoderParams.init(rng, cfg)
+    params = without_positional(VLEncoderParams.init(rng, cfg))
+    # a zero temporal conv kernel (the bias starts at zero) adds exact zeros
+    params.fast_branch.kernel = Tensor(
+        np.zeros_like(params.fast_branch.kernel.data), requires_grad=True)
     v, t = rand_inputs(rng, cfg, b=1)
     perm = np.array([2, 0, 1])
-    rep = encode(v, t, params, cfg, positional=False)
-    rep_p = encode(Tensor(v.data[:, perm]), t, params, cfg, positional=False)
+    rep = encode(v, t, params, cfg)
+    rep_p = encode(Tensor(v.data[:, perm]), t, params, cfg)
     np.testing.assert_allclose(rep_p.video.data, rep.video.data[:, perm],
                                atol=1e-9)
     np.testing.assert_allclose(rep_p.text.data, rep.text.data, atol=1e-9)
@@ -106,16 +116,16 @@ def test_frame_permutation_equivariance_without_positional():
 
 
 def test_fast_branch_breaks_frame_permutation_equivariance():
-    cfg = toy_cfg(use_fast_branch=True)
+    cfg = toy_cfg()
     rng = np.random.default_rng(6)
-    params = VLEncoderParams.init(rng, cfg)
+    params = without_positional(VLEncoderParams.init(rng, cfg))
     # give the temporal conv kernel real weight so order matters
     params.fast_branch.kernel = Tensor(
         rng.normal(size=params.fast_branch.kernel.shape), requires_grad=True)
     v, t = rand_inputs(rng, cfg, b=1)
     perm = np.array([2, 0, 1])
-    rep = encode(v, t, params, cfg, positional=False)
-    rep_p = encode(Tensor(v.data[:, perm]), t, params, cfg, positional=False)
+    rep = encode(v, t, params, cfg)
+    rep_p = encode(Tensor(v.data[:, perm]), t, params, cfg)
     assert np.abs(rep_p.video.data - rep.video.data[:, perm]).max() > 1e-6
 
 

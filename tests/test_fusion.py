@@ -62,7 +62,7 @@ def test_fuse_identity_kernel_is_averaged_halves():
     rng = np.random.default_rng(2)
     bx = np.array([[[0.3, 0.4, 0.1, 0.2], [0.6, 0.5, 0.2, 0.1]]])
     t_f = Tensor(rng.normal(size=(1, 4, D)))
-    out = fuse(boxes(bx), t_f, p).bt_f.data
+    out = fuse(boxes(bx), t_f, p).data
 
     from groundact.nn import layer_norm
     box_emb = bx[0] @ p.box_proj.data + box_coordinate_encoding(bx[0], D)
@@ -74,7 +74,7 @@ def test_fuse_identical_boxes_give_identical_rows():
     p = k1_params()
     rng = np.random.default_rng(3)
     bx = np.repeat(np.array([[[0.5, 0.5, 0.2, 0.2]]]), 3, axis=1)
-    out = fuse(boxes(bx), Tensor(rng.normal(size=(1, 4, D))), p).bt_f.data
+    out = fuse(boxes(bx), Tensor(rng.normal(size=(1, 4, D))), p).data
     np.testing.assert_array_equal(out[0, 0], out[0, 1])
     np.testing.assert_array_equal(out[0, 0], out[0, 2])
 
@@ -86,8 +86,8 @@ def test_fuse_actor_permutation_equivariant_with_k1():
     bx[..., 2:] = rng.uniform(0.05, 0.2, size=(1, 4, 2))
     t_f = Tensor(rng.normal(size=(1, 5, D)))
     perm = np.array([2, 0, 3, 1])
-    out = fuse(boxes(bx), t_f, p).bt_f.data
-    out_p = fuse(boxes(bx[:, perm]), t_f, p).bt_f.data
+    out = fuse(boxes(bx), t_f, p).data
+    out_p = fuse(boxes(bx[:, perm]), t_f, p).data
     np.testing.assert_allclose(out_p, out[:, perm], atol=1e-12)
 
 
@@ -100,10 +100,10 @@ def test_fuse_k3_mixes_neighboring_actors():
     bx = rng.uniform(0.3, 0.7, size=(1, 3, 4))
     bx[..., 2:] = 0.1
     t_f = Tensor(rng.normal(size=(1, 4, D)))
-    base = fuse(boxes(bx), t_f, p).bt_f.data
+    base = fuse(boxes(bx), t_f, p).data
     moved = bx.copy()
     moved[0, 0, 0] = 0.35                          # nudge actor 0 only
-    out = fuse(boxes(moved), t_f, p).bt_f.data
+    out = fuse(boxes(moved), t_f, p).data
     assert np.abs(out[0, 1] - base[0, 1]).max() > 1e-9   # neighbour affected
     assert np.abs(out[0, 2] - base[0, 2]).max() < 1e-9   # two hops away is not
 
@@ -116,8 +116,8 @@ def test_fuse_text_mask_excludes_padding_from_pool():
     mask = np.array([[True, True, False, False]])
     garbled = t_f.copy()
     garbled[0, 2:] += 50.0
-    a = fuse(boxes(bx), Tensor(t_f), p, text_mask=mask).bt_f.data
-    b = fuse(boxes(bx), Tensor(garbled), p, text_mask=mask).bt_f.data
+    a = fuse(boxes(bx), Tensor(t_f), p, text_mask=mask).data
+    b = fuse(boxes(bx), Tensor(garbled), p, text_mask=mask).data
     np.testing.assert_allclose(a, b, atol=1e-10)
 
 
@@ -128,7 +128,7 @@ def test_fuse_gradients_reach_all_params():
     bx = rng.uniform(0.3, 0.7, size=(1, 3, 4))
     bx[..., 2:] = 0.1
     t_f = Tensor(rng.normal(size=(1, 4, D)), requires_grad=True)
-    out = fuse(boxes(bx), t_f, p).bt_f
+    out = fuse(boxes(bx), t_f, p)
     T.tsum(T.mul(out, out)).backward()
     for tensor in (p.box_proj, p.conv_kernel, p.conv_bias, t_f):
         assert tensor.grad is not None and np.abs(tensor.grad).max() > 0

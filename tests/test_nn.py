@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from groundact import nn
 from groundact import tensor as T
 from groundact.nn import (AttentionParams, FeedForwardParams, LayerNormParams,
-                          PositionalEncoding, RunContext, conv1d, feed_forward,
-                          layer_norm, multi_head_attention, positional_encode)
+                          RunContext, conv1d, feed_forward, layer_norm,
+                          multi_head_attention, positional_encode)
 from groundact.tensor import ContractError, ShapeError, Tensor
 
 
@@ -139,20 +139,22 @@ def test_attention_head_split_requires_divisibility():
 def test_feed_forward_zero_weights_gives_bias():
     d, dff = 3, 6
     p = FeedForwardParams(Tensor(np.zeros((d, dff))), Tensor(np.zeros(dff)),
-                          Tensor(np.zeros((dff, d))), Tensor(np.full(d, 0.25)),
-                          activation="relu")
+                          Tensor(np.zeros((dff, d))), Tensor(np.full(d, 0.25)))
     out = feed_forward(Tensor(np.random.default_rng(0).normal(size=(5, d))), p)
     np.testing.assert_array_equal(out.data, np.full((5, d), 0.25))
 
 
-def test_feed_forward_relu_hand_case():
-    # w1 = [[1],[−1]] style tiny net computed by hand
+def test_feed_forward_gelu_hand_case():
+    # w1 = [[1, -1]], w2 = [[2], [3]]: out = 2 gelu(x) + 3 gelu(-x)
     p = FeedForwardParams(Tensor(np.array([[1.0, -1.0]])), Tensor(np.zeros(2)),
-                          Tensor(np.array([[2.0], [3.0]])), Tensor(np.zeros(1)),
-                          activation="relu")
+                          Tensor(np.array([[2.0], [3.0]])), Tensor(np.zeros(1)))
     out = feed_forward(Tensor(np.array([[2.0], [-1.0]])), p)
-    # x=2: relu([2,-2]) = [2,0] -> 4; x=-1: relu([-1,1]) = [0,1] -> 3
-    np.testing.assert_array_equal(out.data, [[4.0], [3.0]])
+    # tanh-approximated GELU by hand: gelu(2) = 1.95459769, gelu(-2) =
+    # -0.04540231, gelu(1) = 0.84119199, gelu(-1) = -0.15880801
+    # x=2: 2 * 1.95459769 + 3 * -0.04540231 = 3.77298847
+    # x=-1: 2 * -0.15880801 + 3 * 0.84119199 = 2.20595995
+    np.testing.assert_allclose(out.data, [[3.77298847], [2.20595995]],
+                               atol=1e-8)
 
 
 def test_layer_norm_zero_mean_unit_variance():
@@ -238,17 +240,17 @@ def test_sinusoidal_2d_row_col_halves():
 
 
 def test_positional_encode_adds_rows():
-    pe = PositionalEncoding.temporal(8, 4)
+    table = Tensor(nn.sinusoidal_table(8, 4))
     x = np.zeros((2, 3, 4))
-    out = positional_encode(Tensor(x), pe)
+    out = positional_encode(Tensor(x), table)
     np.testing.assert_array_equal(out.data,
-                                  np.broadcast_to(pe.table.data[:3], (2, 3, 4)))
+                                  np.broadcast_to(table.data[:3], (2, 3, 4)))
 
 
 def test_positional_encode_overflow_rejected():
-    pe = PositionalEncoding.temporal(4, 4)
+    table = Tensor(nn.sinusoidal_table(4, 4))
     with pytest.raises(ContractError):
-        positional_encode(Tensor(np.zeros((5, 4))), pe)
+        positional_encode(Tensor(np.zeros((5, 4))), table)
 
 
 def test_dropout_eval_is_identity_train_scales():

@@ -12,7 +12,7 @@ from groundact import training as tr
 from groundact.config import (ConfigError, ExperimentConfig, ModelConfig,
                               TrainConfig)
 from groundact.model import GroundedModel, make_batch
-from groundact.tensor import Tensor
+from groundact.tensor import Tensor, load_arrays, save_arrays
 from groundact.training import (TrainingError, evaluate, linear_probe,
                                 load_checkpoint, retrieval_recall,
                                 save_checkpoint, train)
@@ -135,6 +135,24 @@ def test_truncated_checkpoint_names_path_and_array(tmp_path):
         load_checkpoint(path)
 
 
+def test_version_1_checkpoint_rejected_by_version(tmp_path):
+    # a format-1 file holds a parameter and a [model] key that format 2 does
+    # not know, so the version check must run before the config is parsed
+    cfg = tiny_cfg()
+    path = tmp_path / "v1.ckpt"
+    save_checkpoint(path, GroundedModel(cfg.model, seed=0), cfg)
+    arrays = load_arrays(path)
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    meta["format_version"] = 1
+    meta["config"]["model"]["retired_option"] = False
+    arrays["param/decoder.retired_proj"] = np.zeros((4, cfg.model.d_model))
+    arrays["__meta__"] = np.frombuffer(
+        json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8).copy()
+    save_arrays(path, arrays)
+    with pytest.raises(TrainingError, match="checkpoint version 1 unsupported"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_wrong_shape_rejected(tmp_path):
     cfg = tiny_cfg()
     model = GroundedModel(cfg.model, seed=0)
@@ -196,6 +214,23 @@ def test_train_rejects_more_actors_than_queries_before_step_0(tmp_path):
         train(cfg, corpus, log_path=str(log), max_steps=2, vocab=VOCAB)
     assert corpus[0][1].clip_id in str(err.value)
     assert not log.exists()
+
+
+@pytest.mark.parametrize("key, value", [("raster_h", 16), ("raster_w", 16),
+                                        ("channels", 3), ("frames", 6)])
+def test_clip_geometry_mismatch_is_config_error_before_step_0(tmp_path, key,
+                                                              value):
+    # tiny_corpus clips are 4 frames of 8 x 8 x 1 pixels
+    corpus = tiny_corpus()
+    cfg = tiny_cfg()
+    setattr(cfg.model, key, value)
+    log = tmp_path / "log.jsonl"
+    with pytest.raises(ConfigError, match=rf"\[model\] {key} = {value}") as err:
+        train(cfg, corpus, log_path=str(log), max_steps=2, vocab=VOCAB)
+    assert corpus[0][0].clip_id in str(err.value)
+    assert not log.exists()
+    with pytest.raises(ConfigError, match=rf"\[model\] {key} = {value}"):
+        evaluate(GroundedModel(cfg.model, seed=0), corpus, cfg, VOCAB)
 
 
 def test_train_loss_moves():
