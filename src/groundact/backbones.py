@@ -154,7 +154,5 @@ def text_encode(tokens: np.ndarray, params: TextStubParams, cfg: ModelConfig,
     attn_mask = None
     if mask is not None:
         attn_mask = np.expand_dims(mask, -2) & np.ones((L, 1), dtype=bool)
-    h = nn.layer_norm(x, params.norm1)
-    x = T.add(x, nn.multi_head_attention(h, h, params.attn, attn_mask, ctx))
-    return T.add(x, nn.feed_forward(nn.layer_norm(x, params.norm2), params.ffn,
-                                    ctx))
+    x = nn.self_attention_block(x, params.norm1, params.attn, attn_mask, ctx)
+    return nn.feed_forward_block(x, params.norm2, params.ffn, ctx)

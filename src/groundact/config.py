@@ -191,16 +191,6 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
-def save_config(cfg: ExperimentConfig, path):
-    parser = configparser.ConfigParser()
-    for section in _SECTIONS:
-        target = getattr(cfg, section)
-        parser[section] = {f.name: str(getattr(target, f.name))
-                           for f in fields(target)}
-    with open(path, "w") as fh:
-        parser.write(fh)
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     return dataclasses.asdict(cfg)
 

@@ -165,9 +165,8 @@ def decode(rep: SharedRepresentation,
 
     for li, layer in enumerate(params.layers):
         # actor self-attention
-        h = nn.layer_norm(x, layer.norm_self)
-        x = T.add(x, nn.multi_head_attention(h, h, layer.self_attn_actors,
-                                             None, ctx))
+        x = nn.self_attention_block(x, layer.norm_self, layer.self_attn_actors,
+                                    None, ctx)
 
         # spatial cross-attention: queries over each frame's grid, frame-averaged;
         # the frame axis of the queries broadcasts inside the attention
@@ -183,8 +182,7 @@ def decode(rep: SharedRepresentation,
                                              attn_mask, ctx))
 
         # FFN
-        x = T.add(x, nn.feed_forward(nn.layer_norm(x, layer.norm_ffn),
-                                     layer.ffn, ctx))
+        x = nn.feed_forward_block(x, layer.norm_ffn, layer.ffn, ctx)
 
         # box refinement: per-frame offsets from query + frame feature;
         # only the actor rows get boxes

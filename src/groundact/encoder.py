@@ -150,20 +150,19 @@ def encode(v_f: Tensor, t_f: Tensor, params: VLEncoderParams,
         if text_mask is not None:
             L = text.shape[1]
             attn_mask = np.expand_dims(text_mask, -2) & np.ones((L, 1), dtype=bool)
-        h = nn.layer_norm(text, layer.norm_text_self)
-        text = T.add(text, nn.multi_head_attention(
-            h, h, layer.text_self_attn, attn_mask, ctx))
+        text = nn.self_attention_block(text, layer.norm_text_self,
+                                       layer.text_self_attn, attn_mask, ctx)
 
         # (b) temporal self-attention per spatial cell; group token is its
         # own one-row sequence through the same weights
         cells = T.transpose(video, (0, 2, 1, 3))          # [B, HW, T, d]
-        h = nn.layer_norm(cells, layer.norm_video_self)
-        cells = T.add(cells, nn.multi_head_attention(
-            h, h, layer.video_temporal_self_attn, None, ctx))
+        cells = nn.self_attention_block(cells, layer.norm_video_self,
+                                        layer.video_temporal_self_attn,
+                                        None, ctx)
         video = T.transpose(cells, (0, 2, 1, 3))
-        hg = nn.layer_norm(group, layer.norm_video_self)
-        group = T.add(group, nn.multi_head_attention(
-            hg, hg, layer.video_temporal_self_attn, None, ctx))
+        group = nn.self_attention_block(group, layer.norm_video_self,
+                                        layer.video_temporal_self_attn,
+                                        None, ctx)
 
         # fast branch: temporal conv over per-frame pooled features
         frame_means = T.tmean(video, axis=2)               # [B, T, d]
@@ -178,12 +177,11 @@ def encode(v_f: Tensor, t_f: Tensor, params: VLEncoderParams,
         group = flat[:, t * hw:, :]
 
         # (e) shared FFN on every row
-        video = T.add(video, nn.feed_forward(
-            nn.layer_norm(video, layer.norm_ffn_video), layer.ffn, ctx))
-        group = T.add(group, nn.feed_forward(
-            nn.layer_norm(group, layer.norm_ffn_video), layer.ffn, ctx))
-        text = T.add(text, nn.feed_forward(
-            nn.layer_norm(text, layer.norm_ffn_text), layer.ffn, ctx))
+        video = nn.feed_forward_block(video, layer.norm_ffn_video, layer.ffn,
+                                      ctx)
+        group = nn.feed_forward_block(group, layer.norm_ffn_video, layer.ffn,
+                                      ctx)
+        text = nn.feed_forward_block(text, layer.norm_ffn_text, layer.ffn, ctx)
 
     return SharedRepresentation(video=video, text=text, group=group,
                                 text_mask=text_mask)

@@ -119,8 +119,3 @@ def reference_logits(params: ReferenceBoxParams) -> Tensor:
     base = np.log(_BASE_BOX / (1.0 - _BASE_BOX))
     return T.add(Tensor(np.broadcast_to(base, params.offsets.shape).copy()),
                  params.offsets)
-
-
-def reference_boxes(params: ReferenceBoxParams) -> ActorBoxSet:
-    logits = reference_logits(params)
-    return ActorBoxSet(boxes=1.0 / (1.0 + np.exp(-logits.data)))

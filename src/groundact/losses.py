@@ -1,13 +1,12 @@
-"""Grounding objective: L1 + generalized IoU on Hungarian-matched boxes,
-plus group cross-entropy and per-actor binary cross-entropy, accumulated
-over every decoder layer.
+"""Grounding objective: L1 + generalized IoU on Hungarian-matched boxes (one
+fused graph node per decoder layer), plus group cross-entropy and per-actor
+binary cross-entropy, accumulated over every decoder layer.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -19,14 +18,8 @@ from .tensor import ContractError, Tensor
 
 # -- box geometry ------------------------------------------------------------
 
-def cxcywh_to_corners(boxes):
-    """(cx, cy, w, h) -> (x1, y1, x2, y2); works on arrays and Tensors."""
-    if isinstance(boxes, Tensor):
-        cx, cy = boxes[..., 0:1], boxes[..., 1:2]
-        w, h = boxes[..., 2:3], boxes[..., 3:4]
-        half_w, half_h = T.mul(w, 0.5), T.mul(h, 0.5)
-        return T.concat([T.sub(cx, half_w), T.sub(cy, half_h),
-                         T.add(cx, half_w), T.add(cy, half_h)], axis=-1)
+def cxcywh_to_corners(boxes) -> np.ndarray:
+    """(cx, cy, w, h) -> (x1, y1, x2, y2) over the last axis."""
     boxes = np.asarray(boxes, dtype=np.float64)
     out = np.empty_like(boxes)
     out[..., 0] = boxes[..., 0] - boxes[..., 2] / 2
@@ -74,57 +67,71 @@ def pairwise_iou(pred_cxcywh: np.ndarray, gt_cxcywh: np.ndarray):
     return iou, iou - (hull - union) / hull
 
 
-# -- differentiable losses ---------------------------------------------------
+# -- differentiable box loss -------------------------------------------------
 
-def _giou_tensor(pred_corners: Tensor, gt_corners: Tensor) -> Tensor:
-    """Pairwise (already matched) gIoU, [..., 4] x [..., 4] -> [...]."""
-    px1, py1 = pred_corners[..., 0], pred_corners[..., 1]
-    px2, py2 = pred_corners[..., 2], pred_corners[..., 3]
-    gx1, gy1 = gt_corners[..., 0], gt_corners[..., 1]
-    gx2, gy2 = gt_corners[..., 2], gt_corners[..., 3]
-    area_p = T.mul(T.sub(px2, px1), T.sub(py2, py1))
-    area_g = T.mul(T.sub(gx2, gx1), T.sub(gy2, gy1))
-    zero = Tensor(np.zeros(area_p.shape))
-    iw = T.maximum(T.sub(T.minimum(px2, gx2), T.maximum(px1, gx1)), zero)
-    ih = T.maximum(T.sub(T.minimum(py2, gy2), T.maximum(py1, gy1)), zero)
-    inter = T.mul(iw, ih)
-    union = T.sub(T.add(area_p, area_g), inter)
-    hull = T.mul(T.sub(T.maximum(px2, gx2), T.minimum(px1, gx1)),
-                 T.sub(T.maximum(py2, gy2), T.minimum(py1, gy1)))
-    return T.sub(T.div(inter, union), T.div(T.sub(hull, union), hull))
+def box_loss(boxes: Tensor, index, gt: np.ndarray, weights: np.ndarray,
+             l1_weight: float, giou_weight: float) -> Tuple[Tensor, float, float]:
+    """L1 + gIoU over matched (cx, cy, w, h) pairs as one graph node.
 
+    The pairs are ``boxes[index]`` against ``gt``, both [..., 4]; ``weights``
+    (broadcastable to [...]) weights each pair.  Returns the scalar
+    l1_weight * L1 + giou_weight * G and the two terms as floats, where
+    L1 = sum(weights * mean |pred - gt| over the 4 coordinates) and
+    G = sum(weights * (1 - gIoU)).  The backward is written out by hand and
+    keeps the subgradients of the elementwise ops at ties: |0|' = 0, the
+    clamp of an empty intersection passes the gradient at exactly 0, and a
+    min/max tie sends it to the prediction.
+    """
+    pred = boxes.data[index]
+    gt = np.asarray(gt, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    diff = pred - gt
+    l1 = float((np.abs(diff) * (np.expand_dims(w, -1) / pred.shape[-1])).sum())
 
-def giou_loss(pred: Tensor, gt, weights=None) -> Tensor:
-    """Mean of (1 - gIoU) over matched (cx, cy, w, h) pairs [..., P, 4];
-    with ``weights`` (broadcastable to [..., P]), their weighted sum."""
-    if _pair_count(pred) == 0:
-        warnings.warn("giou_loss on empty match set, returning 0")
-        return Tensor(np.zeros(()))
-    if not isinstance(gt, Tensor):
-        gt = np.asarray(gt, dtype=np.float64)
-    g = _giou_tensor(cxcywh_to_corners(pred), cxcywh_to_corners(gt))
-    return _pair_mean(T.sub(1.0, g), weights)
+    p = cxcywh_to_corners(pred)
+    g = cxcywh_to_corners(gt)
+    px1, py1, px2, py2 = (p[..., i] for i in range(4))
+    gx1, gy1, gx2, gy2 = (g[..., i] for i in range(4))
+    pw, ph = px2 - px1, py2 - py1
+    area_g = (gx2 - gx1) * (gy2 - gy1)
+    iw_raw = np.minimum(px2, gx2) - np.maximum(px1, gx1)
+    ih_raw = np.minimum(py2, gy2) - np.maximum(py1, gy1)
+    iw, ih = np.maximum(iw_raw, 0.0), np.maximum(ih_raw, 0.0)
+    inter = iw * ih
+    union = pw * ph + area_g - inter
+    hw = np.maximum(px2, gx2) - np.minimum(px1, gx1)
+    hh = np.maximum(py2, gy2) - np.minimum(py1, gy1)
+    hull = hw * hh
+    giou = inter / union - (hull - union) / hull
+    gl = float(((1.0 - giou) * w).sum())
+    data = np.asarray(l1_weight * l1 + giou_weight * gl)
+    req = boxes.requires_grad
 
+    def backward(grad):
+        grad = float(grad)
+        d_pred = np.sign(diff) * (grad * l1_weight
+                                  * np.expand_dims(w, -1) / pred.shape[-1])
+        d_giou = -(grad * giou_weight) * w
+        d_inter = d_giou / union
+        d_union = -d_giou * inter / (union * union) + d_giou / hull
+        d_hull = -d_giou / hull + d_giou * (hull - union) / (hull * hull)
+        d_inter = d_inter - d_union
+        d_iw = d_inter * ih * (iw_raw >= 0)
+        d_ih = d_inter * iw * (ih_raw >= 0)
+        d_hw, d_hh = d_hull * hh, d_hull * hw
+        d_x2 = d_union * ph + d_iw * (px2 <= gx2) + d_hw * (px2 >= gx2)
+        d_x1 = -d_union * ph - d_iw * (px1 >= gx1) - d_hw * (px1 <= gx1)
+        d_y2 = d_union * pw + d_ih * (py2 <= gy2) + d_hh * (py2 >= gy2)
+        d_y1 = -d_union * pw - d_ih * (py1 >= gy1) - d_hh * (py1 <= gy1)
+        d_pred[..., 0] += d_x1 + d_x2
+        d_pred[..., 1] += d_y1 + d_y2
+        d_pred[..., 2] += 0.5 * (d_x2 - d_x1)
+        d_pred[..., 3] += 0.5 * (d_y2 - d_y1)
+        full = np.zeros_like(boxes.data)
+        np.add.at(full, index, d_pred)
+        boxes.accumulate(full)
 
-def l1_loss(pred: Tensor, gt, weights=None) -> Tensor:
-    """Mean absolute coordinate difference over matched pairs [..., P, 4];
-    with ``weights`` (broadcastable to [..., P]), the weighted sum over pairs
-    of each pair's mean."""
-    if _pair_count(pred) == 0:
-        warnings.warn("l1_loss on empty match set, returning 0")
-        return Tensor(np.zeros(()))
-    diff = T.absolute(T.sub(pred, gt))
-    return _pair_mean(diff, None if weights is None
-                      else np.expand_dims(weights, -1) / pred.shape[-1])
-
-
-def _pair_mean(x: Tensor, weights) -> Tensor:
-    return T.tmean(x) if weights is None else T.tsum(T.mul(x, weights))
-
-
-def _pair_count(x) -> int:
-    shape = x.shape
-    return int(np.prod(shape[:-1])) if len(shape) else 0
+    return Tensor(data, req, (boxes,), backward if req else None), l1, gl
 
 
 # -- matching ----------------------------------------------------------------
@@ -253,11 +260,6 @@ def keyframe_matches(boxes: np.ndarray, action_logits: Optional[np.ndarray],
 
 # -- classification terms ----------------------------------------------------
 
-def cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """Single-label CE from raw logits [G]."""
-    return T.mul(T.log_softmax(logits, axis=-1)[target], -1.0)
-
-
 def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean BCE over all entries; numerically stable softplus form."""
     y = Tensor(np.asarray(targets, dtype=np.float64))
@@ -307,13 +309,11 @@ def total_objective(decoder_out, annotations, weights: LossWeights,
         # padded slots repeat the clip's matched queries, at weight 0
         idx = np.stack([np.resize(m.pred_indices, gt.shape[1])
                         for m in matches])
-        pred = boxes[rows, idx]                              # [B, M, T, 4]
-        l1 = l1_loss(pred, gt, box_w)
-        gl = giou_loss(pred, gt, box_w)
-        total = T.add(total, T.add(T.mul(l1, weights.l1),
-                                   T.mul(gl, weights.giou)))
-        breakdown["l1"] += l1.item()
-        breakdown["giou"] += gl.item()
+        loss, l1, gl = box_loss(boxes, (rows, idx), gt, box_w,
+                                weights.l1, weights.giou)     # [B, M, T, 4]
+        total = T.add(total, loss)
+        breakdown["l1"] += l1
+        breakdown["giou"] += gl
 
     labelled = [i for i, a in enumerate(anns) if a.group_activity is not None]
     if weights.group_ce > 0 and labelled:

@@ -204,24 +204,3 @@ def save_predictions(path, records: Sequence[PredictionRecord]):
                             "keyframe_box": [round(v, 6) for v in a.keyframe_box]}
                            for a in rec.actors],
             }, sort_keys=True) + "\n")
-
-
-def load_predictions(path) -> List[PredictionRecord]:
-    out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MetricError(f"line {lineno}: bad JSON: {exc}")
-            out.append(PredictionRecord(
-                clip_id=rec["clip_id"], group_label=rec["group_label"],
-                group_confidence=rec["group_confidence"],
-                actors=[ActorPrediction(a["labels"], a["confidences"],
-                                        a["keyframe_box"])
-                        for a in rec["actors"]]))
-    for rec in out:
-        rec.validate()
-    return out

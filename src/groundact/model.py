@@ -108,16 +108,18 @@ class GroundedModel:
             reference=ReferenceBoxParams.init(cfg.num_queries),
             decoder=ActionDecoderParams.init(rng, cfg),
         )
+        # name -> Tensor, walked once; load_state keeps the same Tensors
+        self._named = nn.collect_params(self.params)
 
     def named_parameters(self) -> Dict[str, Tensor]:
-        return nn.collect_params(self.params)
+        return dict(self._named)
 
     def zero_grad(self):
-        for p in self.named_parameters().values():
+        for p in self._named.values():
             p.zero_grad()
 
     def load_state(self, arrays: Dict[str, np.ndarray]):
-        params = self.named_parameters()
+        params = self._named
         missing = set(params) ^ set(arrays)
         if missing:
             raise ValueError(f"parameter name mismatch: {sorted(missing)[:5]}")
@@ -128,7 +130,7 @@ class GroundedModel:
             p.data = arrays[name].astype(np.float64).copy()
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self.named_parameters().items()}
+        return {k: v.data.copy() for k, v in self._named.items()}
 
     def forward(self, batch: Batch, ctx: RunContext = nn.EVAL
                 ) -> Tuple[SharedRepresentation, DecoderOutput]:

@@ -23,10 +23,6 @@ class RunContext:
     training: bool = False
     rng: Optional[np.random.Generator] = None
 
-    def drop(self, x, rate: float):
-        keep = self.keep_mask(x.shape, rate)
-        return x if keep is None else T.mul(x, Tensor(keep))
-
     def keep_mask(self, shape, rate: float) -> Optional[np.ndarray]:
         """Inverted-dropout multiplier on a training pass, else None."""
         if self.training and self.rng is not None and rate > 0:
@@ -100,61 +96,35 @@ class AttentionParams:
                    wo, dropout_rate)
 
 
-def multi_head_attention(q_seq: Tensor, kv_seq: Tensor, params: AttentionParams,
-                         mask: Optional[np.ndarray] = None,
-                         ctx: RunContext = EVAL) -> Tensor:
-    """Scaled dot-product attention as one graph node; self-attention when
-    q_seq is kv_seq.
+def _split(x: np.ndarray, h: int) -> np.ndarray:
+    """[..., L, h*dh] -> [..., h, L, dh]."""
+    return np.swapaxes(x.reshape(*x.shape[:-1], h, x.shape[-1] // h), -2, -3)
 
-    Covers the Q/K/V projections, the head split, the scaled and masked
-    scores, softmax, dropout on the attention weights, the weighted sum, the
-    head merge and the output projection; the backward is written out by
-    hand.  The leading axes of q_seq and kv_seq broadcast against each other.
-    mask is a boolean array broadcastable to [..., Lq, Lk]; True marks keys
-    that may be attended to.  Every query row must keep at least one key.
-    """
-    d = params.d_model
-    if q_seq.shape[-1] != d or kv_seq.shape[-1] != d:
-        raise ShapeError(
-            f"width mismatch: q {q_seq.shape}, kv {kv_seq.shape}, d_model {d}")
+
+def _merge(x: np.ndarray) -> np.ndarray:
+    """[..., h, L, dh] -> [..., L, h*dh]."""
+    x = np.swapaxes(x, -2, -3)
+    return x.reshape(*x.shape[:-2], -1)
+
+
+def _attend(q, k, v, mask, ctx: RunContext, rate: float):
+    """Scaled, masked softmax attention of split heads q [..., h, Lq, dh]
+    over k, v [..., h, Lk, dh], with dropout on the weights.  Returns the
+    weighted sum [..., h, Lq, dh] and its backward, d_out -> (d_q, d_k, d_v)
+    before any broadcast is summed away."""
     if mask is not None and not mask.any(axis=-1).all():
         raise ContractError("attention mask has a fully masked query row")
-
-    h = params.num_heads
-    dh = d // h
-    wq, wk, wv, wo = params.wq, params.wk, params.wv, params.wo
-    xq, xkv = q_seq.data, kv_seq.data
-
-    def split(x):       # [..., L, d] -> [..., h, L, dh]
-        return np.swapaxes(x.reshape(*x.shape[:-1], h, dh), -2, -3)
-
-    def merge(x):       # [..., h, L, dh] -> [..., L, d]
-        x = np.swapaxes(x, -2, -3)
-        return x.reshape(*x.shape[:-2], d)
-
-    q = split(xq @ wq.data)
-    k = split(xkv @ wk.data)
-    v = split(xkv @ wv.data)
-    scale = 1.0 / np.sqrt(dh)
+    scale = 1.0 / np.sqrt(q.shape[-1])
     scores = (q @ np.swapaxes(k, -1, -2)) * scale
     if mask is not None:
         m = np.expand_dims(mask, -3) if mask.ndim >= 3 else mask
         scores = np.where(np.broadcast_to(m, scores.shape), scores, -1e9)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
-    keep = ctx.keep_mask(attn.shape, params.dropout_rate)
+    keep = ctx.keep_mask(attn.shape, rate)
     dropped = attn if keep is None else attn * keep
-    merged = merge(dropped @ v)
-    data = merged @ wo.data
 
-    seqs = (q_seq,) if q_seq is kv_seq else (q_seq, kv_seq)
-    parents = seqs + (wq, wk, wv, wo)
-    req = any(p.requires_grad for p in parents)
-
-    def backward(g):
-        if wo.requires_grad:
-            wo.accumulate(T.rows(merged).T @ T.rows(g))
-        d_out = split(g @ wo.data.T)                        # [..., h, Lq, dh]
+    def backward(d_out):
         d_attn = d_out @ np.swapaxes(v, -1, -2)            # [..., h, Lq, Lk]
         d_v = np.swapaxes(dropped, -1, -2) @ d_out         # [..., h, Lk, dh]
         if keep is not None:
@@ -162,9 +132,48 @@ def multi_head_attention(q_seq: Tensor, kv_seq: Tensor, params: AttentionParams,
         # softmax backward; masked weights are exactly 0, so are their scores'
         d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
         d_scores *= scale
-        d_q = T.unbroadcast(merge(d_scores @ k), xq.shape)
-        d_k = T.unbroadcast(merge(np.swapaxes(d_scores, -1, -2) @ q), xkv.shape)
-        d_v = T.unbroadcast(merge(d_v), xkv.shape)
+        return d_scores @ k, np.swapaxes(d_scores, -1, -2) @ q, d_v
+
+    return dropped @ v, backward
+
+
+def multi_head_attention(q_seq: Tensor, kv_seq: Tensor, params: AttentionParams,
+                         mask: Optional[np.ndarray] = None,
+                         ctx: RunContext = EVAL) -> Tensor:
+    """Scaled dot-product attention as one graph node.
+
+    Covers the Q/K/V projections, the head split, the scaled and masked
+    scores, softmax, dropout on the attention weights, the weighted sum, the
+    head merge and the output projection; the backward is written out by
+    hand.  The leading axes of q_seq and kv_seq broadcast against each other.
+    mask is a boolean array broadcastable to [..., Lq, Lk]; True marks keys
+    that may be attended to.  Every query row must keep at least one key.
+    Pre-norm self-attention with its residual is :func:`self_attention_block`.
+    """
+    d = params.d_model
+    if q_seq.shape[-1] != d or kv_seq.shape[-1] != d:
+        raise ShapeError(
+            f"width mismatch: q {q_seq.shape}, kv {kv_seq.shape}, d_model {d}")
+    h = params.num_heads
+    wq, wk, wv, wo = params.wq, params.wk, params.wv, params.wo
+    xq, xkv = q_seq.data, kv_seq.data
+    out, attend_backward = _attend(_split(xq @ wq.data, h),
+                                   _split(xkv @ wk.data, h),
+                                   _split(xkv @ wv.data, h),
+                                   mask, ctx, params.dropout_rate)
+    merged = _merge(out)
+    data = merged @ wo.data
+
+    parents = (q_seq, kv_seq, wq, wk, wv, wo)
+    req = any(p.requires_grad for p in parents)
+
+    def backward(g):
+        if wo.requires_grad:
+            wo.accumulate(T.rows(merged).T @ T.rows(g))
+        d_q, d_k, d_v = attend_backward(_split(g @ wo.data.T, h))
+        d_q = T.unbroadcast(_merge(d_q), xq.shape)
+        d_k = T.unbroadcast(_merge(d_k), xkv.shape)
+        d_v = T.unbroadcast(_merge(d_v), xkv.shape)
         for w, x, dw in ((wq, xq, d_q), (wk, xkv, d_k), (wv, xkv, d_v)):
             if w.requires_grad:
                 w.accumulate(T.rows(x).T @ T.rows(dw))
@@ -173,6 +182,49 @@ def multi_head_attention(q_seq: Tensor, kv_seq: Tensor, params: AttentionParams,
             q_seq.accumulate(d_q @ wq.data.T)
         if kv_seq.requires_grad:
             kv_seq.accumulate(d_k @ wk.data.T + d_v @ wv.data.T)
+
+    return Tensor(data, req, parents, backward if req else None)
+
+
+def self_attention_block(x: Tensor, norm: LayerNormParams,
+                         params: AttentionParams,
+                         mask: Optional[np.ndarray] = None,
+                         ctx: RunContext = EVAL) -> Tensor:
+    """x + attention(h, h) with h = layer_norm(x), as one graph node.
+
+    The same arithmetic as :func:`layer_norm`, :func:`multi_head_attention`
+    and the residual add, and the same dropout draw, except that Q, K and V
+    come from one GEMM against the packed [d, 3d] weight [wq | wk | wv],
+    forward and backward.
+    """
+    d, h = params.d_model, params.num_heads
+    if x.shape[-1] != d:
+        raise ShapeError(f"width mismatch: x {x.shape}, d_model {d}")
+    wq, wk, wv, wo = params.wq, params.wk, params.wv, params.wo
+    hn, normed, std = _layer_norm_forward(x.data, norm)
+    w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+    qkv = _split(hn @ w_qkv, 3 * h)                         # [..., 3h, L, dh]
+    out, attend_backward = _attend(qkv[..., :h, :, :], qkv[..., h:2 * h, :, :],
+                                   qkv[..., 2 * h:, :, :], mask, ctx,
+                                   params.dropout_rate)
+    merged = _merge(out)
+    data = x.data + merged @ wo.data
+
+    parents = (x, norm.gamma, norm.beta, wq, wk, wv, wo)
+    req = any(p.requires_grad for p in parents)
+
+    def backward(g):
+        if wo.requires_grad:
+            wo.accumulate(T.rows(merged).T @ T.rows(g))
+        d_qkv = _merge(np.concatenate(attend_backward(_split(g @ wo.data.T, h)),
+                                      axis=-3))             # [..., L, 3d]
+        d_w = T.rows(hn).T @ T.rows(d_qkv)
+        for i, w in enumerate((wq, wk, wv)):
+            if w.requires_grad:
+                w.accumulate(d_w[:, i * d:(i + 1) * d])
+        d_x = _layer_norm_backward(d_qkv @ w_qkv.T, normed, std, norm)
+        if x.requires_grad:
+            x.accumulate(g + d_x)
 
     return Tensor(data, req, parents, backward if req else None)
 
@@ -195,14 +247,47 @@ class FeedForwardParams:
                    param(rng, d_ff, d), zeros_param(d), dropout_rate)
 
 
-def feed_forward(x: Tensor, params: FeedForwardParams,
-                 ctx: RunContext = EVAL) -> Tensor:
-    """GELU perceptron d -> d_ff -> d, with dropout on the hidden layer."""
-    if x.shape[-1] != params.w1.shape[0]:
-        raise ShapeError(f"ffn width mismatch: {x.shape} vs {params.w1.shape}")
-    hidden = T.gelu(T.linear(x, params.w1, params.b1))
-    hidden = ctx.drop(hidden, params.dropout_rate)
-    return T.linear(hidden, params.w2, params.b2)
+def feed_forward_block(x: Tensor, norm: LayerNormParams,
+                       params: FeedForwardParams,
+                       ctx: RunContext = EVAL) -> Tensor:
+    """x + GELU perceptron(layer_norm(x)), d -> d_ff -> d with dropout on the
+    hidden layer, as one graph node with a hand-written backward."""
+    w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
+    if x.shape[-1] != w1.shape[0]:
+        raise ShapeError(f"ffn width mismatch: {x.shape} vs {w1.shape}")
+    hn, normed, std = _layer_norm_forward(x.data, norm)
+    pre = hn @ w1.data
+    pre += b1.data
+    hidden, tanh = T.gelu_forward(pre)
+    keep = ctx.keep_mask(hidden.shape, params.dropout_rate)
+    if keep is not None:
+        hidden = hidden * keep
+    out = hidden @ w2.data
+    out += b2.data
+    data = x.data + out
+
+    parents = (x, norm.gamma, norm.beta, w1, b1, w2, b2)
+    req = any(p.requires_grad for p in parents)
+
+    def backward(g):
+        g2 = T.rows(g)
+        if w2.requires_grad:
+            w2.accumulate(T.rows(hidden).T @ g2)
+        if b2.requires_grad:
+            b2.accumulate(g2.sum(axis=0))
+        d_hidden = g @ w2.data.T
+        if keep is not None:
+            d_hidden *= keep
+        d_pre = d_hidden * T.gelu_slope(pre, tanh)
+        if w1.requires_grad:
+            w1.accumulate(T.rows(hn).T @ T.rows(d_pre))
+        if b1.requires_grad:
+            b1.accumulate(T.rows(d_pre).sum(axis=0))
+        d_x = _layer_norm_backward(d_pre @ w1.data.T, normed, std, norm)
+        if x.requires_grad:
+            x.accumulate(g + d_x)
+
+    return Tensor(data, req, parents, backward if req else None)
 
 
 # -- layer norm --------------------------------------------------------------
@@ -217,34 +302,53 @@ class LayerNormParams:
         return cls(ones_param(d), zeros_param(d))
 
 
-def layer_norm(x: Tensor, params: LayerNormParams, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis, then scale and shift; one graph node."""
+_LN_EPS = 1e-5
+
+
+def _layer_norm_forward(x: np.ndarray, params: LayerNormParams):
+    """Normalized, scaled and shifted x, plus the normalized rows and their
+    standard deviations for the backward."""
     gamma, beta = params.gamma, params.beta
     n = x.shape[-1]
     if gamma.shape != (n,) or beta.shape != (n,):
         raise ShapeError(f"layer norm of width {n} with gamma {gamma.shape}, "
                          f"beta {beta.shape}")
-    mean = x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
-    centered = x.data - mean
+    mean = x.sum(axis=-1, keepdims=True) * (1.0 / n)
+    centered = x - mean
     var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
-    std = np.sqrt(var + eps)
+    std = np.sqrt(var + _LN_EPS)
     normed = centered / std
-    data = normed * gamma.data + beta.data
-    req = x.requires_grad or gamma.requires_grad or beta.requires_grad
+    return normed * gamma.data + beta.data, normed, std
+
+
+def _layer_norm_backward(g: np.ndarray, normed: np.ndarray, std: np.ndarray,
+                         params: LayerNormParams) -> np.ndarray:
+    """Accumulate gamma's and beta's gradients; return the input's."""
+    gamma, beta = params.gamma, params.beta
+    if gamma.requires_grad:
+        gamma.accumulate(T.rows(g * normed).sum(axis=0))
+    if beta.requires_grad:
+        beta.accumulate(T.rows(g).sum(axis=0))
+    n = g.shape[-1]
+    gn = g * gamma.data
+    dot = (gn * normed).sum(axis=-1, keepdims=True) * (1.0 / n)
+    gn -= gn.sum(axis=-1, keepdims=True) * (1.0 / n)
+    gn -= normed * dot
+    return gn / std
+
+
+def layer_norm(x: Tensor, params: LayerNormParams) -> Tensor:
+    """Normalize the last axis, then scale and shift; one graph node."""
+    data, normed, std = _layer_norm_forward(x.data, params)
+    parents = (x, params.gamma, params.beta)
+    req = any(p.requires_grad for p in parents)
 
     def backward(g):
-        if gamma.requires_grad:
-            gamma.accumulate(T.rows(g * normed).sum(axis=0))
-        if beta.requires_grad:
-            beta.accumulate(T.rows(g).sum(axis=0))
+        d_x = _layer_norm_backward(g, normed, std, params)
         if x.requires_grad:
-            gn = g * gamma.data
-            dot = (gn * normed).sum(axis=-1, keepdims=True) * (1.0 / n)
-            gn -= gn.sum(axis=-1, keepdims=True) * (1.0 / n)
-            gn -= normed * dot
-            x.accumulate(gn / std)
+            x.accumulate(d_x)
 
-    return Tensor(data, req, (x, gamma, beta), backward if req else None)
+    return Tensor(data, req, parents, backward if req else None)
 
 
 # -- conv1d ------------------------------------------------------------------

@@ -3,8 +3,11 @@
 Everything downstream (attention blocks, the grounding losses, the training
 loop) is built from the operations defined here.  Tensors wrap numpy arrays,
 record their parents, and carry a closure implementing the local backward
-rule; calling :func:`backward` on a scalar root topologically sorts the graph
-and accumulates gradients additively into every ``requires_grad`` leaf.
+rule.  Every node built under grad mode is recorded, by weak reference, on a
+tape in creation order; calling :func:`backward` on a scalar root runs the
+backward rules in reverse creation order (a valid topological order, since a
+node is always created after its parents) and accumulates gradients
+additively into every ``requires_grad`` leaf.
 
 Double precision is the default everywhere; the finite-difference checker
 :func:`grad_check` relies on it.
@@ -13,6 +16,7 @@ Double precision is the default everywhere; the finite-difference checker
 from __future__ import annotations
 
 import struct
+import weakref
 from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
@@ -45,6 +49,11 @@ def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 _grad_enabled = True
 
+# weak references to the nodes that have a backward rule, in creation order;
+# dead entries are dropped whenever the list outgrows twice its live size
+_tape: list = []
+_tape_room = 1024
+
 
 @contextmanager
 def no_grad():
@@ -68,7 +77,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "_backward_run", "name")
+                 "_backward_run", "name", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False,
                  _parents: tuple = (), _backward: Optional[Callable] = None,
@@ -76,6 +85,8 @@ class Tensor:
         self.data = _as_array(data) if not isinstance(data, np.ndarray) else data
         if _parents and not _grad_enabled:
             requires_grad, _parents, _backward = False, (), None
+        if _backward is not None:
+            _record(self)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self._parents = _parents
@@ -112,6 +123,8 @@ class Tensor:
         self._backward_run = False
 
     def accumulate(self, g: np.ndarray):
+        """Add ``g`` to this node's gradient; ops call it only for parents
+        that require grad."""
         # the first write may alias another node's gradient (``add`` hands
         # the same array to both parents), so later writes add out of place
         if self.grad is None:
@@ -141,15 +154,17 @@ class Tensor:
                 stack.append((p, False))
         return order
 
-    def backward(self, order: Optional[list] = None):
+    def backward(self):
         """Accumulate d(self)/d(leaf) into every requires_grad leaf.
 
         ``self`` must be a scalar produced through the graph.  A second call
         without an intervening :meth:`zero_grad` is rejected: gradients are
         accumulated additively, so a silent re-run would double them.
 
-        ``order`` optionally supplies an alternative (valid) topological
-        ordering of the graph; gradients do not depend on the choice.
+        The tape is walked from its newest node back: a node's gradient is
+        complete once every later node has run.  Each interior node's
+        gradient is freed as soon as its backward rule has run, so a later
+        backward through a shared subgraph starts from zero there.
         """
         if self.size != 1:
             raise ContractError(
@@ -158,12 +173,21 @@ class Tensor:
             raise ContractError(
                 "backward already run on this root; call zero_grad first")
         self._backward_run = True
-        if order is None:
-            order = self.topo_order()
         self.accumulate(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        tape = _tape[:]
+        try:
+            for ref in reversed(tape):
+                node = ref()
+                if node is not None and node.grad is not None:
+                    node._backward(node.grad)
+                    node.grad = None
+        except BaseException:
+            # no half-propagated gradient may reach a later backward
+            for ref in tape:
+                node = ref()
+                if node is not None:
+                    node.grad = None
+            raise
 
     # -- operator sugar ------------------------------------------------------
 
@@ -210,6 +234,14 @@ class Tensor:
         return tmean(self, axis=axis, keepdims=keepdims)
 
 
+def _record(node: Tensor):
+    global _tape_room
+    if len(_tape) >= _tape_room:
+        _tape[:] = [ref for ref in _tape if ref() is not None]
+        _tape_room = max(1024, 2 * len(_tape))
+    _tape.append(weakref.ref(node))
+
+
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -223,9 +255,9 @@ def _binary(a, b, fwd, bwd_a, bwd_b) -> Tensor:
     req = a.requires_grad or b.requires_grad
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a.accumulate(unbroadcast(bwd_a(g, a.data, b.data), a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b.accumulate(unbroadcast(bwd_b(g, a.data, b.data), b.shape))
 
     return Tensor(data, req, (a, b), backward if req else None)
@@ -299,9 +331,9 @@ def matmul(a, b):
     req = a.requires_grad or b.requires_grad
 
     def backward(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a.accumulate(unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b.accumulate(unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return Tensor(data, req, (a, b), backward if req else None)
@@ -345,17 +377,27 @@ def relu(x):
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
+def gelu_forward(v: np.ndarray):
+    """tanh-approximated GELU of an array, and the tanh its slope reuses."""
+    t = np.tanh(_GELU_C * (v + 0.044715 * (v * v * v)))
+    return 0.5 * v * (1.0 + t), t
+
+
+def gelu_slope(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d gelu(v) / dv, given the tanh from :func:`gelu_forward`."""
+    dinner = _GELU_C * (1.0 + 3 * 0.044715 * (v * v))
+    return 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner
+
+
 def gelu(x):
     """tanh-approximated GELU; backward reuses the forward tanh."""
     x = as_tensor(x)
     v = x.data
-    t = np.tanh(_GELU_C * (v + 0.044715 * (v * v * v)))
-    data = 0.5 * v * (1.0 + t)
+    data, t = gelu_forward(v)
     req = x.requires_grad
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (v * v))
-        x.accumulate(g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner))
+        x.accumulate(g * gelu_slope(v, t))
 
     return Tensor(data, req, (x,), backward if req else None)
 
@@ -508,14 +550,27 @@ def transpose(x, axes):
     return Tensor(data, req, (x,), backward if req else None)
 
 
+def _is_basic_index(idx) -> bool:
+    """Whether idx selects by ints, slices, None and Ellipsis only: such an
+    index never picks an element twice."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(p is None or p is Ellipsis or isinstance(p, slice)
+               or (isinstance(p, (int, np.integer)) and not isinstance(p, bool))
+               for p in parts)
+
+
 def getitem(x, idx):
     x = as_tensor(x)
     data = x.data[idx]
     req = x.requires_grad
+    basic = _is_basic_index(idx)
 
     def backward(g):
         full = np.zeros_like(x.data)
-        np.add.at(full, idx, g)
+        if basic:
+            full[idx] = g
+        else:       # an advanced index may repeat elements
+            np.add.at(full, idx, g)
         x.accumulate(full)
 
     return Tensor(data, req, (x,), backward if req else None)
@@ -530,7 +585,7 @@ def concat(tensors: Sequence, axis: int = 0):
 
     def backward(g):
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            if t.requires_grad or t._parents:
+            if t.requires_grad:
                 t.accumulate(piece)
 
     return Tensor(data, req, tuple(tensors), backward if req else None)

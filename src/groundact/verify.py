@@ -13,7 +13,7 @@ from .config import ModelConfig
 from .decoder import ActionDecoderParams, decode
 from .encoder import VLEncoderParams, encode
 from .fusion import ActorBoxSet, ActorFusionParams, ReferenceBoxParams, fuse
-from .losses import giou_loss, l1_loss
+from .losses import box_loss
 from .tensor import Tensor, grad_check
 
 TOLERANCE = 1e-4
@@ -45,6 +45,13 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
     key_mask = np.array([[[True, False, True], [True, True, False]],
                          [[False, True, True], [True, True, True]]])[:, None]
     attn = nn.AttentionParams.init(frng, 4, 2)
+    # the fused sublayers draw from a second child generator, so every case
+    # above keeps its inputs
+    brng = rng.spawn(1)[0]
+    ub = lambda *s: Tensor(brng.uniform(-1, 1, size=s))
+    norm = nn.LayerNormParams(ub(4), ub(4))
+    wo = ub(4, 4)
+    m_block = ub(1, 2, 4)
 
     def unpack(x, *shapes):
         """Consecutive slices of a flat input, reshaped."""
@@ -76,6 +83,20 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
         q, kv = unpack(x, (2, 1, 2, 4), (2, 3, 3, 4))
         out = nn.multi_head_attention(q, kv, attn, key_mask)
         return T.tsum(T.mul(out, m_cross))
+
+    def self_attention_block(x):
+        # Q/K/V packed into one GEMM; dropout on, as in self_attention
+        xs, wq, wk, wv = unpack(x, (1, 2, 4), *[(4, 4)] * 3)
+        p = nn.AttentionParams(2, 4, wq, wk, wv, wo, dropout_rate=0.25)
+        ctx = nn.RunContext(training=True, rng=np.random.default_rng(0))
+        return T.tsum(T.mul(nn.self_attention_block(xs, norm, p, None, ctx),
+                            m_block))
+
+    def feed_forward_block(x):
+        xs, w1, b1, w2, b2 = unpack(x, (1, 2, 4), (4, 4), (4,), (4, 4), (4,))
+        p = nn.FeedForwardParams(w1, b1, w2, b2, dropout_rate=0.25)
+        ctx = nn.RunContext(training=True, rng=np.random.default_rng(0))
+        return T.tsum(T.mul(nn.feed_forward_block(xs, norm, p, ctx), m_block))
 
     cases = [
         ("add", lambda x: T.tsum(T.add(x, b)), u(4, 3)),
@@ -122,6 +143,8 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
         ("layer_norm", layer_norm, uf(24 + 4 + 4)),
         ("self_attention", self_attention, uf(24 + 4 * 16)),
         ("cross_attention", cross_attention, uf(16 + 72)),
+        ("self_attention_block", self_attention_block, ub(8 + 3 * 16)),
+        ("feed_forward_block", feed_forward_block, ub(8 + 2 * 16 + 2 * 4)),
     ]
     return cases
 
@@ -157,19 +180,16 @@ def block_cases(rng: np.random.Generator):
         v = T.reshape(v_flat, (1, t, hw, d))
         rep = encode(v, t_f0, enc, cfg)
         out = decode(rep, dec, cfg, fus, ref)
-        gt = Tensor(np.array([[[0.3, 0.4, 0.2, 0.2]] * t]))
-        box_terms = T.add(l1_loss(out.per_layer_boxes[-1][0, :1],
-                                  np.array([[[0.3, 0.4, 0.2, 0.2]] * t])),
-                          giou_loss(T.reshape(out.per_layer_boxes[-1][0, :1],
-                                              (-1, 4)),
-                                    np.array([[0.3, 0.4, 0.2, 0.2]] * t)))
+        # mean L1 + mean (1 - gIoU) of query 0's tube against one gt tube
+        gt = np.array([[[0.3, 0.4, 0.2, 0.2]] * t])
+        box_terms = box_loss(out.per_layer_boxes[-1], (0, slice(0, 1)), gt,
+                             np.full((1, t), 1.0 / t), 1.0, 1.0)[0]
         return T.add(box_terms, T.tsum(T.mul(out.action_logits, 0.01)))
 
     def through_losses(boxes_flat: Tensor) -> Tensor:
         pred = T.add(T.mul(T.sigmoid(boxes_flat), 0.4), 0.2)  # well inside (0,1)
         gt = np.array([[0.35, 0.45, 0.2, 0.25], [0.6, 0.55, 0.3, 0.2]])
-        return T.add(T.mul(l1_loss(pred, gt), 5.0),
-                     T.mul(giou_loss(pred, gt), 2.0))
+        return box_loss(pred, slice(None), gt, np.full(2, 0.5), 5.0, 2.0)[0]
 
     return [
         ("vl_encoder", through_encoder,

@@ -1,10 +1,13 @@
 """Configuration dataclasses and INI round-tripping."""
 
+import configparser
+import dataclasses
+
 import pytest
 
 from groundact.config import (ConfigError, ExperimentConfig, LossWeights,
                               ModelConfig, TrainConfig, config_from_dict,
-                              config_to_dict, load_config, save_config)
+                              config_to_dict, load_config)
 
 
 def test_defaults_match_reference_recipe():
@@ -34,7 +37,13 @@ def test_ini_round_trip(tmp_path):
     cfg.loss.giou = 3.5
     cfg.train.seed = 7
     path = tmp_path / "cfg.ini"
-    save_config(cfg, path)
+    parser = configparser.ConfigParser()
+    for section in ("model", "loss", "train"):
+        target = getattr(cfg, section)
+        parser[section] = {f.name: str(getattr(target, f.name))
+                           for f in dataclasses.fields(target)}
+    with open(path, "w") as fh:
+        parser.write(fh)
     loaded = load_config(path)
     assert loaded.model.d_model == 32
     assert loaded.model.use_actor_fusion is False

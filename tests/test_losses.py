@@ -127,44 +127,170 @@ def test_pairwise_iou_agrees_with_scalar():
             assert abs(iou[i, j] - iw * ih / union) <= 1e-12
 
 
-# -- differentiable losses ---------------------------------------------------
+# -- composed references -----------------------------------------------------
+#
+# L1, gIoU and cross-entropy built from tensor primitives, one graph node per
+# step, the way the objective was first written.  The fused box-loss node
+# must agree with them in value and in every gradient.
+
+def _corners(boxes: Tensor) -> Tensor:
+    cx, cy = boxes[..., 0:1], boxes[..., 1:2]
+    w, h = boxes[..., 2:3], boxes[..., 3:4]
+    half_w, half_h = T.mul(w, 0.5), T.mul(h, 0.5)
+    return T.concat([T.sub(cx, half_w), T.sub(cy, half_h),
+                     T.add(cx, half_w), T.add(cy, half_h)], axis=-1)
+
+
+def _giou_tensor(pred_corners: Tensor, gt_corners) -> Tensor:
+    """Pairwise (already matched) gIoU, [..., 4] x [..., 4] -> [...]."""
+    px1, py1 = pred_corners[..., 0], pred_corners[..., 1]
+    px2, py2 = pred_corners[..., 2], pred_corners[..., 3]
+    gx1, gy1 = gt_corners[..., 0], gt_corners[..., 1]
+    gx2, gy2 = gt_corners[..., 2], gt_corners[..., 3]
+    area_p = T.mul(T.sub(px2, px1), T.sub(py2, py1))
+    area_g = T.mul(T.sub(gx2, gx1), T.sub(gy2, gy1))
+    zero = Tensor(np.zeros(area_p.shape))
+    iw = T.maximum(T.sub(T.minimum(px2, gx2), T.maximum(px1, gx1)), zero)
+    ih = T.maximum(T.sub(T.minimum(py2, gy2), T.maximum(py1, gy1)), zero)
+    inter = T.mul(iw, ih)
+    union = T.sub(T.add(area_p, area_g), inter)
+    hull = T.mul(T.sub(T.maximum(px2, gx2), T.minimum(px1, gx1)),
+                 T.sub(T.maximum(py2, gy2), T.minimum(py1, gy1)))
+    return T.sub(T.div(inter, union), T.div(T.sub(hull, union), hull))
+
+
+def giou_loss(pred: Tensor, gt, weights=None) -> Tensor:
+    """Mean of (1 - gIoU) over matched pairs [..., P, 4]; with ``weights``
+    (broadcastable to [..., P]), their weighted sum."""
+    g = _giou_tensor(_corners(pred), L.cxcywh_to_corners(gt))
+    x = T.sub(1.0, g)
+    return T.tmean(x) if weights is None else T.tsum(T.mul(x, weights))
+
+
+def l1_loss(pred: Tensor, gt, weights=None) -> Tensor:
+    """Mean absolute coordinate difference over matched pairs [..., P, 4];
+    with ``weights``, the weighted sum over pairs of each pair's mean."""
+    diff = T.absolute(T.sub(pred, gt))
+    if weights is None:
+        return T.tmean(diff)
+    return T.tsum(T.mul(diff, np.expand_dims(weights, -1) / pred.shape[-1]))
+
+
+def cross_entropy(logits: Tensor, target: int) -> Tensor:
+    """Single-label CE from raw logits [G]."""
+    return T.mul(T.log_softmax(logits, axis=-1)[target], -1.0)
+
+
+def _fused_terms(pred, gt):
+    """The fused node's (L1, gIoU) terms as unweighted means over pairs."""
+    pred = pred if isinstance(pred, Tensor) else Tensor(pred)
+    weights = np.full(pred.shape[:-1], 1.0 / max(pred.size // 4, 1))
+    return L.box_loss(pred, slice(None), gt, weights, 1.0, 1.0)[1:]
+
+
+# -- differentiable box loss -------------------------------------------------
 
 def test_giou_loss_single_pair_value():
     pred = Tensor(np.array([[0.5, 0.5, 1.0, 1.0]]))   # corners (0,0,1,1)
     gt = np.array([[2.5, 2.5, 1.0, 1.0]])             # corners (2,2,3,3)
-    loss = L.giou_loss(pred, gt)
+    loss, _, gl = L.box_loss(pred, slice(None), gt, np.ones(1), 0.0, 1.0)
     assert abs(loss.item() - 16.0 / 9.0) <= 1e-12     # 1 - (-7/9)
+    assert loss.item() == gl
 
 
 def test_giou_loss_identical_zero():
     b = np.array([[0.4, 0.6, 0.2, 0.2], [0.7, 0.3, 0.1, 0.3]])
-    assert L.giou_loss(Tensor(b.copy()), b).item() == 0.0
+    assert _fused_terms(b.copy(), b) == (0.0, 0.0)
 
 
-def test_giou_loss_empty_warns_and_zero():
-    with pytest.warns(UserWarning):
-        loss = L.giou_loss(Tensor(np.zeros((0, 4))), np.zeros((0, 4)))
-    assert loss.item() == 0.0
+def test_box_loss_empty_match_is_zero():
+    boxes = Tensor(np.full((2, 3, 4), 0.5), requires_grad=True)
+    idx = (np.zeros((2, 0), dtype=int), np.zeros((2, 0), dtype=int))
+    loss, l1, gl = L.box_loss(boxes, idx, np.zeros((2, 0, 4)),
+                              np.zeros((2, 0)), 5.0, 2.0)
+    assert (loss.item(), l1, gl) == (0.0, 0.0, 0.0)
+    loss.backward()
+    np.testing.assert_array_equal(boxes.grad, np.zeros((2, 3, 4)))
 
 
 def test_giou_loss_gradient():
-    rng = np.random.default_rng(2)
     gt = np.array([[0.5, 0.5, 0.3, 0.3], [0.2, 0.7, 0.15, 0.2]])
     pred0 = Tensor(np.array([[0.45, 0.55, 0.25, 0.35], [0.3, 0.6, 0.2, 0.15]]))
-    err = grad_check(lambda p: L.giou_loss(p, gt), pred0)
+    w = np.full(2, 0.5)
+    err = grad_check(
+        lambda p: L.box_loss(p, slice(None), gt, w, 0.0, 1.0)[0], pred0)
     assert err <= 1e-4
 
 
 def test_l1_loss_hand_value():
-    pred = Tensor(np.array([[0.5, 0.5, 0.2, 0.2]]))
+    pred = np.array([[0.5, 0.5, 0.2, 0.2]])
     gt = np.array([[0.6, 0.5, 0.2, 0.4]])
-    assert abs(L.l1_loss(pred, gt).item() - 0.075) <= 1e-12
+    assert abs(_fused_terms(pred, gt)[0] - 0.075) <= 1e-12
 
 
 def test_l1_loss_symmetric():
     rng = np.random.default_rng(3)
     a, b = rng.random((4, 4)), rng.random((4, 4))
-    assert L.l1_loss(Tensor(a), b).item() == L.l1_loss(Tensor(b), a).item()
+    assert _fused_terms(a, b)[0] == _fused_terms(b, a)[0]
+
+
+def _box_loss_cases():
+    """(boxes [B, N, T, 4], gathered query per gt [B, M], gt [B, M, T, 4],
+    weights [B, M, 1]).  The first case has exact dyadic coordinates:
+    min/max ties on both sides of an axis with equal centres (|0|), an
+    identical pair, touching boxes (an intersection of exactly 0 width),
+    disjoint boxes, a tie on one side only, and, as ``total_objective``
+    pads, a repeated query at weight 0."""
+    gt = np.array([[[[0.5, 0.5, 0.25, 0.25]] * 2,
+                    [[0.25, 0.75, 0.125, 0.25]] * 2],
+                   [[[0.625, 0.375, 0.25, 0.5]] * 2,
+                    [[0.5, 0.5, 0.5, 0.5]] * 2]])
+    boxes = np.array([[[[0.5, 0.5, 0.375, 0.25],       # y sides tie
+                        [0.5, 0.5, 0.25, 0.25]],       # identical
+                       [[0.375, 0.8125, 0.125, 0.25],  # x1 touches gt x2
+                        [0.0625, 0.125, 0.125, 0.125]],  # disjoint
+                       [[0.4, 0.45, 0.3, 0.2], [0.55, 0.6, 0.2, 0.3]]],
+                      [[[0.625, 0.375, 0.25, 0.25],    # x sides tie
+                        [0.6875, 0.375, 0.125, 0.5]],  # x2 and y sides tie
+                       [[0.9, 0.9, 0.125, 0.125], [0.75, 0.5, 0.5, 0.5]],
+                       [[0.3, 0.2, 0.1, 0.3], [0.8, 0.8, 0.3, 0.3]]]])
+    idx = np.array([[0, 1], [0, 0]])
+    weights = np.array([[[0.25], [0.25]], [[0.5], [0.0]]])
+    yield boxes, idx, gt, weights
+    rng = np.random.default_rng(31)
+    boxes = rng.uniform(0.3, 0.7, size=(3, 4, 2, 4))
+    boxes[..., 2:] = rng.uniform(0.05, 0.4, size=(3, 4, 2, 2))
+    gt = rng.uniform(0.3, 0.7, size=(3, 3, 2, 4))
+    gt[..., 2:] = rng.uniform(0.05, 0.4, size=(3, 3, 2, 2))
+    idx = np.array([[2, 0, 2], [1, 3, 0], [3, 1, 2]])
+    weights = np.array([[[0.2], [0.3], [0.0]], [[0.1], [0.1], [0.1]],
+                        [[0.4], [0.0], [0.0]]])
+    yield boxes, idx, gt, weights
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_fused_box_loss_matches_composed(case):
+    boxes, idx, gt, weights = list(_box_loss_cases())[case]
+    index = (np.arange(len(idx))[:, None], idx)
+    results = []
+    for fused in (True, False):
+        x = Tensor(boxes.copy(), requires_grad=True)
+        if fused:
+            loss, l1, gl = L.box_loss(x, index, gt, weights, 5.0, 2.0)
+        else:
+            l1_t, gl_t = l1_loss(x[index], gt, weights), giou_loss(
+                x[index], gt, weights)
+            l1, gl = l1_t.item(), gl_t.item()
+            loss = T.add(T.mul(l1_t, 5.0), T.mul(gl_t, 2.0))
+        T.mul(loss, 0.75).backward()
+        results.append((loss.item(), l1, gl, x.grad))
+    (v_f, l1_f, gl_f, g_f), (v_c, l1_c, gl_c, g_c) = results
+    assert (v_f, l1_f, gl_f) == (v_c, l1_c, gl_c)
+    np.testing.assert_allclose(g_f, g_c, rtol=0, atol=1e-12)
+    if case == 0:
+        # unmatched queries get nothing, nor does the padded repeat
+        assert not g_f[:, 2].any() and not g_f[1, 1].any()
+        assert g_f[0, 0].any() and g_f[0, 1].any() and g_f[1, 0].any()
 
 
 # -- matching ----------------------------------------------------------------
@@ -300,15 +426,22 @@ def test_batched_match_cost_equals_per_clip_calls():
 
 # -- classification terms ----------------------------------------------------
 
+def _group_ce(group_logits, group):
+    tube = np.stack([[0.4, 0.5, 0.2, 0.2]] * 2)
+    out = _fake_output([tube[None, None]], group_logits=group_logits[None])
+    return L.total_objective(out, [_annotation([tube], [[0]], group)],
+                             LossWeights(action_bce=0.0),
+                             keyframe=1)[1]["group_ce"]
+
+
 def test_cross_entropy_uniform_logits():
-    logits = Tensor(np.zeros(6))
-    assert abs(L.cross_entropy(logits, 3).item() - np.log(6.0)) <= 1e-12
+    assert abs(_group_ce(np.zeros(6), 3) - np.log(6.0)) <= 1e-12
 
 
 def test_cross_entropy_confident_correct_near_zero():
-    logits = np.full(4, -10.0)
+    logits = np.full(6, -10.0)
     logits[2] = 10.0
-    assert L.cross_entropy(Tensor(logits), 2).item() < 1e-6
+    assert _group_ce(logits, 2) < 1e-6
 
 
 def test_bce_matches_direct_formula():
@@ -359,8 +492,8 @@ def test_total_objective_weighting():
     out = _fake_output([pred], action_logits=np.zeros((1, 1, 6)))
     w = LossWeights(group_ce=0.0, action_bce=0.0)
     total, breakdown = L.total_objective(out, [ann], w, keyframe=1)
-    l1 = L.l1_loss(Tensor(pred[0, 0]), gt_tube).item()
-    gl = L.giou_loss(Tensor(pred[0, 0]), gt_tube).item()
+    l1 = l1_loss(Tensor(pred[0, 0]), gt_tube).item()
+    gl = giou_loss(Tensor(pred[0, 0]), gt_tube).item()
     assert abs(total.item() - (5 * l1 + 2 * gl)) <= 1e-10
     assert abs(breakdown["l1"] - l1) <= 1e-12
 
@@ -456,13 +589,13 @@ def _one_clip_objectives(out, anns, w, keyframe, weak=False,
                                 weak=weak)
             match = L.hungarian_match(cost)
             pred = clip_boxes[0, match.pred_indices]
-            l1 = L.l1_loss(pred, gt)
-            gl = L.giou_loss(T.reshape(pred, (-1, 4)), gt.reshape(-1, 4))
+            l1 = l1_loss(pred, gt)
+            gl = giou_loss(T.reshape(pred, (-1, 4)), gt.reshape(-1, 4))
             total = total + l1 * w.l1 + gl * w.giou
             agg["l1"] += l1.item() / b
             agg["giou"] += gl.item() / b
         if w.group_ce > 0 and ann.group_activity is not None:
-            ce = L.cross_entropy(out.group_logits[s][0], ann.group_activity)
+            ce = cross_entropy(out.group_logits[s][0], ann.group_activity)
             total = total + ce * w.group_ce
             agg["group_ce"] += ce.item() / b
         if not weak and w.action_bce > 0 and match is not None:

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from groundact import nn
 from groundact import tensor as T
 from groundact.nn import (AttentionParams, FeedForwardParams, LayerNormParams,
-                          RunContext, conv1d, feed_forward, layer_norm,
-                          multi_head_attention, positional_encode)
+                          RunContext, conv1d, feed_forward_block, layer_norm,
+                          multi_head_attention, positional_encode,
+                          self_attention_block)
 from groundact.tensor import ContractError, ShapeError, Tensor
 
 
@@ -140,20 +141,29 @@ def test_feed_forward_zero_weights_gives_bias():
     d, dff = 3, 6
     p = FeedForwardParams(Tensor(np.zeros((d, dff))), Tensor(np.zeros(dff)),
                           Tensor(np.zeros((dff, d))), Tensor(np.full(d, 0.25)))
-    out = feed_forward(Tensor(np.random.default_rng(0).normal(size=(5, d))), p)
-    np.testing.assert_array_equal(out.data, np.full((5, d), 0.25))
+    x = Tensor(np.random.default_rng(0).normal(size=(5, d)))
+    out = feed_forward_block(x, LayerNormParams.init(d), p)
+    np.testing.assert_array_equal(out.data, x.data + 0.25)
 
 
 def test_feed_forward_gelu_hand_case():
-    # w1 = [[1, -1]], w2 = [[2], [3]]: out = 2 gelu(x) + 3 gelu(-x)
-    p = FeedForwardParams(Tensor(np.array([[1.0, -1.0]])), Tensor(np.zeros(2)),
-                          Tensor(np.array([[2.0], [3.0]])), Tensor(np.zeros(1)))
-    out = feed_forward(Tensor(np.array([[2.0], [-1.0]])), p)
+    # rows [+-1000, -+1000] normalize to [+-1, -+1] (to ~5e-12), so with
+    # gamma 1.5 and beta 0.5 the first normed coordinate v is 2, then -1.
+    # w1 = [[1, -1], [0, 0]], w2 = [[2, 0], [3, 0]]: the block adds
+    # [2 gelu(v) + 3 gelu(-v), 0] to its input
+    p = FeedForwardParams(Tensor(np.array([[1.0, -1.0], [0.0, 0.0]])),
+                          Tensor(np.zeros(2)),
+                          Tensor(np.array([[2.0, 0.0], [3.0, 0.0]])),
+                          Tensor(np.zeros(2)))
+    norm = LayerNormParams(Tensor(np.full(2, 1.5)), Tensor(np.full(2, 0.5)))
+    x = Tensor(np.array([[1000.0, -1000.0], [-1000.0, 1000.0]]))
+    out = feed_forward_block(x, norm, p)
     # tanh-approximated GELU by hand: gelu(2) = 1.95459769, gelu(-2) =
     # -0.04540231, gelu(1) = 0.84119199, gelu(-1) = -0.15880801
-    # x=2: 2 * 1.95459769 + 3 * -0.04540231 = 3.77298847
-    # x=-1: 2 * -0.15880801 + 3 * 0.84119199 = 2.20595995
-    np.testing.assert_allclose(out.data, [[3.77298847], [2.20595995]],
+    # v=2: 2 * 1.95459769 + 3 * -0.04540231 = 3.77298847
+    # v=-1: 2 * -0.15880801 + 3 * 0.84119199 = 2.20595995
+    np.testing.assert_allclose(out.data - x.data,
+                               [[3.77298847, 0.0], [2.20595995, 0.0]],
                                atol=1e-8)
 
 
@@ -255,11 +265,10 @@ def test_positional_encode_overflow_rejected():
 
 def test_dropout_eval_is_identity_train_scales():
     rng = np.random.default_rng(10)
-    x = Tensor(np.ones((100, 10)))
-    out_eval = nn.EVAL.drop(x, 0.5)
-    np.testing.assert_array_equal(out_eval.data, x.data)
+    assert nn.EVAL.keep_mask((100, 10), 0.5) is None
     ctx = RunContext(training=True, rng=np.random.default_rng(0))
-    out_train = ctx.drop(x, 0.5).data
+    assert ctx.keep_mask((100, 10), 0.0) is None
+    out_train = ctx.keep_mask((100, 10), 0.5)
     kept = out_train != 0
     assert 0.3 < kept.mean() < 0.7
     np.testing.assert_allclose(out_train[kept], 2.0)  # inverted scaling
@@ -440,6 +449,119 @@ def test_fused_layer_norm_matches_composed(shape):
     _assert_agree(lambda x, g, b: layer_norm(x, p),
                   lambda x, g, b: _composed_layer_norm(x, p),
                   [x, p.gamma, p.beta], weight)
+
+
+def _composed_self_attention_block(x, norm, params, mask=None, rng=None):
+    h = _composed_layer_norm(x, norm)
+    return T.add(x, _composed_attention(h, h, params, mask, rng))
+
+
+def _composed_feed_forward_block(x, norm, params, rng=None):
+    hidden = T.gelu(T.linear(_composed_layer_norm(x, norm), params.w1,
+                             params.b1))
+    if rng is not None:
+        rate = params.dropout_rate
+        hidden = T.mul(hidden, Tensor((rng.random(hidden.shape) >= rate)
+                                      / (1.0 - rate)))
+    return T.add(x, T.linear(hidden, params.w2, params.b2))
+
+
+def _rand_norm(rng, d):
+    return LayerNormParams(Tensor(rng.normal(size=d), requires_grad=True),
+                           Tensor(rng.normal(size=d), requires_grad=True))
+
+
+# (shape of x, masked, dropout): the text block, the encoder's per-cell
+# temporal attention over [B, HW, T, d], its one-row group token
+BLOCK_CASES = {"plain": ((2, 5, 8), False, False),
+               "masked": ((2, 4, 8), True, False),
+               "dropout": ((2, 5, 8), False, True),
+               "cells_4d": ((2, 3, 4, 8), False, True),
+               "one_row": ((3, 1, 8), False, False)}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_self_attention_block_matches_composed(case):
+    shape, masked, dropout = BLOCK_CASES[case]
+    rng = np.random.default_rng(21)
+    p = AttentionParams.init(rng, 8, 2, dropout_rate=0.3 if dropout else 0.0)
+    norm = _rand_norm(rng, 8)
+    x = Tensor(rng.normal(size=shape) * 2 + 0.5, requires_grad=True)
+    mask = None
+    if masked:
+        mask = np.ones(shape[:-1] + (shape[-2],), dtype=bool)
+        mask[0, :, -1] = mask[1, :, -2:] = False
+    weight = Tensor(rng.normal(size=shape))
+    inputs = [x, norm.gamma, norm.beta, p.wq, p.wk, p.wv, p.wo]
+    gens = []
+
+    def fused(x, *_):
+        ctx = RunContext(training=dropout, rng=np.random.default_rng(5))
+        gens.append(ctx.rng)
+        return self_attention_block(x, norm, p, mask, ctx)
+
+    def composed(x, *_):
+        gens.append(np.random.default_rng(5))
+        return _composed_self_attention_block(
+            x, norm, p, mask, gens[-1] if dropout else None)
+
+    _assert_agree(fused, composed, inputs, weight)
+    # the same draws, in the same order: both streams stand at one point
+    assert gens[0].random() == gens[1].random()
+
+
+@pytest.mark.parametrize("case", ["plain", "dropout", "cells_4d"])
+def test_feed_forward_block_matches_composed(case):
+    shape, _, dropout = BLOCK_CASES[case]
+    rng = np.random.default_rng(22)
+    p = FeedForwardParams.init(rng, 8, 16, dropout_rate=0.3 if dropout else 0)
+    p.b1.data = rng.normal(size=16)
+    p.b2.data = rng.normal(size=8)
+    norm = _rand_norm(rng, 8)
+    x = Tensor(rng.normal(size=shape) * 2 + 0.5, requires_grad=True)
+    weight = Tensor(rng.normal(size=shape))
+    inputs = [x, norm.gamma, norm.beta, p.w1, p.b1, p.w2, p.b2]
+    gens = []
+
+    def fused(x, *_):
+        ctx = RunContext(training=dropout, rng=np.random.default_rng(6))
+        gens.append(ctx.rng)
+        return feed_forward_block(x, norm, p, ctx)
+
+    def composed(x, *_):
+        gens.append(np.random.default_rng(6))
+        return _composed_feed_forward_block(x, norm, p,
+                                            gens[-1] if dropout else None)
+
+    _assert_agree(fused, composed, inputs, weight)
+    assert gens[0].random() == gens[1].random()
+
+
+def test_fused_blocks_leave_frozen_inputs_without_gradient():
+    rng = np.random.default_rng(23)
+    p = AttentionParams.init(rng, 4, 2)
+    ffn = FeedForwardParams.init(rng, 4, 8)
+    norm = LayerNormParams(Tensor(np.ones(4)), Tensor(np.zeros(4)))
+    x = Tensor(rng.normal(size=(2, 3, 4)))
+    out = feed_forward_block(self_attention_block(x, norm, p), norm, ffn)
+    T.tsum(out).backward()
+    assert x.grad is None and norm.gamma.grad is None
+    assert all(w.grad is not None and w.grad.shape == w.shape
+               for w in (p.wq, p.wk, p.wv, p.wo, ffn.w1, ffn.b1, ffn.w2,
+                         ffn.b2))
+
+
+def test_fused_blocks_reject_width_mismatch():
+    rng = np.random.default_rng(24)
+    with pytest.raises(ShapeError):
+        self_attention_block(Tensor(np.zeros((2, 6))), LayerNormParams.init(6),
+                             AttentionParams.init(rng, 4, 2))
+    with pytest.raises(ShapeError):
+        feed_forward_block(Tensor(np.zeros((2, 6))), LayerNormParams.init(6),
+                           FeedForwardParams.init(rng, 4, 8))
+    with pytest.raises(ShapeError):
+        self_attention_block(Tensor(np.zeros((2, 4))), LayerNormParams.init(5),
+                             AttentionParams.init(rng, 4, 2))
 
 
 def test_fused_layer_norm_rejects_mismatched_params():

@@ -169,11 +169,97 @@ def test_backward_order_independent():
     y1 = build()
     y1.backward()
     g_default = (x.grad.copy(), w.grad.copy())
-    x.zero_grad(); w.zero_grad()
-    y2 = build()
-    y2.backward(order=_kahn_order(y2))
-    np.testing.assert_array_equal(x.grad, g_default[0])
-    np.testing.assert_array_equal(w.grad, g_default[1])
+    for order in (_kahn_order, lambda root: root.topo_order()):
+        x.zero_grad(); w.zero_grad()
+        y2 = build()
+        backward_in_order(y2, order(y2))
+        np.testing.assert_array_equal(x.grad, g_default[0])
+        np.testing.assert_array_equal(w.grad, g_default[1])
+
+
+def backward_in_order(root, order):
+    """Reference backward: run the rules of ``order`` (parents before
+    children) from the last node back, keeping every interior gradient."""
+    root.accumulate(np.ones_like(root.data))
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def test_second_backward_through_shared_subgraph_does_not_double_count():
+    x = t([1.0, 2.0])
+    y = x * 2
+    T.tsum(y).backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+    x.zero_grad()
+    T.tsum(y * 3).backward()
+    np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+    assert y.grad is None       # interior gradients are freed after use
+
+
+def test_backward_ignores_other_live_graphs():
+    x = t([1.0, 2.0])
+    other = T.tsum(x * 5)                # built, never differentiated
+    later = T.tsum(x * 7)                # built after the root
+    T.tsum(x * x).backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    x.zero_grad()
+    later.backward()
+    np.testing.assert_array_equal(x.grad, [7.0, 7.0])
+    x.zero_grad()
+    other.backward()
+    np.testing.assert_array_equal(x.grad, [5.0, 5.0])
+
+
+def test_tape_keeps_no_dropped_graph_alive():
+    import gc
+    import weakref
+    x = t(np.ones(3))
+    root = T.tsum(T.exp(x * 2))
+    refs = [weakref.ref(n) for n in root.topo_order() if n is not x]
+    del root
+    assert all(r() is None for r in refs)
+    # also when the tape is compacted, and after a backward
+    for i in range(3000):
+        T.tsum(x * float(i))
+    assert len(T._tape) < 3000
+    root = T.tsum(T.exp(x))
+    refs = [weakref.ref(n) for n in root.topo_order() if n is not x]
+    root.backward()
+    del root
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_failed_backward_leaves_no_gradient_behind():
+    x = t([1.0, 2.0])
+    y = x * 2
+
+    def broken(g):
+        raise RuntimeError("boom")
+
+    bad = T.tsum(y * 3)
+    bad._backward = broken
+    with pytest.raises(RuntimeError):
+        bad.backward()
+    assert bad.grad is None and y.grad is None
+    T.tsum(y).backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+
+def test_getitem_basic_index_gradient_equals_scatter_add():
+    rng = np.random.default_rng(4)
+    x = t(rng.normal(size=(3, 5, 4)))
+    for idx in [(slice(None), slice(0, 3), slice(None)), 1, (Ellipsis, 2),
+                (None, 2, slice(1, None, 2)), (np.int64(1), Ellipsis)]:
+        x.zero_grad()
+        g = rng.normal(size=x.data[idx].shape)
+        T.tsum(T.mul(T.getitem(x, idx), g)).backward()
+        want = np.zeros_like(x.data)
+        np.add.at(want, idx, g)
+        np.testing.assert_array_equal(x.grad, want)
+    assert not T._is_basic_index((np.array([0, 0]),))
+    assert not T._is_basic_index(True)
 
 
 def test_concat_stack_gradients():

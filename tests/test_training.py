@@ -50,6 +50,22 @@ def test_named_parameters_unique_and_trainable():
     assert set(params) == set(model.named_parameters())
 
 
+def test_parameter_dict_built_once_keeps_tensors_through_load_state():
+    model = GroundedModel(tiny_cfg().model, seed=0)
+    before = model.named_parameters()
+    model.load_state({k: np.full(v.shape, 0.5)
+                      for k, v in model.state_arrays().items()})
+    after = model.named_parameters()
+    assert all(after[k] is p for k, p in before.items())
+    assert all((p.data == 0.5).all() for p in before.values())
+    for p in after.values():
+        p.grad = np.ones(p.shape)
+    model.zero_grad()
+    assert all(p.grad is None for p in before.values())
+    after.clear()          # callers get a copy of the dict
+    assert model.named_parameters().keys() == before.keys()
+
+
 def test_make_batch_pads_and_masks():
     cfg = tiny_cfg().model
     corpus = tiny_corpus()
@@ -85,6 +101,63 @@ def test_forward_shapes_and_slice_grads():
     grads = [p.grad for p in model.named_parameters().values()
              if p.grad is not None and np.abs(p.grad).max() > 0]
     assert grads
+
+
+def test_batched_forward_equals_per_clip_forwards():
+    cfg = tiny_cfg().model
+    cfg.encoder_layers = cfg.decoder_layers = 2
+    corpus = tiny_corpus(n=4, seed=3)
+    clips = [c for c, _ in corpus]
+    anns = [a for _, a in corpus]
+    # prompts of different lengths, so the batch pads and masks the text
+    prompts = ["walk", "walk stand sit wave", D.prompt_for(anns[2]), "sit"]
+    model = GroundedModel(cfg, seed=3)
+    _, batched = model.forward(make_batch(clips, prompts, cfg, VOCAB, anns))
+    for i in range(len(corpus)):
+        _, single = model.forward(make_batch(clips[i:i + 1], prompts[i:i + 1],
+                                             cfg, VOCAB, anns[i:i + 1]))
+        pairs = list(zip(batched.per_layer_boxes, single.per_layer_boxes))
+        pairs += list(zip(batched.per_layer_actor_embeddings,
+                          single.per_layer_actor_embeddings))
+        pairs += [(batched.action_logits, single.action_logits),
+                  (batched.group_logits, single.group_logits)]
+        for a, b in pairs:
+            np.testing.assert_allclose(a.data[i:i + 1], b.data, rtol=0,
+                                       atol=1e-12)
+
+
+def _dfs_order_backward(root):
+    """Reference backward in the depth-first order of ``topo_order``."""
+    root.accumulate(np.ones_like(root.data))
+    for node in reversed(root.topo_order()):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def test_tape_order_gradients_equal_dfs_order_on_a_model_step():
+    from groundact.nn import RunContext
+    cfg = tiny_cfg()
+    cfg.model.dropout = 0.1
+    corpus = tiny_corpus(n=4)
+    model = GroundedModel(cfg.model, seed=4)
+    batch = make_batch([c for c, _ in corpus],
+                       [D.prompt_for(a) for _, a in corpus],
+                       cfg.model, VOCAB, [a for _, a in corpus])
+    grads = []
+    for backward in (lambda loss: loss.backward(), _dfs_order_backward):
+        model.zero_grad()
+        ctx = RunContext(training=True, rng=np.random.default_rng(0))
+        _, out = model.forward(batch, ctx)
+        loss, _ = tr.batch_objective(out, batch, cfg, model.keyframe(), False)
+        backward(loss)
+        grads.append({k: p.grad.copy()
+                      for k, p in model.named_parameters().items()
+                      if p.grad is not None})
+    tape, dfs = grads
+    assert tape.keys() == dfs.keys() and len(tape) > 50
+    for k in dfs:
+        scale = np.abs(dfs[k]).max()
+        assert np.abs(tape[k] - dfs[k]).max() <= 1e-12 * scale, k
 
 
 # -- checkpointing -----------------------------------------------------------
