@@ -29,17 +29,11 @@ class DataError(ValueError):
 UNK = 0
 
 
-def load_vocab(path=None) -> List[str]:
-    """One token per line; line number is the index, line 0 is UNK."""
-    if path is None:
-        text = resources.files("groundact").joinpath("vocab.txt").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    vocab = [line.strip() for line in text.splitlines() if line.strip()]
-    if not vocab:
-        raise DataError("empty vocabulary file")
-    return vocab
+def load_vocab() -> List[str]:
+    """The packaged vocabulary, one token per line; the line number is the
+    index, and line 0 is UNK."""
+    text = resources.files("groundact").joinpath("vocab.txt").read_text()
+    return [line.strip() for line in text.splitlines() if line.strip()]
 
 
 @dataclass

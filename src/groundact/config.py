@@ -42,14 +42,9 @@ class ModelConfig:
     l_max: int = 16
     vocab_size: int = 64
 
-    # actors / labels
+    # actors; the label heads are sized by data.ACTIONS and data.GROUPS
     num_queries: int = 8          # N, actor query slots
-    num_actions: int = 6
-    num_groups: int = 6
-
-    # actor fusion
     use_actor_fusion: bool = True
-    fusion_kernel: int = 3
 
     @property
     def hw(self) -> int:
@@ -73,8 +68,6 @@ class ModelConfig:
                 f"d_model {self.d_model} not divisible by num_heads {self.num_heads}")
         if self.raster_h % self.grid_h or self.raster_w % self.grid_w:
             raise ConfigError("raster size not divisible by patch grid")
-        if self.fusion_kernel % 2 == 0:
-            raise ConfigError(f"fusion_kernel must be odd, got {self.fusion_kernel}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
 
@@ -85,7 +78,6 @@ class LossWeights:
     giou: float = 2.0
     group_ce: float = 1.0
     action_bce: float = 1.0
-    aux_layers: bool = True       # per-decoder-layer box losses
 
     def validate(self):
         for f in fields(self):
@@ -141,16 +133,16 @@ _SECTIONS = {"model": ModelConfig, "loss": LossWeights, "train": TrainConfig}
 
 
 def _parse_value(text: str, ftype):
-    if ftype is bool or ftype == "bool":
+    if ftype == "bool":
         low = text.strip().lower()
         if low in ("true", "1", "yes", "on"):
             return True
         if low in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"bad boolean {text!r}")
-    if ftype is int or ftype == "int":
+    if ftype == "int":
         return int(text)
-    if ftype is float or ftype == "float":
+    if ftype == "float":
         return float(text)
     return text
 

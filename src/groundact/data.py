@@ -1,10 +1,12 @@
-"""Annotations, dataset loaders, and the deterministic synthetic scene
-generator.
+"""Annotations, the native annotation file, and the deterministic synthetic
+scene generator.
 
-Synthetic clips render each actor as a distinct-intensity rectangle moving by
-a scripted rule, so the annotation tubes are exact by construction.  The
-group activity is derived from the actors' actions by majority, mirroring
-the vote used at inference time, which makes it exactly learnable.
+ACTIONS and GROUPS are the label world: their lengths size the decoder's
+action and group heads.  Synthetic clips render each actor as a
+distinct-intensity rectangle moving by a scripted rule, so the annotation
+tubes are exact by construction.  The group activity is derived from the
+actors' actions by the same majority vote used at inference time
+(``metrics.group_activity_vote``), which makes it exactly learnable.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .backbones import DataError, VideoClip
+from .metrics import group_activity_vote
 
 
 class ParseError(ValueError):
@@ -53,7 +56,6 @@ class SceneAnnotation:
     keyframe: int
     actors: List[ActorAnnotation]
     group_activity: Optional[int]    # index into GROUPS
-    social_groups: Optional[List[Tuple[List[int], int]]] = None
     weak: bool = False               # action labels stripped
 
 
@@ -61,18 +63,6 @@ def weak_supervision_view(ann: SceneAnnotation) -> SceneAnnotation:
     """Drop per-actor action labels, keep boxes and the group label."""
     actors = [ActorAnnotation(a.track_id, a.tube, []) for a in ann.actors]
     return replace(ann, actors=actors, weak=True)
-
-
-def group_from_actions(action_lists: Sequence[Sequence[int]]) -> int:
-    """Majority action mapped to its group label; ties break low."""
-    counts: Dict[int, int] = {}
-    for acts in action_lists:
-        for a in acts:
-            counts[a] = counts.get(a, 0) + 1
-    if not counts:
-        raise DataError("no actions to derive a group activity from")
-    best = min(sorted(counts), key=lambda a: (-counts[a], a))
-    return ACTION_TO_GROUP[best]
 
 
 # -- synthetic scenes --------------------------------------------------------
@@ -110,17 +100,18 @@ def _motion_center(kind: str, start: np.ndarray, speed: float, frame: int,
 
 
 def generate_scene(script: ScenarioScript, t_total: int,
-                   raster: Tuple[int, int] = (32, 32),
-                   max_placement_tries: int = 20):
+                   raster: Tuple[int, int] = (32, 32)):
     """Render a clip and its exact annotation; deterministic given the script."""
     h, w = raster
     rng = np.random.default_rng(script.seed)
     n = script.num_actors
+    if n < 1:
+        raise DataError(f"a scene needs at least one actor, got {n}")
 
     # non-overlapping starting placements; re-seed draws on collision
     placements, sizes = [], []
     for i in range(n):
-        for attempt in range(max_placement_tries):
+        for _ in range(20):
             c = rng.uniform(0.2, 0.8, size=2)
             size = rng.uniform(0.12, 0.22, size=2)
             if all(np.abs(c - p).max() > 0.18 for p in placements):
@@ -161,7 +152,7 @@ def generate_scene(script: ScenarioScript, t_total: int,
 
     actors = [ActorAnnotation(i, tubes[i], [script.actions[i]])
               for i in range(n)]
-    group = group_from_actions([a.actions for a in actors])
+    group = group_activity_vote([a.actions for a in actors], ACTION_TO_GROUP)
     clip = VideoClip(frames=frames, frame_rate=8.0,
                      clip_id=f"synthetic-{script.seed}")
     ann = SceneAnnotation(clip_id=clip.clip_id, keyframe=t_total // 2,
@@ -216,170 +207,106 @@ def save_annotations(path, annotations: Sequence[SceneAnnotation]):
                             "tube": np.round(a.tube, 6).tolist(),
                             "actions": list(a.actions)} for a in ann.actors],
             }
-            if ann.social_groups is not None:
-                rec["social_groups"] = [[list(m), g] for m, g in ann.social_groups]
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _check_box(box, lineno: int):
-    box = np.asarray(box, dtype=np.float64)
-    if box.shape[-1] != 4 or box.min() < 0 or box.max() > 1:
-        raise DataError(f"line {lineno}: box outside [0,1]: {box.tolist()}")
+def _field(rec: dict, key: str, kind, lineno: int, optional=False):
+    """rec[key], which must be a ``kind`` (a JSON true or false is not an
+    int), or None if ``optional`` and absent; a missing or mistyped field is
+    a ParseError naming the line."""
+    if key not in rec:
+        if optional:
+            return None
+        raise ParseError(f"line {lineno}: missing field {key!r}")
+    value = rec[key]
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        raise ParseError(f"line {lineno}: field {key!r} has type "
+                         f"{type(value).__name__}")
+    return value
+
+
+def _tube(tube: list, lineno: int) -> np.ndarray:
+    """A [T, 4] tube of boxes inside the unit square."""
+    try:
+        box = np.asarray(tube)
+        ok = box.dtype.kind in "iuf" and box.ndim == 2 and box.shape[1] == 4
+    except ValueError:                 # ragged nesting
+        ok = False
+    if not ok:
+        raise ParseError(f"line {lineno}: tube is not a [T, 4] array of numbers")
+    box = box.astype(np.float64)
+    if (not np.isfinite(box).all() or box.min() < 0 or box.max() > 1
+            or (box[:, 2:] <= 0).any()):
+        raise DataError(f"line {lineno}: box outside [0,1] or of zero size: "
+                        f"{box.tolist()}")
     return box
 
 
-def _load_native(path) -> List[SceneAnnotation]:
-    out = []
-    with open(path) as fh:
+def _parse_record(line: str, lineno: int) -> SceneAnnotation:
+    try:
+        rec = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"line {lineno}: bad JSON: {exc}") from None
+    if not isinstance(rec, dict):
+        raise ParseError(f"line {lineno}: record is not a JSON object")
+    actors = []
+    for a in _field(rec, "actors", list, lineno):
+        if not isinstance(a, dict):
+            raise ParseError(f"line {lineno}: actor is not a JSON object")
+        actions = _field(a, "actions", list, lineno)
+        if not all(type(act) is int for act in actions):
+            raise ParseError(f"line {lineno}: actions {actions} are not all "
+                             f"integers")
+        if not all(0 <= act < len(ACTIONS) for act in actions):
+            raise DataError(f"line {lineno}: unknown action index in {actions}")
+        actors.append(ActorAnnotation(_field(a, "track_id", int, lineno),
+                                      _tube(_field(a, "tube", list, lineno),
+                                            lineno),
+                                      actions))
+    if len({a.tube.shape[0] for a in actors}) > 1:
+        raise DataError(f"line {lineno}: actor tubes differ in length")
+    ga = _field(rec, "group_activity", (int, type(None)), lineno,
+                optional=True)
+    if ga is not None and not 0 <= ga < len(GROUPS):
+        raise DataError(f"line {lineno}: unknown group index {ga}")
+    return SceneAnnotation(
+        clip_id=_field(rec, "clip_id", str, lineno),
+        keyframe=_field(rec, "keyframe", int, lineno),
+        actors=actors, group_activity=ga,
+        weak=bool(_field(rec, "weak", bool, lineno, optional=True)))
+
+
+def load_annotations(path) -> List[SceneAnnotation]:
+    """Read a file written by :func:`save_annotations`.  A malformed line is
+    a ParseError (bad encoding, JSON, field or type) or a DataError (a label
+    or box outside the label world or the unit square) naming the line."""
+    with open(path, "rb") as fh:
         lines = fh.read().splitlines()
-    if not lines:
-        return []
-    if lines[0].strip() != _NATIVE_HEADER:
-        raise ParseError(f"line 1: expected header {_NATIVE_HEADER!r}")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {lineno}: bad JSON: {exc}")
-        try:
-            actors = [ActorAnnotation(a["track_id"],
-                                      _check_box(a["tube"], lineno),
-                                      [int(x) for x in a["actions"]])
-                      for a in rec["actors"]]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"line {lineno}: missing field: {exc}")
-        for a in actors:
-            for act in a.actions:
-                if not 0 <= act < len(ACTIONS):
-                    raise DataError(f"line {lineno}: unknown action index {act}")
-        ga = rec.get("group_activity")
-        if ga is not None and not 0 <= ga < len(GROUPS):
-            raise DataError(f"line {lineno}: unknown group index {ga}")
-        sg = rec.get("social_groups")
-        out.append(SceneAnnotation(
-            clip_id=rec["clip_id"], keyframe=int(rec["keyframe"]),
-            actors=actors, group_activity=ga,
-            social_groups=[(list(m), int(g)) for m, g in sg] if sg else None,
-            weak=bool(rec.get("weak", False))))
-    return out
-
-
-def _load_volleyball_style(path, frame_size: Tuple[int, int]) -> List[SceneAnnotation]:
-    """One clip per line: ``<keyframe>.jpg <activity> (<x> <y> <w> <h> <action>)*``.
-
-    Boxes are pixel top-left x/y plus width/height; normalized by frame_size
-    (width, height).  Labels must name entries of GROUPS / ACTIONS.
-    """
-    fw, fh = frame_size
     out = []
-    with open(path) as fh_:
-        for lineno, line in enumerate(fh_, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) < 2 or (len(parts) - 2) % 5:
-                raise ParseError(f"line {lineno}: expected "
-                                 f"'<frame>.jpg <activity> (x y w h action)*'")
-            frame_id = parts[0].split(".")[0]
-            if parts[1] not in GROUPS:
-                raise DataError(f"line {lineno}: unknown activity {parts[1]!r}")
-            actors = []
-            for ai, off in enumerate(range(2, len(parts), 5)):
-                try:
-                    x, y, w, h = (float(v) for v in parts[off:off + 4])
-                except ValueError:
-                    raise ParseError(f"line {lineno}: non-numeric box")
-                action = parts[off + 4]
-                if action not in ACTIONS:
-                    raise DataError(f"line {lineno}: unknown action {action!r}")
-                box = np.array([(x + w / 2) / fw, (y + h / 2) / fh,
-                                w / fw, h / fh])
-                _check_box(box, lineno)
-                actors.append(ActorAnnotation(ai, box[None, :],
-                                              [ACTIONS.index(action)]))
-            out.append(SceneAnnotation(
-                clip_id=frame_id, keyframe=0, actors=actors,
-                group_activity=GROUPS.index(parts[1])))
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"line {lineno}: not UTF-8: {exc}") from None
+        if lineno == 1:
+            if line.strip() != _NATIVE_HEADER:
+                raise ParseError(f"line 1: expected header {_NATIVE_HEADER!r}")
+        elif line.strip():
+            out.append(_parse_record(line, lineno))
     return out
-
-
-def _load_jrdbpar_style(path, frame_size: Tuple[int, int],
-                        keyframe_stride: int = 15) -> List[SceneAnnotation]:
-    """Per-keyframe records: ``<clip> <frame> <track> <x> <y> <w> <h> <actions,>``
-    plus ``<clip> group <activity>`` lines; frames annotated every
-    ``keyframe_stride`` frames.
-    """
-    fw, fh = frame_size
-    per_clip: Dict[str, dict] = {}
-    with open(path) as fh_:
-        for lineno, line in enumerate(fh_, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            clip = parts[0]
-            entry = per_clip.setdefault(clip, {"actors": {}, "group": None,
-                                               "frame": 0})
-            if len(parts) == 3 and parts[1] == "group":
-                if parts[2] not in GROUPS:
-                    raise DataError(f"line {lineno}: unknown activity {parts[2]!r}")
-                entry["group"] = GROUPS.index(parts[2])
-                continue
-            if len(parts) != 8:
-                raise ParseError(f"line {lineno}: expected 8 fields, got "
-                                 f"{len(parts)}")
-            frame, track = int(parts[1]), int(parts[2])
-            if frame % keyframe_stride:
-                raise DataError(f"line {lineno}: frame {frame} is not a "
-                                f"keyframe (stride {keyframe_stride})")
-            x, y, w, h = (float(v) for v in parts[3:7])
-            box = np.array([(x + w / 2) / fw, (y + h / 2) / fh, w / fw, h / fh])
-            _check_box(box, lineno)
-            actions = []
-            for name in parts[7].split(","):
-                if name not in ACTIONS:
-                    raise DataError(f"line {lineno}: unknown action {name!r}")
-                actions.append(ACTIONS.index(name))
-            entry["actors"][track] = ActorAnnotation(track, box[None, :], actions)
-            entry["frame"] = frame
-    out = []
-    for clip, entry in per_clip.items():
-        out.append(SceneAnnotation(
-            clip_id=clip, keyframe=0,
-            actors=[entry["actors"][t] for t in sorted(entry["actors"])],
-            group_activity=entry["group"]))
-    return out
-
-
-def load_annotations(path, fmt: str = "native",
-                     frame_size: Tuple[int, int] = (1280, 720)) -> List[SceneAnnotation]:
-    if fmt == "native":
-        return _load_native(path)
-    if fmt == "volleyball-style":
-        return _load_volleyball_style(path, frame_size)
-    if fmt == "jrdbpar-style":
-        return _load_jrdbpar_style(path, frame_size)
-    raise DataError(f"unknown annotation format {fmt!r}")
 
 
 # -- splits ------------------------------------------------------------------
 
-def make_splits(annotations: Sequence, ratios: Tuple[float, float],
-                seed: int):
-    """Deterministic shuffled (train, test) split by clip id."""
+def make_splits(corpus: Sequence, ratios: Tuple[float, float], seed: int):
+    """Deterministic shuffled (train, test) split of (clip, annotation)
+    pairs by clip id."""
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError(f"split ratios must sum to 1, got {ratios}")
-    items = list(annotations)
-    order = sorted(range(len(items)), key=lambda i: _clip_id(items[i]))
+    items = list(corpus)
+    order = sorted(range(len(items)), key=lambda i: items[i][1].clip_id)
     random.Random(seed).shuffle(order)
     cut = int(round(ratios[0] * len(items)))
     train = [items[i] for i in order[:cut]]
     test = [items[i] for i in order[cut:]]
     return train, test
-
-
-def _clip_id(item):
-    if isinstance(item, SceneAnnotation):
-        return item.clip_id
-    return item[1].clip_id if isinstance(item, tuple) else str(item)

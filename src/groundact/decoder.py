@@ -5,7 +5,9 @@ actor self-attention, spatial cross-attention over the per-frame grid,
 temporal cross-attention over pooled frames + text, an FFN, and a box head
 that refines the per-frame box tube in inverse-sigmoid space.  The encoder's
 group token rides through the stack as an extra boxless row and its final
-embedding feeds the group-activity classifier.
+embedding feeds the group-activity classifier.  The action head scores the
+A = len(data.ACTIONS) actions and the group head the G = len(data.GROUPS)
+activities; no config setting resizes them.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from . import nn
 from . import tensor as T
 from .config import ModelConfig
+from .data import ACTIONS, GROUPS
 from .encoder import SharedRepresentation
 from .fusion import (ActorBoxSet, ActorFusionParams, ReferenceBoxParams,
                      fuse, reference_logits)
@@ -82,11 +85,11 @@ class ActionDecoderParams:
 
     @classmethod
     def init(cls, rng, cfg: ModelConfig):
-        d = cfg.d_model
+        d, a, g = cfg.d_model, len(ACTIONS), len(GROUPS)
         return cls([DecoderLayerParams.init(rng, cfg)
                     for _ in range(cfg.decoder_layers)],
-                   nn.param(rng, d, cfg.num_actions), nn.zeros_param(cfg.num_actions),
-                   nn.param(rng, d, cfg.num_groups), nn.zeros_param(cfg.num_groups),
+                   nn.param(rng, d, a), nn.zeros_param(a),
+                   nn.param(rng, d, g), nn.zeros_param(g),
                    nn.param(rng, 1, d, scale=0.02))
 
 

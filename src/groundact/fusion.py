@@ -2,7 +2,7 @@
 
 Each box is embedded by a linear map plus a sinusoidal coordinate encoding,
 averaged with the pooled (layer-normed) text feature, and refined by a 1-d
-convolution across the actor axis.
+convolution three actors wide across the actor axis.
 """
 
 from __future__ import annotations
@@ -54,17 +54,15 @@ class ActorFusionParams:
     box_proj: Tensor                # [4, d]
     box_bias: Tensor                # [d]
     text_norm: LayerNormParams
-    conv_kernel: Tensor             # [k, d, d]
+    conv_kernel: Tensor             # [3, d, d], three actors wide
     conv_bias: Tensor               # [d]
 
     @classmethod
     def init(cls, rng, cfg: ModelConfig):
-        d, k = cfg.d_model, cfg.fusion_kernel
-        if k % 2 == 0:
-            raise ConfigError(f"fusion kernel must be odd, got {k}")
+        d = cfg.d_model
         # center tap starts near identity so early features keep box content
-        kernel = rng.normal(0, 0.02 / np.sqrt(d), size=(k, d, d))
-        kernel[k // 2] += np.eye(d)
+        kernel = rng.normal(0, 0.02 / np.sqrt(d), size=(3, d, d))
+        kernel[1] += np.eye(d)
         return cls(nn.param(rng, 4, d, scale=1.0), nn.zeros_param(d),
                    LayerNormParams.init(d),
                    Tensor(kernel, requires_grad=True), nn.zeros_param(d))

@@ -6,7 +6,7 @@ binary cross-entropy, accumulated over every decoder layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -30,7 +30,11 @@ def cxcywh_to_corners(boxes) -> np.ndarray:
 
 
 def giou_corners(a, b) -> float:
-    """Generalized IoU of two corner-form boxes; exact scalar arithmetic."""
+    """Generalized IoU of two corner-form boxes; exact scalar arithmetic.
+
+    The scalar reference for ``pairwise_iou`` and ``box_loss``, which the
+    program uses; the acceptance tests check it against a grid oracle.
+    """
     ax1, ay1, ax2, ay2 = (float(v) for v in a)
     bx1, by1, bx2, by2 = (float(v) for v in b)
     area_a = (ax2 - ax1) * (ay2 - ay1)
@@ -43,11 +47,6 @@ def giou_corners(a, b) -> float:
     union = area_a + area_b - inter
     hull = (max(ax2, bx2) - min(ax1, bx1)) * (max(ay2, by2) - min(ay1, by1))
     return inter / union - (hull - union) / hull
-
-
-def giou(a, b) -> float:
-    """Generalized IoU of two (cx, cy, w, h) boxes, in (-1, 1]."""
-    return giou_corners(cxcywh_to_corners(a), cxcywh_to_corners(b))
 
 
 def pairwise_iou(pred_cxcywh: np.ndarray, gt_cxcywh: np.ndarray):
@@ -163,27 +162,18 @@ def hungarian_match(cost: np.ndarray) -> MatchResult:
     return MatchResult(rows, cols, float(cost[rows, cols].sum()))
 
 
-def _padded_actions(action_lists: Sequence[Sequence[int]]) -> np.ndarray:
-    """Per-actor action indices, ragged -> [M, K] int array padded with -1."""
-    out = np.full((len(action_lists), max(map(len, action_lists), default=0)),
-                  -1, dtype=np.int64)
-    for i, actions in enumerate(action_lists):
-        out[i, :len(actions)] = actions
-    return out
-
-
 def match_cost(pred_boxes: np.ndarray, pred_action_logits: Optional[np.ndarray],
-               gt_boxes: np.ndarray, gt_actions, weights: LossWeights,
-               weak=False) -> np.ndarray:
+               gt_boxes: np.ndarray, gt_actions: Optional[np.ndarray],
+               weights: LossWeights, weak=False) -> np.ndarray:
     """Pairwise matching cost on keyframe boxes over shared leading axes,
     pred [..., N, 4] (logits [..., N, A]) x gt [..., M, 4] -> [..., M, N].
 
     cost(i, j) = l1_weight * |b_i - bhat_j|_1 + giou_weight * (1 - gIoU)
                  [+ bce_weight * mean over gt actions of (1 - sigmoid(logit))]
-    gt_actions is [..., M, K] action indices padded with -1, or
-    one clip's ragged per-actor lists.  The action term is dropped for
-    actors without actions and where ``weak`` (a bool or a [...] array of
-    per-clip flags) is set.
+    gt_actions is [..., M, K] action indices padded with -1, as in
+    ``GroundTruth.actions``.  The action term is dropped for actors without
+    actions and where ``weak`` (a bool or a [...] array of per-clip flags)
+    is set.
     """
     pred_boxes = np.asarray(pred_boxes, dtype=np.float64)
     gt_boxes = np.asarray(gt_boxes, dtype=np.float64)
@@ -192,8 +182,7 @@ def match_cost(pred_boxes: np.ndarray, pred_action_logits: Optional[np.ndarray],
     cost = weights.l1 * l1 + weights.giou * (1.0 - giou_mat)
     if (weights.action_bce > 0 and pred_action_logits is not None
             and gt_actions is not None):
-        acts = (gt_actions if isinstance(gt_actions, np.ndarray)
-                else _padded_actions(gt_actions))
+        acts = np.asarray(gt_actions)
         used = (acts >= 0) & ~np.asarray(weak, dtype=bool)[..., None, None]
         count = used.sum(axis=-1)                                 # [..., M]
         if count.any():
@@ -295,8 +284,6 @@ def total_objective(decoder_out, annotations, weights: LossWeights,
     layer_boxes = decoder_out.per_layer_boxes
     if not layer_boxes and fallback_boxes is not None:
         layer_boxes = [fallback_boxes]
-    if not weights.aux_layers:
-        layer_boxes = layer_boxes[-1:]
     act_logits = (decoder_out.action_logits.data
                   if decoder_out.action_logits is not None else None)
 

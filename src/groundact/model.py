@@ -50,13 +50,17 @@ def _check_clip(clip: bb.VideoClip, cfg: ModelConfig):
 
 def make_batch(clips, prompts: Sequence[str], cfg: ModelConfig,
                vocab: List[str], annotations=None) -> Batch:
-    """Check each clip against the config, sample frames, tokenize and pad
-    prompts, stack into arrays."""
+    """Check each clip and prompt against the config, sample frames, tokenize
+    and pad prompts, stack into arrays."""
     for c in clips:
         _check_clip(c, cfg)
     sampled = [bb.sample_frames(c, cfg.frames) for c in clips]
     frames = np.stack([c.frames for c in sampled])
     token_lists = [bb.tokenize(p, vocab, cfg.l_max).tokens for p in prompts]
+    for c, t in zip(clips, token_lists):
+        if max(t) >= cfg.vocab_size:
+            raise ConfigError(f"clip {c.clip_id!r} has prompt token {max(t)}, "
+                              f"outside [model] vocab_size = {cfg.vocab_size}")
     L = max(len(t) for t in token_lists)
     tokens = np.full((len(clips), L), bb.UNK, dtype=np.int64)
     mask = np.zeros((len(clips), L), dtype=bool)

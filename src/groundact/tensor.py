@@ -15,6 +15,8 @@ Double precision is the default everywhere; the finite-difference checker
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 import weakref
 from contextlib import contextmanager
@@ -445,12 +447,6 @@ def softplus(x):
     return _unary(x, fwd, bwd)
 
 
-def clip(x, lo, hi):
-    """Clamp values; gradient is zero outside [lo, hi]."""
-    return _unary(x, lambda v: np.clip(v, lo, hi),
-                  lambda g, v, out: g * ((v >= lo) & (v <= hi)))
-
-
 def where(cond: np.ndarray, a, b):
     """Select from two tensors with a constant boolean mask."""
     def bwd_a(g, x, y):
@@ -591,13 +587,6 @@ def concat(tensors: Sequence, axis: int = 0):
     return Tensor(data, req, tuple(tensors), backward if req else None)
 
 
-def stack(tensors: Sequence, axis: int = 0):
-    expanded = [reshape(as_tensor(t),
-                        t.shape[:axis] + (1,) + t.shape[axis:])
-                for t in tensors]
-    return concat(expanded, axis=axis)
-
-
 def broadcast_to(x, shape):
     x = as_tensor(x)
     data = np.broadcast_to(x.data, shape).copy()
@@ -688,15 +677,18 @@ def load_arrays(path) -> dict:
     """Read a container written by :func:`save_arrays`.
 
     A malformed or truncated file raises ValueError naming the path and the
-    array being read.
+    array being read; every declared size is checked against the bytes left
+    before it is read.
     """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
         def read(n: int, what: str) -> bytes:
-            buf = fh.read(n)
-            if len(buf) != n:
+            left = size - fh.tell()
+            if n > left:
                 raise ValueError(f"{path}: truncated container: {what} needs "
-                                 f"{n} bytes, {len(buf)} left")
-            return buf
+                                 f"{n} bytes, {left} left")
+            return fh.read(n)
 
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a tensor container")
@@ -706,7 +698,10 @@ def load_arrays(path) -> dict:
         out = {}
         for i in range(count):
             (nlen,) = struct.unpack("<H", read(2, f"array #{i} name length"))
-            name = read(nlen, f"array #{i} name").decode("utf-8")
+            try:
+                name = read(nlen, f"array #{i} name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: array #{i} name is not UTF-8") from None
             tag, ndim = struct.unpack("<BB", read(2, f"array {name!r} header"))
             shape = struct.unpack(f"<{ndim}I",
                                   read(4 * ndim, f"array {name!r} shape"))
@@ -714,8 +709,11 @@ def load_arrays(path) -> dict:
                 raise ValueError(f"{path}: array {name!r} has unknown dtype "
                                  f"tag {tag}")
             dtype = _DTYPE_TAGS[tag]
-            nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-            arr = np.frombuffer(read(nbytes, f"array {name!r} data"),
-                                dtype=dtype).reshape(shape)
+            data = read(math.prod(shape) * dtype.itemsize,
+                        f"array {name!r} data")
+            try:
+                arr = np.frombuffer(data, dtype=dtype).reshape(shape)
+            except ValueError as exc:      # more axes than numpy supports
+                raise ValueError(f"{path}: array {name!r}: {exc}") from None
             out[name] = arr.astype(dtype.newbyteorder("="))
         return out

@@ -35,7 +35,7 @@ class TrainingError(RuntimeError):
 
 # -- checkpoints -------------------------------------------------------------
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(path, model: GroundedModel, cfg: ExperimentConfig,

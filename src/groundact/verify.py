@@ -132,7 +132,6 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
          u(4, 3)),
         ("broadcast_to", lambda x: T.tsum(T.mul(T.broadcast_to(x, (5, 4, 3)),
                                                 m543)), u(4, 3)),
-        ("clip", lambda x: T.tsum(T.clip(x, -0.5, 0.5)), u(4, 3)),
         ("where", lambda x: T.tsum(T.where(np.eye(4, 3, dtype=bool), x, b)),
          u(4, 3)),
         ("softmax_cross_entropy",
@@ -155,8 +154,7 @@ def block_cases(rng: np.random.Generator):
     cfg = ModelConfig(d_model=d, num_heads=2, encoder_layers=1,
                       decoder_layers=1, frames=t, grid_h=2, grid_w=2,
                       raster_h=4, raster_w=4, num_queries=n, l_max=l,
-                      dropout=0.0, num_actions=3, num_groups=3,
-                      vocab_size=8, fusion_kernel=3)
+                      dropout=0.0, vocab_size=8)
     enc = VLEncoderParams.init(rng, cfg)
     fus = ActorFusionParams.init(rng, cfg)
     ref = ReferenceBoxParams.init(n)

@@ -113,7 +113,7 @@ def test_dict_round_trip():
 @pytest.mark.parametrize("mutate", [
     lambda c: setattr(c.model, "d_model", 30),           # not divisible by heads
     lambda c: setattr(c.model, "raster_h", 33),
-    lambda c: setattr(c.model, "fusion_kernel", 4),
+    lambda c: setattr(c.model, "raster_w", 33),
     lambda c: setattr(c.model, "dropout", 1.5),
     lambda c: setattr(c.train, "warmup_epochs", 40),
     lambda c: setattr(c.train, "weight_decay_start", 0.5),
@@ -125,3 +125,25 @@ def test_validation_rejects_bad_settings(mutate):
     mutate(cfg)
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+REMOVED_KEYS = [("model", "num_actions", "3"), ("model", "num_groups", "2"),
+                ("model", "fusion_kernel", "5"), ("loss", "aux_layers", "false")]
+
+
+@pytest.mark.parametrize("section,key,value", REMOVED_KEYS)
+def test_removed_key_in_ini_is_unknown(tmp_path, section, key, value):
+    # the label-head widths come from data.ACTIONS / data.GROUPS, the fusion
+    # kernel is 3 and every decoder layer is supervised
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"unknown key \[{section}\] {key}$"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section,key,value", REMOVED_KEYS)
+def test_removed_key_in_dict_is_unknown(section, key, value):
+    d = config_to_dict(ExperimentConfig())
+    d[section][key] = value
+    with pytest.raises(ConfigError, match=rf"unknown key \[{section}\] {key}$"):
+        config_from_dict(d)

@@ -1,4 +1,8 @@
-"""Synthetic scene generator, annotation formats, loaders, splits."""
+"""Synthetic scene generator, the annotation file, splits."""
+
+import json
+import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -8,9 +12,8 @@ from hypothesis import strategies as st
 from groundact import data as D
 from groundact.data import (ACTIONS, GROUPS, DataError, ParseError,
                             ScenarioScript, SceneAnnotation, generate_corpus,
-                            generate_scene, group_from_actions,
-                            load_annotations, make_splits, save_annotations,
-                            weak_supervision_view)
+                            generate_scene, load_annotations, make_splits,
+                            save_annotations, weak_supervision_view)
 
 
 def script(motions, speeds=None, **kw):
@@ -100,10 +103,13 @@ def test_group_label_is_majority_action():
 
 
 def test_group_from_actions_tie_breaks_low():
-    assert group_from_actions([[3], [1]]) == 1
-    assert group_from_actions([[2], [2], [0]]) == 2
+    # one walker, one stander: the tied vote goes to the lower action index
+    clip, ann = generate_scene(script(["linear", "stationary"]), t_total=4)
+    assert ann.group_activity == GROUPS.index("standing")
     with pytest.raises(DataError):
-        group_from_actions([[], []])
+        generate_scene(script([]), t_total=2)
+    with pytest.raises(DataError):
+        generate_corpus(seed=0, num_clips=1, num_actors=0, t_total=2)
 
 
 def test_one_data_error_class():
@@ -184,67 +190,99 @@ def test_native_malformed_inputs_rejected_with_line(tmp_path, content, exc,
         load_annotations(path)
 
 
-# -- volleyball-style format -------------------------------------------------
-
-def test_volleyball_style_normalizes_pixels(tmp_path):
-    path = tmp_path / "vb.txt"
-    path.write_text("12345.jpg walking 100 200 40 80 walk "
-                    "600 300 50 60 stand\n")
-    anns = load_annotations(path, fmt="volleyball-style",
-                            frame_size=(1000, 500))
-    assert len(anns) == 1
-    ann = anns[0]
-    assert ann.clip_id == "12345"
-    assert ann.group_activity == GROUPS.index("walking")
-    assert len(ann.actors) == 2
-    np.testing.assert_allclose(ann.actors[0].tube[0],
-                               [0.12, 0.48, 0.04, 0.16], atol=1e-12)
-    assert ann.actors[0].actions == [ACTIONS.index("walk")]
-    assert ann.actors[1].actions == [ACTIONS.index("stand")]
-
-
-@pytest.mark.parametrize("line,exc", [
-    ("1.jpg walking 1 2 3 walk\n", ParseError),          # truncated tuple
-    ("1.jpg moshing 1 2 3 4 walk\n", DataError),          # unknown activity
-    ("1.jpg walking 1 2 x 4 walk\n", ParseError),         # non-numeric box
-    ("1.jpg walking 1 2 3 4 moonwalk\n", DataError),      # unknown action
-])
-def test_volleyball_style_malformed(tmp_path, line, exc):
-    path = tmp_path / "vb.txt"
-    path.write_text(line)
-    with pytest.raises(exc, match="line 1"):
-        load_annotations(path, fmt="volleyball-style", frame_size=(100, 100))
-
-
-# -- jrdbpar-style format ----------------------------------------------------
-
-def test_jrdbpar_style_collects_tracks_and_group(tmp_path):
-    path = tmp_path / "jp.txt"
-    path.write_text(
-        "clipA 15 0 100 100 50 50 walk,wave\n"
-        "clipA 15 1 300 300 50 50 stand\n"
-        "clipA group walking\n"
-        "clipB 30 4 10 10 20 20 sit\n")
-    anns = load_annotations(path, fmt="jrdbpar-style", frame_size=(1000, 1000))
-    by_id = {a.clip_id: a for a in anns}
-    a = by_id["clipA"]
-    assert a.group_activity == GROUPS.index("walking")
-    assert [x.track_id for x in a.actors] == [0, 1]
-    assert a.actors[0].actions == [ACTIONS.index("walk"),
-                                   ACTIONS.index("wave")]
-    assert by_id["clipB"].group_activity is None
-
-
-def test_jrdbpar_style_rejects_off_stride_frame(tmp_path):
-    path = tmp_path / "jp.txt"
-    path.write_text("clipA 7 0 10 10 20 20 walk\n")
-    with pytest.raises(DataError, match="line 1"):
-        load_annotations(path, fmt="jrdbpar-style", frame_size=(100, 100))
-
-
 def test_unknown_format_rejected(tmp_path):
-    with pytest.raises(DataError):
-        load_annotations(tmp_path / "x", fmt="csv")
+    # another layout (here a Volleyball-style line) has no native header
+    path = tmp_path / "vb.txt"
+    path.write_text("12345.jpg walking 100 200 40 80 walk\n")
+    with pytest.raises(ParseError, match="line 1: expected header"):
+        load_annotations(path)
+
+
+_HEADER = "#groundact-annotations v1"
+
+
+def _record(**changes):
+    """One valid native record as a line, with fields replaced or, where the
+    value is None, removed; actor fields go through ``actor``."""
+    actor = {"track_id": 0, "tube": [[0.5, 0.5, 0.1, 0.1]] * 2,
+             "actions": [0]}
+    actor.update(changes.pop("actor", {}))
+    rec = {"clip_id": "c", "keyframe": 1, "group_activity": 0,
+           "weak": False, "actors": [actor]}
+    rec.update(changes)
+    return json.dumps({k: v for k, v in rec.items() if v is not None})
+
+
+@pytest.mark.parametrize("line,exc,fragment", [
+    (_record(clip_id=None), ParseError, "missing field 'clip_id'"),
+    (_record(keyframe=None), ParseError, "missing field 'keyframe'"),
+    (_record(keyframe="1"), ParseError, "'keyframe' has type str"),
+    (_record(group_activity="walking"), ParseError, "'group_activity'"),
+    (_record(group_activity=True), ParseError, "'group_activity' has type bool"),
+    (_record(weak="no"), ParseError, "'weak'"),
+    (_record(actors={"0": {}}), ParseError, "'actors'"),
+    (_record(actors=[7]), ParseError, "actor is not a JSON object"),
+    (_record(actor={"actions": ["x"]}), ParseError, "not all integers"),
+    (_record(actor={"actions": [1.5]}), ParseError, "not all integers"),
+    (_record(actor={"tube": [[0.5, 0.5, 0.1, 0.1], [0.5, 0.5]]}),
+     ParseError, r"not a \[T, 4\] array"),
+    (_record(actor={"tube": [["0.5", 0.5, 0.1, 0.1]]}), ParseError,
+     r"not a \[T, 4\] array"),
+    (_record(actor={"tube": [[0.5, 0.5, 0.0, 0.1]]}), DataError, "zero size"),
+    (_record(actors=[{"track_id": 0, "tube": [[0.5, 0.5, 0.1, 0.1]],
+                      "actions": [0]},
+                     {"track_id": 1, "tube": [[0.5, 0.5, 0.1, 0.1]] * 2,
+                      "actions": [0]}]), DataError, "differ in length"),
+    ("[1, 2]", ParseError, "not a JSON object"),
+], ids=lambda v: "record" if isinstance(v, str) and v[:1] in "{[" else None)
+def test_native_bad_fields_fail_naming_the_line(tmp_path, line, exc,
+                                                 fragment):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{_HEADER}\n{_record()}\n{line}\n")
+    with pytest.raises(exc, match=f"^line 3: .*{fragment}"):
+        load_annotations(path)
+
+
+def test_native_invalid_utf8_names_the_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(f"{_HEADER}\n".encode() + b'{"clip_id": "\xff"}\n')
+    with pytest.raises(ParseError, match="^line 2: not UTF-8"):
+        load_annotations(path)
+
+
+def _annotation_file() -> bytes:
+    corpus = generate_corpus(seed=3, num_clips=2, num_actors=2, t_total=2)
+    with tempfile.TemporaryDirectory() as d:
+        path = f"{d}/ann.txt"
+        save_annotations(path, [a for _, a in corpus])
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+ANNOTATION_FILE = _annotation_file()
+# bytes that keep a mutated record close to valid JSON, so that the field
+# and type checks are reached, not only the JSON parser
+JSON_BYTES = st.sampled_from(list(b'0123456789.-e"[]{},: tfn\xff'))
+
+
+@settings(deadline=None, max_examples=60)
+@given(cut=st.integers(0, len(ANNOTATION_FILE)),
+       edits=st.lists(st.tuples(st.integers(0, len(ANNOTATION_FILE)),
+                                st.one_of(JSON_BYTES, st.integers(0, 255))),
+                       max_size=3))
+def test_annotation_loader_fails_only_at_the_boundary(cut, edits):
+    data = bytearray(ANNOTATION_FILE[:cut])
+    for at, byte in edits:
+        if data:
+            data[at % len(data)] = byte
+    with tempfile.TemporaryDirectory() as d:
+        path = f"{d}/ann.txt"
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            load_annotations(path)
+        except (ParseError, DataError) as exc:
+            assert re.match(r"line \d+: ", str(exc)), exc
 
 
 # -- splits ------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from groundact import tensor as T
 from groundact.config import ModelConfig
+from groundact.data import ACTIONS, GROUPS
 from groundact.decoder import (ActionDecoderParams, DecoderOutput,
                                classify_actions, classify_group, decode)
 from groundact.encoder import SharedRepresentation, VLEncoderParams, encode
@@ -16,8 +17,7 @@ def toy_cfg(**kw):
     base = dict(d_model=8, num_heads=2, d_ff_mult=2, dropout=0.0,
                 encoder_layers=0, decoder_layers=2, frames=3,
                 grid_h=2, grid_w=2, raster_h=8, raster_w=8,
-                l_max=6, vocab_size=16, num_queries=3, num_actions=6,
-                num_groups=6)
+                l_max=6, vocab_size=16, num_queries=3)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -71,8 +71,8 @@ def test_logit_shapes():
     rng = np.random.default_rng(2)
     rep, dec, fusion, ref = make_all(rng, cfg, b=2)
     out = decode(rep, dec, cfg, fusion, ref)
-    assert out.action_logits.shape == (2, cfg.num_queries, cfg.num_actions)
-    assert out.group_logits.shape == (2, cfg.num_groups)
+    assert out.action_logits.shape == (2, cfg.num_queries, len(ACTIONS))
+    assert out.group_logits.shape == (2, len(GROUPS))
 
 
 def test_zero_decoder_layers_yields_no_boxes_but_logits():
@@ -81,7 +81,7 @@ def test_zero_decoder_layers_yields_no_boxes_but_logits():
     rep, dec, fusion, ref = make_all(rng, cfg)
     out = decode(rep, dec, cfg, fusion, ref)
     assert out.per_layer_boxes == []
-    assert out.group_logits.shape == (1, cfg.num_groups)
+    assert out.group_logits.shape == (1, len(GROUPS))
     with pytest.raises(ContractError):
         out.final_boxes
 

@@ -17,8 +17,7 @@ D = 8
 
 
 def toy_cfg(**kw):
-    base = dict(d_model=D, num_heads=2, dropout=0.0, fusion_kernel=3,
-                num_queries=3)
+    base = dict(d_model=D, num_heads=2, dropout=0.0, num_queries=3)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -149,12 +148,6 @@ def test_out_of_range_box_rejected():
 def test_empty_actor_set_rejected():
     with pytest.raises(ConfigError):
         ActorBoxSet(np.zeros((1, 0, 4))).validate()
-
-
-def test_even_fusion_kernel_rejected():
-    with pytest.raises(ConfigError):
-        ActorFusionParams.init(np.random.default_rng(0),
-                               toy_cfg(fusion_kernel=2))
 
 
 # -- reference boxes ---------------------------------------------------------

@@ -116,8 +116,9 @@ ROOT = SRC.parents[1]
 PROGRAM = sorted(p for d in ("src", "scripts", "bench")
                  for p in (ROOT / d).rglob("*.py")
                  if not p.name.startswith("test_"))
-# a metric-only utility that criterion 7 of the acceptance tests gates
-ONLY_TESTED = {"hierarchical_infer"}
+# a metric-only utility and the scalar gIoU reference, which criteria 7
+# and 2 of the acceptance tests gate
+ONLY_TESTED = {"hierarchical_infer", "giou_corners"}
 
 
 def _top_level_functions(tree):
@@ -125,11 +126,92 @@ def _top_level_functions(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
 
 
-def _references(tree) -> Counter:
-    """How often each name is loaded, or read as an attribute, in tree."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr
-                   for n in ast.walk(tree)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+STEMS = {p.stem for p in MODULES}
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _import_targets(node):
+    """(bound name, target) per alias of an import: target is ("module", m)
+    for a package module m, (m, f) for name f of module m, else None."""
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            last = alias.name.split(".")[-1]
+            if alias.asname and last in STEMS:
+                yield alias.asname, ("module", last)
+            else:
+                yield (alias.asname or alias.name).split(".")[0], None
+        return
+    module = (node.module or "").split(".")[-1]
+    for alias in node.names:
+        bound = alias.asname or alias.name
+        if module in STEMS:
+            yield bound, (module, alias.name)
+        elif module in ("", "groundact") and alias.name in STEMS:
+            yield bound, ("module", alias.name)
+        else:
+            yield bound, None
+
+
+def _scope_bindings(scope, stem) -> dict:
+    """The names a module, function or lambda binds in its own scope, each
+    mapped to its import target, to (stem, name) for a top-level function
+    of a package module, or to None."""
+    out = {}
+    if isinstance(scope, _SCOPES):
+        a = scope.args
+        for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]:
+            if arg:
+                out[arg.arg] = None
+    nodes = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            top = isinstance(scope, ast.Module) and stem in STEMS
+            out[node.name] = (stem, node.name) if top else None
+        elif isinstance(node, ast.ClassDef):
+            out[node.name] = None
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(_import_targets(node))
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            out[node.id] = None
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            out[node.name] = None
+        if not isinstance(node, (*_SCOPES, ast.ClassDef)):
+            nodes.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _references(tree, stem) -> Counter:
+    """How often each (module, function) of the package is referred to in
+    tree, the file of module ``stem``.  A reference counts only where it
+    can bind that function: a module-qualified attribute (``T.stack``), an
+    imported name, or a name of the defining module that no local binding
+    shadows; a function's references to itself do not count."""
+    refs = Counter()
+
+    def visit(node, scopes, own):
+        if isinstance(node, _SCOPES):
+            scopes = scopes + [_scope_bindings(node, stem)]
+        target = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            target = next((s[node.id] for s in reversed(scopes)
+                           if node.id in s), None)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)):
+            module = next((s[node.value.id] for s in reversed(scopes)
+                           if node.value.id in s), None)
+            if module and module[0] == "module":
+                target = (module[1], node.attr)
+        if target and target[0] != "module" and target != own:
+            refs[target] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, scopes, own)
+
+    module_scope = [_scope_bindings(tree, stem)]
+    for node in tree.body:
+        own = (stem, getattr(node, "name", None))
+        visit(node, module_scope, own)
+    return refs
 
 
 def _without_program_caller(paths):
@@ -137,15 +219,11 @@ def _without_program_caller(paths):
     other than from inside their own definition."""
     total = Counter()
     for p in PROGRAM:
-        total += _references(_tree(p))
+        total += _references(_tree(p), p.stem)
     entry = (ROOT / "pyproject.toml").read_text()
-    unused = []
-    for path in paths:
-        for name, node in _top_level_functions(_tree(path)).items():
-            if (total[name] - _references(node)[name] == 0
-                    and f":{name}" not in entry):
-                unused.append(f"{path.stem}.{name}")
-    return unused
+    return [f"{path.stem}.{name}" for path in paths
+            for name in _top_level_functions(_tree(path))
+            if not total[(path.stem, name)] and f":{name}" not in entry]
 
 
 def test_every_program_function_has_a_program_caller():
@@ -158,8 +236,28 @@ def test_caller_check_sees_a_function_only_tests_reach():
     tree = ast.parse("def used():\n    return 1\n"
                      "def only_tests(x):\n    return only_tests(x)\n"
                      "print(used())\n")
-    refs = _references(tree)
-    own = {name: _references(node)[name]
-           for name, node in _top_level_functions(tree).items()}
-    assert refs["used"] - own["used"] == 1
-    assert refs["only_tests"] - own["only_tests"] == 0
+    refs = _references(tree, "tensor")
+    assert refs[("tensor", "used")] == 1
+    assert refs[("tensor", "only_tests")] == 0
+
+
+def test_caller_check_ignores_names_that_cannot_bind_the_function():
+    # a local variable and numpy's function of the same name are not callers
+    tensor = ast.parse("import numpy as np\n"
+                       "def stack(ts):\n    return ts\n"
+                       "def topo(root):\n    stack = [root]\n"
+                       "    return stack.pop()\n"
+                       "def grid(xs):\n    return np.stack(xs)\n"
+                       "class Node:\n    def walk(self, stack):\n"
+                       "        return [stack for stack in stack]\n")
+    assert _references(tensor, "tensor")[("tensor", "stack")] == 0
+    assert _references(ast.parse("def f(xs):\n    return stack(xs)\n"
+                                 "def stack(xs):\n    return xs\n"),
+                       "tensor")[("tensor", "stack")] == 1
+    caller = ast.parse("from groundact import tensor as T\n"
+                       "from groundact.tensor import stack as st\n"
+                       "import numpy as np\n"
+                       "def f(xs):\n    return T.stack(xs), st(xs), "
+                       "np.stack(xs)\n"
+                       "def g(st):\n    return st\n")
+    assert _references(caller, "run")[("tensor", "stack")] == 2

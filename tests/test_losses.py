@@ -52,6 +52,11 @@ def brute_force_match(cost):
     return best_cols, best_total
 
 
+def giou(a, b):
+    """Generalized IoU of two (cx, cy, w, h) boxes, by the scalar gIoU."""
+    return L.giou_corners(L.cxcywh_to_corners(a), L.cxcywh_to_corners(b))
+
+
 def random_corner_box(rng):
     x1, y1 = rng.uniform(0, 0.7, size=2)
     w, h = rng.uniform(0.05, 0.3, size=2)
@@ -61,7 +66,7 @@ def random_corner_box(rng):
 # -- gIoU exact values -------------------------------------------------------
 
 def test_giou_identical_box_is_one():
-    assert L.giou((0.5, 0.5, 0.2, 0.3), (0.5, 0.5, 0.2, 0.3)) == 1.0
+    assert giou((0.5, 0.5, 0.2, 0.3), (0.5, 0.5, 0.2, 0.3)) == 1.0
 
 
 def test_giou_disjoint_hand_value():
@@ -85,7 +90,7 @@ def test_giou_nested_equals_iou():
 
 def test_giou_degenerate_box_rejected():
     with pytest.raises(ContractError):
-        L.giou((0.5, 0.5, 0.0, 0.2), (0.5, 0.5, 0.2, 0.2))
+        giou((0.5, 0.5, 0.0, 0.2), (0.5, 0.5, 0.2, 0.2))
 
 
 def test_giou_grid_oracle_sample():
@@ -119,7 +124,7 @@ def test_pairwise_iou_agrees_with_scalar():
     iou, mat = L.pairwise_iou(pred, gt)
     for i in range(2):
         for j in range(3):
-            assert abs(mat[i, j] - L.giou(gt[i], pred[j])) <= 1e-12
+            assert abs(mat[i, j] - giou(gt[i], pred[j])) <= 1e-12
             a, b = L.cxcywh_to_corners(gt[i]), L.cxcywh_to_corners(pred[j])
             iw = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
             ih = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
@@ -347,7 +352,7 @@ def test_match_cost_hand_built_two_by_two():
     expected_01 = 0.0 + 0.0 + 1.0 * (1.0 - sig(4.0))
     assert abs(cost[0, 1] - expected_01) <= 1e-6
     l1_term = 5 * np.abs(gt[0] - pred[0]).sum()
-    giou_term = 2 * (1.0 - L.giou(gt[0], pred[0]))
+    giou_term = 2 * (1.0 - giou(gt[0], pred[0]))
     bce_term = 1.0 * (1.0 - sig(-4.0))
     assert abs(cost[0, 0] - (l1_term + giou_term + bce_term)) <= 1e-6
     # matching picks the swap
@@ -371,6 +376,15 @@ def test_match_cost_tie_break_lowest_index():
     pred = np.repeat(gt, 4, axis=0)        # all predictions identical
     cost = L.match_cost(pred, None, gt, None, w)
     assert L.hungarian_match(cost).pairs() == [(0, 0)]
+
+
+def _padded(action_lists):
+    """Ragged per-actor action lists -> [M, K] indices padded with -1."""
+    out = np.full((len(action_lists), max(map(len, action_lists), default=0)),
+                  -1, dtype=np.int64)
+    for i, actions in enumerate(action_lists):
+        out[i, :len(actions)] = actions
+    return out
 
 
 def _loop_match_cost(pred, logits, gt, gt_actions, w, weak):
@@ -408,8 +422,8 @@ def test_batched_match_cost_equals_per_clip_calls():
         m = len(ann.actors)
         acts = [sorted(a.actions) for a in ann.actors]
         key = np.stack([a.tube[keyframe] for a in ann.actors])
-        one = L.match_cost(boxes[i, :, keyframe], logits[i], key, acts, w,
-                           weak=ann.weak)
+        one = L.match_cost(boxes[i, :, keyframe], logits[i], key,
+                           _padded(acts), w, weak=ann.weak)
         np.testing.assert_array_equal(batched[i, :m], one)
         np.testing.assert_array_equal(
             one, _loop_match_cost(boxes[i, :, keyframe], logits[i], key,
@@ -508,25 +522,6 @@ def test_total_objective_perfect_prediction_zero():
     assert total.item() == 0.0
 
 
-def test_total_objective_aux_layers_toggle():
-    rng = np.random.default_rng(8)
-    tube = np.stack([[0.4, 0.5, 0.2, 0.2]] * 2)
-    layers = [rng.uniform(0.3, 0.7, size=(1, 2, 2, 4)) for _ in range(3)]
-    for b in layers:
-        b[..., 2:] = rng.uniform(0.1, 0.3, size=b[..., 2:].shape)
-    ann = _annotation([tube], [[0]])
-    w_all = LossWeights(group_ce=0.0, action_bce=0.0, aux_layers=True)
-    w_last = LossWeights(group_ce=0.0, action_bce=0.0, aux_layers=False)
-    t_all, _ = L.total_objective(_fake_output(layers), [ann], w_all,
-                                 keyframe=1)
-    t_last, _ = L.total_objective(_fake_output(layers), [ann], w_last,
-                                  keyframe=1)
-    t_only, _ = L.total_objective(_fake_output(layers[-1:]), [ann], w_all,
-                                  keyframe=1)
-    assert abs(t_last.item() - t_only.item()) <= 1e-12
-    assert t_all.item() > t_last.item()
-
-
 def test_total_objective_gt_permutation_invariant():
     rng = np.random.default_rng(9)
     tubes = [np.stack([[0.3, 0.3, 0.2, 0.2]] * 2),
@@ -571,8 +566,6 @@ def _one_clip_objectives(out, anns, w, keyframe, weak=False,
     slice of the outputs: the reference the batched objective must equal."""
     layers = out.per_layer_boxes or (
         [fallback_boxes] if fallback_boxes is not None else [])
-    if not w.aux_layers:
-        layers = layers[-1:]
     total = Tensor(np.zeros(()))
     agg = {"l1": 0.0, "giou": 0.0, "group_ce": 0.0, "action_bce": 0.0}
     b = len(anns)
@@ -585,8 +578,8 @@ def _one_clip_objectives(out, anns, w, keyframe, weak=False,
         for boxes in layers:
             clip_boxes = boxes[s]
             cost = L.match_cost(clip_boxes.data[0, :, keyframe],
-                                logits.data[0], gt[:, keyframe], acts, w,
-                                weak=weak)
+                                logits.data[0], gt[:, keyframe],
+                                _padded(acts), w, weak=weak)
             match = L.hungarian_match(cost)
             pred = clip_boxes[0, match.pred_indices]
             l1 = l1_loss(pred, gt)
@@ -686,13 +679,6 @@ def test_batched_objective_weak_equals_one_clip_mean():
     weak_anns = [weak_supervision_view(a) for a in anns]
     _assert_batched_equals_one_clip(arrays, weak_anns, LossWeights(),
                                     weak=True)
-
-
-def test_batched_objective_last_layer_only_equals_one_clip_mean():
-    arrays, anns = _random_batch(np.random.default_rng(13), [2, 5, 1],
-                                 layers=3)
-    _assert_batched_equals_one_clip(arrays, anns,
-                                    LossWeights(aux_layers=False))
 
 
 def test_batched_objective_fallback_boxes_equal_one_clip_mean():

@@ -1,5 +1,8 @@
 """Autodiff engine: forward values, gradients, graph contracts, container."""
 
+import struct
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -392,6 +395,63 @@ def test_container_truncated_names_path_and_array(tmp_path):
     path.write_bytes(data[:6])
     with pytest.raises(ValueError, match="truncated"):
         T.load_arrays(path)
+
+
+def _one_array_container(name: bytes, shape) -> bytes:
+    """A container of one float64 array with the given raw name and shape
+    fields and no data."""
+    return (b"GACT" + struct.pack("<II", 1, 1) + struct.pack("<H", len(name))
+            + name + struct.pack("<BB", 0, len(shape))
+            + struct.pack(f"<{len(shape)}I", *shape))
+
+
+def test_container_declared_size_checked_before_read(tmp_path):
+    # 2^32 - 1 float64 elements: ~34 GB declared, none present
+    path = tmp_path / "huge.bin"
+    path.write_bytes(_one_array_container(b"w", (2 ** 32 - 1,)))
+    with pytest.raises(ValueError, match=r"huge\.bin: truncated container: "
+                                         r"array 'w' data needs 34359738360"):
+        T.load_arrays(path)
+
+
+def test_container_name_not_utf8_names_path(tmp_path):
+    path = tmp_path / "name.bin"
+    path.write_bytes(_one_array_container(b"\xff\xfe", (0,)))
+    with pytest.raises(ValueError, match=r"name\.bin: array #0 name is not "
+                                         r"UTF-8"):
+        T.load_arrays(path)
+
+
+def _container_file() -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = f"{d}/arrays.bin"
+        T.save_arrays(path, {"w": np.arange(6.0).reshape(2, 3),
+                             "h": np.ones(2, dtype=np.float32),
+                             "n": np.arange(3, dtype=np.int64)})
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+CONTAINER_FILE = _container_file()
+
+
+@settings(deadline=None, max_examples=60)
+@given(cut=st.integers(0, len(CONTAINER_FILE)),
+       edits=st.lists(st.tuples(st.integers(0, len(CONTAINER_FILE)),
+                                st.integers(0, 255)), max_size=3))
+def test_container_fails_only_at_the_boundary(cut, edits):
+    data = bytearray(CONTAINER_FILE[:cut])
+    for at, byte in edits:
+        if data:
+            data[at % len(data)] = byte
+    with tempfile.TemporaryDirectory() as d:
+        path = f"{d}/arrays.bin"
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            T.load_arrays(path)
+        except ValueError as exc:
+            assert type(exc) is ValueError and str(exc).startswith(path), exc
 
 
 # -- fused ops against their composed references ------------------------------

@@ -208,21 +208,40 @@ def test_truncated_checkpoint_names_path_and_array(tmp_path):
         load_checkpoint(path)
 
 
-def test_version_1_checkpoint_rejected_by_version(tmp_path):
-    # a format-1 file holds a parameter and a [model] key that format 2 does
-    # not know, so the version check must run before the config is parsed
+def _older_checkpoint(path, version, model_keys, loss_keys=None):
+    """A checkpoint whose meta claims ``version`` and whose stored config
+    holds keys this build does not know."""
     cfg = tiny_cfg()
-    path = tmp_path / "v1.ckpt"
     save_checkpoint(path, GroundedModel(cfg.model, seed=0), cfg)
     arrays = load_arrays(path)
     meta = json.loads(bytes(arrays["__meta__"]).decode())
-    meta["format_version"] = 1
-    meta["config"]["model"]["retired_option"] = False
-    arrays["param/decoder.retired_proj"] = np.zeros((4, cfg.model.d_model))
+    meta["format_version"] = version
+    meta["config"]["model"].update(model_keys)
+    meta["config"]["loss"].update(loss_keys or {})
     arrays["__meta__"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8).copy()
+    return arrays
+
+
+def test_version_1_checkpoint_rejected_by_version(tmp_path):
+    # a format-1 file holds a parameter and a [model] key that format 2 does
+    # not know, so the version check must run before the config is parsed
+    path = tmp_path / "v1.ckpt"
+    arrays = _older_checkpoint(path, 1, {"retired_option": False})
+    arrays["param/decoder.retired_proj"] = np.zeros((4, 16))
     save_arrays(path, arrays)
     with pytest.raises(TrainingError, match="checkpoint version 1 unsupported"):
+        load_checkpoint(path)
+
+
+def test_version_2_checkpoint_rejected_by_version(tmp_path):
+    # format 2 stored the label-head widths, the fusion kernel and the
+    # aux-layer switch in its config
+    path = tmp_path / "v2.ckpt"
+    save_arrays(path, _older_checkpoint(
+        path, 2, {"num_actions": 6, "num_groups": 6, "fusion_kernel": 3},
+        {"aux_layers": True}))
+    with pytest.raises(TrainingError, match="checkpoint version 2 unsupported"):
         load_checkpoint(path)
 
 
@@ -304,6 +323,17 @@ def test_clip_geometry_mismatch_is_config_error_before_step_0(tmp_path, key,
     assert not log.exists()
     with pytest.raises(ConfigError, match=rf"\[model\] {key} = {value}"):
         evaluate(GroundedModel(cfg.model, seed=0), corpus, cfg, VOCAB)
+
+
+def test_vocab_size_too_small_is_config_error_before_step_0(tmp_path):
+    # the prompts name action words, whose vocabulary indices exceed 4
+    cfg = tiny_cfg()
+    cfg.model.vocab_size = 4
+    log = tmp_path / "log.jsonl"
+    with pytest.raises(ConfigError, match=r"clip 'clip-0-\d{4}' has prompt "
+                       r"token \d+, outside \[model\] vocab_size = 4"):
+        train(cfg, tiny_corpus(), log_path=str(log), max_steps=2, vocab=VOCAB)
+    assert not log.exists()
 
 
 def test_train_loss_moves():
