@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -132,21 +132,17 @@ class TextStubParams:
 
 
 def text_encode(tokens: np.ndarray, params: TextStubParams, cfg: ModelConfig,
-                mask: Optional[np.ndarray] = None,
-                ctx: RunContext = nn.EVAL) -> Tensor:
+                mask: np.ndarray, ctx: RunContext = nn.EVAL) -> Tensor:
     """Embedding lookup + positional encoding + one pre-norm attention block.
 
-    tokens: integer array [..., L]; mask marks real (non-padding) positions.
-    Returns text features [..., L, d].
+    tokens: integer array [..., L]; mask [..., L] marks real (non-padding)
+    positions.  Returns text features [..., L, d].
     """
     tokens = np.asarray(tokens)
     if tokens.max(initial=0) >= cfg.vocab_size or tokens.min(initial=0) < 0:
         raise DataError(f"token index outside vocabulary of {cfg.vocab_size}")
     x = T.getitem(params.embedding, tokens)
-    L = tokens.shape[-1]
     x = nn.positional_encode(x, params.temporal_pe)
-    attn_mask = None
-    if mask is not None:
-        attn_mask = np.expand_dims(mask, -2) & np.ones((L, 1), dtype=bool)
-    x = nn.self_attention_block(x, params.norm1, params.attn, attn_mask, ctx)
+    x = nn.self_attention_block(x, params.norm1, params.attn,
+                                np.expand_dims(mask, -2), ctx)
     return nn.feed_forward_block(x, params.norm2, params.ffn, ctx)

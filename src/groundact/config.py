@@ -132,19 +132,11 @@ class ExperimentConfig:
 _SECTIONS = {"model": ModelConfig, "loss": LossWeights, "train": TrainConfig}
 
 
-def _parse_value(text: str, ftype):
-    if ftype == "bool":
-        low = text.strip().lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"bad boolean {text!r}")
-    if ftype == "int":
-        return int(text)
-    if ftype == "float":
-        return float(text)
-    return text
+_BOOLS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+          **dict.fromkeys(("false", "0", "no", "off"), False)}
+# INI text -> field value, by the field's annotated type; str passes through
+_PARSERS = {"bool": lambda text: _BOOLS[text.strip().lower()],
+            "int": int, "float": float}
 
 
 def _known_sections(sections, where: str):
@@ -178,7 +170,12 @@ def load_config(path) -> ExperimentConfig:
         items = parser.items(section)
         known = _known_fields(section, [key for key, _ in items])
         for key, raw in items:
-            setattr(target, key, _parse_value(raw, known[key].type))
+            ftype = known[key].type
+            try:
+                setattr(target, key, _PARSERS.get(ftype, str)(raw))
+            except (KeyError, ValueError):
+                raise ConfigError(f"[{section}] {key} = {raw!r} is not a "
+                                  f"valid {ftype}, in {path}") from None
     cfg.validate()
     return cfg
 

@@ -26,7 +26,7 @@ from .fusion import (ActorBoxSet, ActorFusionParams, ReferenceBoxParams,
                      fuse, reference_logits)
 from .nn import (AttentionParams, FeedForwardParams, LayerNormParams,
                  RunContext)
-from .tensor import ContractError, Tensor
+from .tensor import Tensor
 
 
 @dataclass
@@ -95,15 +95,13 @@ class ActionDecoderParams:
 
 @dataclass
 class DecoderOutput:
-    per_layer_boxes: List[Tensor]            # each [B, N, T, 4]
+    per_layer_boxes: List[Tensor]            # each [B, N, T, 4], never empty
     per_layer_actor_embeddings: List[Tensor]  # each [B, N, d]
     action_logits: Tensor                    # [B, N, A]
     group_logits: Tensor                     # [B, G]
 
     @property
     def final_boxes(self) -> Tensor:
-        if not self.per_layer_boxes:
-            raise ContractError("no decoder layers produced boxes")
         return self.per_layer_boxes[-1]
 
 
@@ -127,11 +125,9 @@ def decode(rep: SharedRepresentation,
     """Run the decoder stack and emit per-layer box tubes plus logits.
 
     With cfg.use_actor_fusion the queries add the fused features of the
-    reference boxes at the keyframe t // 2.
+    reference boxes at the keyframe t // 2.  Each layer adds one box tube;
+    with no layers the one tube is the reference tube itself.
     """
-    if rep.video.ndim != 4:
-        raise ContractError(f"shared representation missing video rows: "
-                            f"{rep.video.shape}")
     b, t, hw, d = rep.video.shape
     n = cfg.num_queries
 
@@ -158,12 +154,10 @@ def decode(rep: SharedRepresentation,
     x = T.concat([x, rep.group], axis=1)                 # [B, N+1, d]
 
     # temporal cross-attention keys: every pooled frame, then the real tokens
-    text_mask = (rep.text_mask if rep.text_mask is not None
-                 else np.ones((b, rep.text.shape[1]), dtype=bool))
-    key_mask = np.concatenate([np.ones((b, t), dtype=bool), text_mask], axis=1)
-    attn_mask = np.expand_dims(key_mask, 1) & np.ones((n + 1, 1), dtype=bool)
+    attn_mask = np.concatenate([np.ones((b, 1, t), dtype=bool),
+                                np.expand_dims(rep.text_mask, -2)], axis=-1)
 
-    per_layer_boxes: List[Tensor] = []
+    per_layer_boxes = [] if params.layers else [T.sigmoid(box_logits)]
     per_layer_embeddings: List[Tensor] = []
 
     for li, layer in enumerate(params.layers):

@@ -10,7 +10,7 @@ temporal-convolution fast branch re-injects per-frame dynamics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .tensor import ShapeError, Tensor
 
 @dataclass
 class SharedRepresentation:
-    """Fused streams plus the layout of the concatenated view.
+    """Fused streams and their concatenated view.
 
     The concatenated view ``vt_f`` has T*HW video rows, then L text rows,
     then the group-token row, per batch element.
@@ -31,20 +31,13 @@ class SharedRepresentation:
     video: Tensor                   # [B, T, HW, d]
     text: Tensor                    # [B, L, d]
     group: Tensor                   # [B, 1, d]
-    text_mask: Optional[np.ndarray]  # [B, L]
+    text_mask: np.ndarray           # [B, L], True at real tokens
 
     @property
     def vt_f(self) -> Tensor:
         b, t, hw, d = self.video.shape
         flat_video = T.reshape(self.video, (b, t * hw, d))
         return T.concat([flat_video, self.text, self.group], axis=1)
-
-    @property
-    def layout(self) -> dict:
-        b, t, hw, d = self.video.shape
-        L = self.text.shape[1]
-        return {"video": (0, t * hw), "text": (t * hw, t * hw + L),
-                "group": (t * hw + L, t * hw + L + 1)}
 
 
 @dataclass
@@ -100,22 +93,17 @@ class VLEncoderParams:
 
 
 def cross_modal_block(video_rows: Tensor, text_rows: Tensor,
-                      layer: EncoderLayerParams,
-                      text_mask: Optional[np.ndarray] = None,
+                      layer: EncoderLayerParams, text_mask: np.ndarray,
                       ctx: RunContext = nn.EVAL):
     """V2T then T2V, each pre-norm with a residual.
 
     video_rows: [B, R, d] (all video rows incl. the group token),
-    text_rows: [B, L, d].
+    text_rows: [B, L, d], text_mask: [B, L].
     """
-    key_mask = None
-    if text_mask is not None:
-        R = video_rows.shape[-2]
-        key_mask = np.expand_dims(text_mask, -2) & np.ones((R, 1), dtype=bool)
     h = nn.layer_norm(video_rows, layer.norm_v2t)
     video_rows = T.add(video_rows, nn.multi_head_attention(
         h, nn.layer_norm(text_rows, layer.norm_v2t), layer.v2t_cross,
-        key_mask, ctx))
+        np.expand_dims(text_mask, -2), ctx))
     h = nn.layer_norm(text_rows, layer.norm_t2v)
     text_rows = T.add(text_rows, nn.multi_head_attention(
         h, nn.layer_norm(video_rows, layer.norm_t2v), layer.t2v_cross,
@@ -124,9 +112,11 @@ def cross_modal_block(video_rows: Tensor, text_rows: Tensor,
 
 
 def encode(v_f: Tensor, t_f: Tensor, params: VLEncoderParams,
-           cfg: ModelConfig, text_mask: Optional[np.ndarray] = None,
+           cfg: ModelConfig, text_mask: np.ndarray,
            ctx: RunContext = nn.EVAL) -> SharedRepresentation:
-    """Fuse video [B, T, HW, d] and text [B, L, d] into a shared representation.
+    """Fuse video [B, T, HW, d] and text [B, L, d] into a shared
+    representation; no text row that text_mask [B, L] marks as padding is
+    attended to.
 
     The temporal encoding is added per frame first.  Within each layer: text
     self-attention, per-cell temporal self-attention on video (the group
@@ -143,15 +133,12 @@ def encode(v_f: Tensor, t_f: Tensor, params: VLEncoderParams,
     video = T.add(v_f, T.reshape(rows, (1, t, 1, d)))
     text = t_f
     group = T.broadcast_to(T.reshape(params.group_token, (1, 1, d)), (b, 1, d))
+    key_mask = np.expand_dims(text_mask, -2)                 # [B, 1, L]
 
     for layer in params.layers:
         # (a) text self-attention
-        attn_mask = None
-        if text_mask is not None:
-            L = text.shape[1]
-            attn_mask = np.expand_dims(text_mask, -2) & np.ones((L, 1), dtype=bool)
         text = nn.self_attention_block(text, layer.norm_text_self,
-                                       layer.text_self_attn, attn_mask, ctx)
+                                       layer.text_self_attn, key_mask, ctx)
 
         # (b) temporal self-attention per spatial cell; group token is its
         # own one-row sequence through the same weights

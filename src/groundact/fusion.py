@@ -8,7 +8,6 @@ convolution three actors wide across the actor axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -69,12 +68,13 @@ class ActorFusionParams:
 
 
 def fuse(boxes: ActorBoxSet, t_f: Tensor, params: ActorFusionParams,
-         text_mask: Optional[np.ndarray] = None) -> Tensor:
+         text_mask: np.ndarray) -> Tensor:
     """Embed boxes, average with pooled normalized text, refine with conv1d.
 
     boxes.boxes: [B, N, 4] (consumed as plain values; the caller detaches
-    predicted boxes before fusing them back in).  t_f: [B, L, d].  Returns
-    the actor features [B, N, d].
+    predicted boxes before fusing them back in).  t_f: [B, L, d], pooled
+    over the real tokens that text_mask [B, L] marks.  Returns the actor
+    features [B, N, d].
     """
     boxes.validate()
     b = np.asarray(boxes.boxes, dtype=np.float64)
@@ -84,13 +84,10 @@ def fuse(boxes: ActorBoxSet, t_f: Tensor, params: ActorFusionParams,
     box_emb = T.add(box_emb, Tensor(box_coordinate_encoding(b, d)))
 
     normed = nn.layer_norm(t_f, params.text_norm)
-    if text_mask is None:
-        pooled = T.tmean(normed, axis=-2, keepdims=True)       # [B, 1, d]
-    else:
-        m = text_mask[..., None].astype(np.float64)
-        counts = np.maximum(m.sum(axis=-2, keepdims=True), 1.0)
-        pooled = T.mul(T.tsum(T.mul(normed, Tensor(m)), axis=-2, keepdims=True),
-                       Tensor(1.0 / counts))
+    m = text_mask[..., None].astype(np.float64)
+    counts = np.maximum(m.sum(axis=-2, keepdims=True), 1.0)
+    pooled = T.mul(T.tsum(T.mul(normed, Tensor(m)), axis=-2, keepdims=True),
+                   Tensor(1.0 / counts))                       # [B, 1, d]
 
     # the two d-wide halves of [box_emb | pooled] averaged back to width d
     fused = T.mul(T.add(box_emb, pooled), 0.5)                 # [B, N, d]

@@ -6,7 +6,7 @@ binary cross-entropy, accumulated over every decoder layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -162,8 +162,8 @@ def hungarian_match(cost: np.ndarray) -> MatchResult:
     return MatchResult(rows, cols, float(cost[rows, cols].sum()))
 
 
-def match_cost(pred_boxes: np.ndarray, pred_action_logits: Optional[np.ndarray],
-               gt_boxes: np.ndarray, gt_actions: Optional[np.ndarray],
+def match_cost(pred_boxes: np.ndarray, pred_action_logits: np.ndarray,
+               gt_boxes: np.ndarray, gt_actions: np.ndarray,
                weights: LossWeights, weak=False) -> np.ndarray:
     """Pairwise matching cost on keyframe boxes over shared leading axes,
     pred [..., N, 4] (logits [..., N, A]) x gt [..., M, 4] -> [..., M, N].
@@ -180,8 +180,7 @@ def match_cost(pred_boxes: np.ndarray, pred_action_logits: Optional[np.ndarray],
     l1 = np.abs(gt_boxes[..., :, None, :] - pred_boxes[..., None, :, :]).sum(axis=-1)
     giou_mat = pairwise_iou(pred_boxes, gt_boxes)[1]
     cost = weights.l1 * l1 + weights.giou * (1.0 - giou_mat)
-    if (weights.action_bce > 0 and pred_action_logits is not None
-            and gt_actions is not None):
+    if weights.action_bce > 0:
         acts = np.asarray(gt_actions)
         used = (acts >= 0) & ~np.asarray(weak, dtype=bool)[..., None, None]
         count = used.sum(axis=-1)                                 # [..., M]
@@ -231,12 +230,12 @@ def ground_truth(annotations) -> GroundTruth:
                        np.array([a.weak for a in anns], dtype=bool))
 
 
-def keyframe_matches(boxes: np.ndarray, action_logits: Optional[np.ndarray],
+def keyframe_matches(boxes: np.ndarray, action_logits: np.ndarray,
                      gt: GroundTruth, weights: LossWeights, keyframe: int,
                      weak: bool = False) -> List[MatchResult]:
     """Per clip, the minimum-cost match of its actors to its queries.
 
-    boxes [B, N, T, 4] and action_logits [B, N, A] (or None) are plain
+    boxes [B, N, T, 4] and action_logits [B, N, A] are plain
     arrays; the cost is taken on the keyframe boxes, in one ``match_cost``
     over the batch.  The action term is dropped for weak mode and for
     weakly annotated clips.
@@ -259,14 +258,13 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
 # -- total objective ---------------------------------------------------------
 
 def total_objective(decoder_out, annotations, weights: LossWeights,
-                    keyframe: int, weak: bool = False,
-                    fallback_boxes: Optional[Tensor] = None):
+                    keyframe: int, weak: bool = False):
     """Batch objective: the mean over clips of each clip's objective,
     accumulated over decoder layers.
 
-    decoder_out: DecoderOutput with per-layer [B, N, T, 4] box tubes.
+    decoder_out: DecoderOutput with one or more per-layer [B, N, T, 4] box
+    tubes (a decoder without layers returns its reference tube).
     annotations: one SceneAnnotation per clip, tubes sampled to T frames.
-    fallback_boxes [B, N, T, 4] stands in for the layers when there are none.
     The matching cost is one array op over the batch and the assignment is
     solved per clip; every loss term is one op over the whole batch, with
     actors padded to the largest clip and each clip's boxes weighted
@@ -281,18 +279,11 @@ def total_objective(decoder_out, annotations, weights: LossWeights,
     box_w = (valid / (b * counts[:, None] * frames))[:, :, None]
     rows = np.arange(b)[:, None]
 
-    layer_boxes = decoder_out.per_layer_boxes
-    if not layer_boxes and fallback_boxes is not None:
-        layer_boxes = [fallback_boxes]
-    act_logits = (decoder_out.action_logits.data
-                  if decoder_out.action_logits is not None else None)
-
     total = Tensor(np.zeros(()))
     breakdown = {"l1": 0.0, "giou": 0.0, "group_ce": 0.0, "action_bce": 0.0}
-    matches = None
-    for boxes in layer_boxes:
-        matches = keyframe_matches(boxes.data, act_logits, truth, weights,
-                                   keyframe, weak)
+    for boxes in decoder_out.per_layer_boxes:
+        matches = keyframe_matches(boxes.data, decoder_out.action_logits.data,
+                                   truth, weights, keyframe, weak)
         # padded slots repeat the clip's matched queries, at weight 0
         idx = np.stack([np.resize(m.pred_indices, gt.shape[1])
                         for m in matches])
@@ -310,7 +301,7 @@ def total_objective(decoder_out, annotations, weights: LossWeights,
         total = T.add(total, T.mul(ce, weights.group_ce))
         breakdown["group_ce"] = ce.item()
 
-    if not weak and weights.action_bce > 0 and matches is not None:
+    if not weak and weights.action_bce > 0:
         targets = np.zeros(decoder_out.action_logits.shape)       # [B, N, A]
         for i, (ann, m) in enumerate(zip(anns, matches)):
             for gt_i, pred_j in m.pairs():

@@ -26,7 +26,7 @@ class Batch:
     frames: np.ndarray            # [B, T, H, W, C]
     tokens: np.ndarray            # [B, L] padded with UNK
     text_mask: np.ndarray         # [B, L]
-    annotations: list             # SceneAnnotation per clip, or None
+    annotations: list             # SceneAnnotation per clip
     clip_ids: List[str]
 
 
@@ -49,9 +49,10 @@ def _check_clip(clip: bb.VideoClip, cfg: ModelConfig):
 
 
 def make_batch(clips, prompts: Sequence[str], cfg: ModelConfig,
-               vocab: List[str], annotations=None) -> Batch:
+               vocab: List[str], annotations) -> Batch:
     """Check each clip and prompt against the config, sample frames, tokenize
-    and pad prompts, stack into arrays."""
+    and pad prompts, stack into arrays; the annotations' tubes are resampled
+    to the model's frames."""
     for c in clips:
         _check_clip(c, cfg)
     sampled = [bb.sample_frames(c, cfg.frames) for c in clips]
@@ -67,12 +68,8 @@ def make_batch(clips, prompts: Sequence[str], cfg: ModelConfig,
     for i, t in enumerate(token_lists):
         tokens[i, :len(t)] = t
         mask[i, :len(t)] = True
-    anns = list(annotations) if annotations is not None else [None] * len(clips)
-    if annotations is not None:
-        anns = [_sample_annotation(a, cfg.frames) if a is not None else None
-                for a in anns]
-    return Batch(frames, tokens, mask, anns,
-                 [c.clip_id for c in clips])
+    anns = [_sample_annotation(a, cfg.frames) for a in annotations]
+    return Batch(frames, tokens, mask, anns, [c.clip_id for c in clips])
 
 
 def _sample_annotation(ann, t: int):

@@ -147,7 +147,9 @@ def multi_head_attention(q_seq: Tensor, kv_seq: Tensor, params: AttentionParams,
     head merge and the output projection; the backward is written out by
     hand.  The leading axes of q_seq and kv_seq broadcast against each other.
     mask is a boolean array broadcastable to [..., Lq, Lk]; True marks keys
-    that may be attended to.  Every query row must keep at least one key.
+    that may be attended to.  A padding mask over the keys is passed as
+    [..., 1, Lk] and broadcasts over the query rows.  Every query row must
+    keep at least one key.
     Pre-norm self-attention with its residual is :func:`self_attention_block`.
     """
     d = params.d_model

@@ -60,9 +60,14 @@ def save_checkpoint(path, model: GroundedModel, cfg: ExperimentConfig,
 def load_checkpoint(path) -> Tuple[GroundedModel, ExperimentConfig,
                                    Optional[OptimizerState], dict]:
     arrays = load_arrays(path)
-    meta = json.loads(bytes(arrays.pop("__meta__")).decode())
-    if meta["format_version"] != CHECKPOINT_VERSION:
-        raise TrainingError(f"checkpoint version {meta['format_version']} "
+    try:
+        meta = json.loads(bytes(arrays.pop("__meta__", b"")).decode())
+        version, _ = meta["format_version"], meta["config"]
+    except (ValueError, TypeError, KeyError) as e:
+        raise ValueError(f"{path}: checkpoint meta is not a UTF-8 JSON object "
+                         f"with format_version and config ({e!r})") from None
+    if version != CHECKPOINT_VERSION:
+        raise TrainingError(f"checkpoint version {version} "
                             f"unsupported; this build reads version "
                             f"{CHECKPOINT_VERSION}")
     cfg = config_from_dict(meta["config"])
@@ -85,18 +90,8 @@ def load_checkpoint(path) -> Tuple[GroundedModel, ExperimentConfig,
 # -- objective over a batch --------------------------------------------------
 
 def batch_objective(out, batch: Batch, cfg: ExperimentConfig, keyframe: int,
-                    weak: bool, fallback_boxes=None):
-    return total_objective(out, batch.annotations, cfg.loss, keyframe,
-                           weak=weak, fallback_boxes=fallback_boxes)
-
-
-def _reference_fallback(model: GroundedModel, b: int) -> Tensor:
-    from .fusion import reference_logits
-    cfg = model.cfg
-    ref = reference_logits(model.params.reference)
-    tube = T.broadcast_to(T.reshape(ref, (1, cfg.num_queries, 1, 4)),
-                          (b, cfg.num_queries, cfg.frames, 4))
-    return T.sigmoid(tube)
+                    weak: bool):
+    return total_objective(out, batch.annotations, cfg.loss, keyframe, weak)
 
 
 # -- evaluation --------------------------------------------------------------
@@ -161,8 +156,7 @@ def evaluate(model: GroundedModel, corpus, cfg: ExperimentConfig,
         use_vote = cfg.model.decoder_layers >= 1
     batch, _, out = infer(model, corpus, cfg, vocab)
     keyframe = model.keyframe()
-    boxes = (out.final_boxes if out.per_layer_boxes
-             else _reference_fallback(model, len(corpus))).data
+    boxes = out.final_boxes.data
     act_all = out.action_logits.data
     gt = ground_truth(batch.annotations)
     matches = keyframe_matches(boxes, act_all, gt, cfg.loss, keyframe)
@@ -275,10 +269,7 @@ def train(cfg: ExperimentConfig, corpus, mode: Optional[str] = None,
                           [full.annotations[i] for i in idx],
                           [full.clip_ids[i] for i in idx])
             _, out = model.forward(batch, ctx)
-            fallback = (_reference_fallback(model, bs)
-                        if not out.per_layer_boxes else None)
-            loss, agg = batch_objective(out, batch, cfg, keyframe, weak,
-                                        fallback)
+            loss, agg = batch_objective(out, batch, cfg, keyframe, weak)
             loss_val = loss.item()
             if not np.isfinite(loss_val):
                 kept = ("" if last_good is None else

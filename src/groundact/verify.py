@@ -162,21 +162,22 @@ def block_cases(rng: np.random.Generator):
     # exercise the box head path with a non-degenerate final layer
     dec.layers[0].box_head.w3.data = rng.normal(0, 0.1, size=(d, 4))
     t_f0 = Tensor(rng.uniform(-1, 1, size=(1, l, d)))
+    text_mask = np.ones((1, l), dtype=bool)
 
     def through_encoder(v_flat: Tensor) -> Tensor:
         v = T.reshape(v_flat, (1, t, hw, d))
-        rep = encode(v, t_f0, enc, cfg)
+        rep = encode(v, t_f0, enc, cfg, text_mask)
         return T.tsum(T.mul(rep.vt_f, 0.01))
 
     def through_fusion(t_flat: Tensor) -> Tensor:
         boxes = ActorBoxSet(np.array([[[0.3, 0.4, 0.2, 0.2],
                                        [0.6, 0.5, 0.25, 0.3]]]))
-        out = fuse(boxes, T.reshape(t_flat, (1, l, d)), fus)
+        out = fuse(boxes, T.reshape(t_flat, (1, l, d)), fus, text_mask)
         return T.tsum(T.mul(out, 0.1))
 
     def through_decoder(v_flat: Tensor) -> Tensor:
         v = T.reshape(v_flat, (1, t, hw, d))
-        rep = encode(v, t_f0, enc, cfg)
+        rep = encode(v, t_f0, enc, cfg, text_mask)
         out = decode(rep, dec, cfg, fus, ref)
         # mean L1 + mean (1 - gIoU) of query 0's tube against one gt tube
         gt = np.array([[[0.3, 0.4, 0.2, 0.2]] * t])

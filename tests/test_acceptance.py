@@ -24,6 +24,7 @@ from groundact.ablation import run_ablation
 from groundact.config import ExperimentConfig, ModelConfig, TrainConfig
 from groundact.model import GroundedModel, make_batch
 from groundact.optim import lr_at, wd_at
+from groundact.tensor import Tensor
 from groundact.training import (evaluate, load_checkpoint, save_checkpoint,
                                 train)
 from groundact.verify import TOLERANCE, run_suite
@@ -152,6 +153,26 @@ def test_criterion_2_giou_oracle():
             b = (x3, y3, x3 + w2, y3 + h2)
             worst = max(worst, abs(L.giou_corners(a, b) - grid_giou(a, b)))
         assert worst <= 1e-2, f"worst oracle gap {worst:.4f}"
+
+
+def test_criterion_2_program_giou_matches_grid_oracle():
+    # criterion 2's pairs against the gIoU the program matches with
+    # (pairwise_iou) and trains on (box_loss's 1 - gIoU term)
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for _ in range(100):
+        x1, y1, x3, y3 = rng.uniform(0, 0.7, size=4)
+        w, h, w2, h2 = rng.uniform(0.05, 0.3, size=4)
+        a = (x1, y1, x1 + w, y1 + h)
+        b = (x3, y3, x3 + w2, y3 + h2)
+        oracle = grid_giou(a, b)
+        pa = np.array([[x1 + w / 2, y1 + h / 2, w, h]])
+        pb = np.array([[x3 + w2 / 2, y3 + h2 / 2, w2, h2]])
+        matched = L.pairwise_iou(pa, pb)[1][0, 0]
+        trained = 1.0 - L.box_loss(Tensor(pa), slice(None), pb, np.ones(1),
+                                   0.0, 1.0)[2]
+        worst = max(worst, abs(matched - oracle), abs(trained - oracle))
+    assert worst <= 1e-2, f"worst oracle gap {worst:.4f}"
 
 
 def test_criterion_3_matching_oracle():

@@ -143,12 +143,17 @@ def test_visual_encode_gradient_reaches_projection():
 
 # -- text stub ---------------------------------------------------------------
 
+def encode_all_real(tokens, params, cfg):
+    """The text stub on tokens that are all real (no padding)."""
+    return text_encode(tokens, params, cfg, np.ones(tokens.shape, dtype=bool))
+
+
 def test_text_encode_shapes_and_determinism():
     cfg = toy_cfg()
     params = bb.TextStubParams.init(np.random.default_rng(3), cfg)
     tokens = np.array([[1, 2, 3], [4, 5, 0]])
-    a = text_encode(tokens, params, cfg).data
-    b = text_encode(tokens, params, cfg).data
+    a = encode_all_real(tokens, params, cfg).data
+    b = encode_all_real(tokens, params, cfg).data
     assert a.shape == (2, 3, cfg.d_model)
     np.testing.assert_array_equal(a, b)
 
@@ -156,8 +161,8 @@ def test_text_encode_shapes_and_determinism():
 def test_text_encode_token_identity_matters():
     cfg = toy_cfg()
     params = bb.TextStubParams.init(np.random.default_rng(4), cfg)
-    a = text_encode(np.array([[1, 2]]), params, cfg).data
-    b = text_encode(np.array([[1, 3]]), params, cfg).data
+    a = encode_all_real(np.array([[1, 2]]), params, cfg).data
+    b = encode_all_real(np.array([[1, 3]]), params, cfg).data
     assert np.abs(a - b).max() > 1e-6
 
 
@@ -167,7 +172,7 @@ def test_text_encode_padding_mask_blocks_attention():
     tokens = np.array([[1, 2, 0, 0]])
     mask = np.array([[True, True, False, False]])
     masked = text_encode(tokens, params, cfg, mask=mask).data
-    trimmed = text_encode(np.array([[1, 2]]), params, cfg).data
+    trimmed = encode_all_real(np.array([[1, 2]]), params, cfg).data
     np.testing.assert_allclose(masked[0, :2], trimmed[0], atol=1e-9)
 
 
@@ -175,6 +180,6 @@ def test_text_encode_oov_token_rejected():
     cfg = toy_cfg()
     params = bb.TextStubParams.init(np.random.default_rng(6), cfg)
     with pytest.raises(DataError):
-        text_encode(np.array([[cfg.vocab_size]]), params, cfg)
+        encode_all_real(np.array([[cfg.vocab_size]]), params, cfg)
     with pytest.raises(DataError):
-        text_encode(np.array([[-1]]), params, cfg)
+        encode_all_real(np.array([[-1]]), params, cfg)

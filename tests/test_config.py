@@ -102,6 +102,20 @@ def test_bad_boolean_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("section, key, text", [
+    ("model", "d_model", "abc"), ("loss", "l1", "five"),
+    ("model", "use_actor_fusion", "maybe")])
+def test_unparseable_value_names_key_text_and_file(tmp_path, section, key,
+                                                   text):
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[{section}]\n{key} = {text}\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    msg = str(err.value)
+    assert msg.startswith(f"[{section}] {key} = {text!r} is not a valid ")
+    assert str(path) in msg
+
+
 def test_dict_round_trip():
     cfg = ExperimentConfig()
     cfg.model.decoder_layers = 1

@@ -1,16 +1,17 @@
 """Box-refining decoder: reference start, tube validity, actor fusion."""
 
 import numpy as np
-import pytest
 
 from groundact import tensor as T
-from groundact.config import ModelConfig
-from groundact.data import ACTIONS, GROUPS
-from groundact.decoder import (ActionDecoderParams, DecoderOutput,
-                               classify_actions, classify_group, decode)
-from groundact.encoder import SharedRepresentation, VLEncoderParams, encode
-from groundact.fusion import ActorFusionParams, ReferenceBoxParams
-from groundact.tensor import ContractError, Tensor
+from groundact.config import LossWeights, ModelConfig
+from groundact.data import ACTIONS, GROUPS, ActorAnnotation, SceneAnnotation
+from groundact.decoder import (ActionDecoderParams, classify_actions,
+                               classify_group, decode)
+from groundact.encoder import VLEncoderParams, encode
+from groundact.fusion import (ActorFusionParams, ReferenceBoxParams,
+                              reference_logits)
+from groundact.losses import total_objective
+from groundact.tensor import Tensor
 
 
 def toy_cfg(**kw):
@@ -26,7 +27,7 @@ def make_rep(rng, cfg, b=1, l=4):
     v = Tensor(rng.normal(size=(b, cfg.frames, cfg.hw, cfg.d_model)))
     t = Tensor(rng.normal(size=(b, l, cfg.d_model)))
     enc_params = VLEncoderParams.init(rng, cfg)
-    return encode(v, t, enc_params, cfg)
+    return encode(v, t, enc_params, cfg, np.ones((b, l), dtype=bool))
 
 
 def make_all(rng, cfg, b=1):
@@ -75,15 +76,28 @@ def test_logit_shapes():
     assert out.group_logits.shape == (2, len(GROUPS))
 
 
-def test_zero_decoder_layers_yields_no_boxes_but_logits():
+def test_zero_decoder_layers_return_the_reference_tube():
     cfg = toy_cfg(decoder_layers=0)
     rng = np.random.default_rng(3)
-    rep, dec, fusion, ref = make_all(rng, cfg)
+    rep, dec, fusion, ref = make_all(rng, cfg, b=2)
+    ref.offsets.data = rng.normal(0, 0.5, size=ref.offsets.shape)
     out = decode(rep, dec, cfg, fusion, ref)
-    assert out.per_layer_boxes == []
-    assert out.group_logits.shape == (1, len(GROUPS))
-    with pytest.raises(ContractError):
-        out.final_boxes
+    assert len(out.per_layer_boxes) == 1
+    assert out.per_layer_actor_embeddings == []
+    assert out.group_logits.shape == (2, len(GROUPS))
+    n, t = cfg.num_queries, cfg.frames
+    logits = np.broadcast_to(reference_logits(ref).data[None, :, None, :],
+                             (2, n, t, 4))
+    np.testing.assert_array_equal(out.final_boxes.data,
+                                  T.sigmoid(Tensor(logits)).data)
+    # the loss on the tube trains the reference offsets
+    anns = [SceneAnnotation(f"clip{i}", t // 2, [ActorAnnotation(
+        0, np.tile([0.3 + 0.2 * i, 0.4, 0.2, 0.3], (t, 1)), [0])], 0)
+        for i in range(2)]
+    loss, _ = total_objective(out, anns, LossWeights(), keyframe=t // 2)
+    loss.backward()
+    assert ref.offsets.grad is not None
+    assert np.abs(ref.offsets.grad).max() > 0
 
 
 def test_fusion_off_uses_learned_queries():

@@ -1,4 +1,5 @@
-"""Cross-modal encoder stack: identity base case, equivariances, layout."""
+"""Cross-modal encoder stack: identity base case, equivariances, the
+concatenated view."""
 
 import numpy as np
 import pytest
@@ -28,6 +29,11 @@ def without_positional(params):
     return params
 
 
+def real(t):
+    """A mask marking every text row of t [B, L, d] as a real token."""
+    return np.ones(t.shape[:2], dtype=bool)
+
+
 def rand_inputs(rng, cfg, b=2, l=4):
     v = Tensor(rng.normal(size=(b, cfg.frames, cfg.hw, cfg.d_model)))
     t = Tensor(rng.normal(size=(b, l, cfg.d_model)))
@@ -39,7 +45,7 @@ def test_zero_layers_is_identity_concat():
     rng = np.random.default_rng(0)
     params = without_positional(VLEncoderParams.init(rng, cfg))
     v, t = rand_inputs(rng, cfg)
-    rep = encode(v, t, params, cfg)
+    rep = encode(v, t, params, cfg, real(t))
     np.testing.assert_array_equal(rep.video.data, v.data)
     np.testing.assert_array_equal(rep.text.data, t.data)
     np.testing.assert_allclose(rep.group.data,
@@ -52,12 +58,10 @@ def test_concat_view_layout():
     rng = np.random.default_rng(1)
     params = without_positional(VLEncoderParams.init(rng, cfg))
     v, t = rand_inputs(rng, cfg, b=1, l=4)
-    rep = encode(v, t, params, cfg)
+    rep = encode(v, t, params, cfg, real(t))
     rows = rep.vt_f.data[0]
-    layout = rep.layout
     tv = cfg.frames * cfg.hw
-    assert layout == {"video": (0, tv), "text": (tv, tv + 4),
-                      "group": (tv + 4, tv + 5)}
+    assert rows.shape == (tv + 4 + 1, cfg.d_model)
     np.testing.assert_array_equal(rows[:tv],
                                   v.data.reshape(tv, cfg.d_model))
     np.testing.assert_array_equal(rows[tv:tv + 4], t.data[0])
@@ -70,7 +74,7 @@ def test_positional_encoding_varies_frames():
     params = VLEncoderParams.init(rng, cfg)
     v = Tensor(np.zeros((1, cfg.frames, cfg.hw, cfg.d_model)))
     t = Tensor(np.zeros((1, 2, cfg.d_model)))
-    rep = encode(v, t, params, cfg)
+    rep = encode(v, t, params, cfg, real(t))
     # each frame gets its own temporal code, constant across cells
     assert np.abs(rep.video.data[0, 0] - rep.video.data[0, 1]).max() > 1e-6
     for f in range(cfg.frames):
@@ -83,7 +87,7 @@ def test_shapes_preserved_through_layers():
     rng = np.random.default_rng(3)
     params = VLEncoderParams.init(rng, cfg)
     v, t = rand_inputs(rng, cfg, b=2, l=5)
-    rep = encode(v, t, params, cfg)
+    rep = encode(v, t, params, cfg, real(t))
     assert rep.video.shape == v.shape
     assert rep.text.shape == t.shape
     assert rep.group.shape == (2, 1, cfg.d_model)
@@ -94,7 +98,7 @@ def test_single_frame_clip_supported():
     rng = np.random.default_rng(4)
     params = VLEncoderParams.init(rng, cfg)
     v, t = rand_inputs(rng, cfg)
-    rep = encode(v, t, params, cfg)
+    rep = encode(v, t, params, cfg, real(t))
     assert rep.video.shape == v.shape
 
 
@@ -107,8 +111,8 @@ def test_frame_permutation_equivariance_without_positional():
         np.zeros_like(params.fast_branch.kernel.data), requires_grad=True)
     v, t = rand_inputs(rng, cfg, b=1)
     perm = np.array([2, 0, 1])
-    rep = encode(v, t, params, cfg)
-    rep_p = encode(Tensor(v.data[:, perm]), t, params, cfg)
+    rep = encode(v, t, params, cfg, real(t))
+    rep_p = encode(Tensor(v.data[:, perm]), t, params, cfg, real(t))
     np.testing.assert_allclose(rep_p.video.data, rep.video.data[:, perm],
                                atol=1e-9)
     np.testing.assert_allclose(rep_p.text.data, rep.text.data, atol=1e-9)
@@ -124,8 +128,8 @@ def test_fast_branch_breaks_frame_permutation_equivariance():
         rng.normal(size=params.fast_branch.kernel.shape), requires_grad=True)
     v, t = rand_inputs(rng, cfg, b=1)
     perm = np.array([2, 0, 1])
-    rep = encode(v, t, params, cfg)
-    rep_p = encode(Tensor(v.data[:, perm]), t, params, cfg)
+    rep = encode(v, t, params, cfg, real(t))
+    rep_p = encode(Tensor(v.data[:, perm]), t, params, cfg, real(t))
     assert np.abs(rep_p.video.data - rep.video.data[:, perm]).max() > 1e-6
 
 
@@ -150,10 +154,10 @@ def test_width_mismatch_rejected():
     params = VLEncoderParams.init(np.random.default_rng(8), cfg)
     with pytest.raises(ShapeError):
         encode(Tensor(np.zeros((1, 3, 4, 6))), Tensor(np.zeros((1, 2, 6))),
-               params, cfg)
+               params, cfg, np.ones((1, 2), dtype=bool))
     with pytest.raises(ShapeError):
         encode(Tensor(np.zeros((3, 4, 8))), Tensor(np.zeros((1, 2, 8))),
-               params, cfg)
+               params, cfg, np.ones((1, 2), dtype=bool))
 
 
 def test_cross_modal_block_zero_projection_is_identity():
@@ -166,7 +170,8 @@ def test_cross_modal_block_zero_projection_is_identity():
                                 requires_grad=True)
     video = Tensor(rng.normal(size=(1, 5, cfg.d_model)))
     text = Tensor(rng.normal(size=(1, 3, cfg.d_model)))
-    out_v, out_t = cross_modal_block(video, text, layer)
+    out_v, out_t = cross_modal_block(video, text, layer,
+                                     np.array([[True, True, False]]))
     np.testing.assert_array_equal(out_v.data, video.data)
     np.testing.assert_array_equal(out_t.data, text.data)
 
@@ -177,7 +182,7 @@ def test_gradient_reaches_both_modalities_and_group_token():
     params = VLEncoderParams.init(rng, cfg)
     v, t = rand_inputs(rng, cfg)
     v.requires_grad = t.requires_grad = True
-    rep = encode(v, t, params, cfg)
+    rep = encode(v, t, params, cfg, real(t))
     loss = T.add(T.tsum(T.mul(rep.video, rep.video)),
                  T.add(T.tsum(T.mul(rep.text, rep.text)),
                        T.tsum(T.mul(rep.group, rep.group))))
@@ -192,6 +197,6 @@ def test_encode_deterministic():
     rng = np.random.default_rng(11)
     params = VLEncoderParams.init(rng, cfg)
     v, t = rand_inputs(rng, cfg)
-    a = encode(v, t, params, cfg).video.data
-    b = encode(v, t, params, cfg).video.data
+    a = encode(v, t, params, cfg, real(t)).video.data
+    b = encode(v, t, params, cfg, real(t)).video.data
     assert a.tobytes() == b.tobytes()

@@ -37,6 +37,11 @@ def boxes(arr):
     return ActorBoxSet(np.asarray(arr, dtype=np.float64))
 
 
+def real(t_f):
+    """A mask marking every text row of t_f [B, L, d] as a real token."""
+    return np.ones(t_f.shape[:2], dtype=bool)
+
+
 # -- coordinate encoding -----------------------------------------------------
 
 def test_coordinate_encoding_shape_and_padding():
@@ -61,7 +66,7 @@ def test_fuse_identity_kernel_is_averaged_halves():
     rng = np.random.default_rng(2)
     bx = np.array([[[0.3, 0.4, 0.1, 0.2], [0.6, 0.5, 0.2, 0.1]]])
     t_f = Tensor(rng.normal(size=(1, 4, D)))
-    out = fuse(boxes(bx), t_f, p).data
+    out = fuse(boxes(bx), t_f, p, real(t_f)).data
 
     from groundact.nn import layer_norm
     box_emb = bx[0] @ p.box_proj.data + box_coordinate_encoding(bx[0], D)
@@ -73,7 +78,8 @@ def test_fuse_identical_boxes_give_identical_rows():
     p = k1_params()
     rng = np.random.default_rng(3)
     bx = np.repeat(np.array([[[0.5, 0.5, 0.2, 0.2]]]), 3, axis=1)
-    out = fuse(boxes(bx), Tensor(rng.normal(size=(1, 4, D))), p).data
+    t_f = Tensor(rng.normal(size=(1, 4, D)))
+    out = fuse(boxes(bx), t_f, p, real(t_f)).data
     np.testing.assert_array_equal(out[0, 0], out[0, 1])
     np.testing.assert_array_equal(out[0, 0], out[0, 2])
 
@@ -85,8 +91,8 @@ def test_fuse_actor_permutation_equivariant_with_k1():
     bx[..., 2:] = rng.uniform(0.05, 0.2, size=(1, 4, 2))
     t_f = Tensor(rng.normal(size=(1, 5, D)))
     perm = np.array([2, 0, 3, 1])
-    out = fuse(boxes(bx), t_f, p).data
-    out_p = fuse(boxes(bx[:, perm]), t_f, p).data
+    out = fuse(boxes(bx), t_f, p, real(t_f)).data
+    out_p = fuse(boxes(bx[:, perm]), t_f, p, real(t_f)).data
     np.testing.assert_allclose(out_p, out[:, perm], atol=1e-12)
 
 
@@ -99,10 +105,10 @@ def test_fuse_k3_mixes_neighboring_actors():
     bx = rng.uniform(0.3, 0.7, size=(1, 3, 4))
     bx[..., 2:] = 0.1
     t_f = Tensor(rng.normal(size=(1, 4, D)))
-    base = fuse(boxes(bx), t_f, p).data
+    base = fuse(boxes(bx), t_f, p, real(t_f)).data
     moved = bx.copy()
     moved[0, 0, 0] = 0.35                          # nudge actor 0 only
-    out = fuse(boxes(moved), t_f, p).data
+    out = fuse(boxes(moved), t_f, p, real(t_f)).data
     assert np.abs(out[0, 1] - base[0, 1]).max() > 1e-9   # neighbour affected
     assert np.abs(out[0, 2] - base[0, 2]).max() < 1e-9   # two hops away is not
 
@@ -127,7 +133,7 @@ def test_fuse_gradients_reach_all_params():
     bx = rng.uniform(0.3, 0.7, size=(1, 3, 4))
     bx[..., 2:] = 0.1
     t_f = Tensor(rng.normal(size=(1, 4, D)), requires_grad=True)
-    out = fuse(boxes(bx), t_f, p)
+    out = fuse(boxes(bx), t_f, p, real(t_f))
     T.tsum(T.mul(out, out)).backward()
     for tensor in (p.box_proj, p.conv_kernel, p.conv_bias, t_f):
         assert tensor.grad is not None and np.abs(tensor.grad).max() > 0

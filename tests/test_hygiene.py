@@ -1,6 +1,7 @@
 """Static checks over the package source: every config field is read, no
-module imports a name it never uses, and every top-level function has a
-caller outside the tests."""
+module imports a name it never uses, every top-level function has a
+caller outside the tests, and every program name the benchmark traces or
+calls exists."""
 
 import ast
 import pathlib
@@ -261,3 +262,92 @@ def test_caller_check_ignores_names_that_cannot_bind_the_function():
                        "np.stack(xs)\n"
                        "def g(st):\n    return st\n")
     assert _references(caller, "run")[("tensor", "stack")] == 2
+
+
+# -- program names the benchmark calls ---------------------------------------
+
+BENCH = ROOT / "bench"
+
+
+def _module_names(stem) -> set:
+    """The names package module ``stem`` defines at top level, plus
+    ``Class.name`` for what each class body defines."""
+    names = set()
+    for node in _tree(SRC / f"{stem}.py").body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {bound for bound, _ in _import_targets(node)}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            names.add(node.name)
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(f"{node.name}.{sub.name}")
+                elif (isinstance(sub, ast.AnnAssign)
+                      and isinstance(sub.target, ast.Name)):
+                    names.add(f"{node.name}.{sub.target.id}")
+    return names
+
+
+def _unresolved(refs) -> list:
+    """The (module stem, name) pairs that the package does not define."""
+    return sorted(f"{stem}.{name}" for stem, name in refs
+                  if stem not in STEMS or name not in _module_names(stem))
+
+
+def _traced_names(tree) -> set:
+    """(module stem, attribute) of every ``TRACED`` entry of the tracer."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TRACED"
+                        for t in node.targets)):
+            return {(module.split(".")[-1], attr)
+                    for module, attr, _ in ast.literal_eval(node.value)}
+    raise AssertionError("no TRACED list in the tracer")
+
+
+def _module_attribute_names(tree) -> set:
+    """(module stem, name) of every package name a file imports, and of
+    every attribute it reads off an imported package module."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((k, v) for k, v in _import_targets(node) if v)
+    refs = {v for v in bound.values() if v[0] != "module"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)):
+            target = bound.get(node.value.id)
+            if target and target[0] == "module":
+                refs.add((target[1], node.attr))
+    return refs
+
+
+def test_every_traced_function_exists():
+    traced = _traced_names(_tree(BENCH / "tracer.py"))
+    assert traced and not _unresolved(traced)
+
+
+def test_every_program_name_the_workloads_use_exists():
+    refs = _module_attribute_names(_tree(BENCH / "workloads.py"))
+    assert ("training", "batch_objective") in refs
+    assert not _unresolved(refs)
+
+
+def test_bench_name_check_sees_a_missing_name():
+    tree = ast.parse("from groundact import training as tr\n"
+                     "from groundact.model import GroundedModel, gone\n"
+                     "import numpy as np\n"
+                     "def f(x):\n    return tr.batch_objective(x), "
+                     "tr.renamed(x), np.stack(x)\n")
+    assert _unresolved(_module_attribute_names(tree)) == [
+        "model.gone", "training.renamed"]
+    assert _unresolved({("model", "GroundedModel.forward"),
+                        ("tensor", "Tensor.backward")}) == []
+    assert _unresolved({("model", "GroundedModel.gone"),
+                        ("nowhere", "f")}) == [
+        "model.GroundedModel.gone", "nowhere.f"]

@@ -374,7 +374,7 @@ def test_match_cost_tie_break_lowest_index():
     w = LossWeights()
     gt = np.array([[0.5, 0.5, 0.2, 0.2]])
     pred = np.repeat(gt, 4, axis=0)        # all predictions identical
-    cost = L.match_cost(pred, None, gt, None, w)
+    cost = L.match_cost(pred, np.zeros((4, 6)), gt, [[0]], w)
     assert L.hungarian_match(cost).pairs() == [(0, 0)]
 
 
@@ -433,9 +433,10 @@ def test_batched_match_cost_equals_per_clip_calls():
     all_weak = L.match_cost(boxes[:, :, keyframe], logits,
                             gt.tubes[:, :, keyframe], gt.actions, w,
                             weak=True)
-    no_logits = L.match_cost(boxes[:, :, keyframe], None,
-                             gt.tubes[:, :, keyframe], gt.actions, w)
-    np.testing.assert_array_equal(all_weak, no_logits)
+    boxes_only = L.match_cost(boxes[:, :, keyframe], logits,
+                              gt.tubes[:, :, keyframe], gt.actions,
+                              replace(w, action_bce=0.0))
+    np.testing.assert_array_equal(all_weak, boxes_only)
 
 
 # -- classification terms ----------------------------------------------------
@@ -479,12 +480,16 @@ def test_bce_gradient():
 # -- total objective ---------------------------------------------------------
 
 def _fake_output(layer_boxes, action_logits=None, group_logits=None):
+    """A decoder output over the given per-layer tubes; the logits default
+    to zeros."""
     from groundact.decoder import DecoderOutput
+    b, n = layer_boxes[0].shape[:2]
     return DecoderOutput(
-        per_layer_boxes=[Tensor(b) for b in layer_boxes],
+        per_layer_boxes=[Tensor(x) for x in layer_boxes],
         per_layer_actor_embeddings=[],
-        action_logits=None if action_logits is None else Tensor(action_logits),
-        group_logits=Tensor(np.zeros((1, 6)) if group_logits is None
+        action_logits=Tensor(np.zeros((b, n, 6)) if action_logits is None
+                             else action_logits),
+        group_logits=Tensor(np.zeros((b, 6)) if group_logits is None
                             else group_logits))
 
 
@@ -560,12 +565,9 @@ def test_weak_mode_zero_action_bce_in_breakdown():
 
 # -- batched objective against one clip at a time ----------------------------
 
-def _one_clip_objectives(out, anns, w, keyframe, weak=False,
-                         fallback_boxes=None):
+def _one_clip_objectives(out, anns, w, keyframe, weak=False):
     """Mean over clips of the one-clip objective, each clip scored on its own
     slice of the outputs: the reference the batched objective must equal."""
-    layers = out.per_layer_boxes or (
-        [fallback_boxes] if fallback_boxes is not None else [])
     total = Tensor(np.zeros(()))
     agg = {"l1": 0.0, "giou": 0.0, "group_ce": 0.0, "action_bce": 0.0}
     b = len(anns)
@@ -574,8 +576,7 @@ def _one_clip_objectives(out, anns, w, keyframe, weak=False,
         gt = np.stack([a.tube for a in ann.actors])
         acts = [[] if weak else sorted(a.actions) for a in ann.actors]
         logits = out.action_logits[s]
-        match = None
-        for boxes in layers:
+        for boxes in out.per_layer_boxes:
             clip_boxes = boxes[s]
             cost = L.match_cost(clip_boxes.data[0, :, keyframe],
                                 logits.data[0], gt[:, keyframe],
@@ -591,7 +592,7 @@ def _one_clip_objectives(out, anns, w, keyframe, weak=False,
             ce = cross_entropy(out.group_logits[s][0], ann.group_activity)
             total = total + ce * w.group_ce
             agg["group_ce"] += ce.item() / b
-        if not weak and w.action_bce > 0 and match is not None:
+        if not weak and w.action_bce > 0:
             targets = np.zeros(logits.shape[1:])
             for gt_i, pred_j in match.pairs():
                 targets[pred_j, acts[gt_i]] = 1.0
@@ -636,21 +637,16 @@ def _output(arrays):
                          leaf(arrays["actions"]), leaf(arrays["groups"]))
 
 
-def _assert_batched_equals_one_clip(arrays, anns, w, weak=False,
-                                    fallback=None):
+def _assert_batched_equals_one_clip(arrays, anns, w, weak=False):
     keyframe = anns[0].keyframe
     results = []
     for objective in (L.total_objective, _one_clip_objectives):
         out = _output(arrays)
-        fb = None if fallback is None else Tensor(fallback.copy(),
-                                                  requires_grad=True)
-        total, breakdown = objective(out, anns, w, keyframe, weak=weak,
-                                     fallback_boxes=fb)
+        total, breakdown = objective(out, anns, w, keyframe, weak=weak)
         total.backward()
         grads = [np.zeros(x.shape) if x.grad is None else x.grad
                  for x in out.per_layer_boxes + [out.action_logits,
-                                                 out.group_logits, fb]
-                 if x is not None]
+                                                 out.group_logits]]
         results.append((total.item(), breakdown, grads))
     (t_b, bd_b, g_b), (t_r, bd_r, g_r) = results
     assert abs(t_b - t_r) <= 1e-12 * max(1.0, abs(t_r))
@@ -679,14 +675,6 @@ def test_batched_objective_weak_equals_one_clip_mean():
     weak_anns = [weak_supervision_view(a) for a in anns]
     _assert_batched_equals_one_clip(arrays, weak_anns, LossWeights(),
                                     weak=True)
-
-
-def test_batched_objective_fallback_boxes_equal_one_clip_mean():
-    rng = np.random.default_rng(14)
-    arrays, anns = _random_batch(rng, [2, 4, 1], layers=0)
-    fallback = _random_boxes(rng, (3, 6, 3))
-    _assert_batched_equals_one_clip(arrays, anns, LossWeights(),
-                                    fallback=fallback)
 
 
 def test_batched_objective_gradient_wrt_boxes():

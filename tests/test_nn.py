@@ -113,6 +113,20 @@ def test_attention_mask_restricts_keys():
     masked = multi_head_attention(q, Tensor(kv), p, mask=mask)
     trimmed = multi_head_attention(q, Tensor(kv[:2]), p)
     np.testing.assert_allclose(masked.data, trimmed.data, atol=1e-9)
+    # a batch's key mask [B, 1, Lk] broadcasts over the query rows: the same
+    # bits, forward and backward, as its [B, Lq, Lk] copy
+    key_mask = np.array([[[True, False, True, True]],
+                         [[True, True, True, False]]])
+    qb_data, kvb_data = rng.normal(size=(2, 3, d)), rng.normal(size=(2, 4, d))
+    results = []
+    for m in (key_mask, np.broadcast_to(key_mask, (2, 3, 4)).copy()):
+        qb = Tensor(qb_data.copy(), requires_grad=True)
+        kvb = Tensor(kvb_data.copy(), requires_grad=True)
+        out = multi_head_attention(qb, kvb, p, mask=m)
+        T.tsum(T.mul(out, out)).backward()
+        results.append((out.data, qb.grad, kvb.grad))
+    for a, b in zip(*results):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_attention_fully_masked_row_rejected():

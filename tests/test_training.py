@@ -208,6 +208,29 @@ def test_truncated_checkpoint_names_path_and_array(tmp_path):
         load_checkpoint(path)
 
 
+def _rewrite_meta(path, meta_bytes):
+    cfg = tiny_cfg()
+    save_checkpoint(path, GroundedModel(cfg.model, seed=0), cfg)
+    arrays = load_arrays(path)
+    arrays["__meta__"] = np.frombuffer(meta_bytes, dtype=np.uint8).copy()
+    save_arrays(path, arrays)
+
+
+@pytest.mark.parametrize("meta_bytes", [
+    b'{"format_\xffversion": 3}', b'{"format_version": 3', b'', b'[3]',
+    b'"text"', b'{}', b'{"format_version": 3}'],
+    ids=["0xff_byte", "bad_json", "empty", "json_list", "json_string",
+         "empty_object", "no_config"])
+def test_malformed_checkpoint_meta_names_path(tmp_path, meta_bytes):
+    path = tmp_path / "model.ckpt"
+    _rewrite_meta(path, meta_bytes)
+    with pytest.raises(ValueError, match="checkpoint meta is not a UTF-8 JSON "
+                                         "object with format_version and "
+                                         "config") as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
 def _older_checkpoint(path, version, model_keys, loss_keys=None):
     """A checkpoint whose meta claims ``version`` and whose stored config
     holds keys this build does not know."""
