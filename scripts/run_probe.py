@@ -28,10 +28,9 @@ def main():
                                num_actors=2, t_total=cfg.model.frames,
                                raster=(cfg.model.raster_h, cfg.model.raster_w))
     emb, labels = extract_embeddings(model, corpus, cfg, vocab)
-    res = linear_probe(emb, labels, num_classes=len(D.GROUPS),
+    acc = linear_probe(emb, labels, num_classes=len(D.GROUPS),
                        epochs=args.epochs, seed=args.seed)
-    print(f"probe train accuracy over {args.clips} clips: "
-          f"{res.train_accuracy:.3f}")
+    print(f"probe train accuracy over {args.clips} clips: {acc:.3f}")
 
 
 if __name__ == "__main__":

@@ -40,7 +40,6 @@ def variant_config(base: ExperimentConfig, variant: str) -> ExperimentConfig:
 @dataclass
 class AblationResult:
     per_variant: Dict[str, Dict[str, float]]       # seed-averaged metrics
-    per_seed: Dict[str, List[Dict[str, float]]]
 
     def summary_lines(self) -> List[str]:
         lines = []
@@ -71,4 +70,4 @@ def run_ablation(base: ExperimentConfig, train_corpus, test_corpus,
         v: {k: float(np.mean([run[k] for run in runs]))
             for k in runs[0]}
         for v, runs in per_seed.items()}
-    return AblationResult(per_variant=per_variant, per_seed=per_seed)
+    return AblationResult(per_variant=per_variant)

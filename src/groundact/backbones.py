@@ -36,13 +36,11 @@ def load_vocab() -> List[str]:
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 
-@dataclass
-class TextPrompt:
-    tokens: List[int]
-    raw: str
+# rows of the text embedding: one per packaged vocabulary token
+VOCAB_SIZE = len(load_vocab())
 
 
-def tokenize(raw: str, vocab: List[str], l_max: int = 16) -> TextPrompt:
+def tokenize(raw: str, vocab: List[str], l_max: int = 16) -> List[int]:
     """Lowercase, split on whitespace/punctuation, closed-vocabulary lookup."""
     if not raw or not raw.strip():
         raise DataError("empty prompt")
@@ -50,28 +48,21 @@ def tokenize(raw: str, vocab: List[str], l_max: int = 16) -> TextPrompt:
     words = [w for w in re.split(r"[^a-z0-9]+", raw.lower()) if w]
     if not words:
         raise DataError(f"prompt {raw!r} contains no tokens")
-    tokens = [index.get(w, UNK) for w in words][:l_max]
-    return TextPrompt(tokens=tokens, raw=raw)
+    return [index.get(w, UNK) for w in words][:l_max]
 
 
 @dataclass
 class VideoClip:
     frames: np.ndarray          # [T_total, H_px, W_px, C]
-    frame_rate: float
     clip_id: str
 
 
-def sample_frames(clip: VideoClip, t: int) -> VideoClip:
-    """Uniformly spaced frame indices including first and last, rounded."""
-    total = clip.frames.shape[0]
+def frame_indices(total: int, t: int) -> np.ndarray:
+    """``t`` uniformly spaced indices into ``total`` frames, first and last
+    included, rounded to the nearest frame."""
     if t > total:
         raise DataError(f"cannot sample {t} frames from {total}")
-    if t == 1:
-        idx = np.array([0])
-    else:
-        idx = np.round(np.linspace(0, total - 1, t)).astype(int)
-    return VideoClip(frames=clip.frames[idx], frame_rate=clip.frame_rate,
-                     clip_id=clip.clip_id)
+    return np.round(np.linspace(0, total - 1, t)).astype(int)
 
 
 @dataclass
@@ -114,7 +105,7 @@ def visual_encode(frames: np.ndarray, params: VisualStubParams,
 
 @dataclass
 class TextStubParams:
-    embedding: Tensor           # [V, d]
+    embedding: Tensor           # [VOCAB_SIZE, d]
     temporal_pe: Tensor         # [l_max, d], fixed sinusoidal rows
     attn: AttentionParams
     ffn: FeedForwardParams
@@ -124,7 +115,7 @@ class TextStubParams:
     @classmethod
     def init(cls, rng, cfg: ModelConfig):
         d = cfg.d_model
-        return cls(nn.param(rng, cfg.vocab_size, d, scale=0.5),
+        return cls(nn.param(rng, VOCAB_SIZE, d, scale=0.5),
                    Tensor(nn.sinusoidal_table(cfg.l_max, d)),
                    AttentionParams.init(rng, d, cfg.num_heads, cfg.dropout),
                    FeedForwardParams.init(rng, d, cfg.d_ff, dropout_rate=cfg.dropout),
@@ -139,8 +130,9 @@ def text_encode(tokens: np.ndarray, params: TextStubParams, cfg: ModelConfig,
     positions.  Returns text features [..., L, d].
     """
     tokens = np.asarray(tokens)
-    if tokens.max(initial=0) >= cfg.vocab_size or tokens.min(initial=0) < 0:
-        raise DataError(f"token index outside vocabulary of {cfg.vocab_size}")
+    rows = params.embedding.shape[0]
+    if tokens.max(initial=0) >= rows or tokens.min(initial=0) < 0:
+        raise DataError(f"token index outside vocabulary of {rows}")
     x = T.getitem(params.embedding, tokens)
     x = nn.positional_encode(x, params.temporal_pe)
     x = nn.self_attention_block(x, params.norm1, params.attn,

@@ -31,7 +31,7 @@ def load_corpus(data_dir: str):
     for ann in anns:
         if ann.clip_id not in frames:
             raise D.DataError(f"no clip array for {ann.clip_id}")
-        corpus.append((VideoClip(frames[ann.clip_id], 8.0, ann.clip_id), ann))
+        corpus.append((VideoClip(frames[ann.clip_id], ann.clip_id), ann))
     return corpus
 
 

@@ -38,9 +38,8 @@ class ModelConfig:
     raster_w: int = 32
     channels: int = 1
 
-    # text
+    # text; the embedding has one row per token of the packaged vocab.txt
     l_max: int = 16
-    vocab_size: int = 64
 
     # actors; the label heads are sized by data.ACTIONS and data.GROUPS
     num_queries: int = 8          # N, actor query slots

@@ -153,8 +153,7 @@ def generate_scene(script: ScenarioScript, t_total: int,
     actors = [ActorAnnotation(i, tubes[i], [script.actions[i]])
               for i in range(n)]
     group = group_activity_vote([a.actions for a in actors], ACTION_TO_GROUP)
-    clip = VideoClip(frames=frames, frame_rate=8.0,
-                     clip_id=f"synthetic-{script.seed}")
+    clip = VideoClip(frames=frames, clip_id=f"synthetic-{script.seed}")
     ann = SceneAnnotation(clip_id=clip.clip_id, keyframe=t_total // 2,
                           actors=actors, group_activity=group)
     return clip, ann

@@ -268,7 +268,8 @@ def total_objective(decoder_out, annotations, weights: LossWeights,
     The matching cost is one array op over the batch and the assignment is
     solved per clip; every loss term is one op over the whole batch, with
     actors padded to the largest clip and each clip's boxes weighted
-    1/(B M_i T) so the sum equals the mean of per-clip means.
+    1/(B M_i T) so the sum equals the mean of per-clip means.  The action
+    BCE is the mean over the queries of clips that are not weakly annotated.
     Returns (scalar Tensor, breakdown dict of python floats).
     """
     anns = list(annotations)
@@ -301,13 +302,17 @@ def total_objective(decoder_out, annotations, weights: LossWeights,
         total = T.add(total, T.mul(ce, weights.group_ce))
         breakdown["group_ce"] = ce.item()
 
-    if not weak and weights.action_bce > 0:
-        targets = np.zeros(decoder_out.action_logits.shape)       # [B, N, A]
+    # weakly annotated clips have no action targets, so no BCE rows
+    strong = np.flatnonzero(~truth.weak)
+    if not weak and weights.action_bce > 0 and strong.size:
+        logits = decoder_out.action_logits                        # [B, N, A]
+        targets = np.zeros(logits.shape)
         for i, (ann, m) in enumerate(zip(anns, matches)):
             for gt_i, pred_j in m.pairs():
                 targets[i, pred_j, ann.actors[gt_i].actions] = 1.0
-        bce = binary_cross_entropy_with_logits(decoder_out.action_logits,
-                                               targets)
+        if strong.size < b:
+            logits, targets = logits[strong], targets[strong]
+        bce = binary_cross_entropy_with_logits(logits, targets)
         total = T.add(total, T.mul(bce, weights.action_bce))
         breakdown["action_bce"] = bce.item()
 

@@ -6,7 +6,7 @@ action decoder into one trainable object with a flat named-parameter view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -51,37 +51,40 @@ def _check_clip(clip: bb.VideoClip, cfg: ModelConfig):
 def make_batch(clips, prompts: Sequence[str], cfg: ModelConfig,
                vocab: List[str], annotations) -> Batch:
     """Check each clip and prompt against the config, sample frames, tokenize
-    and pad prompts, stack into arrays; the annotations' tubes are resampled
-    to the model's frames."""
+    and pad prompts, stack into arrays; each annotation's tubes are sampled
+    at its clip's frames."""
     for c in clips:
         _check_clip(c, cfg)
-    sampled = [bb.sample_frames(c, cfg.frames) for c in clips]
-    frames = np.stack([c.frames for c in sampled])
-    token_lists = [bb.tokenize(p, vocab, cfg.l_max).tokens for p in prompts]
+    idx = [bb.frame_indices(c.frames.shape[0], cfg.frames) for c in clips]
+    frames = np.stack([c.frames[i] for c, i in zip(clips, idx)])
+    token_lists = [bb.tokenize(p, vocab, cfg.l_max) for p in prompts]
     for c, t in zip(clips, token_lists):
-        if max(t) >= cfg.vocab_size:
-            raise ConfigError(f"clip {c.clip_id!r} has prompt token {max(t)}, "
-                              f"outside [model] vocab_size = {cfg.vocab_size}")
+        if max(t) >= bb.VOCAB_SIZE:
+            raise bb.DataError(f"clip {c.clip_id!r} has prompt token {max(t)}, "
+                               f"outside the packaged vocabulary of "
+                               f"{bb.VOCAB_SIZE} tokens")
     L = max(len(t) for t in token_lists)
     tokens = np.full((len(clips), L), bb.UNK, dtype=np.int64)
     mask = np.zeros((len(clips), L), dtype=bool)
     for i, t in enumerate(token_lists):
         tokens[i, :len(t)] = t
         mask[i, :len(t)] = True
-    anns = [_sample_annotation(a, cfg.frames) for a in annotations]
+    anns = [_sample_annotation(a, c, i)
+            for a, c, i in zip(annotations, clips, idx)]
     return Batch(frames, tokens, mask, anns, [c.clip_id for c in clips])
 
 
-def _sample_annotation(ann, t: int):
-    """Resample annotation tubes to the model's T frames."""
-    from dataclasses import replace
-    total = ann.actors[0].tube.shape[0] if ann.actors else t
-    if total == t:
-        idx = np.arange(t)
-    else:
-        idx = np.round(np.linspace(0, total - 1, t)).astype(int)
+def _sample_annotation(ann, clip: bb.VideoClip, idx: np.ndarray):
+    """Sample the annotation's tubes at the clip's sampled frames ``idx``;
+    a tube whose length is not the clip's frame count is a DataError."""
+    total = clip.frames.shape[0]
+    for a in ann.actors:
+        if a.tube.shape[0] != total:
+            raise bb.DataError(f"clip {clip.clip_id!r}: track {a.track_id} "
+                               f"has {a.tube.shape[0]} boxes, but the clip "
+                               f"has {total} frames")
     actors = [replace(a, tube=a.tube[idx]) for a in ann.actors]
-    return replace(ann, actors=actors, keyframe=t // 2)
+    return replace(ann, actors=actors, keyframe=len(idx) // 2)
 
 
 @dataclass

@@ -79,11 +79,10 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "_backward_run", "name", "__weakref__")
+                 "_backward_run", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False,
-                 _parents: tuple = (), _backward: Optional[Callable] = None,
-                 name: str = ""):
+                 _parents: tuple = (), _backward: Optional[Callable] = None):
         self.data = _as_array(data) if not isinstance(data, np.ndarray) else data
         if _parents and not _grad_enabled:
             requires_grad, _parents, _backward = False, (), None
@@ -94,7 +93,6 @@ class Tensor:
         self._parents = _parents
         self._backward = _backward
         self._backward_run = False
-        self.name = name
 
     # -- basic introspection -------------------------------------------------
 
@@ -111,14 +109,10 @@ class Tensor:
         return self.data.size
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def zero_grad(self):
         self.grad = None
@@ -191,49 +185,8 @@ class Tensor:
                     node.grad = None
             raise
 
-    # -- operator sugar ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def reshape(self, *shape):
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def _record(node: Tensor):
@@ -518,10 +471,6 @@ def log_softmax(x, axis: int = -1):
 
 def reshape(x, shape):
     x = as_tensor(x)
-    if isinstance(shape, int):
-        shape = (shape,)
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
     data = x.data.reshape(shape)
     req = x.requires_grad
     orig = x.shape
@@ -534,8 +483,6 @@ def reshape(x, shape):
 
 def transpose(x, axes):
     x = as_tensor(x)
-    if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-        axes = tuple(axes[0])
     inv = np.argsort(axes)
     data = x.data.transpose(axes)
     req = x.requires_grad

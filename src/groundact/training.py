@@ -35,7 +35,7 @@ class TrainingError(RuntimeError):
 
 # -- checkpoints -------------------------------------------------------------
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def save_checkpoint(path, model: GroundedModel, cfg: ExperimentConfig,
@@ -211,7 +211,6 @@ class TrainResult:
     final_loss: float
     initial_loss: float
     history: List[dict]
-    checkpoint_path: Optional[str] = None
 
 
 def train(cfg: ExperimentConfig, corpus, mode: Optional[str] = None,
@@ -310,8 +309,7 @@ def train(cfg: ExperimentConfig, corpus, mode: Optional[str] = None,
         if log_fh:
             log_fh.close()
     return TrainResult(model=model, final_loss=history[-1]["loss"],
-                       initial_loss=initial_loss, history=history,
-                       checkpoint_path=checkpoint_path)
+                       initial_loss=initial_loss, history=history)
 
 
 # -- retrieval ---------------------------------------------------------------
@@ -319,7 +317,7 @@ def train(cfg: ExperimentConfig, corpus, mode: Optional[str] = None,
 def text_query_embedding(model: GroundedModel, prompt: str,
                          vocab: List[str]) -> np.ndarray:
     """Pooled text-stub embedding of a free-text prompt."""
-    tokens = bb.tokenize(prompt, vocab, model.cfg.l_max).tokens
+    tokens = bb.tokenize(prompt, vocab, model.cfg.l_max)
     arr = np.array([tokens], dtype=np.int64)
     mask = np.ones_like(arr, dtype=bool)
     with T.no_grad():
@@ -379,13 +377,6 @@ def retrieval_recall(model: GroundedModel, corpus, cfg: ExperimentConfig,
 
 # -- linear probe ------------------------------------------------------------
 
-@dataclass
-class ProbeResult:
-    train_accuracy: float
-    weights: np.ndarray
-    bias: np.ndarray
-
-
 def extract_embeddings(model: GroundedModel, corpus, cfg: ExperimentConfig,
                        vocab: List[str]) -> Tuple[np.ndarray, np.ndarray]:
     """Frozen group-token embeddings and group labels for probing."""
@@ -397,8 +388,9 @@ def extract_embeddings(model: GroundedModel, corpus, cfg: ExperimentConfig,
 def linear_probe(embeddings: np.ndarray, labels: np.ndarray,
                  num_classes: int, epochs: int = 100, batch_size: int = 32,
                  lr: float = 1e-3, momentum: float = 0.9,
-                 seed: int = 0) -> ProbeResult:
-    """SGD-with-momentum softmax probe over frozen embeddings, cosine decay."""
+                 seed: int = 0) -> float:
+    """SGD-with-momentum softmax probe over frozen embeddings, cosine decay;
+    returns its accuracy on the embeddings it was trained on."""
     rng = np.random.default_rng(seed)
     n, d = embeddings.shape
     w = Tensor(np.zeros((d, num_classes)), requires_grad=True)
@@ -421,5 +413,4 @@ def linear_probe(embeddings: np.ndarray, labels: np.ndarray,
             sgd_momentum_step(params, opt, cosine_decay(step, total_steps, lr))
             step += 1
     pred = np.argmax(embeddings @ w.data + b.data, axis=-1)
-    return ProbeResult(train_accuracy=float((pred == labels).mean()),
-                       weights=w.data, bias=b.data)
+    return float((pred == labels).mean())

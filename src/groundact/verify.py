@@ -154,7 +154,7 @@ def block_cases(rng: np.random.Generator):
     cfg = ModelConfig(d_model=d, num_heads=2, encoder_layers=1,
                       decoder_layers=1, frames=t, grid_h=2, grid_w=2,
                       raster_h=4, raster_w=4, num_queries=n, l_max=l,
-                      dropout=0.0, vocab_size=8)
+                      dropout=0.0)
     enc = VLEncoderParams.init(rng, cfg)
     fus = ActorFusionParams.init(rng, cfg)
     ref = ReferenceBoxParams.init(n)

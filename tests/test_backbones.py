@@ -5,9 +5,8 @@ import pytest
 
 from groundact import backbones as bb
 from groundact import tensor as T
-from groundact.backbones import (DataError, VideoClip, load_vocab,
-                                 sample_frames, text_encode, tokenize,
-                                 visual_encode)
+from groundact.backbones import (DataError, frame_indices, load_vocab,
+                                 text_encode, tokenize, visual_encode)
 from groundact.config import ModelConfig
 
 
@@ -15,7 +14,7 @@ def toy_cfg(**kw):
     base = dict(d_model=8, num_heads=2, d_ff_mult=2, dropout=0.0,
                 encoder_layers=1, decoder_layers=1, frames=2,
                 grid_h=2, grid_w=2, raster_h=8, raster_w=8,
-                l_max=6, vocab_size=16, num_queries=2)
+                l_max=6, num_queries=2)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -25,7 +24,7 @@ def toy_cfg(**kw):
 def test_default_vocab_well_formed():
     vocab = load_vocab()
     assert vocab[0] == "<unk>"
-    assert len(vocab) == 64
+    assert len(vocab) == 64 == bb.VOCAB_SIZE
     assert len(set(vocab)) == len(vocab)
     for action in ("stand", "walk", "run", "wave", "jump", "sit"):
         assert action in vocab
@@ -33,19 +32,17 @@ def test_default_vocab_well_formed():
 
 def test_tokenize_known_words():
     vocab = ["<unk>", "walk", "stand"]
-    tp = tokenize("Walk, stand! walk", vocab)
-    assert tp.tokens == [1, 2, 1]
+    assert tokenize("Walk, stand! walk", vocab) == [1, 2, 1]
 
 
 def test_tokenize_oov_maps_to_unk():
     vocab = ["<unk>", "walk"]
-    assert tokenize("somersault walk", vocab).tokens == [0, 1]
+    assert tokenize("somersault walk", vocab) == [0, 1]
 
 
 def test_tokenize_truncates_to_l_max():
     vocab = ["<unk>", "a"]
-    tp = tokenize("a " * 30, vocab, l_max=5)
-    assert len(tp.tokens) == 5
+    assert len(tokenize("a " * 30, vocab, l_max=5)) == 5
 
 
 def test_tokenize_empty_rejected():
@@ -57,33 +54,32 @@ def test_tokenize_empty_rejected():
 
 # -- frame sampling ----------------------------------------------------------
 
-def _clip(total):
+def _sampled(total, t):
+    """Frames of a clip whose frame f holds the value f, sampled to t."""
     frames = np.arange(total, dtype=float)[:, None, None, None]
-    frames = np.broadcast_to(frames, (total, 4, 4, 1)).copy()
-    return VideoClip(frames=frames, frame_rate=8.0, clip_id="c")
+    frames = np.broadcast_to(frames, (total, 4, 4, 1))
+    return frames[frame_indices(total, t)]
 
 
 def test_sample_frames_identity_when_equal():
-    out = sample_frames(_clip(8), 8)
-    np.testing.assert_array_equal(out.frames[:, 0, 0, 0], np.arange(8))
+    np.testing.assert_array_equal(_sampled(8, 8)[:, 0, 0, 0], np.arange(8))
 
 
 def test_sample_frames_endpoints_included():
-    out = sample_frames(_clip(16), 4)
-    picked = out.frames[:, 0, 0, 0]
+    picked = _sampled(16, 4)[:, 0, 0, 0]
     assert picked[0] == 0 and picked[-1] == 15
     np.testing.assert_array_equal(picked, [0, 5, 10, 15])
 
 
 def test_sample_frames_single():
-    out = sample_frames(_clip(9), 1)
-    assert out.frames.shape[0] == 1
-    assert out.frames[0, 0, 0, 0] == 0
+    out = _sampled(9, 1)
+    assert out.shape[0] == 1
+    assert out[0, 0, 0, 0] == 0
 
 
 def test_sample_frames_too_many_rejected():
     with pytest.raises(DataError):
-        sample_frames(_clip(4), 5)
+        _sampled(4, 5)
 
 
 # -- visual stub -------------------------------------------------------------
@@ -179,7 +175,8 @@ def test_text_encode_padding_mask_blocks_attention():
 def test_text_encode_oov_token_rejected():
     cfg = toy_cfg()
     params = bb.TextStubParams.init(np.random.default_rng(6), cfg)
+    assert params.embedding.shape == (len(load_vocab()), cfg.d_model)
     with pytest.raises(DataError):
-        encode_all_real(np.array([[cfg.vocab_size]]), params, cfg)
+        encode_all_real(np.array([[bb.VOCAB_SIZE]]), params, cfg)
     with pytest.raises(DataError):
         encode_all_real(np.array([[-1]]), params, cfg)

@@ -18,7 +18,7 @@ def toy_cfg(**kw):
     base = dict(d_model=8, num_heads=2, d_ff_mult=2, dropout=0.0,
                 encoder_layers=0, decoder_layers=2, frames=3,
                 grid_h=2, grid_w=2, raster_h=8, raster_w=8,
-                l_max=6, vocab_size=16, num_queries=3)
+                l_max=6, num_queries=3)
     base.update(kw)
     return ModelConfig(**base)
 

@@ -1,7 +1,7 @@
-"""Static checks over the package source: every config field is read, no
-module imports a name it never uses, every top-level function has a
-caller outside the tests, and every program name the benchmark traces or
-calls exists."""
+"""Static checks over the package source: every config field and every
+dataclass field is read, no module imports a name it never uses, every
+top-level function has a caller outside the tests, and every program name
+the benchmark traces or calls exists."""
 
 import ast
 import pathlib
@@ -262,6 +262,65 @@ def test_caller_check_ignores_names_that_cannot_bind_the_function():
                        "np.stack(xs)\n"
                        "def g(st):\n    return st\n")
     assert _references(caller, "run")[("tensor", "stack")] == 2
+
+
+# -- dataclass fields that nothing reads --------------------------------------
+
+# the summed assignment cost, which criterion 3 of the acceptance tests gates
+UNREAD_FIELDS = {"MatchResult.total_cost"}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if _receiver(d) == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields(tree) -> list:
+    """``Class.field`` for each field of each dataclass the tree declares,
+    other than the config classes, whose fields have their own check."""
+    return [f"{node.name}.{s.target.id}" for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+            and node.name not in CONFIG_CLASSES
+            for s in node.body
+            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+
+
+def _attribute_loads(tree) -> set:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def _unread_fields(declaring, reading) -> list:
+    """Dataclass fields of the ``declaring`` trees that no ``reading`` tree
+    loads as an attribute, by name."""
+    loads = set().union(*map(_attribute_loads, reading))
+    return [name for tree in declaring for name in _dataclass_fields(tree)
+            if name.split(".")[1] not in loads]
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    unread = [name for name in _unread_fields(map(_tree, MODULES),
+                                              map(_tree, PROGRAM))
+              if name not in UNREAD_FIELDS]
+    assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+def test_field_check_sees_a_field_nothing_reads():
+    decl = ast.parse("from dataclasses import dataclass\n"
+                     "@dataclass(frozen=True)\nclass Result:\n"
+                     "    loss: float\n    path: str = ''\n"
+                     "    def show(self):\n        return self.loss\n"
+                     "class Plain:\n    path: str\n"
+                     "class ModelConfig:\n    width: int\n")
+    assert _unread_fields([decl], [decl]) == ["Result.path"]
+    user = ast.parse("def f(res):\n    res.path = 'x'\n    return res\n")
+    assert _unread_fields([decl], [decl, user]) == ["Result.path"]
+    user = ast.parse("def f(res):\n    return res.path\n")
+    assert _unread_fields([decl], [decl, user]) == []
 
 
 # -- program names the benchmark calls ---------------------------------------

@@ -585,21 +585,21 @@ def _one_clip_objectives(out, anns, w, keyframe, weak=False):
             pred = clip_boxes[0, match.pred_indices]
             l1 = l1_loss(pred, gt)
             gl = giou_loss(T.reshape(pred, (-1, 4)), gt.reshape(-1, 4))
-            total = total + l1 * w.l1 + gl * w.giou
+            total = T.add(T.add(total, T.mul(l1, w.l1)), T.mul(gl, w.giou))
             agg["l1"] += l1.item() / b
             agg["giou"] += gl.item() / b
         if w.group_ce > 0 and ann.group_activity is not None:
             ce = cross_entropy(out.group_logits[s][0], ann.group_activity)
-            total = total + ce * w.group_ce
+            total = T.add(total, T.mul(ce, w.group_ce))
             agg["group_ce"] += ce.item() / b
         if not weak and w.action_bce > 0:
             targets = np.zeros(logits.shape[1:])
             for gt_i, pred_j in match.pairs():
                 targets[pred_j, acts[gt_i]] = 1.0
             bce = L.binary_cross_entropy_with_logits(logits[0], targets)
-            total = total + bce * w.action_bce
+            total = T.add(total, T.mul(bce, w.action_bce))
             agg["action_bce"] += bce.item() / b
-    return total * (1.0 / b), agg
+    return T.mul(total, 1.0 / b), agg
 
 
 def _random_boxes(rng, shape):
@@ -675,6 +675,28 @@ def test_batched_objective_weak_equals_one_clip_mean():
     weak_anns = [weak_supervision_view(a) for a in anns]
     _assert_batched_equals_one_clip(arrays, weak_anns, LossWeights(),
                                     weak=True)
+
+
+def test_action_bce_leaves_weakly_annotated_clips_out():
+    from groundact.data import weak_supervision_view
+    arrays, anns = _random_batch(np.random.default_rng(16), [2, 3])
+    w = LossWeights()
+    out = _output(arrays)
+    total, breakdown = L.total_objective(
+        out, [anns[0], weak_supervision_view(anns[1])], w, keyframe=1)
+    first = {"boxes": [x[:1] for x in arrays["boxes"]],
+             "actions": arrays["actions"][:1], "groups": arrays["groups"][:1]}
+    _, alone = L.total_objective(_output(first), anns[:1], w, keyframe=1)
+    assert breakdown["action_bce"] == alone["action_bce"] > 0
+    total.backward()
+    assert not out.action_logits.grad[1].any()
+    assert out.action_logits.grad[0].any()
+    # a batch of weak clips only has no BCE term, also in full mode
+    out = _output(arrays)
+    total, breakdown = L.total_objective(
+        out, [weak_supervision_view(a) for a in anns], w, keyframe=1)
+    total.backward()
+    assert breakdown["action_bce"] == 0.0 and out.action_logits.grad is None
 
 
 def test_batched_objective_gradient_wrt_boxes():

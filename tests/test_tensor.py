@@ -20,10 +20,10 @@ def t(data, rg=True):
 
 def test_elementwise_forward():
     a, b = t([1.0, -2.0, 3.0]), t([4.0, 5.0, -6.0])
-    np.testing.assert_array_equal((a + b).data, [5.0, 3.0, -3.0])
-    np.testing.assert_array_equal((a - b).data, [-3.0, -7.0, 9.0])
-    np.testing.assert_array_equal((a * b).data, [4.0, -10.0, -18.0])
-    np.testing.assert_allclose((a / b).data, [0.25, -0.4, -0.5])
+    np.testing.assert_array_equal(T.add(a, b).data, [5.0, 3.0, -3.0])
+    np.testing.assert_array_equal(T.sub(a, b).data, [-3.0, -7.0, 9.0])
+    np.testing.assert_array_equal(T.mul(a, b).data, [4.0, -10.0, -18.0])
+    np.testing.assert_allclose(T.div(a, b).data, [0.25, -0.4, -0.5])
     np.testing.assert_array_equal(T.maximum(a, b).data, [4.0, 5.0, 3.0])
     np.testing.assert_array_equal(T.relu(a).data, [1.0, 0.0, 3.0])
     np.testing.assert_array_equal(T.absolute(a).data, [1.0, 2.0, 3.0])
@@ -32,20 +32,31 @@ def test_elementwise_forward():
 def test_matmul_forward_small():
     a = t([[1.0, 2.0], [3.0, 4.0]])
     b = t([[5.0, 6.0], [7.0, 8.0]])
-    np.testing.assert_array_equal((a @ b).data, [[19.0, 22.0], [43.0, 50.0]])
+    np.testing.assert_array_equal(T.matmul(a, b).data,
+                                  [[19.0, 22.0], [43.0, 50.0]])
 
 
 def test_matmul_batched_forward():
     a = t(np.arange(2 * 3 * 4, dtype=float).reshape(2, 3, 4))
     b = t(np.arange(2 * 4 * 5, dtype=float).reshape(2, 4, 5))
-    out = (a @ b).data
+    out = T.matmul(a, b).data
     assert out.shape == (2, 3, 5)
     np.testing.assert_array_equal(out, a.data @ b.data)
 
 
 def test_matmul_shape_error():
     with pytest.raises(ShapeError):
-        t(np.zeros((2, 3))) @ t(np.zeros((4, 5)))
+        T.matmul(t(np.zeros((2, 3))), t(np.zeros((4, 5))))
+
+
+def test_arithmetic_operators_are_not_defined():
+    # ops are module functions; an operator on a Tensor fails loudly instead
+    # of building an object array of Tensors
+    x = t([1.0, 2.0, 3.0])
+    with pytest.raises(TypeError):
+        np.ones(3) * x
+    with pytest.raises(TypeError):
+        x + 1.0
 
 
 def test_softmax_rows_sum_to_one():
@@ -82,17 +93,17 @@ def test_softplus_extremes_stable():
 
 def test_sum_mean_values():
     x = t([[1.0, 2.0], [3.0, 4.0]])
-    assert x.sum().item() == 10.0
-    assert x.mean().item() == 2.5
-    np.testing.assert_array_equal(x.sum(axis=0).data, [4.0, 6.0])
-    np.testing.assert_array_equal(x.mean(axis=1).data, [1.5, 3.5])
+    assert T.tsum(x).item() == 10.0
+    assert T.tmean(x).item() == 2.5
+    np.testing.assert_array_equal(T.tsum(x, axis=0).data, [4.0, 6.0])
+    np.testing.assert_array_equal(T.tmean(x, axis=1).data, [1.5, 3.5])
 
 
 # -- gradients ---------------------------------------------------------------
 
 def test_gradient_accumulates_over_reuse():
     x = t([2.0])
-    y = (x * x + x).sum()          # dy/dx = 2x + 1 = 5
+    y = T.tsum(T.add(T.mul(x, x), x))          # dy/dx = 2x + 1 = 5
     y.backward()
     np.testing.assert_allclose(x.grad, [5.0])
 
@@ -100,21 +111,21 @@ def test_gradient_accumulates_over_reuse():
 def test_broadcast_gradient_unbroadcasts():
     a = t(np.ones((3, 4)))
     b = t(np.ones(4))
-    (a * b).sum().backward()
+    T.tsum(T.mul(a, b)).backward()
     assert b.grad.shape == (4,)
     np.testing.assert_array_equal(b.grad, 3 * np.ones(4))
 
 
 def test_getitem_repeated_index_gradient():
     x = t([1.0, 2.0, 3.0])
-    y = T.getitem(x, np.array([0, 0, 2])).sum()
+    y = T.tsum(T.getitem(x, np.array([0, 0, 2])))
     y.backward()
     np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
 
 
 def test_detach_blocks_gradient():
     x = t([3.0])
-    y = (x.detach() * x).sum()
+    y = T.tsum(T.mul(x.detach(), x))
     y.backward()
     np.testing.assert_allclose(x.grad, [3.0])  # only the live factor
 
@@ -122,18 +133,18 @@ def test_detach_blocks_gradient():
 def test_backward_requires_scalar():
     x = t([1.0, 2.0])
     with pytest.raises(ContractError):
-        (x * 2).backward()
+        T.mul(x, 2).backward()
 
 
 def test_double_backward_rejected_until_zero_grad():
     x = t([1.0])
-    y = (x * 3).sum()
+    y = T.tsum(T.mul(x, 3))
     y.backward()
     with pytest.raises(ContractError):
         y.backward()
     # a fresh graph after zero_grad works and gives the same gradient
     x.zero_grad()
-    y2 = (x * 3).sum()
+    y2 = T.tsum(T.mul(x, 3))
     y2.backward()
     np.testing.assert_allclose(x.grad, [3.0])
 
@@ -166,8 +177,8 @@ def test_backward_order_independent():
     w = t(rng.normal(size=(3, 3)))
 
     def build():
-        h = T.relu(x @ w)
-        return (T.softmax(h) * h).sum()
+        h = T.relu(T.matmul(x, w))
+        return T.tsum(T.mul(T.softmax(h), h))
 
     y1 = build()
     y1.backward()
@@ -191,20 +202,20 @@ def backward_in_order(root, order):
 
 def test_second_backward_through_shared_subgraph_does_not_double_count():
     x = t([1.0, 2.0])
-    y = x * 2
+    y = T.mul(x, 2)
     T.tsum(y).backward()
     np.testing.assert_array_equal(x.grad, [2.0, 2.0])
     x.zero_grad()
-    T.tsum(y * 3).backward()
+    T.tsum(T.mul(y, 3)).backward()
     np.testing.assert_array_equal(x.grad, [6.0, 6.0])
     assert y.grad is None       # interior gradients are freed after use
 
 
 def test_backward_ignores_other_live_graphs():
     x = t([1.0, 2.0])
-    other = T.tsum(x * 5)                # built, never differentiated
-    later = T.tsum(x * 7)                # built after the root
-    T.tsum(x * x).backward()
+    other = T.tsum(T.mul(x, 5))          # built, never differentiated
+    later = T.tsum(T.mul(x, 7))          # built after the root
+    T.tsum(T.mul(x, x)).backward()
     np.testing.assert_array_equal(x.grad, [2.0, 4.0])
     x.zero_grad()
     later.backward()
@@ -218,13 +229,13 @@ def test_tape_keeps_no_dropped_graph_alive():
     import gc
     import weakref
     x = t(np.ones(3))
-    root = T.tsum(T.exp(x * 2))
+    root = T.tsum(T.exp(T.mul(x, 2)))
     refs = [weakref.ref(n) for n in root.topo_order() if n is not x]
     del root
     assert all(r() is None for r in refs)
     # also when the tape is compacted, and after a backward
     for i in range(3000):
-        T.tsum(x * float(i))
+        T.tsum(T.mul(x, float(i)))
     assert len(T._tape) < 3000
     root = T.tsum(T.exp(x))
     refs = [weakref.ref(n) for n in root.topo_order() if n is not x]
@@ -236,12 +247,12 @@ def test_tape_keeps_no_dropped_graph_alive():
 
 def test_failed_backward_leaves_no_gradient_behind():
     x = t([1.0, 2.0])
-    y = x * 2
+    y = T.mul(x, 2)
 
     def broken(g):
         raise RuntimeError("boom")
 
-    bad = T.tsum(y * 3)
+    bad = T.tsum(T.mul(y, 3))
     bad._backward = broken
     with pytest.raises(RuntimeError):
         bad.backward()
@@ -267,7 +278,7 @@ def test_getitem_basic_index_gradient_equals_scatter_add():
 
 def test_concat_stack_gradients():
     a, b = t([1.0, 2.0]), t([3.0])
-    (T.concat([a, b]) * t([1.0, 10.0, 100.0], rg=False)).sum().backward()
+    T.tsum(T.mul(T.concat([a, b]), t([1.0, 10.0, 100.0], rg=False))).backward()
     np.testing.assert_array_equal(a.grad, [1.0, 10.0])
     np.testing.assert_array_equal(b.grad, [100.0])
 
@@ -276,7 +287,7 @@ def test_transpose_reshape_round_trip():
     x = t(np.arange(24, dtype=float).reshape(2, 3, 4))
     y = T.transpose(T.transpose(x, (1, 0, 2)), (1, 0, 2))
     np.testing.assert_array_equal(y.data, x.data)
-    (y * y).sum().backward()
+    T.tsum(T.mul(y, y)).backward()
     np.testing.assert_array_equal(x.grad, 2 * x.data)
 
 
@@ -285,9 +296,9 @@ def test_transpose_reshape_round_trip():
 def test_grad_check_eps_bounds():
     x = t(np.ones(2))
     with pytest.raises(ValueError):
-        grad_check(lambda v: v.sum(), x, eps=1e-8)
+        grad_check(T.tsum, x, eps=1e-8)
     with pytest.raises(ValueError):
-        grad_check(lambda v: v.sum(), x, eps=1e-2)
+        grad_check(T.tsum, x, eps=1e-2)
 
 
 def test_grad_check_flags_wrong_gradient():
@@ -305,7 +316,7 @@ def test_grad_check_flags_wrong_gradient():
 
 def test_grad_check_excludes_relu_kink():
     x = t([0.0, 1.0, -1.0])
-    err = grad_check(lambda v: T.relu(v).sum(), x)
+    err = grad_check(lambda v: T.tsum(T.relu(v)), x)
     assert err <= 1e-4  # coordinate 0 sits on the kink and is skipped
 
 
@@ -313,9 +324,9 @@ def test_grad_check_smooth_ops_tight():
     rng = np.random.default_rng(11)
     x = t(rng.normal(size=(3, 4)))
     for f in (lambda v: T.tsum(T.tanh(v)),
-              lambda v: T.tsum(T.sigmoid(v) * v),
-              lambda v: T.tsum(T.log(T.exp(v) + 1.0)),
-              lambda v: T.tsum(T.softmax(v) * v)):
+              lambda v: T.tsum(T.mul(T.sigmoid(v), v)),
+              lambda v: T.tsum(T.log(T.add(T.exp(v), 1.0))),
+              lambda v: T.tsum(T.mul(T.softmax(v), v))):
         assert grad_check(f, x) <= 1e-6
 
 
@@ -339,7 +350,7 @@ def test_softmax_shift_invariant(vals, shift):
 @given(st.lists(finite, min_size=1, max_size=8))
 def test_sum_grad_is_ones(vals):
     x = t(vals)
-    x.sum().backward()
+    T.tsum(x).backward()
     np.testing.assert_array_equal(x.grad, np.ones(len(vals)))
 
 
@@ -349,7 +360,7 @@ def test_sum_grad_is_ones(vals):
 def test_addition_grads_symmetric(u, v):
     n = min(len(u), len(v))
     a, b = t(u[:n]), t(v[:n])
-    (a + b).sum().backward()
+    T.tsum(T.add(a, b)).backward()
     np.testing.assert_array_equal(a.grad, b.grad)
 
 

@@ -23,7 +23,7 @@ def tiny_cfg(**train_kw):
     cfg.model = ModelConfig(d_model=16, num_heads=2, d_ff_mult=2, dropout=0.0,
                             encoder_layers=1, decoder_layers=1, frames=2,
                             grid_h=2, grid_w=2, raster_h=8, raster_w=8,
-                            l_max=8, vocab_size=64, num_queries=3)
+                            l_max=8, num_queries=3)
     defaults = dict(peak_lr=1e-3, warmup_epochs=1, total_epochs=4,
                     steps_per_epoch=4, batch_size=2, seed=0, eval_every=0)
     defaults.update(train_kw)
@@ -82,6 +82,39 @@ def test_make_batch_pads_and_masks():
         for a in ann.actors:
             assert a.tube.shape == (cfg.frames, 4)
         assert ann.keyframe == cfg.frames // 2
+
+
+@pytest.mark.parametrize("frames", [3, 4])
+def test_sampled_tubes_frame_the_sampled_pixels(frames):
+    # one actor per clip: its box is the bounding box of the nonzero pixels
+    corpus = D.generate_corpus(seed=3, num_clips=4, num_actors=1, t_total=8,
+                               motion_pool=("linear", "oscillate"))
+    cfg = ModelConfig(frames=frames)
+    batch = make_batch([c for c, _ in corpus], ["walk"] * len(corpus), cfg,
+                       VOCAB, [a for _, a in corpus])
+    h, w = batch.frames.shape[2:4]
+    for clip_frames, ann in zip(batch.frames, batch.annotations):
+        for f, box in enumerate(ann.actors[0].tube):
+            ys, xs = np.nonzero(clip_frames[f, :, :, 0])
+            fitted = [(xs.min() + xs.max() + 1) / (2 * w),
+                      (ys.min() + ys.max() + 1) / (2 * h),
+                      (xs.max() + 1 - xs.min()) / w,
+                      (ys.max() + 1 - ys.min()) / h]
+            assert fitted == box.tolist()
+
+
+def test_make_batch_rejects_a_tube_of_another_length():
+    from dataclasses import replace
+    corpus = tiny_corpus(n=2)
+    clip, ann = corpus[1]
+    short = replace(ann, actors=[replace(ann.actors[0],
+                                         tube=ann.actors[0].tube[:2])]
+                    + ann.actors[1:])
+    with pytest.raises(bb.DataError, match=rf"clip '{clip.clip_id}': track "
+                       rf"{ann.actors[0].track_id} has 2 boxes, but the clip "
+                       rf"has 4 frames"):
+        make_batch([c for c, _ in corpus], ["walk", "walk"], tiny_cfg().model,
+                   VOCAB, [corpus[0][1], short])
 
 
 def test_forward_shapes_and_slice_grads():
@@ -268,6 +301,14 @@ def test_version_2_checkpoint_rejected_by_version(tmp_path):
         load_checkpoint(path)
 
 
+def test_version_3_checkpoint_rejected_by_version(tmp_path):
+    # format 3 stored the text embedding's row count as [model] vocab_size
+    path = tmp_path / "v3.ckpt"
+    save_arrays(path, _older_checkpoint(path, 3, {"vocab_size": 64}))
+    with pytest.raises(TrainingError, match="checkpoint version 3 unsupported"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_wrong_shape_rejected(tmp_path):
     cfg = tiny_cfg()
     model = GroundedModel(cfg.model, seed=0)
@@ -348,14 +389,16 @@ def test_clip_geometry_mismatch_is_config_error_before_step_0(tmp_path, key,
         evaluate(GroundedModel(cfg.model, seed=0), corpus, cfg, VOCAB)
 
 
-def test_vocab_size_too_small_is_config_error_before_step_0(tmp_path):
-    # the prompts name action words, whose vocabulary indices exceed 4
-    cfg = tiny_cfg()
-    cfg.model.vocab_size = 4
+def test_token_outside_the_embedding_is_data_error_before_step_0(tmp_path):
+    # a vocabulary larger than the packaged one puts the action words past
+    # the embedding's last row
+    vocab = [f"filler{i}" for i in range(len(VOCAB))] + VOCAB
     log = tmp_path / "log.jsonl"
-    with pytest.raises(ConfigError, match=r"clip 'clip-0-\d{4}' has prompt "
-                       r"token \d+, outside \[model\] vocab_size = 4"):
-        train(cfg, tiny_corpus(), log_path=str(log), max_steps=2, vocab=VOCAB)
+    with pytest.raises(bb.DataError, match=r"clip 'clip-0-\d{4}' has prompt "
+                       r"token \d+, outside the packaged vocabulary of "
+                       rf"{len(VOCAB)} tokens"):
+        train(tiny_cfg(), tiny_corpus(), log_path=str(log), max_steps=2,
+              vocab=vocab)
     assert not log.exists()
 
 
@@ -460,9 +503,7 @@ def test_linear_probe_separates_trivial_clusters():
     centers = np.eye(3) * 5.0
     labels = np.repeat(np.arange(3), 20)
     emb = centers[labels] + 0.1 * rng.normal(size=(60, 3))
-    res = linear_probe(emb, labels, num_classes=3, epochs=40, seed=0)
-    assert res.train_accuracy == 1.0
-    assert res.weights.shape == (3, 3)
+    assert linear_probe(emb, labels, num_classes=3, epochs=40, seed=0) == 1.0
 
 
 def test_linear_probe_leaves_embeddings_frozen():
