@@ -268,17 +268,24 @@ def _parse_record(line: str, lineno: int) -> SceneAnnotation:
                 optional=True)
     if ga is not None and not 0 <= ga < len(GROUPS):
         raise DataError(f"line {lineno}: unknown group index {ga}")
+    clip_id = _field(rec, "clip_id", str, lineno)
+    keyframe = _field(rec, "keyframe", int, lineno)
+    if actors and keyframe != actors[0].tube.shape[0] // 2:
+        frames = actors[0].tube.shape[0]
+        raise DataError(f"line {lineno}: keyframe {keyframe} is not frame "
+                        f"{frames // 2}, the middle of the {frames}-frame "
+                        f"tubes")
     return SceneAnnotation(
-        clip_id=_field(rec, "clip_id", str, lineno),
-        keyframe=_field(rec, "keyframe", int, lineno),
-        actors=actors, group_activity=ga,
+        clip_id=clip_id, keyframe=keyframe, actors=actors, group_activity=ga,
         weak=bool(_field(rec, "weak", bool, lineno, optional=True)))
 
 
 def load_annotations(path) -> List[SceneAnnotation]:
     """Read a file written by :func:`save_annotations`.  A malformed line is
     a ParseError (bad encoding, JSON, field or type) or a DataError (a label
-    or box outside the label world or the unit square) naming the line."""
+    or box outside the label world or the unit square, or a keyframe other
+    than the middle frame ``T // 2`` of the record's tubes) naming the
+    line."""
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()
     out = []

@@ -547,45 +547,65 @@ def broadcast_to(x, shape):
 
 # -- gradient checking -------------------------------------------------------
 
+def rowwise(f1: Callable[[Tensor], Tensor]) -> Callable[[Tensor], Tensor]:
+    """Lift a scalar function of one input to the stacked form that
+    :func:`grad_check` takes: row k of the result is ``f1(stack[k])``."""
+    def f(stack: Tensor) -> Tensor:
+        return concat([reshape(f1(stack[k]), (1,))
+                       for k in range(stack.shape[0])])
+    return f
+
+
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
                eps: float = 1e-5, kink_tol: float = 1e-3) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``f`` must be scalar-valued.  Coordinates where the two one-sided
-    differences disagree by more than ``kink_tol`` (relative) sit on a kink
-    of a piecewise-smooth function (e.g. relu at 0) and are excluded from
-    the max, since a finite difference is meaningless there.  The 2N
-    perturbed evaluations of ``f`` run under :func:`no_grad`.
+    ``f`` maps a stack ``[K, *x.shape]`` of inputs to their ``K`` values,
+    each row on its own; :func:`rowwise` lifts a scalar function of one
+    input to that form.  The analytic gradient is one backward of
+    ``f(x[None])``.  The unperturbed value and the 2N central-difference
+    points (each coordinate moved to ``orig + eps`` and ``orig - eps``)
+    are one stack of 2N + 1 rows, evaluated by a single call under
+    :func:`no_grad`.  Coordinates where the two one-sided differences
+    disagree by more than ``kink_tol`` (relative) sit on a kink of a
+    piecewise-smooth function (e.g. relu at 0) and are excluded from the
+    max, since a finite difference is meaningless there.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
     x = Tensor(x.data.astype(np.float64), requires_grad=True)
-    out = f(x)
-    if out.size != 1:
-        raise ContractError(f"grad_check needs scalar f, got shape {out.shape}")
+    out = _stack_values(f, x[None])
     out.backward()
     analytic = (x.grad if x.grad is not None else np.zeros_like(x.data)).reshape(-1)
 
     flat = x.data.reshape(-1)
-    f0 = out.item()
-    max_err = 0.0
+    n = flat.size
+    stack = np.tile(flat, (2 * n + 1, 1))
+    at = np.arange(n)
+    stack[1 + at, at] = flat + eps
+    stack[1 + n + at, at] = flat - eps
+    stack = Tensor(stack.reshape(2 * n + 1, *x.shape))
     with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            fp = f(Tensor(x.data.copy())).item()
-            flat[i] = orig - eps
-            fm = f(Tensor(x.data.copy())).item()
-            flat[i] = orig
-            d_plus = (fp - f0) / eps
-            d_minus = (f0 - fm) / eps
-            scale = max(1.0, abs(d_plus), abs(d_minus))
-            if abs(d_plus - d_minus) > kink_tol * scale:
-                continue  # non-comparable kink coordinate
-            numeric = (fp - fm) / (2 * eps)
-            denom = max(1.0, abs(analytic[i]), abs(numeric))
-            max_err = max(max_err, abs(analytic[i] - numeric) / denom)
-    return max_err
+        values = _stack_values(f, stack).data
+    f0, fp, fm = values[0], values[1:n + 1], values[n + 1:]
+    d_plus = (fp - f0) / eps
+    d_minus = (f0 - fm) / eps
+    scale = np.maximum(1.0, np.maximum(np.abs(d_plus), np.abs(d_minus)))
+    smooth = ~(np.abs(d_plus - d_minus) > kink_tol * scale)
+    numeric = (fp - fm) / (2 * eps)
+    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
+    err = np.abs(analytic - numeric) / denom
+    return float(err[smooth].max(initial=0.0))
+
+
+def _stack_values(f, stack: Tensor) -> Tensor:
+    """f(stack), which must hold one value per row of the stack."""
+    out = f(stack)
+    if out.shape != stack.shape[:1]:
+        raise ContractError(
+            f"grad_check needs f to map a stack of {stack.shape[0]} inputs "
+            f"to {stack.shape[0]} values, got shape {out.shape}")
+    return out
 
 
 # -- named-array container ---------------------------------------------------

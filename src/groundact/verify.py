@@ -22,8 +22,21 @@ TOLERANCE = 1e-4
 TOY = dict(d=8, t=2, hw=4, l=3, n=2)
 
 
+def _row_sums(y: Tensor) -> Tensor:
+    """[K, ...] -> [K]: the sum of each row of a stack."""
+    return T.tsum(T.reshape(y, (y.shape[0], -1)), axis=1)
+
+
 def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
-    """(name, scalar function, input) triples covering every registered op."""
+    """(name, function, input) triples covering every registered op, each
+    function in the stacked form that :func:`grad_check` takes.
+
+    A case whose op broadcasts over a leading stack axis sums each row of
+    its output; the rest (weights unpacked from the input, one dropout draw
+    per call, or a shape spelled for one input) are scalar functions of one
+    input lifted by :func:`T.rowwise`.
+    """
+    rs = _row_sums
     # constants are drawn once, outside the closures: grad_check re-invokes
     # each function many times and expects it to be deterministic
     u = lambda *s: Tensor(rng.uniform(-1, 1, size=s))
@@ -54,22 +67,26 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
     m_block = ub(1, 2, 4)
 
     def unpack(x, *shapes):
-        """Consecutive slices of a flat input, reshaped."""
+        """Consecutive slices of the last axis of x, each reshaped; any
+        leading (stack) axes are kept."""
         out, at = [], 0
         for s in shapes:
             n = int(np.prod(s))
-            out.append(T.reshape(x[at:at + n], s))
+            out.append(T.reshape(x[..., at:at + n], x.shape[:-1] + s))
             at += n
         return out
 
+    @T.rowwise
     def linear(x):
         xs, w, b = unpack(x, (2, 3, 4), (4, 3), (3,))
         return T.tsum(T.mul(T.linear(xs, w, b), m_lin))
 
+    @T.rowwise
     def layer_norm(x):
         xs, g, b = unpack(x, (2, 3, 4), (4,), (4,))
         return T.tsum(T.mul(nn.layer_norm(xs, nn.LayerNormParams(g, b)), m_ln))
 
+    @T.rowwise
     def self_attention(x):
         # dropout on, with a fresh generator per call so f is deterministic
         xs, wq, wk, wv, wo = unpack(x, (2, 3, 4), *[(4, 4)] * 4)
@@ -79,11 +96,13 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
                             m_self))
 
     def cross_attention(x):
-        # 4-d queries broadcast over the frame axis of the keys, masked keys
+        # 4-d queries broadcast over the frame axis of the keys, masked keys;
+        # no weight is an input, so a stack is one more leading axis
         q, kv = unpack(x, (2, 1, 2, 4), (2, 3, 3, 4))
         out = nn.multi_head_attention(q, kv, attn, key_mask)
-        return T.tsum(T.mul(out, m_cross))
+        return rs(T.mul(out, m_cross))
 
+    @T.rowwise
     def self_attention_block(x):
         # Q/K/V packed into one GEMM; dropout on, as in self_attention
         xs, wq, wk, wv = unpack(x, (1, 2, 4), *[(4, 4)] * 3)
@@ -92,51 +111,57 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
         return T.tsum(T.mul(nn.self_attention_block(xs, norm, p, None, ctx),
                             m_block))
 
+    @T.rowwise
     def feed_forward_block(x):
         xs, w1, b1, w2, b2 = unpack(x, (1, 2, 4), (4, 4), (4,), (4, 4), (4,))
         p = nn.FeedForwardParams(w1, b1, w2, b2, dropout_rate=0.25)
         ctx = nn.RunContext(training=True, rng=np.random.default_rng(0))
         return T.tsum(T.mul(nn.feed_forward_block(xs, norm, p, ctx), m_block))
 
-    cases = [
-        ("add", lambda x: T.tsum(T.add(x, b)), u(4, 3)),
-        ("sub", lambda x: T.tsum(T.sub(x, b)), u(4, 3)),
-        ("mul", lambda x: T.tsum(T.mul(x, b)), u(4, 3)),
-        ("div", lambda x: T.tsum(T.div(x, denom)), u(4, 3)),
-        ("broadcast_add", lambda x: T.tsum(T.mul(T.add(x, big), big)), u(3)),
-        ("matmul", lambda x: T.tsum(T.matmul(x, rhs)), u(4, 3)),
-        ("batched_matmul", lambda x: T.tsum(T.matmul(x, rhs_b)), u(2, 5, 3)),
-        ("maximum", lambda x: T.tsum(T.maximum(x, b)), u(4, 3)),
-        ("minimum", lambda x: T.tsum(T.minimum(x, b)), u(4, 3)),
-        ("relu", lambda x: T.tsum(T.relu(x)), u(4, 3)),
-        ("gelu", lambda x: T.tsum(T.gelu(x)), u(4, 3)),
-        ("sigmoid", lambda x: T.tsum(T.sigmoid(x)), u(4, 3)),
-        ("tanh", lambda x: T.tsum(T.tanh(x)), u(4, 3)),
-        ("exp", lambda x: T.tsum(T.exp(x)), u(4, 3)),
-        ("log", lambda x: T.tsum(T.log(x)), pos(4, 3)),
-        ("sqrt", lambda x: T.tsum(T.sqrt(x)), pos(4, 3)),
-        ("abs", lambda x: T.tsum(T.absolute(x)), u(4, 3)),
-        ("softplus", lambda x: T.tsum(T.softplus(x)), u(4, 3)),
-        ("sum_axis", lambda x: T.tsum(T.mul(T.tsum(x, axis=1), v4)), u(4, 3)),
-        ("mean", lambda x: T.tmean(T.mul(x, b)), u(4, 3)),
-        ("softmax", lambda x: T.tsum(T.mul(T.softmax(x, axis=-1), b)), u(4, 3)),
-        ("log_softmax", lambda x: T.tsum(T.mul(T.log_softmax(x, axis=-1), b)),
+    return [
+        ("add", lambda x: rs(T.add(x, b)), u(4, 3)),
+        ("sub", lambda x: rs(T.sub(x, b)), u(4, 3)),
+        ("mul", lambda x: rs(T.mul(x, b)), u(4, 3)),
+        ("div", lambda x: rs(T.div(x, denom)), u(4, 3)),
+        ("broadcast_add",
+         T.rowwise(lambda x: T.tsum(T.mul(T.add(x, big), big))), u(3)),
+        ("matmul", lambda x: rs(T.matmul(x, rhs)), u(4, 3)),
+        ("batched_matmul", lambda x: rs(T.matmul(x, rhs_b)), u(2, 5, 3)),
+        ("maximum", lambda x: rs(T.maximum(x, b)), u(4, 3)),
+        ("minimum", lambda x: rs(T.minimum(x, b)), u(4, 3)),
+        ("relu", lambda x: rs(T.relu(x)), u(4, 3)),
+        ("gelu", lambda x: rs(T.gelu(x)), u(4, 3)),
+        ("sigmoid", lambda x: rs(T.sigmoid(x)), u(4, 3)),
+        ("tanh", lambda x: rs(T.tanh(x)), u(4, 3)),
+        ("exp", lambda x: rs(T.exp(x)), u(4, 3)),
+        ("log", lambda x: rs(T.log(x)), pos(4, 3)),
+        ("sqrt", lambda x: rs(T.sqrt(x)), pos(4, 3)),
+        ("abs", lambda x: rs(T.absolute(x)), u(4, 3)),
+        ("softplus", lambda x: rs(T.softplus(x)), u(4, 3)),
+        ("sum_axis", lambda x: rs(T.mul(T.tsum(x, axis=-1), v4)), u(4, 3)),
+        ("mean", T.rowwise(lambda x: T.tmean(T.mul(x, b))), u(4, 3)),
+        ("softmax", lambda x: rs(T.mul(T.softmax(x, axis=-1), b)), u(4, 3)),
+        ("log_softmax", lambda x: rs(T.mul(T.log_softmax(x, axis=-1), b)),
          u(4, 3)),
-        ("reshape", lambda x: T.tsum(T.mul(T.reshape(x, (3, 4)), m34)),
+        ("reshape",
+         T.rowwise(lambda x: T.tsum(T.mul(T.reshape(x, (3, 4)), m34))),
          u(4, 3)),
-        ("transpose", lambda x: T.tsum(T.mul(T.transpose(x, (1, 0)), m43)),
+        ("transpose",
+         T.rowwise(lambda x: T.tsum(T.mul(T.transpose(x, (1, 0)), m43))),
          u(4, 3)),
-        ("getitem", lambda x: T.tsum(T.mul(x[1:3, :2], m22)), u(4, 3)),
-        ("getitem_fancy", lambda x: T.tsum(x[np.array([0, 2, 2])]), u(4, 3)),
-        ("concat", lambda x: T.tsum(T.mul(T.concat([x, x], axis=0), m83)),
+        ("getitem", lambda x: rs(T.mul(x[..., 1:3, :2], m22)), u(4, 3)),
+        ("getitem_fancy", lambda x: rs(x[..., np.array([0, 2, 2]), :]),
          u(4, 3)),
-        ("broadcast_to", lambda x: T.tsum(T.mul(T.broadcast_to(x, (5, 4, 3)),
-                                                m543)), u(4, 3)),
-        ("where", lambda x: T.tsum(T.where(np.eye(4, 3, dtype=bool), x, b)),
+        ("concat", lambda x: rs(T.mul(T.concat([x, x], axis=-2), m83)),
+         u(4, 3)),
+        ("broadcast_to",
+         T.rowwise(lambda x: T.tsum(T.mul(T.broadcast_to(x, (5, 4, 3)),
+                                          m543))), u(4, 3)),
+        ("where", lambda x: rs(T.where(np.eye(4, 3, dtype=bool), x, b)),
          u(4, 3)),
         ("softmax_cross_entropy",
-         lambda x: T.mul(T.tsum(T.mul(T.log_softmax(x, axis=-1),
-                                      Tensor(np.eye(4)[:, :3]))), -1.0),
+         lambda x: T.mul(rs(T.mul(T.log_softmax(x, axis=-1),
+                                  Tensor(np.eye(4)[:, :3]))), -1.0),
          u(4, 3)),
         ("linear", linear, uf(24 + 12 + 3)),
         ("layer_norm", layer_norm, uf(24 + 4 + 4)),
@@ -145,11 +170,12 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
         ("self_attention_block", self_attention_block, ub(8 + 3 * 16)),
         ("feed_forward_block", feed_forward_block, ub(8 + 2 * 16 + 2 * 4)),
     ]
-    return cases
 
 
 def block_cases(rng: np.random.Generator):
-    """Scalar losses through each assembled block at toy sizes."""
+    """Scalar losses through each assembled block at toy sizes, one per row
+    of a stack of inputs: the stack is the batch axis of the block, and
+    ``box_loss``, which sums over its pairs, runs once per row."""
     d, t, hw, l, n = (TOY[k] for k in ("d", "t", "hw", "l", "n"))
     cfg = ModelConfig(d_model=d, num_heads=2, encoder_layers=1,
                       decoder_layers=1, frames=t, grid_h=2, grid_w=2,
@@ -161,34 +187,43 @@ def block_cases(rng: np.random.Generator):
     dec = ActionDecoderParams.init(rng, cfg)
     # exercise the box head path with a non-degenerate final layer
     dec.layers[0].box_head.w3.data = rng.normal(0, 0.1, size=(d, 4))
-    t_f0 = Tensor(rng.uniform(-1, 1, size=(1, l, d)))
-    text_mask = np.ones((1, l), dtype=bool)
+    t_f0 = rng.uniform(-1, 1, size=(1, l, d))
+    actor_boxes = np.array([[[0.3, 0.4, 0.2, 0.2], [0.6, 0.5, 0.25, 0.3]]])
+
+    def broadcast_rows(a: np.ndarray, k: int) -> np.ndarray:
+        """The toy constant a [1, ...] broadcast to k batch rows."""
+        return np.broadcast_to(a, (k, *a.shape[1:]))
+
+    def encoded(v_flat: Tensor):
+        k = v_flat.shape[0]
+        v = T.reshape(v_flat, (k, t, hw, d))
+        return encode(v, Tensor(broadcast_rows(t_f0, k)), enc, cfg,
+                      np.ones((k, l), dtype=bool))
 
     def through_encoder(v_flat: Tensor) -> Tensor:
-        v = T.reshape(v_flat, (1, t, hw, d))
-        rep = encode(v, t_f0, enc, cfg, text_mask)
-        return T.tsum(T.mul(rep.vt_f, 0.01))
+        return _row_sums(T.mul(encoded(v_flat).vt_f, 0.01))
 
     def through_fusion(t_flat: Tensor) -> Tensor:
-        boxes = ActorBoxSet(np.array([[[0.3, 0.4, 0.2, 0.2],
-                                       [0.6, 0.5, 0.25, 0.3]]]))
-        out = fuse(boxes, T.reshape(t_flat, (1, l, d)), fus, text_mask)
-        return T.tsum(T.mul(out, 0.1))
+        k = t_flat.shape[0]
+        out = fuse(ActorBoxSet(broadcast_rows(actor_boxes, k)),
+                   T.reshape(t_flat, (k, l, d)), fus,
+                   np.ones((k, l), dtype=bool))
+        return _row_sums(T.mul(out, 0.1))
 
     def through_decoder(v_flat: Tensor) -> Tensor:
-        v = T.reshape(v_flat, (1, t, hw, d))
-        rep = encode(v, t_f0, enc, cfg, text_mask)
-        out = decode(rep, dec, cfg, fus, ref)
+        out = decode(encoded(v_flat), dec, cfg, fus, ref)
         # mean L1 + mean (1 - gIoU) of query 0's tube against one gt tube
         gt = np.array([[[0.3, 0.4, 0.2, 0.2]] * t])
-        box_terms = box_loss(out.per_layer_boxes[-1], (0, slice(0, 1)), gt,
-                             np.full((1, t), 1.0 / t), 1.0, 1.0)[0]
-        return T.add(box_terms, T.tsum(T.mul(out.action_logits, 0.01)))
+        box_terms = T.rowwise(lambda boxes: box_loss(
+            boxes, slice(0, 1), gt, np.full((1, t), 1.0 / t), 1.0, 1.0)[0])
+        return T.add(box_terms(out.per_layer_boxes[-1]),
+                     _row_sums(T.mul(out.action_logits, 0.01)))
 
     def through_losses(boxes_flat: Tensor) -> Tensor:
         pred = T.add(T.mul(T.sigmoid(boxes_flat), 0.4), 0.2)  # well inside (0,1)
         gt = np.array([[0.35, 0.45, 0.2, 0.25], [0.6, 0.55, 0.3, 0.2]])
-        return box_loss(pred, slice(None), gt, np.full(2, 0.5), 5.0, 2.0)[0]
+        return T.rowwise(lambda p: box_loss(p, slice(None), gt, np.full(2, 0.5),
+                                            5.0, 2.0)[0])(pred)
 
     return [
         ("vl_encoder", through_encoder,
@@ -207,10 +242,6 @@ def run_suite(seed: int = 0, repeats: int = 1) -> Dict[str, float]:
     results: Dict[str, float] = {}
     for r in range(repeats):
         rng = np.random.default_rng(seed + r)
-        for name, f, x in op_cases(rng):
-            err = grad_check(f, x)
-            results[name] = max(results.get(name, 0.0), err)
-        for name, f, x in block_cases(rng):
-            err = grad_check(f, x)
-            results[name] = max(results.get(name, 0.0), err)
+        for name, f, x in op_cases(rng) + block_cases(rng):
+            results[name] = max(results.get(name, 0.0), grad_check(f, x))
     return results

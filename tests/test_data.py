@@ -217,6 +217,8 @@ def _record(**changes):
     (_record(clip_id=None), ParseError, "missing field 'clip_id'"),
     (_record(keyframe=None), ParseError, "missing field 'keyframe'"),
     (_record(keyframe="1"), ParseError, "'keyframe' has type str"),
+    (_record(keyframe=0), DataError,
+     "keyframe 0 is not frame 1, the middle of the 2-frame tubes"),
     (_record(group_activity="walking"), ParseError, "'group_activity'"),
     (_record(group_activity=True), ParseError, "'group_activity' has type bool"),
     (_record(weak="no"), ParseError, "'weak'"),

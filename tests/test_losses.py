@@ -223,7 +223,8 @@ def test_giou_loss_gradient():
     pred0 = Tensor(np.array([[0.45, 0.55, 0.25, 0.35], [0.3, 0.6, 0.2, 0.15]]))
     w = np.full(2, 0.5)
     err = grad_check(
-        lambda p: L.box_loss(p, slice(None), gt, w, 0.0, 1.0)[0], pred0)
+        T.rowwise(lambda p: L.box_loss(p, slice(None), gt, w, 0.0, 1.0)[0]),
+        pred0)
     assert err <= 1e-4
 
 
@@ -473,7 +474,8 @@ def test_bce_gradient():
     rng = np.random.default_rng(6)
     y = (rng.random((2, 3)) > 0.5).astype(float)
     x0 = Tensor(rng.normal(size=(2, 3)))
-    err = grad_check(lambda v: L.binary_cross_entropy_with_logits(v, y), x0)
+    err = grad_check(
+        T.rowwise(lambda v: L.binary_cross_entropy_with_logits(v, y)), x0)
     assert err <= 1e-6
 
 
@@ -707,7 +709,7 @@ def test_batched_objective_gradient_wrt_boxes():
         out.per_layer_boxes = [boxes]
         return L.total_objective(out, anns, LossWeights(), keyframe=1)[0]
 
-    assert grad_check(loss, Tensor(arrays["boxes"][0])) <= 1e-6
+    assert grad_check(T.rowwise(loss), Tensor(arrays["boxes"][0])) <= 1e-6
 
 
 @settings(deadline=None, max_examples=25)

@@ -296,27 +296,30 @@ def test_transpose_reshape_round_trip():
 def test_grad_check_eps_bounds():
     x = t(np.ones(2))
     with pytest.raises(ValueError):
-        grad_check(T.tsum, x, eps=1e-8)
+        grad_check(T.rowwise(T.tsum), x, eps=1e-8)
     with pytest.raises(ValueError):
-        grad_check(T.tsum, x, eps=1e-2)
+        grad_check(T.rowwise(T.tsum), x, eps=1e-2)
 
 
 def test_grad_check_flags_wrong_gradient():
-    def broken(v):
-        out = Tensor(v.data * v.data, requires_grad=True, _parents=(v,))
+    def square(slope):
+        """Rows of sum(v * v), with the backward rule g * slope * v."""
+        def f(v):
+            def backward(g):
+                v.accumulate(g * slope * v.data)
+            out = Tensor(v.data * v.data, requires_grad=True, _parents=(v,),
+                         _backward=backward)
+            return T.tsum(out, axis=-1)
+        return f
 
-        def backward(g):
-            v.accumulate(g * 3.0 * v.data)   # wrong: should be 2x
-        out._backward = backward
-        return T.tsum(out)
-
-    err = grad_check(broken, t([1.5, -0.5]))
-    assert err > 1e-2
+    x = t([1.5, -0.5])
+    assert grad_check(square(2.0), x) <= 1e-6    # the correct rule
+    assert grad_check(square(3.0), x) > 1e-2     # wrong: should be 2x
 
 
 def test_grad_check_excludes_relu_kink():
     x = t([0.0, 1.0, -1.0])
-    err = grad_check(lambda v: T.tsum(T.relu(v)), x)
+    err = grad_check(T.rowwise(lambda v: T.tsum(T.relu(v))), x)
     assert err <= 1e-4  # coordinate 0 sits on the kink and is skipped
 
 
@@ -327,7 +330,26 @@ def test_grad_check_smooth_ops_tight():
               lambda v: T.tsum(T.mul(T.sigmoid(v), v)),
               lambda v: T.tsum(T.log(T.add(T.exp(v), 1.0))),
               lambda v: T.tsum(T.mul(T.softmax(v), v))):
-        assert grad_check(f, x) <= 1e-6
+        assert grad_check(T.rowwise(f), x) <= 1e-6
+
+
+def test_grad_check_rejects_one_value_for_the_stack():
+    with pytest.raises(ContractError, match=r"got shape \(\)"):
+        grad_check(T.tsum, t([1.0, 2.0]))
+
+
+def test_rowwise_evaluates_each_row_and_passes_gradients():
+    rng = np.random.default_rng(12)
+    stack = Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
+    f1 = lambda v: T.tsum(T.mul(T.tanh(v), v))
+    out = T.rowwise(f1)(stack)
+    assert out.shape == (3,)
+    for k in range(3):
+        assert out.data[k] == f1(Tensor(stack.data[k])).item()
+    T.tsum(out).backward()
+    th = np.tanh(stack.data)
+    np.testing.assert_allclose(stack.grad, th + stack.data * (1 - th ** 2),
+                               atol=1e-12)
 
 
 # -- property tests ----------------------------------------------------------
