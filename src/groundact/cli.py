@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -65,12 +66,22 @@ def cmd_train(args) -> int:
     return 0
 
 
+_EVAL_METRICS = ("mca", "merged-mca", "mpca", "prf", "iou")
+
+
 def cmd_eval(args) -> int:
     from .training import evaluate, load_checkpoint, retrieval_recall
+    wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    for m in wanted:
+        if not (m in _EVAL_METRICS
+                or re.fullmatch(r"recall@[1-9][0-9]*", m)):
+            print(f"unknown metric {m!r}; expected one of "
+                  f"{', '.join(_EVAL_METRICS)} or recall@K with K >= 1",
+                  file=sys.stderr)
+            return 2
     model, cfg, _, _ = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.data)
     vocab = bb.load_vocab()
-    wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
     ev = evaluate(model, corpus, cfg, vocab)
     out = {}
     for m in wanted:
@@ -84,13 +95,10 @@ def cmd_eval(args) -> int:
             out["p_g"], out["r_g"], out["f_g"] = ev.action_prf
         elif m == "iou":
             out["mean_keyframe_iou"] = ev.mean_keyframe_iou
-        elif m.startswith("recall@"):
+        else:
             k = int(m.split("@")[1])
             rk = retrieval_recall(model, corpus, cfg, vocab, ks=(k,))
             out[f"recall@{k}"] = rk.get(k)
-        else:
-            print(f"unknown metric {m!r}", file=sys.stderr)
-            return 2
     for k, v in out.items():
         print(f"{k}: {v:.4f}" if v is not None else f"{k}: n/a")
     if args.predictions:

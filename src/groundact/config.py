@@ -157,16 +157,18 @@ def _known_fields(section: str, keys) -> dict:
 
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        sections = {s: parser.items(s) for s in parser.sections()}
+    except configparser.Error as err:
+        # configparser's text names the file and line
+        raise ConfigError(str(err)) from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    _known_sections(parser.sections(), path)
+    _known_sections(sections, path)
     cfg = ExperimentConfig()
-    for section, cls in _SECTIONS.items():
-        if not parser.has_section(section):
-            continue
+    for section, items in sections.items():
         target = getattr(cfg, section)
-        items = parser.items(section)
         known = _known_fields(section, [key for key, _ in items])
         for key, raw in items:
             ftype = known[key].type

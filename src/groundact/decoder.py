@@ -95,25 +95,14 @@ class ActionDecoderParams:
 
 @dataclass
 class DecoderOutput:
-    per_layer_boxes: List[Tensor]            # each [B, N, T, 4], never empty
-    per_layer_actor_embeddings: List[Tensor]  # each [B, N, d]
-    action_logits: Tensor                    # [B, N, A]
-    group_logits: Tensor                     # [B, G]
+    per_layer_boxes: List[Tensor]   # each [B, N, T, 4], never empty
+    actor_embeddings: Tensor        # [B, N, d], the action head's input
+    action_logits: Tensor           # [B, N, A]
+    group_logits: Tensor            # [B, G]
 
     @property
     def final_boxes(self) -> Tensor:
         return self.per_layer_boxes[-1]
-
-
-def classify_group(group_row: Tensor, params: ActionDecoderParams) -> Tensor:
-    """Linear map d -> G on the group-token embedding [B, d]."""
-    return T.linear(group_row, params.group_w, params.group_b)
-
-
-def classify_actions(actor_embeddings: Tensor,
-                     params: ActionDecoderParams) -> Tensor:
-    """Row-wise linear map d -> A on actor embeddings [..., N, d]."""
-    return T.linear(actor_embeddings, params.action_w, params.action_b)
 
 
 def decode(rep: SharedRepresentation,
@@ -148,17 +137,23 @@ def decode(rep: SharedRepresentation,
         x = T.add(x, fuse(ActorBoxSet(key_boxes), rep.text, fusion_params,
                           rep.text_mask))
 
+    # with no layers the action head reads the queries themselves
+    actors = x
+
     # the group token rides through the decoder as row N: it joins actor
     # self-attention and both cross-attentions, but has no box head, and its
     # final-layer embedding feeds the group classifier
     x = T.concat([x, rep.group], axis=1)                 # [B, N+1, d]
 
-    # temporal cross-attention keys: every pooled frame, then the real tokens
+    # built once, as no layer changes them: the temporal cross-attention keys
+    # (every pooled frame, then the real tokens) and the per-frame rows that
+    # the box heads add to each query
+    kv = T.concat([frame_feats, rep.text], axis=1)
     attn_mask = np.concatenate([np.ones((b, 1, t), dtype=bool),
                                 np.expand_dims(rep.text_mask, -2)], axis=-1)
+    frame_rows = T.reshape(frame_feats, (b, 1, t, d))
 
     per_layer_boxes = [] if params.layers else [T.sigmoid(box_logits)]
-    per_layer_embeddings: List[Tensor] = []
 
     for li, layer in enumerate(params.layers):
         # actor self-attention
@@ -173,7 +168,6 @@ def decode(rep: SharedRepresentation,
         x = T.add(x, T.tmean(spat, axis=1))
 
         # temporal cross-attention over pooled frames + text
-        kv = T.concat([frame_feats, rep.text], axis=1)
         h = nn.layer_norm(x, layer.norm_cross)
         x = T.add(x, nn.multi_head_attention(h, kv, layer.temporal_cross_attn,
                                              attn_mask, ctx))
@@ -184,15 +178,12 @@ def decode(rep: SharedRepresentation,
         # box refinement: per-frame offsets from query + frame feature;
         # only the actor rows get boxes
         actors = x[:, :n, :]
-        hbox = T.add(T.reshape(actors, (b, n, 1, d)),
-                     T.reshape(frame_feats, (b, 1, t, d)))
+        hbox = T.add(T.reshape(actors, (b, n, 1, d)), frame_rows)
         offsets = layer.box_head(hbox)                      # [B, N, T, 4]
         prev = box_logits if li == 0 else box_logits.detach()
         box_logits = T.add(prev, offsets)
         per_layer_boxes.append(T.sigmoid(box_logits))
-        per_layer_embeddings.append(actors)
 
-    action_logits = classify_actions(x[:, :n, :], params)
-    group_logits = classify_group(x[:, n, :], params)
-    return DecoderOutput(per_layer_boxes, per_layer_embeddings,
-                         action_logits, group_logits)
+    action_logits = T.linear(actors, params.action_w, params.action_b)
+    group_logits = T.linear(x[:, n, :], params.group_w, params.group_b)
+    return DecoderOutput(per_layer_boxes, actors, action_logits, group_logits)

@@ -23,21 +23,11 @@ from .tensor import ShapeError, Tensor
 
 @dataclass
 class SharedRepresentation:
-    """Fused streams and their concatenated view.
-
-    The concatenated view ``vt_f`` has T*HW video rows, then L text rows,
-    then the group-token row, per batch element.
-    """
+    """The fused streams."""
     video: Tensor                   # [B, T, HW, d]
     text: Tensor                    # [B, L, d]
     group: Tensor                   # [B, 1, d]
     text_mask: np.ndarray           # [B, L], True at real tokens
-
-    @property
-    def vt_f(self) -> Tensor:
-        b, t, hw, d = self.video.shape
-        flat_video = T.reshape(self.video, (b, t * hw, d))
-        return T.concat([flat_video, self.text, self.group], axis=1)
 
 
 @dataclass
@@ -157,18 +147,15 @@ def encode(v_f: Tensor, t_f: Tensor, params: VLEncoderParams,
                             params.fast_branch.bias)
         video = T.add(video, T.reshape(refined, (b, t, 1, d)))
 
-        # (c)+(d) bidirectional cross-attention over all video-side rows
-        flat = T.concat([T.reshape(video, (b, t * hw, d)), group], axis=1)
-        flat, text = cross_modal_block(flat, text, layer, text_mask, ctx)
-        video = T.reshape(flat[:, :t * hw, :], (b, t, hw, d))
-        group = flat[:, t * hw:, :]
-
-        # (e) shared FFN on every row
-        video = nn.feed_forward_block(video, layer.norm_ffn_video, layer.ffn,
-                                      ctx)
-        group = nn.feed_forward_block(group, layer.norm_ffn_video, layer.ffn,
-                                      ctx)
+        # (c)+(d) bidirectional cross-attention, then (e) the shared FFN,
+        # over one set of video-side rows: the cells frame-major, then the
+        # group token
+        rows = T.concat([T.reshape(video, (b, t * hw, d)), group], axis=1)
+        rows, text = cross_modal_block(rows, text, layer, text_mask, ctx)
+        rows = nn.feed_forward_block(rows, layer.norm_ffn_video, layer.ffn, ctx)
         text = nn.feed_forward_block(text, layer.norm_ffn_text, layer.ffn, ctx)
+        video = T.reshape(rows[:, :t * hw, :], (b, t, hw, d))
+        group = rows[:, t * hw:, :]
 
     return SharedRepresentation(video=video, text=text, group=group,
                                 text_mask=text_mask)

@@ -395,14 +395,10 @@ def sinusoidal_2d_table(h: int, w: int, d: int) -> np.ndarray:
     """Grid encoding: first half of d encodes the row, second half the column."""
     if d % 2:
         raise ShapeError(f"2-d sinusoidal table needs even d, got {d}")
-    rows = sinusoidal_table(h, d // 2)
-    cols = sinusoidal_table(w, d // 2)
-    table = np.zeros((h * w, d))
-    for r in range(h):
-        for c in range(w):
-            table[r * w + c, :d // 2] = rows[r]
-            table[r * w + c, d // 2:] = cols[c]
-    return table
+    # cell r * w + c pairs row r's code with column c's
+    rows = np.repeat(sinusoidal_table(h, d // 2), w, axis=0)
+    cols = np.tile(sinusoidal_table(w, d // 2), (h, 1))
+    return np.concatenate([rows, cols], axis=1)
 
 
 def positional_encode(x: Tensor, table: Tensor) -> Tensor:

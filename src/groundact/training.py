@@ -332,10 +332,10 @@ def actor_embedding_pool(model: GroundedModel, corpus, cfg: ExperimentConfig,
     Returns (embeddings [C, d], entries), one entry per matched gt actor:
     dicts with clip_id, track_id, actions, keyframe_box.
     """
-    batch, _, out = infer(model, corpus, cfg, vocab)
-    if not out.per_layer_actor_embeddings:
+    if not cfg.model.decoder_layers:
         raise TrainingError("retrieval needs at least one decoder layer")
-    emb_all = out.per_layer_actor_embeddings[-1].data
+    batch, _, out = infer(model, corpus, cfg, vocab)
+    emb_all = out.actor_embeddings.data
     boxes_all = out.final_boxes.data
     keyframe = model.keyframe()
     matches = keyframe_matches(boxes_all, out.action_logits.data,
@@ -368,6 +368,9 @@ def retrieval_recall(model: GroundedModel, corpus, cfg: ExperimentConfig,
             encoded[prompt] = text_query_embedding(model, prompt, vocab)
         queries.append(encoded[prompt])
         gt_idx.append(ci)
+    if not queries:
+        raise TrainingError("no matched actor has action labels, which "
+                            "retrieval recall needs")
     out = {}
     for k in ks:
         if k <= len(entries):

@@ -201,7 +201,11 @@ def block_cases(rng: np.random.Generator):
                       np.ones((k, l), dtype=bool))
 
     def through_encoder(v_flat: Tensor) -> Tensor:
-        return _row_sums(T.mul(encoded(v_flat).vt_f, 0.01))
+        rep = encoded(v_flat)
+        k = v_flat.shape[0]
+        rows = T.concat([T.reshape(rep.video, (k, t * hw, d)), rep.text,
+                         rep.group], axis=1)
+        return _row_sums(T.mul(rows, 0.01))
 
     def through_fusion(t_flat: Tensor) -> Tensor:
         k = t_flat.shape[0]

@@ -122,6 +122,16 @@ def test_eval_unknown_metric_fails(workspace):
     assert rc == 2
 
 
+@pytest.mark.parametrize("metrics", ["mca,bleu", "recall@x", "recall@0",
+                                     "iou,recall@"])
+def test_eval_rejects_a_bad_metric_before_loading(tmp_path, capsys, metrics):
+    # the checkpoint and data paths do not exist: nothing is loaded
+    rc = main(["eval", "--checkpoint", str(tmp_path / "absent.ckpt"),
+               "--data", str(tmp_path / "absent"), "--metrics", metrics])
+    assert rc == 2
+    assert "unknown metric" in capsys.readouterr().err
+
+
 def test_gradcheck_command(capsys):
     rc = main(["gradcheck", "--seed", "0", "--repeats", "1"])
     assert rc == 0

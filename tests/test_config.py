@@ -95,6 +95,20 @@ def test_missing_file_rejected(tmp_path):
         load_config(tmp_path / "absent.ini")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("d_model = 16\n", "line: 1"),
+    ("[model]\nd_model = 16\nd_model = 32\n", "[line  3]"),
+])
+def test_malformed_ini_is_a_config_error_naming_file_and_line(tmp_path, text,
+                                                              line):
+    # no section header; a duplicate key
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(path) in str(err.value) and line in str(err.value)
+
+
 def test_bad_boolean_rejected(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text("[model]\nuse_actor_fusion = maybe\n")

@@ -5,8 +5,7 @@ import numpy as np
 from groundact import tensor as T
 from groundact.config import LossWeights, ModelConfig
 from groundact.data import ACTIONS, GROUPS, ActorAnnotation, SceneAnnotation
-from groundact.decoder import (ActionDecoderParams, classify_actions,
-                               classify_group, decode)
+from groundact.decoder import ActionDecoderParams, decode
 from groundact.encoder import VLEncoderParams, encode
 from groundact.fusion import (ActorFusionParams, ReferenceBoxParams,
                               reference_logits)
@@ -83,7 +82,6 @@ def test_zero_decoder_layers_return_the_reference_tube():
     ref.offsets.data = rng.normal(0, 0.5, size=ref.offsets.shape)
     out = decode(rep, dec, cfg, fusion, ref)
     assert len(out.per_layer_boxes) == 1
-    assert out.per_layer_actor_embeddings == []
     assert out.group_logits.shape == (2, len(GROUPS))
     n, t = cfg.num_queries, cfg.frames
     logits = np.broadcast_to(reference_logits(ref).data[None, :, None, :],
@@ -115,17 +113,32 @@ def test_fusion_off_uses_learned_queries():
 
 
 def test_classifiers_are_rowwise_linear():
-    cfg = toy_cfg()
+    # with no layers the heads read the fused queries and the group token
+    cfg = toy_cfg(decoder_layers=0)
     rng = np.random.default_rng(7)
-    dec = ActionDecoderParams.init(rng, cfg)
-    x = rng.normal(size=(2, cfg.num_queries, cfg.d_model))
-    logits = classify_actions(Tensor(x), dec).data
+    rep, dec, fusion, ref = make_all(rng, cfg, b=2)
+    out = decode(rep, dec, cfg, fusion, ref)
+    x = out.actor_embeddings.data
+    assert x.shape == (2, cfg.num_queries, cfg.d_model)
     np.testing.assert_allclose(
-        logits, x @ dec.action_w.data + dec.action_b.data, atol=1e-12)
-    g = rng.normal(size=(2, cfg.d_model))
+        out.action_logits.data, x @ dec.action_w.data + dec.action_b.data,
+        atol=1e-12)
+    g = rep.group.data[:, 0, :]
     np.testing.assert_allclose(
-        classify_group(Tensor(g), dec).data,
-        g @ dec.group_w.data + dec.group_b.data, atol=1e-12)
+        out.group_logits.data, g @ dec.group_w.data + dec.group_b.data,
+        atol=1e-12)
+
+
+def test_action_head_reads_the_actor_embeddings():
+    cfg = toy_cfg()
+    rng = np.random.default_rng(10)
+    rep, dec, fusion, ref = make_all(rng, cfg, b=2)
+    out = decode(rep, dec, cfg, fusion, ref)
+    assert out.actor_embeddings.shape == (2, cfg.num_queries, cfg.d_model)
+    assert out.action_logits._parents[0] is out.actor_embeddings
+    np.testing.assert_array_equal(
+        out.action_logits.data,
+        T.linear(out.actor_embeddings, dec.action_w, dec.action_b).data)
 
 
 def test_gradient_flows_to_reference_offsets():

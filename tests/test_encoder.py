@@ -54,18 +54,32 @@ def test_zero_layers_is_identity_concat():
 
 
 def test_concat_view_layout():
-    cfg = toy_cfg(encoder_layers=0)
+    # one video-side row set, the cells frame-major and then the group token,
+    # runs through V2T, T2V and the FFN; zero output projections and a zero
+    # fast-branch kernel make the self-attentions and the fast branch exact
+    # identities, so the layer is only that
+    cfg = toy_cfg(encoder_layers=1)
     rng = np.random.default_rng(1)
     params = without_positional(VLEncoderParams.init(rng, cfg))
-    v, t = rand_inputs(rng, cfg, b=1, l=4)
+    layer = params.layers[0]
+    for attn in (layer.text_self_attn, layer.video_temporal_self_attn):
+        attn.wo = Tensor(np.zeros_like(attn.wo.data), requires_grad=True)
+    params.fast_branch.kernel = Tensor(
+        np.zeros_like(params.fast_branch.kernel.data), requires_grad=True)
+    v, t = rand_inputs(rng, cfg, b=2, l=4)
     rep = encode(v, t, params, cfg, real(t))
-    rows = rep.vt_f.data[0]
-    tv = cfg.frames * cfg.hw
-    assert rows.shape == (tv + 4 + 1, cfg.d_model)
-    np.testing.assert_array_equal(rows[:tv],
-                                  v.data.reshape(tv, cfg.d_model))
-    np.testing.assert_array_equal(rows[tv:tv + 4], t.data[0])
-    np.testing.assert_allclose(rows[tv + 4], params.group_token.data[0])
+
+    b, tv, d = 2, cfg.frames * cfg.hw, cfg.d_model
+    group = np.broadcast_to(params.group_token.data, (b, 1, d))
+    rows = Tensor(np.concatenate([v.data.reshape(b, tv, d), group], axis=1))
+    rows, text = cross_modal_block(rows, t, layer, real(t))
+    rows = nn.feed_forward_block(rows, layer.norm_ffn_video, layer.ffn)
+    text = nn.feed_forward_block(text, layer.norm_ffn_text, layer.ffn)
+    np.testing.assert_allclose(rep.video.data.reshape(b, tv, d),
+                               rows.data[:, :tv], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rep.group.data, rows.data[:, tv:],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rep.text.data, text.data, rtol=0, atol=1e-12)
 
 
 def test_positional_encoding_varies_frames():

@@ -488,7 +488,7 @@ def _fake_output(layer_boxes, action_logits=None, group_logits=None):
     b, n = layer_boxes[0].shape[:2]
     return DecoderOutput(
         per_layer_boxes=[Tensor(x) for x in layer_boxes],
-        per_layer_actor_embeddings=[],
+        actor_embeddings=Tensor(np.zeros((b, n, 1))),
         action_logits=Tensor(np.zeros((b, n, 6)) if action_logits is None
                              else action_logits),
         group_logits=Tensor(np.zeros((b, 6)) if group_logits is None

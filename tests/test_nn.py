@@ -263,6 +263,16 @@ def test_sinusoidal_2d_row_col_halves():
     np.testing.assert_array_equal(table[1 * 3 + 2, d // 2:], cols[2])
 
 
+def test_sinusoidal_2d_table_matches_cell_by_cell_fill():
+    h, w, d = 3, 4, 8
+    rows, cols = nn.sinusoidal_table(h, d // 2), nn.sinusoidal_table(w, d // 2)
+    want = np.zeros((h * w, d))
+    for r in range(h):
+        for c in range(w):
+            want[r * w + c] = np.concatenate([rows[r], cols[c]])
+    np.testing.assert_array_equal(nn.sinusoidal_2d_table(h, w, d), want)
+
+
 def test_positional_encode_adds_rows():
     table = Tensor(nn.sinusoidal_table(8, 4))
     x = np.zeros((2, 3, 4))

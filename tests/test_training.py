@@ -150,13 +150,29 @@ def test_batched_forward_equals_per_clip_forwards():
         _, single = model.forward(make_batch(clips[i:i + 1], prompts[i:i + 1],
                                              cfg, VOCAB, anns[i:i + 1]))
         pairs = list(zip(batched.per_layer_boxes, single.per_layer_boxes))
-        pairs += list(zip(batched.per_layer_actor_embeddings,
-                          single.per_layer_actor_embeddings))
-        pairs += [(batched.action_logits, single.action_logits),
+        pairs += [(batched.actor_embeddings, single.actor_embeddings),
+                  (batched.action_logits, single.action_logits),
                   (batched.group_logits, single.group_logits)]
         for a, b in pairs:
             np.testing.assert_allclose(a.data[i:i + 1], b.data, rtol=0,
                                        atol=1e-12)
+
+
+def test_training_step_graph_node_count():
+    # pinned at 2 encoder and 2 decoder layers; the count does not depend on
+    # the widths, so it reads the same as the acceptance overfit config.  The
+    # encoder runs one FFN over the video cells and the group token together,
+    # and the decoder builds its temporal keys and frame rows once
+    cfg = tiny_cfg()
+    cfg.model.encoder_layers = cfg.model.decoder_layers = 2
+    corpus = tiny_corpus()
+    model = GroundedModel(cfg.model, seed=0)
+    anns = [a for _, a in corpus]
+    batch = make_batch([c for c, _ in corpus], [D.prompt_for(a) for a in anns],
+                       cfg.model, VOCAB, anns)
+    _, out = model.forward(batch)
+    loss, _ = tr.batch_objective(out, batch, cfg, model.keyframe(), False)
+    assert len(loss.topo_order()) == 342
 
 
 def _dfs_order_backward(root):
@@ -441,6 +457,22 @@ def test_retrieval_recall_bounds():
     rec = retrieval_recall(model, corpus, cfg, VOCAB, ks=(1, 5))
     assert set(rec) == {1, 5}
     assert 0.0 <= rec[1] <= rec[5] <= 1.0
+
+
+def test_retrieval_rejects_a_corpus_without_action_labels():
+    cfg = tiny_cfg()
+    corpus = [(c, D.weak_supervision_view(a)) for c, a in tiny_corpus()]
+    model = GroundedModel(cfg.model, seed=5)
+    with pytest.raises(TrainingError, match="no matched actor has action"):
+        retrieval_recall(model, corpus, cfg, VOCAB, ks=(1,))
+
+
+def test_retrieval_needs_a_decoder_layer():
+    cfg = tiny_cfg()
+    cfg.model.decoder_layers = 0
+    model = GroundedModel(cfg.model, seed=5)
+    with pytest.raises(TrainingError, match="at least one decoder layer"):
+        tr.actor_embedding_pool(model, tiny_corpus(), cfg, VOCAB)
 
 
 def test_retrieval_encodes_each_distinct_prompt_once(monkeypatch):
