@@ -29,13 +29,13 @@ def main():
                             num_queries=args.queries)
     cfg.train = TrainConfig(peak_lr=1e-3, warmup_epochs=1, total_epochs=20,
                             steps_per_epoch=25, batch_size=8, seed=args.seed,
-                            eval_every=0)
+                            eval_every=0, mode=args.mode)
     corpus = D.generate_corpus(seed=0, num_clips=8, num_actors=2, t_total=8,
                                motion_pool=("stationary", "linear",
                                             "oscillate"))
     vocab = bb.load_vocab()
     start = time.time()
-    res = train(cfg, corpus, mode=args.mode, max_steps=args.steps, vocab=vocab)
+    res = train(cfg, corpus, max_steps=args.steps, vocab=vocab)
     elapsed = time.time() - start
     if args.mode == "weak":
         corpus = [(c, D.weak_supervision_view(a)) for c, a in corpus]

@@ -8,8 +8,6 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import backbones as bb
 from . import data as D
 from .backbones import VideoClip
@@ -56,8 +54,10 @@ def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     if args.seed is not None:
         cfg.train.seed = args.seed
+    if args.mode is not None:
+        cfg.train.mode = args.mode
     corpus = load_corpus(args.data)
-    res = train(cfg, corpus, mode=args.mode, log_path=args.log,
+    res = train(cfg, corpus, log_path=args.log,
                 checkpoint_path=args.out, max_steps=args.steps)
     print(f"trained {len(res.history)} steps: initial loss "
           f"{res.initial_loss:.4f}, final loss {res.final_loss:.4f}")
@@ -111,21 +111,18 @@ def cmd_eval(args) -> int:
 def cmd_retrieve(args) -> int:
     from .training import (actor_embedding_pool, load_checkpoint,
                            text_query_embedding)
+    from .metrics import cosine_ranking
     model, cfg, _, _ = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.data)
     vocab = bb.load_vocab()
     query = text_query_embedding(model, args.prompt, vocab)
     embeddings, entries = actor_embedding_pool(model, corpus, cfg, vocab)
-    qn = query / max(np.linalg.norm(query), 1e-12)
-    cn = embeddings / np.maximum(
-        np.linalg.norm(embeddings, axis=-1, keepdims=True), 1e-12)
-    sims = cn @ qn
-    order = np.lexsort((np.arange(len(entries)), -sims))[:args.top]
-    for rank, i in enumerate(order, start=1):
+    sims, order = cosine_ranking(query[None], embeddings)
+    for rank, i in enumerate(order[0, :args.top], start=1):
         e = entries[i]
         box = ", ".join(f"{v:.3f}" for v in e["keyframe_box"])
         acts = " ".join(D.ACTIONS[a] for a in e["actions"])
-        print(f"{rank:2d}. sim={sims[i]:.4f} clip={e['clip_id']} "
+        print(f"{rank:2d}. sim={sims[0, i]:.4f} clip={e['clip_id']} "
               f"track={e['track_id']} actions=[{acts}] box=({box})")
     return 0
 
@@ -136,7 +133,7 @@ def cmd_gradcheck(args) -> int:
     worst = 0.0
     for name, err in sorted(results.items()):
         status = "ok" if err <= TOLERANCE else "FAIL"
-        print(f"{name:26s} {err:.3e}  {status}")
+        print(f"{name:28s} {err:.3e}  {status}")
         worst = max(worst, err)
     print(f"worst: {worst:.3e} (tolerance {TOLERANCE:.0e})")
     return 1 if worst > TOLERANCE else 0
@@ -158,6 +155,14 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    """An integer argument that must be 1 or more."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="groundact",
@@ -166,9 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-data", help="emit a synthetic clip corpus")
     g.add_argument("--out", required=True)
-    g.add_argument("--clips", type=int, default=64)
-    g.add_argument("--actors", type=int, default=2)
-    g.add_argument("--frames", type=int, default=8)
+    g.add_argument("--clips", type=_at_least_one, default=64)
+    g.add_argument("--actors", type=_at_least_one, default=2)
+    g.add_argument("--frames", type=_at_least_one, default=8)
     g.add_argument("--raster", type=int, default=32)
     g.add_argument("--seed", type=int, default=0)
     g.set_defaults(func=cmd_gen_data)
@@ -202,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("gradcheck", help="run the operator gradient suite")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--repeats", type=int, default=1)
+    c.add_argument("--repeats", type=_at_least_one, default=1)
     c.set_defaults(func=cmd_gradcheck)
 
     a = sub.add_parser("ablate", help="encoder/decoder/fusion on-off sweep")

@@ -160,17 +160,15 @@ def decode(rep: SharedRepresentation,
         x = nn.self_attention_block(x, layer.norm_self, layer.self_attn_actors,
                                     None, ctx)
 
-        # spatial cross-attention: queries over each frame's grid, frame-averaged;
-        # the frame axis of the queries broadcasts inside the attention
-        q = T.reshape(nn.layer_norm(x, layer.norm_spatial), (b, 1, n + 1, d))
-        spat = nn.multi_head_attention(q, rep.video, layer.temporal_spatial_attn,
-                                       None, ctx)     # [B, T, N, d]
-        x = T.add(x, T.tmean(spat, axis=1))
+        # spatial cross-attention: queries over each frame's grid; the
+        # queries' frame axis broadcasts, so the block averages over frames
+        x = T.reshape(nn.cross_attention_block(
+            T.reshape(x, (b, 1, n + 1, d)), rep.video, layer.norm_spatial,
+            layer.temporal_spatial_attn, None, ctx), (b, n + 1, d))
 
         # temporal cross-attention over pooled frames + text
-        h = nn.layer_norm(x, layer.norm_cross)
-        x = T.add(x, nn.multi_head_attention(h, kv, layer.temporal_cross_attn,
-                                             attn_mask, ctx))
+        x = nn.cross_attention_block(x, kv, layer.norm_cross,
+                                     layer.temporal_cross_attn, attn_mask, ctx)
 
         # FFN
         x = nn.feed_forward_block(x, layer.norm_ffn, layer.ffn, ctx)

@@ -82,25 +82,6 @@ class VLEncoderParams:
                    layers, fast)
 
 
-def cross_modal_block(video_rows: Tensor, text_rows: Tensor,
-                      layer: EncoderLayerParams, text_mask: np.ndarray,
-                      ctx: RunContext = nn.EVAL):
-    """V2T then T2V, each pre-norm with a residual.
-
-    video_rows: [B, R, d] (all video rows incl. the group token),
-    text_rows: [B, L, d], text_mask: [B, L].
-    """
-    h = nn.layer_norm(video_rows, layer.norm_v2t)
-    video_rows = T.add(video_rows, nn.multi_head_attention(
-        h, nn.layer_norm(text_rows, layer.norm_v2t), layer.v2t_cross,
-        np.expand_dims(text_mask, -2), ctx))
-    h = nn.layer_norm(text_rows, layer.norm_t2v)
-    text_rows = T.add(text_rows, nn.multi_head_attention(
-        h, nn.layer_norm(video_rows, layer.norm_t2v), layer.t2v_cross,
-        None, ctx))
-    return video_rows, text_rows
-
-
 def encode(v_f: Tensor, t_f: Tensor, params: VLEncoderParams,
            cfg: ModelConfig, text_mask: np.ndarray,
            ctx: RunContext = nn.EVAL) -> SharedRepresentation:
@@ -147,11 +128,16 @@ def encode(v_f: Tensor, t_f: Tensor, params: VLEncoderParams,
                             params.fast_branch.bias)
         video = T.add(video, T.reshape(refined, (b, t, 1, d)))
 
-        # (c)+(d) bidirectional cross-attention, then (e) the shared FFN,
-        # over one set of video-side rows: the cells frame-major, then the
-        # group token
+        # (c) V2T then (d) T2V cross-attention, then (e) the shared FFN, over
+        # one set of video-side rows: the cells frame-major, then the group
+        # token; each side's keys are the other side under the same norm
         rows = T.concat([T.reshape(video, (b, t * hw, d)), group], axis=1)
-        rows, text = cross_modal_block(rows, text, layer, text_mask, ctx)
+        rows = nn.cross_attention_block(
+            rows, nn.layer_norm(text, layer.norm_v2t), layer.norm_v2t,
+            layer.v2t_cross, key_mask, ctx)
+        text = nn.cross_attention_block(
+            text, nn.layer_norm(rows, layer.norm_t2v), layer.norm_t2v,
+            layer.t2v_cross, None, ctx)
         rows = nn.feed_forward_block(rows, layer.norm_ffn_video, layer.ffn, ctx)
         text = nn.feed_forward_block(text, layer.norm_ffn_text, layer.ffn, ctx)
         video = T.reshape(rows[:, :t * hw, :], (b, t, hw, d))

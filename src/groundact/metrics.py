@@ -103,14 +103,10 @@ def mca(preds: Sequence, labels: Sequence,
     return sum(p == l for p, l in zip(preds, labels)) / len(preds)
 
 
-def mean_per_class_accuracy(preds: Sequence, labels: Sequence,
-                            merge: Optional[Dict] = None) -> float:
+def mean_per_class_accuracy(preds: Sequence, labels: Sequence) -> float:
     """Per-class recall averaged over the classes present in the labels."""
     if not preds:
         raise MetricError("empty prediction list")
-    if merge is not None:
-        preds = [merge.get(p, p) for p in preds]
-        labels = [merge.get(l, l) for l in labels]
     per_class: Dict = {}
     for p, l in zip(preds, labels):
         hit, total = per_class.get(l, (0, 0))
@@ -146,24 +142,29 @@ def multilabel_prf(pred_sets: Sequence[Set], gt_sets: Sequence[Set]
 
 # -- retrieval ---------------------------------------------------------------
 
-def recall_at_k(query_embeddings: np.ndarray, candidate_embeddings: np.ndarray,
-                gt_match_index: Sequence[int], k: int) -> float:
-    """Fraction of queries whose true candidate ranks in the cosine top-K.
-
-    Ties are broken by candidate index (lower index wins)."""
-    q = np.asarray(query_embeddings, dtype=np.float64)
-    c = np.asarray(candidate_embeddings, dtype=np.float64)
-    if k > c.shape[0]:
-        raise MetricError(f"K={k} exceeds {c.shape[0]} candidates")
+def cosine_ranking(queries: np.ndarray, candidates: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Cosine similarities [Q, C] of query rows to candidate rows, and each
+    query's candidate indices [Q, C], most similar first; ties go to the
+    lower index.  Norms are floored at 1e-12: a zero row scores 0."""
+    q = np.asarray(queries, dtype=np.float64)
+    c = np.asarray(candidates, dtype=np.float64)
     qn = q / np.maximum(np.linalg.norm(q, axis=-1, keepdims=True), 1e-12)
     cn = c / np.maximum(np.linalg.norm(c, axis=-1, keepdims=True), 1e-12)
-    sims = qn @ cn.T                               # [Q, C]
-    hits = 0
-    for qi, gt in enumerate(gt_match_index):
-        # stable sort on (-sim, index): ties resolve to the lower index
-        order = np.lexsort((np.arange(sims.shape[1]), -sims[qi]))
-        hits += int(gt in order[:k])
-    return hits / len(list(gt_match_index))
+    sims = qn @ cn.T
+    # a stable sort of -sim keeps tied candidates in index order
+    return sims, np.argsort(-sims, axis=-1, kind="stable")
+
+
+def recall_at_k(query_embeddings: np.ndarray, candidate_embeddings: np.ndarray,
+                gt_match_index: Sequence[int], k: int) -> float:
+    """Fraction of queries whose true candidate ranks in the cosine top-K of
+    :func:`cosine_ranking`."""
+    _, order = cosine_ranking(query_embeddings, candidate_embeddings)
+    if k > order.shape[1]:
+        raise MetricError(f"K={k} exceeds {order.shape[1]} candidates")
+    hits = [gt in order[qi, :k] for qi, gt in enumerate(gt_match_index)]
+    return sum(hits) / len(hits)
 
 
 # -- prediction interchange records ------------------------------------------

@@ -53,6 +53,8 @@ def make_batch(clips, prompts: Sequence[str], cfg: ModelConfig,
     """Check each clip and prompt against the config, sample frames, tokenize
     and pad prompts, stack into arrays; each annotation's tubes are sampled
     at its clip's frames."""
+    if not clips:
+        raise bb.DataError("no clips to batch: the corpus or split is empty")
     for c in clips:
         _check_clip(c, cfg)
     idx = [bb.frame_indices(c.frames.shape[0], cfg.frames) for c in clips]

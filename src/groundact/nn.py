@@ -137,53 +137,64 @@ def _attend(q, k, v, mask, ctx: RunContext, rate: float):
     return dropped @ v, backward
 
 
-def multi_head_attention(q_seq: Tensor, kv_seq: Tensor, params: AttentionParams,
-                         mask: Optional[np.ndarray] = None,
-                         ctx: RunContext = EVAL) -> Tensor:
-    """Scaled dot-product attention as one graph node.
+def cross_attention_block(x: Tensor, kv: Tensor, norm: LayerNormParams,
+                          params: AttentionParams,
+                          mask: Optional[np.ndarray] = None,
+                          ctx: RunContext = EVAL) -> Tensor:
+    """x + attention(layer_norm(x), kv), a pre-norm residual sublayer, as
+    one graph node with a hand-written backward.
 
-    Covers the Q/K/V projections, the head split, the scaled and masked
-    scores, softmax, dropout on the attention weights, the weighted sum, the
-    head merge and the output projection; the backward is written out by
-    hand.  The leading axes of q_seq and kv_seq broadcast against each other.
-    mask is a boolean array broadcastable to [..., Lq, Lk]; True marks keys
-    that may be attended to.  A padding mask over the keys is passed as
-    [..., 1, Lk] and broadcasts over the query rows.  Every query row must
-    keep at least one key.
-    Pre-norm self-attention with its residual is :func:`self_attention_block`.
+    Covers the queries' layer norm, the Q/K/V projections, the head split,
+    the scaled and masked scores, softmax, dropout on the attention weights,
+    the weighted sum, the head merge, the output projection and the residual.
+    The leading axes of x and kv broadcast against each other; where x
+    broadcasts across leading slices of kv, the attention outputs are
+    averaged over them (a sum, then times 1/count, as :func:`T.tmean` does),
+    so the result keeps x's shape.  mask is a boolean array broadcastable to
+    [..., Lq, Lk]; True marks keys that may be attended to.  A padding mask
+    over the keys is passed as [..., 1, Lk] and broadcasts over the query
+    rows.  Every query row must keep at least one key.
     """
-    d = params.d_model
-    if q_seq.shape[-1] != d or kv_seq.shape[-1] != d:
-        raise ShapeError(
-            f"width mismatch: q {q_seq.shape}, kv {kv_seq.shape}, d_model {d}")
-    h = params.num_heads
+    d, h = params.d_model, params.num_heads
+    if x.shape[-1] != d or kv.shape[-1] != d:
+        raise ShapeError(f"width mismatch: x {x.shape}, kv {kv.shape}, "
+                         f"d_model {d}")
     wq, wk, wv, wo = params.wq, params.wk, params.wv, params.wo
-    xq, xkv = q_seq.data, kv_seq.data
-    out, attend_backward = _attend(_split(xq @ wq.data, h),
+    xkv = kv.data
+    hn, normed, std = _layer_norm_forward(x.data, norm)
+    out, attend_backward = _attend(_split(hn @ wq.data, h),
                                    _split(xkv @ wk.data, h),
                                    _split(xkv @ wv.data, h),
                                    mask, ctx, params.dropout_rate)
     merged = _merge(out)
-    data = merged @ wo.data
+    attended = merged @ wo.data
+    full = attended.shape
+    if full != x.shape:
+        scale = 1.0 / (attended.size // x.size)
+        attended = T.unbroadcast(attended, x.shape) * scale
+    data = x.data + attended
 
-    parents = (q_seq, kv_seq, wq, wk, wv, wo)
+    parents = (x, kv, norm.gamma, norm.beta, wq, wk, wv, wo)
     req = any(p.requires_grad for p in parents)
 
     def backward(g):
+        g_attn = (g if full == x.shape
+                  else np.broadcast_to(g * scale, full).copy())
         if wo.requires_grad:
-            wo.accumulate(T.rows(merged).T @ T.rows(g))
-        d_q, d_k, d_v = attend_backward(_split(g @ wo.data.T, h))
-        d_q = T.unbroadcast(_merge(d_q), xq.shape)
+            wo.accumulate(T.rows(merged).T @ T.rows(g_attn))
+        d_q, d_k, d_v = attend_backward(_split(g_attn @ wo.data.T, h))
+        d_q = T.unbroadcast(_merge(d_q), hn.shape)
         d_k = T.unbroadcast(_merge(d_k), xkv.shape)
         d_v = T.unbroadcast(_merge(d_v), xkv.shape)
-        for w, x, dw in ((wq, xq, d_q), (wk, xkv, d_k), (wv, xkv, d_v)):
+        for w, a, dw in ((wq, hn, d_q), (wk, xkv, d_k), (wv, xkv, d_v)):
             if w.requires_grad:
-                w.accumulate(T.rows(x).T @ T.rows(dw))
-        # for self-attention both writes land in the same tensor
-        if q_seq.requires_grad:
-            q_seq.accumulate(d_q @ wq.data.T)
-        if kv_seq.requires_grad:
-            kv_seq.accumulate(d_k @ wk.data.T + d_v @ wv.data.T)
+                w.accumulate(T.rows(a).T @ T.rows(dw))
+        if kv.requires_grad:
+            kv.accumulate(d_k @ wk.data.T + d_v @ wv.data.T)
+        d_x = _layer_norm_backward(d_q @ wq.data.T, normed, std, norm)
+        # when kv is x, both writes land in the same tensor
+        if x.requires_grad:
+            x.accumulate(g + d_x)
 
     return Tensor(data, req, parents, backward if req else None)
 
@@ -194,10 +205,10 @@ def self_attention_block(x: Tensor, norm: LayerNormParams,
                          ctx: RunContext = EVAL) -> Tensor:
     """x + attention(h, h) with h = layer_norm(x), as one graph node.
 
-    The same arithmetic as :func:`layer_norm`, :func:`multi_head_attention`
-    and the residual add, and the same dropout draw, except that Q, K and V
-    come from one GEMM against the packed [d, 3d] weight [wq | wk | wv],
-    forward and backward.
+    The same arithmetic as :func:`cross_attention_block` with kv =
+    layer_norm(x), and the same dropout draw, except that Q, K and V come
+    from one GEMM against the packed [d, 3d] weight [wq | wk | wv], forward
+    and backward.
     """
     d, h = params.d_model, params.num_heads
     if x.shape[-1] != d:

@@ -21,7 +21,8 @@ from .config import (ConfigError, ExperimentConfig, config_from_dict,
 from .losses import (ground_truth, keyframe_matches, pairwise_iou,
                      total_objective)
 from .metrics import (ActorPrediction, PredictionRecord, group_activity_vote,
-                      mca, mean_per_class_accuracy)
+                      mca, mean_per_class_accuracy, multilabel_prf,
+                      recall_at_k)
 from .model import Batch, GroundedModel, make_batch
 from .nn import RunContext
 from .optim import (OptimizerState, adam_step, clip_grad_norm, cosine_decay,
@@ -190,7 +191,6 @@ def evaluate(model: GroundedModel, corpus, cfg: ExperimentConfig,
                 keyframe_box=[float(v) for v in boxes[i, q, keyframe]])
                 for q in range(boxes.shape[1])]))
 
-    from .metrics import multilabel_prf
     merge = {g: D.MERGED_GROUPS[D.GROUPS[g]] for g in range(len(D.GROUPS))}
     # without per-actor labels (weak annotations) precision/recall is undefined
     prf = (multilabel_prf(pred_sets, gt_sets)
@@ -213,20 +213,14 @@ class TrainResult:
     history: List[dict]
 
 
-def train(cfg: ExperimentConfig, corpus, mode: Optional[str] = None,
-          log_path: Optional[str] = None,
+def train(cfg: ExperimentConfig, corpus, log_path: Optional[str] = None,
           checkpoint_path: Optional[str] = None,
           max_steps: Optional[int] = None,
           eval_corpus=None, vocab: Optional[List[str]] = None) -> TrainResult:
-    """Seeded full training loop over (clip, annotation) pairs.
-
-    ``mode`` defaults to ``cfg.train.mode``.
-    """
+    """Seeded full training loop over (clip, annotation) pairs, supervised
+    as ``cfg.train.mode`` says."""
     cfg.validate()
-    if mode is None:
-        mode = cfg.train.mode
-    if mode not in ("full", "weak"):
-        raise TrainingError(f"unknown mode {mode!r}")
+    weak = cfg.train.mode == "weak"
     vocab = vocab or bb.load_vocab()
     seed = cfg.train.seed
     rng = np.random.default_rng(seed)
@@ -237,7 +231,7 @@ def train(cfg: ExperimentConfig, corpus, mode: Optional[str] = None,
             raise ConfigError(
                 f"clip {ann.clip_id!r} has {len(ann.actors)} actors, more "
                 f"than [model] num_queries = {cfg.model.num_queries}")
-    if mode == "weak":
+    if weak:
         anns = [D.weak_supervision_view(a) for a in anns]
     clips = [c for c, _ in corpus]
     full = make_batch(clips, [D.prompt_for(a) for a in anns],
@@ -251,7 +245,6 @@ def train(cfg: ExperimentConfig, corpus, mode: Optional[str] = None,
         raise TrainingError("max_steps beyond the configured schedule")
     keyframe = model.keyframe()
     ctx = RunContext(training=True, rng=rng)
-    weak = mode == "weak"
 
     history: List[dict] = []
     log_fh = open(log_path, "w") if log_path else None
@@ -356,7 +349,6 @@ def retrieval_recall(model: GroundedModel, corpus, cfg: ExperimentConfig,
                      vocab: List[str], ks=(1, 5, 10)) -> Dict[int, float]:
     """R@K: does an actor's embedding rank in the top K for the text query
     built from its own action word?  Each distinct query is encoded once."""
-    from .metrics import recall_at_k
     embeddings, entries = actor_embedding_pool(model, corpus, cfg, vocab)
     encoded: Dict[str, np.ndarray] = {}
     queries, gt_idx = [], []

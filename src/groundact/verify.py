@@ -54,7 +54,7 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
     uf = lambda *s: Tensor(frng.uniform(-1, 1, size=s))
     m_lin = uf(2, 3, 3)
     m_ln = uf(2, 3, 4)
-    m_self, m_cross = uf(2, 3, 4), uf(2, 3, 2, 4)
+    m_self, m_cross = uf(2, 3, 4), uf(2, 1, 2, 4)
     key_mask = np.array([[[True, False, True], [True, True, False]],
                          [[False, True, True], [True, True, True]]])[:, None]
     attn = nn.AttentionParams.init(frng, 4, 2)
@@ -87,19 +87,20 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
         return T.tsum(T.mul(nn.layer_norm(xs, nn.LayerNormParams(g, b)), m_ln))
 
     @T.rowwise
-    def self_attention(x):
-        # dropout on, with a fresh generator per call so f is deterministic
+    def cross_self(x):
+        # kv is x; dropout on, with a fresh generator per call so f is
+        # deterministic
         xs, wq, wk, wv, wo = unpack(x, (2, 3, 4), *[(4, 4)] * 4)
         p = nn.AttentionParams(2, 4, wq, wk, wv, wo, dropout_rate=0.25)
         ctx = nn.RunContext(training=True, rng=np.random.default_rng(0))
-        return T.tsum(T.mul(nn.multi_head_attention(xs, xs, p, None, ctx),
-                            m_self))
+        return T.tsum(T.mul(nn.cross_attention_block(xs, xs, norm, p, None,
+                                                     ctx), m_self))
 
-    def cross_attention(x):
-        # 4-d queries broadcast over the frame axis of the keys, masked keys;
-        # no weight is an input, so a stack is one more leading axis
+    def cross_frames(x):
+        # 4-d queries broadcast over (and averaged over) the keys' frames,
+        # masked keys; no weight is an input, so a stack is one more axis
         q, kv = unpack(x, (2, 1, 2, 4), (2, 3, 3, 4))
-        out = nn.multi_head_attention(q, kv, attn, key_mask)
+        out = nn.cross_attention_block(q, kv, norm, attn, key_mask)
         return rs(T.mul(out, m_cross))
 
     @T.rowwise
@@ -165,8 +166,8 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
          u(4, 3)),
         ("linear", linear, uf(24 + 12 + 3)),
         ("layer_norm", layer_norm, uf(24 + 4 + 4)),
-        ("self_attention", self_attention, uf(24 + 4 * 16)),
-        ("cross_attention", cross_attention, uf(16 + 72)),
+        ("cross_attention_block_self", cross_self, uf(24 + 4 * 16)),
+        ("cross_attention_block_frames", cross_frames, uf(16 + 72)),
         ("self_attention_block", self_attention_block, ub(8 + 3 * 16)),
         ("feed_forward_block", feed_forward_block, ub(8 + 2 * 16 + 2 * 4)),
     ]
@@ -242,7 +243,10 @@ def block_cases(rng: np.random.Generator):
 
 
 def run_suite(seed: int = 0, repeats: int = 1) -> Dict[str, float]:
-    """Max finite-difference error per case; all should be <= TOLERANCE."""
+    """Max finite-difference error per case over ``repeats`` >= 1 seeds;
+    all should be <= TOLERANCE."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     results: Dict[str, float] = {}
     for r in range(repeats):
         rng = np.random.default_rng(seed + r)

@@ -116,8 +116,9 @@ def overfit_run():
 @pytest.fixture(scope="module")
 def weak_run():
     cfg = overfit_cfg()
+    cfg.train.mode = "weak"
     corpus = overfit_corpus()
-    res = train(cfg, corpus, mode="weak", max_steps=500, vocab=VOCAB)
+    res = train(cfg, corpus, max_steps=500, vocab=VOCAB)
     weak_corpus = [(c, D.weak_supervision_view(a)) for c, a in corpus]
     ev = evaluate(res.model, weak_corpus, cfg, VOCAB)
     return res, ev

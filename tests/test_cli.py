@@ -139,6 +139,24 @@ def test_gradcheck_command(capsys):
     assert "worst:" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "--repeats", "0"],
+    ["gen-data", "--clips", "0"],
+    ["gen-data", "--actors", "0"],
+    ["gen-data", "--frames", "0"],
+    ["gen-data", "--clips", "-3"],
+])
+def test_counts_below_one_are_rejected_before_any_work(tmp_path, capsys, argv):
+    out = tmp_path / "data"
+    if argv[0] == "gen-data":
+        argv = argv + ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ablate_command(workspace, capsys):
     tmp, data, cfg = workspace
     out_json = tmp / "ablate.json"

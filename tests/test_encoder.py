@@ -4,12 +4,10 @@ concatenated view."""
 import numpy as np
 import pytest
 
-from groundact import encoder as enc
 from groundact import nn
 from groundact import tensor as T
 from groundact.config import ModelConfig
-from groundact.encoder import (SharedRepresentation, VLEncoderParams,
-                               cross_modal_block, encode)
+from groundact.encoder import VLEncoderParams, encode
 from groundact.tensor import ShapeError, Tensor
 
 
@@ -72,7 +70,11 @@ def test_concat_view_layout():
     b, tv, d = 2, cfg.frames * cfg.hw, cfg.d_model
     group = np.broadcast_to(params.group_token.data, (b, 1, d))
     rows = Tensor(np.concatenate([v.data.reshape(b, tv, d), group], axis=1))
-    rows, text = cross_modal_block(rows, t, layer, real(t))
+    key_mask = np.expand_dims(real(t), -2)
+    rows = nn.cross_attention_block(rows, nn.layer_norm(t, layer.norm_v2t),
+                                    layer.norm_v2t, layer.v2t_cross, key_mask)
+    text = nn.cross_attention_block(t, nn.layer_norm(rows, layer.norm_t2v),
+                                    layer.norm_t2v, layer.t2v_cross)
     rows = nn.feed_forward_block(rows, layer.norm_ffn_video, layer.ffn)
     text = nn.feed_forward_block(text, layer.norm_ffn_text, layer.ffn)
     np.testing.assert_allclose(rep.video.data.reshape(b, tv, d),
@@ -174,20 +176,26 @@ def test_width_mismatch_rejected():
                params, cfg, np.ones((1, 2), dtype=bool))
 
 
-def test_cross_modal_block_zero_projection_is_identity():
+def test_zero_cross_projections_decouple_the_modalities():
+    # with V2T's and T2V's output projections zero, each cross-attention
+    # adds exact zeros: the video side never sees the text, nor the text
+    # side the video, in any layer
     cfg = toy_cfg()
     rng = np.random.default_rng(9)
-    layer = enc.EncoderLayerParams.init(rng, cfg)
-    layer.v2t_cross.wo = Tensor(np.zeros((cfg.d_model, cfg.d_model)),
-                                requires_grad=True)
-    layer.t2v_cross.wo = Tensor(np.zeros((cfg.d_model, cfg.d_model)),
-                                requires_grad=True)
-    video = Tensor(rng.normal(size=(1, 5, cfg.d_model)))
-    text = Tensor(rng.normal(size=(1, 3, cfg.d_model)))
-    out_v, out_t = cross_modal_block(video, text, layer,
-                                     np.array([[True, True, False]]))
-    np.testing.assert_array_equal(out_v.data, video.data)
-    np.testing.assert_array_equal(out_t.data, text.data)
+    params = VLEncoderParams.init(rng, cfg)
+    for layer in params.layers:
+        for attn in (layer.v2t_cross, layer.t2v_cross):
+            attn.wo = Tensor(np.zeros_like(attn.wo.data), requires_grad=True)
+    v, t = rand_inputs(rng, cfg, b=1, l=3)
+    v2, t2 = rand_inputs(rng, cfg, b=1, l=3)
+    mask = np.array([[True, True, False]])
+    rep = encode(v, t, params, cfg, mask)
+    other_text = encode(v, t2, params, cfg, mask)
+    other_video = encode(v2, t, params, cfg, mask)
+    np.testing.assert_array_equal(other_text.video.data, rep.video.data)
+    np.testing.assert_array_equal(other_text.group.data, rep.group.data)
+    np.testing.assert_array_equal(other_video.text.data, rep.text.data)
+    assert not np.array_equal(other_video.video.data, rep.video.data)
 
 
 def test_gradient_reaches_both_modalities_and_group_token():

@@ -206,6 +206,17 @@ def test_recall_tie_breaks_to_lower_index():
     assert recall_at_k(q, cands, [2], 3) == 1.0
 
 
+def test_cosine_ranking_ties_go_to_the_lower_index():
+    # rows 1 and 3 point the same way as the query at different lengths, so
+    # they tie at 1; the zero row 0 scores 0 through the norm floor, as does
+    # the orthogonal row 2, and row 0 wins that tie
+    cands = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [0.5, 0.0],
+                      [-1.0, 0.0]])
+    sims, order = M.cosine_ranking(np.array([[3.0, 0.0]]), cands)
+    np.testing.assert_allclose(sims, [[0.0, 1.0, 0.0, 1.0, -1.0]])
+    assert order.tolist() == [[1, 3, 0, 2, 4]]
+
+
 def test_recall_k_exceeds_candidates_rejected():
     with pytest.raises(MetricError):
         recall_at_k(np.eye(2), np.eye(2), [0, 1], 3)

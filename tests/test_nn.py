@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from groundact import nn
 from groundact import tensor as T
 from groundact.nn import (AttentionParams, FeedForwardParams, LayerNormParams,
-                          RunContext, conv1d, feed_forward_block, layer_norm,
-                          multi_head_attention, positional_encode,
+                          RunContext, conv1d, cross_attention_block,
+                          feed_forward_block, layer_norm, positional_encode,
                           self_attention_block)
 from groundact.tensor import ContractError, ShapeError, Tensor
 
@@ -26,28 +26,42 @@ def rand_attention(rng, d, heads):
     return AttentionParams.init(rng, d, heads)
 
 
+def attended(x, kv, p, mask=None, norm=None):
+    """What cross_attention_block adds to x: attention(layer_norm(x), kv)."""
+    norm = norm or LayerNormParams.init(x.shape[-1])
+    return cross_attention_block(x, kv, norm, p, mask).data - x.data
+
+
+def np_layer_norm(x, eps=1e-5):
+    """Unit-gamma, zero-beta layer norm of the last axis in plain numpy."""
+    c = x - x.mean(axis=-1, keepdims=True)
+    return c / np.sqrt((c * c).mean(axis=-1, keepdims=True) + eps)
+
+
 # -- attention: exact small cases --------------------------------------------
 
 def test_single_key_attention_returns_value():
-    # one key/value row: softmax over one logit is 1, output = V @ Wo
+    # one key/value row: softmax over one logit is 1, so the block adds
+    # V @ Wo whatever the query
     d = 4
     p = identity_attention(d)
     q = Tensor(np.random.default_rng(0).normal(size=(1, d)))
     kv = Tensor(np.array([[1.0, -2.0, 3.0, 0.5]]))
-    out = multi_head_attention(q, kv, p)
-    np.testing.assert_allclose(out.data, kv.data, atol=1e-12)
+    np.testing.assert_allclose(attended(q, kv, p), kv.data, atol=1e-12)
 
 
 def test_attention_hand_computed_mixture():
-    # d=2, identity projections: scores = q.k / sqrt(2); out = weights @ v
+    # d=2, identity projections; gamma 0 and beta [1, 0] make the normed
+    # query [1, 0] exactly: scores = q.k / sqrt(2), out = weights @ v
     p = identity_attention(2)
-    q = Tensor(np.array([[1.0, 0.0]]))
+    norm = LayerNormParams(Tensor(np.zeros(2)), Tensor(np.array([1.0, 0.0])))
+    q = Tensor(np.array([[0.3, -0.7]]))
     kv = Tensor(np.array([[2.0, 0.0], [0.0, 2.0]]))
-    out = multi_head_attention(q, kv, p)
     s = np.array([2.0, 0.0]) / np.sqrt(2.0)
     w = np.exp(s) / np.exp(s).sum()
     expected = w[0] * kv.data[0] + w[1] * kv.data[1]
-    np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
+    np.testing.assert_allclose(attended(q, kv, p, norm=norm)[0], expected,
+                               atol=1e-12)
 
 
 def _scalar_attention(q, k, v, wq, wk, wv, wo, heads):
@@ -72,11 +86,12 @@ def test_attention_matches_numpy_oracle(heads):
     rng = np.random.default_rng(heads)
     d, lq, lk = 8, 3, 5
     p = rand_attention(rng, d, heads)
-    q = Tensor(rng.normal(size=(lq, d)))
+    x = Tensor(rng.normal(size=(lq, d)))
     kv = Tensor(rng.normal(size=(lk, d)))
-    out = multi_head_attention(q, kv, p)
-    expected = _scalar_attention(q.data, kv.data, kv.data, p.wq.data,
-                                 p.wk.data, p.wv.data, p.wo.data, heads)
+    out = cross_attention_block(x, kv, LayerNormParams.init(d), p)
+    expected = x.data + _scalar_attention(
+        np_layer_norm(x.data), kv.data, kv.data, p.wq.data, p.wk.data,
+        p.wv.data, p.wo.data, heads)
     np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
 
@@ -84,10 +99,12 @@ def test_attention_batched_matches_per_sample():
     rng = np.random.default_rng(3)
     d, b, l = 8, 3, 4
     p = rand_attention(rng, d, 2)
-    q = Tensor(rng.normal(size=(b, l, d)))
-    out = multi_head_attention(q, q, p)
+    norm = LayerNormParams.init(d)
+    x = Tensor(rng.normal(size=(b, l, d)))
+    out = cross_attention_block(x, x, norm, p)
     for i in range(b):
-        single = multi_head_attention(Tensor(q.data[i]), Tensor(q.data[i]), p)
+        xi = Tensor(x.data[i])
+        single = cross_attention_block(xi, xi, norm, p)
         np.testing.assert_allclose(out.data[i], single.data, atol=1e-10)
 
 
@@ -97,21 +114,21 @@ def test_attention_permutation_of_keys_is_invariant():
     p = rand_attention(rng, d, 2)
     q = Tensor(rng.normal(size=(2, d)))
     kv = rng.normal(size=(5, d))
-    out = multi_head_attention(q, Tensor(kv), p)
     perm = rng.permutation(5)
-    out_p = multi_head_attention(q, Tensor(kv[perm]), p)
-    np.testing.assert_allclose(out.data, out_p.data, atol=1e-10)
+    np.testing.assert_allclose(attended(q, Tensor(kv), p),
+                               attended(q, Tensor(kv[perm]), p), atol=1e-10)
 
 
 def test_attention_mask_restricts_keys():
     rng = np.random.default_rng(5)
     d = 4
     p = rand_attention(rng, d, 1)
+    norm = LayerNormParams.init(d)
     q = Tensor(rng.normal(size=(2, d)))
     kv = rng.normal(size=(4, d))
     mask = np.array([True, True, False, False])
-    masked = multi_head_attention(q, Tensor(kv), p, mask=mask)
-    trimmed = multi_head_attention(q, Tensor(kv[:2]), p)
+    masked = cross_attention_block(q, Tensor(kv), norm, p, mask=mask)
+    trimmed = cross_attention_block(q, Tensor(kv[:2]), norm, p)
     np.testing.assert_allclose(masked.data, trimmed.data, atol=1e-9)
     # a batch's key mask [B, 1, Lk] broadcasts over the query rows: the same
     # bits, forward and backward, as its [B, Lq, Lk] copy
@@ -122,7 +139,7 @@ def test_attention_mask_restricts_keys():
     for m in (key_mask, np.broadcast_to(key_mask, (2, 3, 4)).copy()):
         qb = Tensor(qb_data.copy(), requires_grad=True)
         kvb = Tensor(kvb_data.copy(), requires_grad=True)
-        out = multi_head_attention(qb, kvb, p, mask=m)
+        out = cross_attention_block(qb, kvb, norm, p, mask=m)
         T.tsum(T.mul(out, out)).backward()
         results.append((out.data, qb.grad, kvb.grad))
     for a, b in zip(*results):
@@ -134,14 +151,19 @@ def test_attention_fully_masked_row_rejected():
     p = rand_attention(rng, 4, 1)
     q = Tensor(rng.normal(size=(2, 4)))
     with pytest.raises(ContractError):
-        multi_head_attention(q, q, p, mask=np.zeros(2, dtype=bool))
+        cross_attention_block(q, q, LayerNormParams.init(4), p,
+                              mask=np.zeros(2, dtype=bool))
 
 
 def test_attention_width_mismatch_rejected():
     rng = np.random.default_rng(7)
     p = rand_attention(rng, 4, 1)
     with pytest.raises(ShapeError):
-        multi_head_attention(Tensor(np.zeros((2, 6))), Tensor(np.zeros((2, 6))), p)
+        cross_attention_block(Tensor(np.zeros((2, 6))), Tensor(np.zeros((2, 6))),
+                              LayerNormParams.init(6), p)
+    with pytest.raises(ShapeError):
+        cross_attention_block(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 6))),
+                              LayerNormParams.init(4), p)
 
 
 def test_attention_head_split_requires_divisibility():
@@ -311,7 +333,7 @@ def test_attention_rows_are_convex_mixtures(lq, lk, seed):
     p = identity_attention(d)
     q = Tensor(rng.normal(size=(lq, d)))
     kv = Tensor(rng.uniform(-1, 1, size=(lk, d)))
-    out = multi_head_attention(q, kv, p).data
+    out = attended(q, kv, p)
     assert np.all(out >= kv.data.min(axis=0) - 1e-9)
     assert np.all(out <= kv.data.max(axis=0) + 1e-9)
 
@@ -391,76 +413,101 @@ def _assert_agree(fused, composed, inputs, weight):
         np.testing.assert_allclose(gf, gc, rtol=0, atol=1e-12)
 
 
+def _composed_cross_attention_block(x, kv, norm, params, mask=None,
+                                    rng=None):
+    """x + attention(layer_norm(x), kv), averaged over the leading kv slices
+    that x broadcasts across, as the decoder once did with T.tmean."""
+    out = _composed_attention(_composed_layer_norm(x, norm), kv, params, mask,
+                              rng)
+    lead = out.ndim - x.ndim
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(x.shape)
+        if n == 1 and out.shape[lead + i] != 1)
+    if axes:
+        out = T.reshape(T.tmean(out, axis=axes, keepdims=True), x.shape)
+    return T.add(x, out)
+
+
 @pytest.mark.parametrize("case", ["self", "cross_masked", "spatial_4d"])
 def test_fused_attention_matches_composed(case):
     rng = np.random.default_rng(11)
     d, heads = 8, 2
     p = rand_attention(rng, d, heads)
+    norm = _rand_norm(rng, d)
     mask = None
     if case == "self":
+        # the keys are x itself, not its normed rows
         x = Tensor(rng.normal(size=(2, 5, d)), requires_grad=True)
-        seqs, out_shape = [x], (2, 5, d)
+        seqs = [x]
     elif case == "cross_masked":
-        q = Tensor(rng.normal(size=(2, 3, d)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 3, d)), requires_grad=True)
         kv = Tensor(rng.normal(size=(2, 4, d)), requires_grad=True)
         mask = rng.random((2, 3, 4)) < 0.6
         mask[..., 0] = True
-        seqs, out_shape = [q, kv], (2, 3, d)
+        seqs = [x, kv]
     else:
         # the decoder's spatial cross-attention: one query set per clip,
-        # broadcast over the frames of a [B, T, HW, d] grid
-        q = Tensor(rng.normal(size=(2, 1, 3, d)), requires_grad=True)
+        # broadcast over the frames of a [B, T, HW, d] grid and averaged
+        x = Tensor(rng.normal(size=(2, 1, 3, d)), requires_grad=True)
         kv = Tensor(rng.normal(size=(2, 4, 5, d)), requires_grad=True)
-        seqs, out_shape = [q, kv], (2, 4, 3, d)
-    weight = Tensor(rng.normal(size=out_shape))
-    inputs = seqs + [p.wq, p.wk, p.wv, p.wo]
+        seqs = [x, kv]
+    weight = Tensor(rng.normal(size=x.shape))
+    inputs = seqs + [norm.gamma, norm.beta, p.wq, p.wk, p.wv, p.wo]
 
-    def call(attention):
+    def call(block):
         def f(*xs):
-            q, kv = (xs[0], xs[0]) if case == "self" else xs[:2]
-            return attention(q, kv, p, mask)
+            x, kv = (xs[0], xs[0]) if case == "self" else xs[:2]
+            return block(x, kv, norm, p, mask)
         return f
 
-    _assert_agree(call(multi_head_attention), call(_composed_attention),
-                  inputs, weight)
+    _assert_agree(call(cross_attention_block),
+                  call(_composed_cross_attention_block), inputs, weight)
 
 
 def test_fused_attention_dropout_matches_composed_with_equal_seeds():
     rng = np.random.default_rng(12)
     d = 8
     p = AttentionParams.init(rng, d, 2, dropout_rate=0.3)
+    norm = _rand_norm(rng, d)
     x = Tensor(rng.normal(size=(2, 6, d)), requires_grad=True)
+    kv = Tensor(rng.normal(size=(2, 5, d)), requires_grad=True)
     weight = Tensor(rng.normal(size=(2, 6, d)))
-    inputs = [x, p.wq, p.wk, p.wv, p.wo]
+    inputs = [x, kv, norm.gamma, norm.beta, p.wq, p.wk, p.wv, p.wo]
 
-    def fused(x, *_):
+    def fused(x, kv, *_):
         ctx = RunContext(training=True, rng=np.random.default_rng(7))
-        return multi_head_attention(x, x, p, None, ctx)
+        return cross_attention_block(x, kv, norm, p, None, ctx)
 
-    def composed(x, *_):
-        return _composed_attention(x, x, p, rng=np.random.default_rng(7))
+    def composed(x, kv, *_):
+        return _composed_cross_attention_block(x, kv, norm, p,
+                                               rng=np.random.default_rng(7))
 
-    out_f, _ = _value_and_grads(fused, inputs, weight)
-    out_c, _ = _value_and_grads(composed, inputs, weight)
-    np.testing.assert_array_equal(out_f, out_c)
     _assert_agree(fused, composed, inputs, weight)
     # the mask is drawn once per call, at the same point of the stream
     ctx = RunContext(training=True, rng=np.random.default_rng(7))
-    multi_head_attention(x, x, p, None, ctx)
+    cross_attention_block(x, kv, norm, p, None, ctx)
     gen = np.random.default_rng(7)
-    gen.random((2, 2, 6, 6))
+    gen.random((2, 2, 6, 5))
     assert ctx.rng.random() == gen.random()
 
 
 def test_fused_attention_gradient_flows_only_where_required():
     rng = np.random.default_rng(13)
     p = rand_attention(rng, 4, 2)
-    q = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    norm = LayerNormParams.init(4)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     kv = Tensor(rng.normal(size=(5, 4)))
-    T.tsum(multi_head_attention(q, kv, p)).backward()
-    assert q.grad is not None and q.grad.shape == (3, 4)
+    T.tsum(cross_attention_block(x, kv, norm, p)).backward()
+    assert x.grad is not None and x.grad.shape == (3, 4)
     assert kv.grad is None
-    assert all(w.grad is not None for w in (p.wq, p.wk, p.wv, p.wo))
+    assert all(w.grad is not None and w.grad.shape == w.shape
+               for w in (norm.gamma, norm.beta, p.wq, p.wk, p.wv, p.wo))
+    # frozen queries and norm: gradient reaches only the keys and weights
+    x, kv = Tensor(x.data), Tensor(kv.data, requires_grad=True)
+    frozen = LayerNormParams(Tensor(np.ones(4)), Tensor(np.zeros(4)))
+    T.tsum(cross_attention_block(x, kv, frozen, p)).backward()
+    assert x.grad is None and frozen.gamma.grad is None
+    assert kv.grad is not None and kv.grad.shape == (5, 4)
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 6), (2, 3, 4, 6)])

@@ -117,6 +117,17 @@ def test_make_batch_rejects_a_tube_of_another_length():
                    VOCAB, [corpus[0][1], short])
 
 
+def test_empty_clip_list_is_a_data_error():
+    # an empty corpus or split fails at the batch, not inside numpy
+    cfg = tiny_cfg()
+    with pytest.raises(bb.DataError, match="no clips to batch"):
+        make_batch([], [], cfg.model, VOCAB, [])
+    with pytest.raises(bb.DataError, match="no clips to batch"):
+        train(cfg, [], max_steps=1, vocab=VOCAB)
+    with pytest.raises(bb.DataError, match="no clips to batch"):
+        evaluate(GroundedModel(cfg.model, seed=0), [], cfg, VOCAB)
+
+
 def test_forward_shapes_and_slice_grads():
     cfg = tiny_cfg()
     corpus = tiny_corpus()
@@ -162,7 +173,8 @@ def test_training_step_graph_node_count():
     # pinned at 2 encoder and 2 decoder layers; the count does not depend on
     # the widths, so it reads the same as the acceptance overfit config.  The
     # encoder runs one FFN over the video cells and the group token together,
-    # and the decoder builds its temporal keys and frame rows once
+    # the decoder builds its temporal keys and frame rows once, and every
+    # cross-attention is one pre-norm residual node
     cfg = tiny_cfg()
     cfg.model.encoder_layers = cfg.model.decoder_layers = 2
     corpus = tiny_corpus()
@@ -172,7 +184,7 @@ def test_training_step_graph_node_count():
                        cfg.model, VOCAB, anns)
     _, out = model.forward(batch)
     loss, _ = tr.batch_objective(out, batch, cfg, model.keyframe(), False)
-    assert len(loss.topo_order()) == 342
+    assert len(loss.topo_order()) == 322
 
 
 def _dfs_order_backward(root):
@@ -360,18 +372,18 @@ def test_train_different_seed_differs(tmp_path):
 
 def test_weak_mode_logs_zero_action_bce():
     corpus = tiny_corpus()
-    res = train(tiny_cfg(), corpus, mode="weak", max_steps=4, vocab=VOCAB)
+    res = train(tiny_cfg(mode="weak"), corpus, max_steps=4, vocab=VOCAB)
     assert res.history
     assert all(rec["action_bce"] == 0.0 for rec in res.history)
     # full mode does pay the action term
-    res_full = train(tiny_cfg(), corpus, mode="full", max_steps=4, vocab=VOCAB)
+    res_full = train(tiny_cfg(mode="full"), corpus, max_steps=4, vocab=VOCAB)
     assert any(rec["action_bce"] > 0.0 for rec in res_full.history)
 
 
 def test_train_rejects_bad_mode_and_overlong_run():
     corpus = tiny_corpus()
-    with pytest.raises(TrainingError):
-        train(tiny_cfg(), corpus, mode="semi", vocab=VOCAB)
+    with pytest.raises(ConfigError, match="unknown mode 'semi'"):
+        train(tiny_cfg(mode="semi"), corpus, vocab=VOCAB)
     with pytest.raises(TrainingError):
         train(tiny_cfg(), corpus, max_steps=10 ** 6, vocab=VOCAB)
 

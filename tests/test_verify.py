@@ -21,3 +21,10 @@ def test_case_rows_are_independent(name, f, x):
         alone = [f(Tensor(stack[k:k + 1])).data[0] for k in range(3)]
     assert stacked.shape == (3,) and len(set(alone)) == 3
     np.testing.assert_allclose(stacked, alone, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("repeats", [0, -1])
+def test_run_suite_rejects_fewer_than_one_repeat(repeats):
+    # zero repeats would check nothing and report a worst error of 0
+    with pytest.raises(ValueError, match="repeats must be at least 1"):
+        verify.run_suite(repeats=repeats)
