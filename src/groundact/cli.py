@@ -66,7 +66,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-_EVAL_METRICS = ("mca", "merged-mca", "mpca", "prf", "iou")
+_EVAL_METRICS = {
+    "mca": lambda ev: {"mca": ev.group_accuracy},
+    "merged-mca": lambda ev: {"merged_mca": ev.merged_mca},
+    "mpca": lambda ev: {"mpca": ev.mpca},
+    "prf": lambda ev: dict(zip(("p_g", "r_g", "f_g"), ev.action_prf)),
+    "iou": lambda ev: {"mean_keyframe_iou": ev.mean_keyframe_iou},
+}
 
 
 def cmd_eval(args) -> int:
@@ -85,16 +91,8 @@ def cmd_eval(args) -> int:
     ev = evaluate(model, corpus, cfg, vocab)
     out = {}
     for m in wanted:
-        if m == "mca":
-            out["mca"] = ev.group_accuracy
-        elif m == "merged-mca":
-            out["merged_mca"] = ev.merged_mca
-        elif m == "mpca":
-            out["mpca"] = ev.mpca
-        elif m == "prf":
-            out["p_g"], out["r_g"], out["f_g"] = ev.action_prf
-        elif m == "iou":
-            out["mean_keyframe_iou"] = ev.mean_keyframe_iou
+        if m in _EVAL_METRICS:
+            out.update(_EVAL_METRICS[m](ev))
         else:
             k = int(m.split("@")[1])
             rk = retrieval_recall(model, corpus, cfg, vocab, ks=(k,))
@@ -130,11 +128,10 @@ def cmd_retrieve(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .verify import TOLERANCE, run_suite
     results = run_suite(seed=args.seed, repeats=args.repeats)
-    worst = 0.0
     for name, err in sorted(results.items()):
         status = "ok" if err <= TOLERANCE else "FAIL"
         print(f"{name:28s} {err:.3e}  {status}")
-        worst = max(worst, err)
+    worst = max(results.values())
     print(f"worst: {worst:.3e} (tolerance {TOLERANCE:.0e})")
     return 1 if worst > TOLERANCE else 0
 
@@ -157,7 +154,10 @@ def cmd_ablate(args) -> int:
 
 def _at_least_one(text: str) -> int:
     """An integer argument that must be 1 or more."""
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n

@@ -147,13 +147,13 @@ def cross_attention_block(x: Tensor, kv: Tensor, norm: LayerNormParams,
     Covers the queries' layer norm, the Q/K/V projections, the head split,
     the scaled and masked scores, softmax, dropout on the attention weights,
     the weighted sum, the head merge, the output projection and the residual.
-    The leading axes of x and kv broadcast against each other; where x
-    broadcasts across leading slices of kv, the attention outputs are
-    averaged over them (a sum, then times 1/count, as :func:`T.tmean` does),
-    so the result keeps x's shape.  mask is a boolean array broadcastable to
-    [..., Lq, Lk]; True marks keys that may be attended to.  A padding mask
-    over the keys is passed as [..., 1, Lk] and broadcasts over the query
-    rows.  Every query row must keep at least one key.
+    The leading axes of x and kv broadcast against each other.  Wherever x
+    broadcasts across kv slices on any leading axis (frames, or a batch: x
+    [1, L, d] against kv [B, Lk, d]), the attention outputs are averaged over
+    those slices (a sum, then times 1/count, as :func:`T.tmean` does), so
+    the result keeps x's shape.  mask is a boolean array broadcastable to
+    [..., Lq, Lk]; True marks keys that may be attended to; a padding mask
+    over the keys is passed as [..., 1, Lk].  Every query row must keep a key.
     """
     d, h = params.d_model, params.num_heads
     if x.shape[-1] != d or kv.shape[-1] != d:

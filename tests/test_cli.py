@@ -145,15 +145,20 @@ def test_gradcheck_command(capsys):
     ["gen-data", "--actors", "0"],
     ["gen-data", "--frames", "0"],
     ["gen-data", "--clips", "-3"],
+    ["gen-data", "--clips", "x"],
+    ["gradcheck", "--repeats", "1.5"],
 ])
 def test_counts_below_one_are_rejected_before_any_work(tmp_path, capsys, argv):
     out = tmp_path / "data"
+    value = argv[2]
     if argv[0] == "gen-data":
         argv = argv + ["--out", str(out)]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"argument {argv[1]}: must be at least 1" in capsys.readouterr().err
+    reason = ("must be at least 1" if value.lstrip("-").isdigit()
+              else f"invalid int value: {value!r}")
+    assert f"argument {argv[1]}: {reason}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -464,6 +464,23 @@ def test_fused_attention_matches_composed(case):
                   call(_composed_cross_attention_block), inputs, weight)
 
 
+def test_cross_attention_broadcast_query_averages_over_the_batch():
+    # one query set against a batch of key sets gives the batch mean of the
+    # per-slice results, not a shape error
+    rng = np.random.default_rng(14)
+    d = 8
+    p = rand_attention(rng, d, 2)
+    norm = _rand_norm(rng, d)
+    x = Tensor(rng.normal(size=(1, 3, d)))
+    kv = rng.normal(size=(4, 5, d))
+    out = cross_attention_block(x, Tensor(kv), norm, p)
+    assert out.shape == x.shape
+    per_slice = [cross_attention_block(x, Tensor(kv[b:b + 1]), norm, p).data
+                 for b in range(4)]
+    np.testing.assert_allclose(out.data, np.mean(per_slice, axis=0),
+                               rtol=0, atol=1e-12)
+
+
 def test_fused_attention_dropout_matches_composed_with_equal_seeds():
     rng = np.random.default_rng(12)
     d = 8
@@ -482,6 +499,9 @@ def test_fused_attention_dropout_matches_composed_with_equal_seeds():
         return _composed_cross_attention_block(x, kv, norm, p,
                                                rng=np.random.default_rng(7))
 
+    out_f, _ = _value_and_grads(fused, inputs, weight)
+    out_c, _ = _value_and_grads(composed, inputs, weight)
+    np.testing.assert_array_equal(out_f, out_c)
     _assert_agree(fused, composed, inputs, weight)
     # the mask is drawn once per call, at the same point of the stream
     ctx = RunContext(training=True, rng=np.random.default_rng(7))
