@@ -53,6 +53,10 @@ def run_ablation(base: ExperimentConfig, train_corpus, test_corpus,
                  seeds: Sequence[int] = (0, 1, 2),
                  max_steps: Optional[int] = None,
                  variants: Sequence[str] = VARIANTS) -> AblationResult:
+    if not train_corpus or not test_corpus:
+        raise bb.DataError(f"ablation needs clips on both sides of the split, "
+                           f"got {len(train_corpus)} train and "
+                           f"{len(test_corpus)} test")
     vocab = bb.load_vocab()
     per_seed: Dict[str, List[Dict[str, float]]] = {v: [] for v in variants}
     for variant in variants:

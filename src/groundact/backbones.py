@@ -135,6 +135,6 @@ def text_encode(tokens: np.ndarray, params: TextStubParams, cfg: ModelConfig,
         raise DataError(f"token index outside vocabulary of {rows}")
     x = T.getitem(params.embedding, tokens)
     x = nn.positional_encode(x, params.temporal_pe)
-    x = nn.self_attention_block(x, params.norm1, params.attn,
-                                np.expand_dims(mask, -2), ctx)
+    x = nn.attention_block(x, params.norm1, params.attn,
+                           mask=np.expand_dims(mask, -2), ctx=ctx)
     return nn.feed_forward_block(x, params.norm2, params.ffn, ctx)

@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--clips", type=_at_least_one, default=64)
     g.add_argument("--actors", type=_at_least_one, default=2)
     g.add_argument("--frames", type=_at_least_one, default=8)
-    g.add_argument("--raster", type=int, default=32)
+    g.add_argument("--raster", type=_at_least_one, default=32)
     g.add_argument("--seed", type=int, default=0)
     g.set_defaults(func=cmd_gen_data)
 
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--mode", choices=["full", "weak"],
                    help="supervision mode (default: [train] mode)")
     t.add_argument("--seed", type=int)
-    t.add_argument("--steps", type=int, help="cap on training steps")
+    t.add_argument("--steps", type=_at_least_one, help="cap on training steps")
     t.add_argument("--out", help="checkpoint path")
     t.add_argument("--log", help="metrics log path (JSON lines)")
     t.set_defaults(func=cmd_train)
@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--checkpoint", required=True)
     r.add_argument("--data", required=True)
     r.add_argument("--prompt", required=True)
-    r.add_argument("--top", type=int, default=10)
+    r.add_argument("--top", type=_at_least_one, default=10)
     r.set_defaults(func=cmd_retrieve)
 
     c = sub.add_parser("gradcheck", help="run the operator gradient suite")
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--data", required=True)
     a.add_argument("--seeds", default="0,1,2")
     a.add_argument("--seed", type=int, default=0, help="split seed")
-    a.add_argument("--steps", type=int)
+    a.add_argument("--steps", type=_at_least_one)
     a.add_argument("--out", help="write JSON summary here")
     a.set_defaults(func=cmd_ablate)
     return p

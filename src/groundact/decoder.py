@@ -157,18 +157,18 @@ def decode(rep: SharedRepresentation,
 
     for li, layer in enumerate(params.layers):
         # actor self-attention
-        x = nn.self_attention_block(x, layer.norm_self, layer.self_attn_actors,
-                                    None, ctx)
+        x = nn.attention_block(x, layer.norm_self, layer.self_attn_actors,
+                               ctx=ctx)
 
         # spatial cross-attention: queries over each frame's grid; the
         # queries' frame axis broadcasts, so the block averages over frames
-        x = T.reshape(nn.cross_attention_block(
-            T.reshape(x, (b, 1, n + 1, d)), rep.video, layer.norm_spatial,
-            layer.temporal_spatial_attn, None, ctx), (b, n + 1, d))
+        x = T.reshape(nn.attention_block(
+            T.reshape(x, (b, 1, n + 1, d)), layer.norm_spatial,
+            layer.temporal_spatial_attn, rep.video, ctx=ctx), (b, n + 1, d))
 
         # temporal cross-attention over pooled frames + text
-        x = nn.cross_attention_block(x, kv, layer.norm_cross,
-                                     layer.temporal_cross_attn, attn_mask, ctx)
+        x = nn.attention_block(x, layer.norm_cross, layer.temporal_cross_attn,
+                               kv, attn_mask, ctx)
 
         # FFN
         x = nn.feed_forward_block(x, layer.norm_ffn, layer.ffn, ctx)

@@ -108,19 +108,17 @@ def encode(v_f: Tensor, t_f: Tensor, params: VLEncoderParams,
 
     for layer in params.layers:
         # (a) text self-attention
-        text = nn.self_attention_block(text, layer.norm_text_self,
-                                       layer.text_self_attn, key_mask, ctx)
+        text = nn.attention_block(text, layer.norm_text_self,
+                                  layer.text_self_attn, mask=key_mask, ctx=ctx)
 
         # (b) temporal self-attention per spatial cell; group token is its
         # own one-row sequence through the same weights
         cells = T.transpose(video, (0, 2, 1, 3))          # [B, HW, T, d]
-        cells = nn.self_attention_block(cells, layer.norm_video_self,
-                                        layer.video_temporal_self_attn,
-                                        None, ctx)
+        cells = nn.attention_block(cells, layer.norm_video_self,
+                                   layer.video_temporal_self_attn, ctx=ctx)
         video = T.transpose(cells, (0, 2, 1, 3))
-        group = nn.self_attention_block(group, layer.norm_video_self,
-                                        layer.video_temporal_self_attn,
-                                        None, ctx)
+        group = nn.attention_block(group, layer.norm_video_self,
+                                   layer.video_temporal_self_attn, ctx=ctx)
 
         # fast branch: temporal conv over per-frame pooled features
         frame_means = T.tmean(video, axis=2)               # [B, T, d]
@@ -132,12 +130,11 @@ def encode(v_f: Tensor, t_f: Tensor, params: VLEncoderParams,
         # one set of video-side rows: the cells frame-major, then the group
         # token; each side's keys are the other side under the same norm
         rows = T.concat([T.reshape(video, (b, t * hw, d)), group], axis=1)
-        rows = nn.cross_attention_block(
-            rows, nn.layer_norm(text, layer.norm_v2t), layer.norm_v2t,
-            layer.v2t_cross, key_mask, ctx)
-        text = nn.cross_attention_block(
-            text, nn.layer_norm(rows, layer.norm_t2v), layer.norm_t2v,
-            layer.t2v_cross, None, ctx)
+        rows = nn.attention_block(rows, layer.norm_v2t, layer.v2t_cross,
+                                  nn.layer_norm(text, layer.norm_v2t),
+                                  key_mask, ctx)
+        text = nn.attention_block(text, layer.norm_t2v, layer.t2v_cross,
+                                  nn.layer_norm(rows, layer.norm_t2v), ctx=ctx)
         rows = nn.feed_forward_block(rows, layer.norm_ffn_video, layer.ffn, ctx)
         text = nn.feed_forward_block(text, layer.norm_ffn_text, layer.ffn, ctx)
         video = T.reshape(rows[:, :t * hw, :], (b, t, hw, d))

@@ -137,35 +137,43 @@ def _attend(q, k, v, mask, ctx: RunContext, rate: float):
     return dropped @ v, backward
 
 
-def cross_attention_block(x: Tensor, kv: Tensor, norm: LayerNormParams,
-                          params: AttentionParams,
-                          mask: Optional[np.ndarray] = None,
-                          ctx: RunContext = EVAL) -> Tensor:
+def attention_block(x: Tensor, norm: LayerNormParams, params: AttentionParams,
+                    kv: Optional[Tensor] = None,
+                    mask: Optional[np.ndarray] = None,
+                    ctx: RunContext = EVAL) -> Tensor:
     """x + attention(layer_norm(x), kv), a pre-norm residual sublayer, as
     one graph node with a hand-written backward.
 
     Covers the queries' layer norm, the Q/K/V projections, the head split,
     the scaled and masked scores, softmax, dropout on the attention weights,
     the weighted sum, the head merge, the output projection and the residual.
-    The leading axes of x and kv broadcast against each other.  Wherever x
-    broadcasts across kv slices on any leading axis (frames, or a batch: x
-    [1, L, d] against kv [B, Lk, d]), the attention outputs are averaged over
-    those slices (a sum, then times 1/count, as :func:`T.tmean` does), so
-    the result keeps x's shape.  mask is a boolean array broadcastable to
-    [..., Lq, Lk]; True marks keys that may be attended to; a padding mask
-    over the keys is passed as [..., 1, Lk].  Every query row must keep a key.
+    With kv omitted it is self-attention over the normed rows: the same
+    arithmetic and dropout draw as kv = layer_norm(x), except that Q, K and V
+    come from one GEMM against the packed [d, 3d] weight [wq | wk | wv],
+    forward and backward.  Otherwise the leading axes of x and kv broadcast
+    against each other.  Wherever x broadcasts across kv slices on any
+    leading axis (frames, or a batch: x [1, L, d] against kv [B, Lk, d]), the
+    attention outputs are averaged over those slices (a sum, then times
+    1/count, as :func:`T.tmean` does), so the result keeps x's shape.  mask
+    is a boolean array broadcastable to [..., Lq, Lk]; True marks keys that
+    may be attended to; a padding mask over the keys is passed as
+    [..., 1, Lk].  Every query row must keep a key.
     """
     d, h = params.d_model, params.num_heads
-    if x.shape[-1] != d or kv.shape[-1] != d:
-        raise ShapeError(f"width mismatch: x {x.shape}, kv {kv.shape}, "
-                         f"d_model {d}")
+    if x.shape[-1] != d or (kv is not None and kv.shape[-1] != d):
+        raise ShapeError(f"width mismatch: x {x.shape}, kv "
+                         f"{None if kv is None else kv.shape}, d_model {d}")
     wq, wk, wv, wo = params.wq, params.wk, params.wv, params.wo
-    xkv = kv.data
     hn, normed, std = _layer_norm_forward(x.data, norm)
-    out, attend_backward = _attend(_split(hn @ wq.data, h),
-                                   _split(xkv @ wk.data, h),
-                                   _split(xkv @ wv.data, h),
-                                   mask, ctx, params.dropout_rate)
+    if kv is None:
+        w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+        qkv = _split(hn @ w_qkv, 3 * h)                     # [..., 3h, L, dh]
+        q, k, v = (qkv[..., i * h:(i + 1) * h, :, :] for i in range(3))
+    else:
+        xkv = kv.data
+        q, k, v = (_split(hn @ wq.data, h), _split(xkv @ wk.data, h),
+                   _split(xkv @ wv.data, h))
+    out, attend_backward = _attend(q, k, v, mask, ctx, params.dropout_rate)
     merged = _merge(out)
     attended = merged @ wo.data
     full = attended.shape
@@ -174,7 +182,8 @@ def cross_attention_block(x: Tensor, kv: Tensor, norm: LayerNormParams,
         attended = T.unbroadcast(attended, x.shape) * scale
     data = x.data + attended
 
-    parents = (x, kv, norm.gamma, norm.beta, wq, wk, wv, wo)
+    parents = ((x,) if kv is None else (x, kv)) + (norm.gamma, norm.beta,
+                                                    wq, wk, wv, wo)
     req = any(p.requires_grad for p in parents)
 
     def backward(g):
@@ -182,60 +191,25 @@ def cross_attention_block(x: Tensor, kv: Tensor, norm: LayerNormParams,
                   else np.broadcast_to(g * scale, full).copy())
         if wo.requires_grad:
             wo.accumulate(T.rows(merged).T @ T.rows(g_attn))
-        d_q, d_k, d_v = attend_backward(_split(g_attn @ wo.data.T, h))
-        d_q = T.unbroadcast(_merge(d_q), hn.shape)
-        d_k = T.unbroadcast(_merge(d_k), xkv.shape)
-        d_v = T.unbroadcast(_merge(d_v), xkv.shape)
-        for w, a, dw in ((wq, hn, d_q), (wk, xkv, d_k), (wv, xkv, d_v)):
-            if w.requires_grad:
-                w.accumulate(T.rows(a).T @ T.rows(dw))
-        if kv.requires_grad:
-            kv.accumulate(d_k @ wk.data.T + d_v @ wv.data.T)
-        d_x = _layer_norm_backward(d_q @ wq.data.T, normed, std, norm)
+        grads = attend_backward(_split(g_attn @ wo.data.T, h))
+        if kv is None:
+            d_qkv = _merge(np.concatenate(grads, axis=-3))  # [..., L, 3d]
+            d_w = T.rows(hn).T @ T.rows(d_qkv)
+            for i, w in enumerate((wq, wk, wv)):
+                if w.requires_grad:
+                    w.accumulate(d_w[:, i * d:(i + 1) * d])
+            d_hn = d_qkv @ w_qkv.T
+        else:
+            d_q, d_k, d_v = (T.unbroadcast(_merge(dz), a.shape) for dz, a
+                             in zip(grads, (hn, xkv, xkv)))
+            for w, a, dw in ((wq, hn, d_q), (wk, xkv, d_k), (wv, xkv, d_v)):
+                if w.requires_grad:
+                    w.accumulate(T.rows(a).T @ T.rows(dw))
+            if kv.requires_grad:
+                kv.accumulate(d_k @ wk.data.T + d_v @ wv.data.T)
+            d_hn = d_q @ wq.data.T
+        d_x = _layer_norm_backward(d_hn, normed, std, norm)
         # when kv is x, both writes land in the same tensor
-        if x.requires_grad:
-            x.accumulate(g + d_x)
-
-    return Tensor(data, req, parents, backward if req else None)
-
-
-def self_attention_block(x: Tensor, norm: LayerNormParams,
-                         params: AttentionParams,
-                         mask: Optional[np.ndarray] = None,
-                         ctx: RunContext = EVAL) -> Tensor:
-    """x + attention(h, h) with h = layer_norm(x), as one graph node.
-
-    The same arithmetic as :func:`cross_attention_block` with kv =
-    layer_norm(x), and the same dropout draw, except that Q, K and V come
-    from one GEMM against the packed [d, 3d] weight [wq | wk | wv], forward
-    and backward.
-    """
-    d, h = params.d_model, params.num_heads
-    if x.shape[-1] != d:
-        raise ShapeError(f"width mismatch: x {x.shape}, d_model {d}")
-    wq, wk, wv, wo = params.wq, params.wk, params.wv, params.wo
-    hn, normed, std = _layer_norm_forward(x.data, norm)
-    w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-    qkv = _split(hn @ w_qkv, 3 * h)                         # [..., 3h, L, dh]
-    out, attend_backward = _attend(qkv[..., :h, :, :], qkv[..., h:2 * h, :, :],
-                                   qkv[..., 2 * h:, :, :], mask, ctx,
-                                   params.dropout_rate)
-    merged = _merge(out)
-    data = x.data + merged @ wo.data
-
-    parents = (x, norm.gamma, norm.beta, wq, wk, wv, wo)
-    req = any(p.requires_grad for p in parents)
-
-    def backward(g):
-        if wo.requires_grad:
-            wo.accumulate(T.rows(merged).T @ T.rows(g))
-        d_qkv = _merge(np.concatenate(attend_backward(_split(g @ wo.data.T, h)),
-                                      axis=-3))             # [..., L, 3d]
-        d_w = T.rows(hn).T @ T.rows(d_qkv)
-        for i, w in enumerate((wq, wk, wv)):
-            if w.requires_grad:
-                w.accumulate(d_w[:, i * d:(i + 1) * d])
-        d_x = _layer_norm_backward(d_qkv @ w_qkv.T, normed, std, norm)
         if x.requires_grad:
             x.accumulate(g + d_x)
 

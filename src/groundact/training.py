@@ -220,6 +220,10 @@ def train(cfg: ExperimentConfig, corpus, log_path: Optional[str] = None,
     """Seeded full training loop over (clip, annotation) pairs, supervised
     as ``cfg.train.mode`` says."""
     cfg.validate()
+    total_steps = max_steps if max_steps is not None else cfg.train.total_steps
+    if not 1 <= total_steps <= cfg.train.total_steps:
+        raise TrainingError(f"max_steps {total_steps} outside the configured "
+                            f"schedule of 1..{cfg.train.total_steps} steps")
     weak = cfg.train.mode == "weak"
     vocab = vocab or bb.load_vocab()
     seed = cfg.train.seed
@@ -240,9 +244,6 @@ def train(cfg: ExperimentConfig, corpus, log_path: Optional[str] = None,
     model = GroundedModel(cfg.model, seed=seed)
     params = model.named_parameters()
     opt = OptimizerState(kind="adam")
-    total_steps = max_steps if max_steps is not None else cfg.train.total_steps
-    if total_steps > cfg.train.total_steps:
-        raise TrainingError("max_steps beyond the configured schedule")
     keyframe = model.keyframe()
     ctx = RunContext(training=True, rng=rng)
 
@@ -392,7 +393,7 @@ def linear_probe(embeddings: np.ndarray, labels: np.ndarray,
     b = Tensor(np.zeros(num_classes), requires_grad=True)
     params = {"w": w, "b": b}
     opt = OptimizerState(kind="sgd-momentum", momentum=momentum)
-    total_steps = epochs * max(n // batch_size, 1)
+    total_steps = epochs * -(-n // batch_size)     # a short last batch counts
     step = 0
     for _ in range(epochs):
         order = rng.permutation(n)

@@ -87,29 +87,29 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
         return T.tsum(T.mul(nn.layer_norm(xs, nn.LayerNormParams(g, b)), m_ln))
 
     @T.rowwise
-    def cross_self(x):
+    def kv_is_x(x):
         # kv is x; dropout on, with a fresh generator per call so f is
         # deterministic
         xs, wq, wk, wv, wo = unpack(x, (2, 3, 4), *[(4, 4)] * 4)
         p = nn.AttentionParams(2, 4, wq, wk, wv, wo, dropout_rate=0.25)
         ctx = nn.RunContext(training=True, rng=np.random.default_rng(0))
-        return T.tsum(T.mul(nn.cross_attention_block(xs, xs, norm, p, None,
-                                                     ctx), m_self))
+        return T.tsum(T.mul(nn.attention_block(xs, norm, p, xs, ctx=ctx),
+                            m_self))
 
-    def cross_frames(x):
+    def frames(x):
         # 4-d queries broadcast over (and averaged over) the keys' frames,
         # masked keys; no weight is an input, so a stack is one more axis
         q, kv = unpack(x, (2, 1, 2, 4), (2, 3, 3, 4))
-        out = nn.cross_attention_block(q, kv, norm, attn, key_mask)
+        out = nn.attention_block(q, norm, attn, kv, key_mask)
         return rs(T.mul(out, m_cross))
 
     @T.rowwise
-    def self_attention_block(x):
-        # Q/K/V packed into one GEMM; dropout on, as in self_attention
+    def attention_self(x):
+        # kv omitted: Q/K/V packed into one GEMM; dropout on, as in kv_is_x
         xs, wq, wk, wv = unpack(x, (1, 2, 4), *[(4, 4)] * 3)
         p = nn.AttentionParams(2, 4, wq, wk, wv, wo, dropout_rate=0.25)
         ctx = nn.RunContext(training=True, rng=np.random.default_rng(0))
-        return T.tsum(T.mul(nn.self_attention_block(xs, norm, p, None, ctx),
+        return T.tsum(T.mul(nn.attention_block(xs, norm, p, ctx=ctx),
                             m_block))
 
     @T.rowwise
@@ -166,9 +166,9 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
          u(4, 3)),
         ("linear", linear, uf(24 + 12 + 3)),
         ("layer_norm", layer_norm, uf(24 + 4 + 4)),
-        ("cross_attention_block_self", cross_self, uf(24 + 4 * 16)),
-        ("cross_attention_block_frames", cross_frames, uf(16 + 72)),
-        ("self_attention_block", self_attention_block, ub(8 + 3 * 16)),
+        ("attention_block_kv_is_x", kv_is_x, uf(24 + 4 * 16)),
+        ("attention_block_frames", frames, uf(16 + 72)),
+        ("attention_block_self", attention_self, ub(8 + 3 * 16)),
         ("feed_forward_block", feed_forward_block, ub(8 + 2 * 16 + 2 * 4)),
     ]
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from groundact.backbones import DataError
 from groundact.cli import load_corpus, main, save_corpus
 
 
@@ -139,6 +140,25 @@ def test_gradcheck_command(capsys):
     assert "worst:" in out and "FAIL" not in out
 
 
+def test_ablate_on_an_empty_split_fails_before_training(tmp_path,
+                                                       monkeypatch):
+    # one clip splits 0.75 / 0.25 into 1 train clip and 0 test clips
+    from groundact import ablation
+
+    def no_train(*args, **kwargs):
+        raise AssertionError("train ran on an ablation with an empty split")
+
+    monkeypatch.setattr(ablation, "train", no_train)
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data), "--clips", "1",
+                 "--actors", "2", "--frames", "4", "--raster", "8"]) == 0
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(TINY_INI)
+    with pytest.raises(DataError, match="got 1 train and 0 test"):
+        main(["ablate", "--config", str(cfg), "--data", str(data),
+              "--seeds", "0", "--steps", "2"])
+
+
 @pytest.mark.parametrize("argv", [
     ["gradcheck", "--repeats", "0"],
     ["gen-data", "--clips", "0"],
@@ -147,6 +167,12 @@ def test_gradcheck_command(capsys):
     ["gen-data", "--clips", "-3"],
     ["gen-data", "--clips", "x"],
     ["gradcheck", "--repeats", "1.5"],
+    ["train", "--steps", "0"],
+    ["train", "--steps", "-3"],
+    ["ablate", "--steps", "0"],
+    ["gen-data", "--raster", "0"],
+    ["retrieve", "--top", "0"],
+    ["retrieve", "--top", "-1"],
 ])
 def test_counts_below_one_are_rejected_before_any_work(tmp_path, capsys, argv):
     out = tmp_path / "data"

@@ -71,10 +71,10 @@ def test_concat_view_layout():
     group = np.broadcast_to(params.group_token.data, (b, 1, d))
     rows = Tensor(np.concatenate([v.data.reshape(b, tv, d), group], axis=1))
     key_mask = np.expand_dims(real(t), -2)
-    rows = nn.cross_attention_block(rows, nn.layer_norm(t, layer.norm_v2t),
-                                    layer.norm_v2t, layer.v2t_cross, key_mask)
-    text = nn.cross_attention_block(t, nn.layer_norm(rows, layer.norm_t2v),
-                                    layer.norm_t2v, layer.t2v_cross)
+    rows = nn.attention_block(rows, layer.norm_v2t, layer.v2t_cross,
+                              nn.layer_norm(t, layer.norm_v2t), key_mask)
+    text = nn.attention_block(t, layer.norm_t2v, layer.t2v_cross,
+                              nn.layer_norm(rows, layer.norm_t2v))
     rows = nn.feed_forward_block(rows, layer.norm_ffn_video, layer.ffn)
     text = nn.feed_forward_block(text, layer.norm_ffn_text, layer.ffn)
     np.testing.assert_allclose(rep.video.data.reshape(b, tv, d),

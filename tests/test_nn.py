@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from groundact import nn
 from groundact import tensor as T
 from groundact.nn import (AttentionParams, FeedForwardParams, LayerNormParams,
-                          RunContext, conv1d, cross_attention_block,
-                          feed_forward_block, layer_norm, positional_encode,
-                          self_attention_block)
+                          RunContext, attention_block, conv1d,
+                          feed_forward_block, layer_norm, positional_encode)
 from groundact.tensor import ContractError, ShapeError, Tensor
 
 
@@ -27,9 +26,9 @@ def rand_attention(rng, d, heads):
 
 
 def attended(x, kv, p, mask=None, norm=None):
-    """What cross_attention_block adds to x: attention(layer_norm(x), kv)."""
+    """What attention_block adds to x: attention(layer_norm(x), kv)."""
     norm = norm or LayerNormParams.init(x.shape[-1])
-    return cross_attention_block(x, kv, norm, p, mask).data - x.data
+    return attention_block(x, norm, p, kv, mask).data - x.data
 
 
 def np_layer_norm(x, eps=1e-5):
@@ -88,7 +87,7 @@ def test_attention_matches_numpy_oracle(heads):
     p = rand_attention(rng, d, heads)
     x = Tensor(rng.normal(size=(lq, d)))
     kv = Tensor(rng.normal(size=(lk, d)))
-    out = cross_attention_block(x, kv, LayerNormParams.init(d), p)
+    out = attention_block(x, LayerNormParams.init(d), p, kv)
     expected = x.data + _scalar_attention(
         np_layer_norm(x.data), kv.data, kv.data, p.wq.data, p.wk.data,
         p.wv.data, p.wo.data, heads)
@@ -101,10 +100,10 @@ def test_attention_batched_matches_per_sample():
     p = rand_attention(rng, d, 2)
     norm = LayerNormParams.init(d)
     x = Tensor(rng.normal(size=(b, l, d)))
-    out = cross_attention_block(x, x, norm, p)
+    out = attention_block(x, norm, p, x)
     for i in range(b):
         xi = Tensor(x.data[i])
-        single = cross_attention_block(xi, xi, norm, p)
+        single = attention_block(xi, norm, p, xi)
         np.testing.assert_allclose(out.data[i], single.data, atol=1e-10)
 
 
@@ -127,8 +126,8 @@ def test_attention_mask_restricts_keys():
     q = Tensor(rng.normal(size=(2, d)))
     kv = rng.normal(size=(4, d))
     mask = np.array([True, True, False, False])
-    masked = cross_attention_block(q, Tensor(kv), norm, p, mask=mask)
-    trimmed = cross_attention_block(q, Tensor(kv[:2]), norm, p)
+    masked = attention_block(q, norm, p, Tensor(kv), mask)
+    trimmed = attention_block(q, norm, p, Tensor(kv[:2]))
     np.testing.assert_allclose(masked.data, trimmed.data, atol=1e-9)
     # a batch's key mask [B, 1, Lk] broadcasts over the query rows: the same
     # bits, forward and backward, as its [B, Lq, Lk] copy
@@ -139,7 +138,7 @@ def test_attention_mask_restricts_keys():
     for m in (key_mask, np.broadcast_to(key_mask, (2, 3, 4)).copy()):
         qb = Tensor(qb_data.copy(), requires_grad=True)
         kvb = Tensor(kvb_data.copy(), requires_grad=True)
-        out = cross_attention_block(qb, kvb, norm, p, mask=m)
+        out = attention_block(qb, norm, p, kvb, m)
         T.tsum(T.mul(out, out)).backward()
         results.append((out.data, qb.grad, kvb.grad))
     for a, b in zip(*results):
@@ -151,19 +150,21 @@ def test_attention_fully_masked_row_rejected():
     p = rand_attention(rng, 4, 1)
     q = Tensor(rng.normal(size=(2, 4)))
     with pytest.raises(ContractError):
-        cross_attention_block(q, q, LayerNormParams.init(4), p,
-                              mask=np.zeros(2, dtype=bool))
+        attention_block(q, LayerNormParams.init(4), p, q,
+                        mask=np.zeros(2, dtype=bool))
 
 
 def test_attention_width_mismatch_rejected():
     rng = np.random.default_rng(7)
     p = rand_attention(rng, 4, 1)
+    # queries wider than d_model, with kv omitted and given; then keys alone
+    for kv in (None, Tensor(np.zeros((2, 6)))):
+        with pytest.raises(ShapeError):
+            attention_block(Tensor(np.zeros((2, 6))), LayerNormParams.init(6),
+                            p, kv)
     with pytest.raises(ShapeError):
-        cross_attention_block(Tensor(np.zeros((2, 6))), Tensor(np.zeros((2, 6))),
-                              LayerNormParams.init(6), p)
-    with pytest.raises(ShapeError):
-        cross_attention_block(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 6))),
-                              LayerNormParams.init(4), p)
+        attention_block(Tensor(np.zeros((2, 4))), LayerNormParams.init(4), p,
+                        Tensor(np.zeros((2, 6))))
 
 
 def test_attention_head_split_requires_divisibility():
@@ -413,8 +414,7 @@ def _assert_agree(fused, composed, inputs, weight):
         np.testing.assert_allclose(gf, gc, rtol=0, atol=1e-12)
 
 
-def _composed_cross_attention_block(x, kv, norm, params, mask=None,
-                                    rng=None):
+def _composed_attention_block(x, kv, norm, params, mask=None, rng=None):
     """x + attention(layer_norm(x), kv), averaged over the leading kv slices
     that x broadcasts across, as the decoder once did with T.tmean."""
     out = _composed_attention(_composed_layer_norm(x, norm), kv, params, mask,
@@ -428,42 +428,6 @@ def _composed_cross_attention_block(x, kv, norm, params, mask=None,
     return T.add(x, out)
 
 
-@pytest.mark.parametrize("case", ["self", "cross_masked", "spatial_4d"])
-def test_fused_attention_matches_composed(case):
-    rng = np.random.default_rng(11)
-    d, heads = 8, 2
-    p = rand_attention(rng, d, heads)
-    norm = _rand_norm(rng, d)
-    mask = None
-    if case == "self":
-        # the keys are x itself, not its normed rows
-        x = Tensor(rng.normal(size=(2, 5, d)), requires_grad=True)
-        seqs = [x]
-    elif case == "cross_masked":
-        x = Tensor(rng.normal(size=(2, 3, d)), requires_grad=True)
-        kv = Tensor(rng.normal(size=(2, 4, d)), requires_grad=True)
-        mask = rng.random((2, 3, 4)) < 0.6
-        mask[..., 0] = True
-        seqs = [x, kv]
-    else:
-        # the decoder's spatial cross-attention: one query set per clip,
-        # broadcast over the frames of a [B, T, HW, d] grid and averaged
-        x = Tensor(rng.normal(size=(2, 1, 3, d)), requires_grad=True)
-        kv = Tensor(rng.normal(size=(2, 4, 5, d)), requires_grad=True)
-        seqs = [x, kv]
-    weight = Tensor(rng.normal(size=x.shape))
-    inputs = seqs + [norm.gamma, norm.beta, p.wq, p.wk, p.wv, p.wo]
-
-    def call(block):
-        def f(*xs):
-            x, kv = (xs[0], xs[0]) if case == "self" else xs[:2]
-            return block(x, kv, norm, p, mask)
-        return f
-
-    _assert_agree(call(cross_attention_block),
-                  call(_composed_cross_attention_block), inputs, weight)
-
-
 def test_cross_attention_broadcast_query_averages_over_the_batch():
     # one query set against a batch of key sets gives the batch mean of the
     # per-slice results, not a shape error
@@ -473,9 +437,9 @@ def test_cross_attention_broadcast_query_averages_over_the_batch():
     norm = _rand_norm(rng, d)
     x = Tensor(rng.normal(size=(1, 3, d)))
     kv = rng.normal(size=(4, 5, d))
-    out = cross_attention_block(x, Tensor(kv), norm, p)
+    out = attention_block(x, norm, p, Tensor(kv))
     assert out.shape == x.shape
-    per_slice = [cross_attention_block(x, Tensor(kv[b:b + 1]), norm, p).data
+    per_slice = [attention_block(x, norm, p, Tensor(kv[b:b + 1])).data
                  for b in range(4)]
     np.testing.assert_allclose(out.data, np.mean(per_slice, axis=0),
                                rtol=0, atol=1e-12)
@@ -493,11 +457,11 @@ def test_fused_attention_dropout_matches_composed_with_equal_seeds():
 
     def fused(x, kv, *_):
         ctx = RunContext(training=True, rng=np.random.default_rng(7))
-        return cross_attention_block(x, kv, norm, p, None, ctx)
+        return attention_block(x, norm, p, kv, ctx=ctx)
 
     def composed(x, kv, *_):
-        return _composed_cross_attention_block(x, kv, norm, p,
-                                               rng=np.random.default_rng(7))
+        return _composed_attention_block(x, kv, norm, p,
+                                         rng=np.random.default_rng(7))
 
     out_f, _ = _value_and_grads(fused, inputs, weight)
     out_c, _ = _value_and_grads(composed, inputs, weight)
@@ -505,7 +469,7 @@ def test_fused_attention_dropout_matches_composed_with_equal_seeds():
     _assert_agree(fused, composed, inputs, weight)
     # the mask is drawn once per call, at the same point of the stream
     ctx = RunContext(training=True, rng=np.random.default_rng(7))
-    cross_attention_block(x, kv, norm, p, None, ctx)
+    attention_block(x, norm, p, kv, ctx=ctx)
     gen = np.random.default_rng(7)
     gen.random((2, 2, 6, 5))
     assert ctx.rng.random() == gen.random()
@@ -517,7 +481,7 @@ def test_fused_attention_gradient_flows_only_where_required():
     norm = LayerNormParams.init(4)
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     kv = Tensor(rng.normal(size=(5, 4)))
-    T.tsum(cross_attention_block(x, kv, norm, p)).backward()
+    T.tsum(attention_block(x, norm, p, kv)).backward()
     assert x.grad is not None and x.grad.shape == (3, 4)
     assert kv.grad is None
     assert all(w.grad is not None and w.grad.shape == w.shape
@@ -525,7 +489,7 @@ def test_fused_attention_gradient_flows_only_where_required():
     # frozen queries and norm: gradient reaches only the keys and weights
     x, kv = Tensor(x.data), Tensor(kv.data, requires_grad=True)
     frozen = LayerNormParams(Tensor(np.ones(4)), Tensor(np.zeros(4)))
-    T.tsum(cross_attention_block(x, kv, frozen, p)).backward()
+    T.tsum(attention_block(x, frozen, p, kv)).backward()
     assert x.grad is None and frozen.gamma.grad is None
     assert kv.grad is not None and kv.grad.shape == (5, 4)
 
@@ -540,11 +504,6 @@ def test_fused_layer_norm_matches_composed(shape):
     _assert_agree(lambda x, g, b: layer_norm(x, p),
                   lambda x, g, b: _composed_layer_norm(x, p),
                   [x, p.gamma, p.beta], weight)
-
-
-def _composed_self_attention_block(x, norm, params, mask=None, rng=None):
-    h = _composed_layer_norm(x, norm)
-    return T.add(x, _composed_attention(h, h, params, mask, rng))
 
 
 def _composed_feed_forward_block(x, norm, params, rng=None):
@@ -571,34 +530,84 @@ BLOCK_CASES = {"plain": ((2, 5, 8), False, False),
                "one_row": ((3, 1, 8), False, False)}
 
 
-@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
-def test_self_attention_block_matches_composed(case):
-    shape, masked, dropout = BLOCK_CASES[case]
+# (shape of x, kv, masked, dropout): kv None is self-attention over the
+# normed rows, "x" keys that are x itself, not its normed rows; a shape is a
+# separate key set.  spatial_4d is the decoder's spatial cross-attention:
+# one query set per clip, broadcast over the frames of a [B, T, HW, d] grid
+# and averaged
+ATTENTION_CASES = {
+    **{name: (shape, None, masked, dropout)
+       for name, (shape, masked, dropout) in BLOCK_CASES.items()},
+    "self": ((2, 5, 8), "x", False, False),
+    "cross_masked": ((2, 3, 8), (2, 4, 8), True, False),
+    "spatial_4d": ((2, 1, 3, 8), (2, 4, 5, 8), False, False)}
+
+
+@pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+def test_fused_attention_matches_composed(case):
+    shape, kv_shape, masked, dropout = ATTENTION_CASES[case]
     rng = np.random.default_rng(21)
     p = AttentionParams.init(rng, 8, 2, dropout_rate=0.3 if dropout else 0.0)
     norm = _rand_norm(rng, 8)
     x = Tensor(rng.normal(size=shape) * 2 + 0.5, requires_grad=True)
+    inputs = [x, norm.gamma, norm.beta, p.wq, p.wk, p.wv, p.wo]
+    separate = isinstance(kv_shape, tuple)
+    if separate:
+        inputs.append(Tensor(rng.normal(size=kv_shape), requires_grad=True))
     mask = None
     if masked:
-        mask = np.ones(shape[:-1] + (shape[-2],), dtype=bool)
+        keys = kv_shape[-2] if separate else shape[-2]
+        mask = np.ones(shape[:-1] + (keys,), dtype=bool)
         mask[0, :, -1] = mask[1, :, -2:] = False
     weight = Tensor(rng.normal(size=shape))
-    inputs = [x, norm.gamma, norm.beta, p.wq, p.wk, p.wv, p.wo]
     gens = []
 
-    def fused(x, *_):
+    def kv_of(x, rest):
+        if separate:
+            return rest[-1]
+        return x if kv_shape == "x" else None
+
+    def fused(x, *rest):
         ctx = RunContext(training=dropout, rng=np.random.default_rng(5))
         gens.append(ctx.rng)
-        return self_attention_block(x, norm, p, mask, ctx)
+        return attention_block(x, norm, p, kv_of(x, rest), mask, ctx)
 
-    def composed(x, *_):
+    def composed(x, *rest):
+        # kv omitted is kv = layer_norm(x)
+        kv = kv_of(x, rest)
+        kv = _composed_layer_norm(x, norm) if kv is None else kv
         gens.append(np.random.default_rng(5))
-        return _composed_self_attention_block(
-            x, norm, p, mask, gens[-1] if dropout else None)
+        return _composed_attention_block(x, kv, norm, p, mask,
+                                         gens[-1] if dropout else None)
 
     _assert_agree(fused, composed, inputs, weight)
     # the same draws, in the same order: both streams stand at one point
     assert gens[0].random() == gens[1].random()
+
+
+@pytest.mark.parametrize("masked, dropout",
+                         [(False, False), (True, False), (True, True)])
+def test_attention_block_without_kv_equals_kv_layer_norm_x(masked, dropout):
+    # omitting kv packs Q/K/V into one GEMM, but means kv = layer_norm(x):
+    # the same value, the same dropout draw and the same gradients
+    rng = np.random.default_rng(25)
+    p = AttentionParams.init(rng, 8, 2, dropout_rate=0.3 if dropout else 0.0)
+    norm = _rand_norm(rng, 8)
+    x = Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True)
+    mask = None
+    if masked:
+        mask = np.ones((2, 4, 4), dtype=bool)
+        mask[0, :, -1] = mask[1, :, -2:] = False
+    weight = Tensor(rng.normal(size=x.shape))
+
+    def call(kv_of):
+        def f(x, *_):
+            ctx = RunContext(training=dropout, rng=np.random.default_rng(5))
+            return attention_block(x, norm, p, kv_of(x), mask, ctx)
+        return f
+
+    _assert_agree(call(lambda x: None), call(lambda x: layer_norm(x, norm)),
+                  [x, norm.gamma, norm.beta, p.wq, p.wk, p.wv, p.wo], weight)
 
 
 @pytest.mark.parametrize("case", ["plain", "dropout", "cells_4d"])
@@ -634,7 +643,7 @@ def test_fused_blocks_leave_frozen_inputs_without_gradient():
     ffn = FeedForwardParams.init(rng, 4, 8)
     norm = LayerNormParams(Tensor(np.ones(4)), Tensor(np.zeros(4)))
     x = Tensor(rng.normal(size=(2, 3, 4)))
-    out = feed_forward_block(self_attention_block(x, norm, p), norm, ffn)
+    out = feed_forward_block(attention_block(x, norm, p), norm, ffn)
     T.tsum(out).backward()
     assert x.grad is None and norm.gamma.grad is None
     assert all(w.grad is not None and w.grad.shape == w.shape
@@ -643,16 +652,15 @@ def test_fused_blocks_leave_frozen_inputs_without_gradient():
 
 
 def test_fused_blocks_reject_width_mismatch():
+    # the attention block's x and kv width checks are in
+    # test_attention_width_mismatch_rejected
     rng = np.random.default_rng(24)
-    with pytest.raises(ShapeError):
-        self_attention_block(Tensor(np.zeros((2, 6))), LayerNormParams.init(6),
-                             AttentionParams.init(rng, 4, 2))
     with pytest.raises(ShapeError):
         feed_forward_block(Tensor(np.zeros((2, 6))), LayerNormParams.init(6),
                            FeedForwardParams.init(rng, 4, 8))
     with pytest.raises(ShapeError):
-        self_attention_block(Tensor(np.zeros((2, 4))), LayerNormParams.init(5),
-                             AttentionParams.init(rng, 4, 2))
+        attention_block(Tensor(np.zeros((2, 4))), LayerNormParams.init(5),
+                        AttentionParams.init(rng, 4, 2))
 
 
 def test_fused_layer_norm_rejects_mismatched_params():

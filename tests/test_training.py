@@ -2,6 +2,7 @@
 
 import copy
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -174,7 +175,10 @@ def test_training_step_graph_node_count():
     # the widths, so it reads the same as the acceptance overfit config.  The
     # encoder runs one FFN over the video cells and the group token together,
     # the decoder builds its temporal keys and frame rows once, and every
-    # cross-attention is one pre-norm residual node
+    # attention sublayer is one pre-norm residual node: 3 self-attentions
+    # and V2T/T2V per encoder layer, actor self-attention and two
+    # cross-attentions per decoder layer, and the text stub's self-attention.
+    # Nodes are keyed by their backward closure's qualname
     cfg = tiny_cfg()
     cfg.model.encoder_layers = cfg.model.decoder_layers = 2
     corpus = tiny_corpus()
@@ -184,7 +188,12 @@ def test_training_step_graph_node_count():
                        cfg.model, VOCAB, anns)
     _, out = model.forward(batch)
     loss, _ = tr.batch_objective(out, batch, cfg, model.keyframe(), False)
-    assert len(loss.topo_order()) == 322
+    nodes = loss.topo_order()
+    assert len(nodes) == 322
+    kinds = Counter(n._backward.__qualname__.split(".")[0] for n in nodes
+                    if n._backward is not None)
+    assert {k: n for k, n in kinds.items() if "attention" in k} == {
+        "attention_block": 17}
 
 
 def _dfs_order_backward(root):
@@ -386,6 +395,8 @@ def test_train_rejects_bad_mode_and_overlong_run():
         train(tiny_cfg(mode="semi"), corpus, vocab=VOCAB)
     with pytest.raises(TrainingError):
         train(tiny_cfg(), corpus, max_steps=10 ** 6, vocab=VOCAB)
+    with pytest.raises(TrainingError, match="max_steps 0"):
+        train(tiny_cfg(), corpus, max_steps=0, vocab=VOCAB)
 
 
 def test_train_rejects_more_actors_than_queries_before_step_0(tmp_path):
@@ -540,6 +551,24 @@ def test_linear_probe_defaults_match_recipe():
     assert sig.parameters["batch_size"].default == 32
     assert sig.parameters["lr"].default == 1e-3
     assert sig.parameters["momentum"].default == 0.9
+
+
+def test_linear_probe_schedule_spans_every_step(monkeypatch):
+    # 40 rows in batches of 32 is two steps per epoch, the second short:
+    # the cosine schedule must cover both, so no step runs at lr 0
+    lrs, totals = [], set()
+    step, decay = tr.sgd_momentum_step, tr.cosine_decay
+    monkeypatch.setattr(tr, "sgd_momentum_step",
+                        lambda params, opt, lr: (lrs.append(lr),
+                                                 step(params, opt, lr))[1])
+    monkeypatch.setattr(tr, "cosine_decay",
+                        lambda i, total, lr: (totals.add(total),
+                                              decay(i, total, lr))[1])
+    rng = np.random.default_rng(2)
+    linear_probe(rng.normal(size=(40, 4)), rng.integers(0, 3, size=40),
+                 num_classes=3, epochs=4, batch_size=32)
+    assert totals == {len(lrs)} and len(lrs) == 8
+    assert min(lrs) > 0.0
 
 
 def test_linear_probe_separates_trivial_clusters():
