@@ -141,8 +141,7 @@ def cmd_ablate(args) -> int:
     cfg = _load_cfg(args)
     corpus = load_corpus(args.data)
     train_set, test_set = D.make_splits(corpus, (0.75, 0.25), seed=args.seed)
-    seeds = [int(s) for s in args.seeds.split(",")]
-    res = run_ablation(cfg, train_set, test_set, seeds=seeds,
+    res = run_ablation(cfg, train_set, test_set, seeds=args.seeds,
                        max_steps=args.steps)
     for line in res.summary_lines():
         print(line)
@@ -161,6 +160,22 @@ def _at_least_one(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
+
+
+def _seed_list(text: str) -> list:
+    """A non-empty comma-separated list of seeds, each an integer >= 0."""
+    seeds = []
+    for part in text.split(","):
+        try:
+            seed = int(part)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid seed list {text!r}: {part!r} is not an integer")
+        if seed < 0:
+            raise argparse.ArgumentTypeError(
+                f"invalid seed list {text!r}: seed {seed} is negative")
+        seeds.append(seed)
+    return seeds
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("ablate", help="encoder/decoder/fusion on-off sweep")
     a.add_argument("--config")
     a.add_argument("--data", required=True)
-    a.add_argument("--seeds", default="0,1,2")
+    a.add_argument("--seeds", type=_seed_list, default="0,1,2",
+                   help="comma-separated training seeds")
     a.add_argument("--seed", type=int, default=0, help="split seed")
     a.add_argument("--steps", type=_at_least_one)
     a.add_argument("--out", help="write JSON summary here")

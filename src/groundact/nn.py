@@ -158,24 +158,39 @@ def attention_block(x: Tensor, norm: LayerNormParams, params: AttentionParams,
     is a boolean array broadcastable to [..., Lq, Lk]; True marks keys that
     may be attended to; a padding mask over the keys is passed as
     [..., 1, Lk].  Every query row must keep a key.
+
+    Any of the norm's and the attention's parameters may be stacked on x's
+    leading axis (a weight [K, d, d], gamma [K, d]); member k then applies
+    to x[k] and kv[k], and kv must have x's rank and leading axis.
     """
     d, h = params.d_model, params.num_heads
     if x.shape[-1] != d or (kv is not None and kv.shape[-1] != d):
         raise ShapeError(f"width mismatch: x {x.shape}, kv "
                          f"{None if kv is None else kv.shape}, d_model {d}")
     wq, wk, wv, wo = params.wq, params.wk, params.wv, params.wo
+    weights = (wq, wk, wv, wo)
+    T.check_members("attention_block", x.shape,
+                    [(n, w.shape, 2) for n, w in zip(("wq", "wk", "wv", "wo"),
+                                                     weights)])
+    if (kv is not None and any(w.ndim == 3 for w in weights)
+            and (kv.ndim != x.ndim or kv.shape[0] != x.shape[0])):
+        raise ShapeError(f"attention_block: stacked weights need kv "
+                         f"{kv.shape} with the rank and leading axis of "
+                         f"x {x.shape}")
     hn, normed, std = _layer_norm_forward(x.data, norm)
     if kv is None:
-        w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-        qkv = _split(hn @ w_qkv, 3 * h)                     # [..., 3h, L, dh]
+        w_qkv = np.concatenate(np.broadcast_arrays(wq.data, wk.data, wv.data),
+                               axis=-1)
+        qkv = _split(T.apply_weight(hn, w_qkv), 3 * h)      # [..., 3h, L, dh]
         q, k, v = (qkv[..., i * h:(i + 1) * h, :, :] for i in range(3))
     else:
         xkv = kv.data
-        q, k, v = (_split(hn @ wq.data, h), _split(xkv @ wk.data, h),
-                   _split(xkv @ wv.data, h))
+        q, k, v = (_split(T.apply_weight(hn, wq.data), h),
+                   _split(T.apply_weight(xkv, wk.data), h),
+                   _split(T.apply_weight(xkv, wv.data), h))
     out, attend_backward = _attend(q, k, v, mask, ctx, params.dropout_rate)
     merged = _merge(out)
-    attended = merged @ wo.data
+    attended = T.apply_weight(merged, wo.data)
     full = attended.shape
     if full != x.shape:
         scale = 1.0 / (attended.size // x.size)
@@ -190,24 +205,29 @@ def attention_block(x: Tensor, norm: LayerNormParams, params: AttentionParams,
         g_attn = (g if full == x.shape
                   else np.broadcast_to(g * scale, full).copy())
         if wo.requires_grad:
-            wo.accumulate(T.rows(merged).T @ T.rows(g_attn))
-        grads = attend_backward(_split(g_attn @ wo.data.T, h))
+            wo.accumulate(T.weight_grad(merged, g_attn, wo.data))
+        d_merged = T.apply_weight(g_attn, np.swapaxes(wo.data, -1, -2))
+        grads = attend_backward(_split(d_merged, h))
         if kv is None:
             d_qkv = _merge(np.concatenate(grads, axis=-3))  # [..., L, 3d]
-            d_w = T.rows(hn).T @ T.rows(d_qkv)
+            d_w = T.weight_grad(hn, d_qkv, w_qkv)
             for i, w in enumerate((wq, wk, wv)):
                 if w.requires_grad:
-                    w.accumulate(d_w[:, i * d:(i + 1) * d])
-            d_hn = d_qkv @ w_qkv.T
+                    # a shared weight beside stacked ones sums the members
+                    w.accumulate(T.unbroadcast(d_w[..., i * d:(i + 1) * d],
+                                               w.shape))
+            d_hn = T.apply_weight(d_qkv, np.swapaxes(w_qkv, -1, -2))
         else:
             d_q, d_k, d_v = (T.unbroadcast(_merge(dz), a.shape) for dz, a
                              in zip(grads, (hn, xkv, xkv)))
             for w, a, dw in ((wq, hn, d_q), (wk, xkv, d_k), (wv, xkv, d_v)):
                 if w.requires_grad:
-                    w.accumulate(T.rows(a).T @ T.rows(dw))
+                    w.accumulate(T.weight_grad(a, dw, w.data))
             if kv.requires_grad:
-                kv.accumulate(d_k @ wk.data.T + d_v @ wv.data.T)
-            d_hn = d_q @ wq.data.T
+                kv.accumulate(
+                    T.apply_weight(d_k, np.swapaxes(wk.data, -1, -2))
+                    + T.apply_weight(d_v, np.swapaxes(wv.data, -1, -2)))
+            d_hn = T.apply_weight(d_q, np.swapaxes(wq.data, -1, -2))
         d_x = _layer_norm_backward(d_hn, normed, std, norm)
         # when kv is x, both writes land in the same tensor
         if x.requires_grad:
@@ -238,39 +258,44 @@ def feed_forward_block(x: Tensor, norm: LayerNormParams,
                        params: FeedForwardParams,
                        ctx: RunContext = EVAL) -> Tensor:
     """x + GELU perceptron(layer_norm(x)), d -> d_ff -> d with dropout on the
-    hidden layer, as one graph node with a hand-written backward."""
+    hidden layer, as one graph node with a hand-written backward.  Any
+    parameter may be stacked on x's leading axis, as in
+    :func:`attention_block`."""
     w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
-    if x.shape[-1] != w1.shape[0]:
+    if x.shape[-1] != w1.shape[-2]:
         raise ShapeError(f"ffn width mismatch: {x.shape} vs {w1.shape}")
+    T.check_members("feed_forward_block", x.shape,
+                    [("w1", w1.shape, 2), ("b1", b1.shape, 1),
+                     ("w2", w2.shape, 2), ("b2", b2.shape, 1)])
     hn, normed, std = _layer_norm_forward(x.data, norm)
-    pre = hn @ w1.data
-    pre += b1.data
+    pre = T.apply_weight(hn, w1.data)
+    pre += T.per_member(b1.data, pre.ndim)
     hidden, tanh = T.gelu_forward(pre)
     keep = ctx.keep_mask(hidden.shape, params.dropout_rate)
     if keep is not None:
         hidden = hidden * keep
-    out = hidden @ w2.data
-    out += b2.data
+    out = T.apply_weight(hidden, w2.data)
+    out += T.per_member(b2.data, out.ndim)
     data = x.data + out
 
     parents = (x, norm.gamma, norm.beta, w1, b1, w2, b2)
     req = any(p.requires_grad for p in parents)
 
     def backward(g):
-        g2 = T.rows(g)
         if w2.requires_grad:
-            w2.accumulate(T.rows(hidden).T @ g2)
+            w2.accumulate(T.weight_grad(hidden, g, w2.data))
         if b2.requires_grad:
-            b2.accumulate(g2.sum(axis=0))
-        d_hidden = g @ w2.data.T
+            b2.accumulate(T.row_sum(g, b2.data))
+        d_hidden = T.apply_weight(g, np.swapaxes(w2.data, -1, -2))
         if keep is not None:
             d_hidden *= keep
         d_pre = d_hidden * T.gelu_slope(pre, tanh)
         if w1.requires_grad:
-            w1.accumulate(T.rows(hn).T @ T.rows(d_pre))
+            w1.accumulate(T.weight_grad(hn, d_pre, w1.data))
         if b1.requires_grad:
-            b1.accumulate(T.rows(d_pre).sum(axis=0))
-        d_x = _layer_norm_backward(d_pre @ w1.data.T, normed, std, norm)
+            b1.accumulate(T.row_sum(d_pre, b1.data))
+        d_hn = T.apply_weight(d_pre, np.swapaxes(w1.data, -1, -2))
+        d_x = _layer_norm_backward(d_hn, normed, std, norm)
         if x.requires_grad:
             x.accumulate(g + d_x)
 
@@ -294,18 +319,22 @@ _LN_EPS = 1e-5
 
 def _layer_norm_forward(x: np.ndarray, params: LayerNormParams):
     """Normalized, scaled and shifted x, plus the normalized rows and their
-    standard deviations for the backward."""
+    standard deviations for the backward.  gamma and beta may be stacked
+    [K, n] on x's leading axis."""
     gamma, beta = params.gamma, params.beta
     n = x.shape[-1]
-    if gamma.shape != (n,) or beta.shape != (n,):
+    if gamma.shape[-1:] != (n,) or beta.shape[-1:] != (n,):
         raise ShapeError(f"layer norm of width {n} with gamma {gamma.shape}, "
                          f"beta {beta.shape}")
+    T.check_members("layer_norm", x.shape,
+                    [("gamma", gamma.shape, 1), ("beta", beta.shape, 1)])
     mean = x.sum(axis=-1, keepdims=True) * (1.0 / n)
     centered = x - mean
     var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
     std = np.sqrt(var + _LN_EPS)
     normed = centered / std
-    return normed * gamma.data + beta.data, normed, std
+    return (normed * T.per_member(gamma.data, x.ndim)
+            + T.per_member(beta.data, x.ndim)), normed, std
 
 
 def _layer_norm_backward(g: np.ndarray, normed: np.ndarray, std: np.ndarray,
@@ -313,11 +342,11 @@ def _layer_norm_backward(g: np.ndarray, normed: np.ndarray, std: np.ndarray,
     """Accumulate gamma's and beta's gradients; return the input's."""
     gamma, beta = params.gamma, params.beta
     if gamma.requires_grad:
-        gamma.accumulate(T.rows(g * normed).sum(axis=0))
+        gamma.accumulate(T.row_sum(g * normed, gamma.data))
     if beta.requires_grad:
-        beta.accumulate(T.rows(g).sum(axis=0))
+        beta.accumulate(T.row_sum(g, beta.data))
     n = g.shape[-1]
-    gn = g * gamma.data
+    gn = g * T.per_member(gamma.data, g.ndim)
     dot = (gn * normed).sum(axis=-1, keepdims=True) * (1.0 / n)
     gn -= gn.sum(axis=-1, keepdims=True) * (1.0 / n)
     gn -= normed * dot

@@ -294,30 +294,90 @@ def matmul(a, b):
     return Tensor(data, req, (a, b), backward if req else None)
 
 
+# -- the member axis ---------------------------------------------------------
+#
+# A parameter of base rank r (a weight [n, m] has r = 2, a bias or a layer
+# norm's gamma [m] has r = 1) may carry one more, leading axis [K]: member k
+# then applies to row k of axis 0 of the input.  A 2-d weight keeps the one
+# GEMM over every row; a stacked one runs one GEMM per member, which numpy's
+# matmul gives bit-identical to K separate calls (np.einsum does not).
+
+def check_members(op: str, x_shape: tuple, params) -> None:
+    """Reject a parameter that is neither its base rank nor stacked [K, ...]
+    on the leading axis of an input of shape x_shape.  params holds
+    (name, shape, base rank) triples."""
+    for name, shape, base in params:
+        if len(shape) == base:
+            continue
+        if len(shape) != base + 1 or len(x_shape) < 2 or shape[0] != x_shape[0]:
+            raise ShapeError(
+                f"{op}: {name} {tuple(shape)} must have {base} axes, or "
+                f"{base + 1} with a leading member axis equal to that of "
+                f"x {tuple(x_shape)}")
+
+
+def per_member(p: np.ndarray, ndim: int) -> np.ndarray:
+    """A bias-like p as an operand of an ndim-d array: [m] as it is; a
+    stacked [K, m] as [K, 1, ..., 1, m], so that member k meets row k."""
+    if p.ndim == 1:
+        return p
+    return p.reshape(p.shape[:1] + (1,) * (ndim - 2) + p.shape[1:])
+
+
+def apply_weight(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a [..., n] @ w [n, m]; for a stacked w [K, n, m], a[k] @ w[k]."""
+    if w.ndim == 2:
+        return a @ w
+    k = w.shape[0]
+    return (a.reshape(k, -1, a.shape[-1]) @ w).reshape(*a.shape[:-1],
+                                                       w.shape[-1])
+
+
+def weight_grad(a: np.ndarray, g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The gradient of w in a @ w, given the output's gradient g: one GEMM
+    over every row for a 2-d w, one per member for a stacked w."""
+    if w.ndim == 2:
+        return rows(a).T @ rows(g)
+    k = w.shape[0]
+    return (np.swapaxes(a.reshape(k, -1, a.shape[-1]), -1, -2)
+            @ g.reshape(k, -1, g.shape[-1]))
+
+
+def row_sum(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The rows of g summed into the shape of a bias-like p: every row for
+    p [m], member k's rows into p[k] for a stacked p [K, m]."""
+    if p.ndim == 1:
+        return rows(g).sum(axis=0)
+    return g.reshape(p.shape[0], -1, g.shape[-1]).sum(axis=1)
+
+
 def linear(x, w, b=None):
-    """x @ w + b over the last axis: x [..., n], w [n, m], b [m] or None."""
+    """x @ w + b over the last axis: x [..., n], w [n, m], b [m] or None;
+    w and b may each be stacked on x's leading axis."""
     x, w = as_tensor(x), as_tensor(w)
-    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
+    if w.ndim < 2 or x.ndim < 1 or x.shape[-1] != w.shape[-2]:
         raise ShapeError(f"linear needs x [..., n] and w [n, m], got "
                          f"{x.shape} and {w.shape}")
+    params = [("w", w.shape, 2)]
     if b is not None:
         b = as_tensor(b)
-        if b.shape != w.shape[1:]:
+        if b.ndim == 0 or b.shape[-1] != w.shape[-1]:
             raise ShapeError(f"linear bias {b.shape} does not match w {w.shape}")
-    data = x.data @ w.data
+        params.append(("b", b.shape, 1))
+    check_members("linear", x.shape, params)
+    data = apply_weight(x.data, w.data)
     if b is not None:
-        data += b.data
+        data += per_member(b.data, data.ndim)
     parents = (x, w) if b is None else (x, w, b)
     req = any(p.requires_grad for p in parents)
 
     def backward(g):
-        g2 = rows(g)
         if x.requires_grad:
-            x.accumulate(g @ w.data.T)
+            x.accumulate(apply_weight(g, np.swapaxes(w.data, -1, -2)))
         if w.requires_grad:
-            w.accumulate(rows(x.data).T @ g2)
+            w.accumulate(weight_grad(x.data, g, w.data))
         if b is not None and b.requires_grad:
-            b.accumulate(g2.sum(axis=0))
+            b.accumulate(row_sum(g, b.data))
 
     return Tensor(data, req, parents, backward if req else None)
 

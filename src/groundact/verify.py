@@ -3,7 +3,7 @@ and for each assembled block at toy sizes."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,14 +27,30 @@ def _row_sums(y: Tensor) -> Tensor:
     return T.tsum(T.reshape(y, (y.shape[0], -1)), axis=1)
 
 
+class _RowDropout(nn.RunContext):
+    """A training context for a stack of rows: the keep mask is drawn for one
+    row and shared by every row, so row k gets the mask that a call on row k
+    alone draws from the same generator state."""
+
+    def keep_mask(self, shape, rate: float) -> Optional[np.ndarray]:
+        keep = super().keep_mask(shape[1:], rate)
+        return None if keep is None else np.broadcast_to(keep, shape)
+
+
+def _dropout() -> _RowDropout:
+    # a fresh generator per call keeps each case's f deterministic
+    return _RowDropout(training=True, rng=np.random.default_rng(0))
+
+
 def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
     """(name, function, input) triples covering every registered op, each
     function in the stacked form that :func:`grad_check` takes.
 
-    A case whose op broadcasts over a leading stack axis sums each row of
-    its output; the rest (weights unpacked from the input, one dropout draw
-    per call, or a shape spelled for one input) are scalar functions of one
-    input lifted by :func:`T.rowwise`.
+    Every case takes the stack as one more leading axis, so one call
+    evaluates every row, and sums each row of its output.  Weights unpacked
+    from the input are stacked on that axis (the member axis of
+    :func:`T.linear` and the :mod:`nn` blocks), and the dropout cases share
+    one keep mask across the stack through :class:`_RowDropout`.
     """
     rs = _row_sums
     # constants are drawn once, outside the closures: grad_check re-invokes
@@ -76,25 +92,20 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
             at += n
         return out
 
-    @T.rowwise
     def linear(x):
         xs, w, b = unpack(x, (2, 3, 4), (4, 3), (3,))
-        return T.tsum(T.mul(T.linear(xs, w, b), m_lin))
+        return rs(T.mul(T.linear(xs, w, b), m_lin))
 
-    @T.rowwise
     def layer_norm(x):
         xs, g, b = unpack(x, (2, 3, 4), (4,), (4,))
-        return T.tsum(T.mul(nn.layer_norm(xs, nn.LayerNormParams(g, b)), m_ln))
+        return rs(T.mul(nn.layer_norm(xs, nn.LayerNormParams(g, b)), m_ln))
 
-    @T.rowwise
     def kv_is_x(x):
-        # kv is x; dropout on, with a fresh generator per call so f is
-        # deterministic
+        # kv is x; dropout on
         xs, wq, wk, wv, wo = unpack(x, (2, 3, 4), *[(4, 4)] * 4)
         p = nn.AttentionParams(2, 4, wq, wk, wv, wo, dropout_rate=0.25)
-        ctx = nn.RunContext(training=True, rng=np.random.default_rng(0))
-        return T.tsum(T.mul(nn.attention_block(xs, norm, p, xs, ctx=ctx),
-                            m_self))
+        return rs(T.mul(nn.attention_block(xs, norm, p, xs, ctx=_dropout()),
+                        m_self))
 
     def frames(x):
         # 4-d queries broadcast over (and averaged over) the keys' frames,
@@ -103,21 +114,19 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
         out = nn.attention_block(q, norm, attn, kv, key_mask)
         return rs(T.mul(out, m_cross))
 
-    @T.rowwise
     def attention_self(x):
-        # kv omitted: Q/K/V packed into one GEMM; dropout on, as in kv_is_x
+        # kv omitted: Q/K/V packed into one GEMM, stacked beside a shared wo;
+        # dropout on, as in kv_is_x
         xs, wq, wk, wv = unpack(x, (1, 2, 4), *[(4, 4)] * 3)
         p = nn.AttentionParams(2, 4, wq, wk, wv, wo, dropout_rate=0.25)
-        ctx = nn.RunContext(training=True, rng=np.random.default_rng(0))
-        return T.tsum(T.mul(nn.attention_block(xs, norm, p, ctx=ctx),
-                            m_block))
+        return rs(T.mul(nn.attention_block(xs, norm, p, ctx=_dropout()),
+                        m_block))
 
-    @T.rowwise
     def feed_forward_block(x):
         xs, w1, b1, w2, b2 = unpack(x, (1, 2, 4), (4, 4), (4,), (4, 4), (4,))
         p = nn.FeedForwardParams(w1, b1, w2, b2, dropout_rate=0.25)
-        ctx = nn.RunContext(training=True, rng=np.random.default_rng(0))
-        return T.tsum(T.mul(nn.feed_forward_block(xs, norm, p, ctx), m_block))
+        return rs(T.mul(nn.feed_forward_block(xs, norm, p, _dropout()),
+                        m_block))
 
     return [
         ("add", lambda x: rs(T.add(x, b)), u(4, 3)),
@@ -125,7 +134,8 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
         ("mul", lambda x: rs(T.mul(x, b)), u(4, 3)),
         ("div", lambda x: rs(T.div(x, denom)), u(4, 3)),
         ("broadcast_add",
-         T.rowwise(lambda x: T.tsum(T.mul(T.add(x, big), big))), u(3)),
+         lambda x: rs(T.mul(T.add(T.reshape(x, (-1, 1, 1, 3)), big), big)),
+         u(3)),
         ("matmul", lambda x: rs(T.matmul(x, rhs)), u(4, 3)),
         ("batched_matmul", lambda x: rs(T.matmul(x, rhs_b)), u(2, 5, 3)),
         ("maximum", lambda x: rs(T.maximum(x, b)), u(4, 3)),
@@ -140,15 +150,13 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
         ("abs", lambda x: rs(T.absolute(x)), u(4, 3)),
         ("softplus", lambda x: rs(T.softplus(x)), u(4, 3)),
         ("sum_axis", lambda x: rs(T.mul(T.tsum(x, axis=-1), v4)), u(4, 3)),
-        ("mean", T.rowwise(lambda x: T.tmean(T.mul(x, b))), u(4, 3)),
+        ("mean", lambda x: T.tmean(T.mul(x, b), axis=(1, 2)), u(4, 3)),
         ("softmax", lambda x: rs(T.mul(T.softmax(x, axis=-1), b)), u(4, 3)),
         ("log_softmax", lambda x: rs(T.mul(T.log_softmax(x, axis=-1), b)),
          u(4, 3)),
-        ("reshape",
-         T.rowwise(lambda x: T.tsum(T.mul(T.reshape(x, (3, 4)), m34))),
+        ("reshape", lambda x: rs(T.mul(T.reshape(x, (-1, 3, 4)), m34)),
          u(4, 3)),
-        ("transpose",
-         T.rowwise(lambda x: T.tsum(T.mul(T.transpose(x, (1, 0)), m43))),
+        ("transpose", lambda x: rs(T.mul(T.transpose(x, (0, 2, 1)), m43)),
          u(4, 3)),
         ("getitem", lambda x: rs(T.mul(x[..., 1:3, :2], m22)), u(4, 3)),
         ("getitem_fancy", lambda x: rs(x[..., np.array([0, 2, 2]), :]),
@@ -156,8 +164,9 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
         ("concat", lambda x: rs(T.mul(T.concat([x, x], axis=-2), m83)),
          u(4, 3)),
         ("broadcast_to",
-         T.rowwise(lambda x: T.tsum(T.mul(T.broadcast_to(x, (5, 4, 3)),
-                                          m543))), u(4, 3)),
+         lambda x: rs(T.mul(T.broadcast_to(T.reshape(x, (-1, 1, 4, 3)),
+                                           (x.shape[0], 5, 4, 3)), m543)),
+         u(4, 3)),
         ("where", lambda x: rs(T.where(np.eye(4, 3, dtype=bool), x, b)),
          u(4, 3)),
         ("softmax_cross_entropy",

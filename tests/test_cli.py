@@ -188,6 +188,22 @@ def test_counts_below_one_are_rejected_before_any_work(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seeds, reason", [
+    ("", "'' is not an integer"),
+    ("0,,1", "'' is not an integer"),
+    ("0,x", "'x' is not an integer"),
+    ("1,-2", "seed -2 is negative"),
+])
+def test_ablate_rejects_a_bad_seed_list_before_loading(tmp_path, capsys,
+                                                        seeds, reason):
+    # the data directory does not exist: nothing is loaded
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", "--data", str(tmp_path / "absent"), "--seeds", seeds])
+    assert exc.value.code == 2
+    assert (f"argument --seeds: invalid seed list {seeds!r}: {reason}"
+            in capsys.readouterr().err)
+
+
 def test_ablate_command(workspace, capsys):
     tmp, data, cfg = workspace
     out_json = tmp / "ablate.json"

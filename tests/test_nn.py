@@ -1,5 +1,7 @@
 """Attention, feed-forward, layer norm, conv1d, positional encodings."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -667,3 +669,158 @@ def test_fused_layer_norm_rejects_mismatched_params():
     p = LayerNormParams.init(5)
     with pytest.raises(ShapeError):
         layer_norm(Tensor(np.zeros((2, 4))), p)
+
+
+# -- the member axis ---------------------------------------------------------
+
+def _stacked_matches_separate(call, x, params, shared=(), kv=None, mask=None):
+    """call(x, kv, params, mask) once with the parameters stacked on x's
+    leading axis, and once per member k on x[k], kv[k], mask[k] and the 2-d
+    parameters of member k.  The forward and the gradients of x, kv and every
+    stacked parameter are array_equal; a shared parameter's gradient, summed
+    over the members in another order, agrees to 1e-12."""
+    leaf = lambda a: Tensor(np.array(a), requires_grad=True)
+    weight = np.random.default_rng(3).normal(size=x.shape)
+    names = ["x"] + ([] if kv is None else ["kv"]) + list(params)
+
+    def run(x, kv, params, mask, weight):
+        x, kv = leaf(x), None if kv is None else leaf(kv)
+        params = {n: leaf(p) for n, p in params.items()}
+        out = call(x, kv, params, mask)
+        T.tsum(T.mul(out, Tensor(weight))).backward()
+        inputs = [x] + ([] if kv is None else [kv]) + list(params.values())
+        return out.data, dict(zip(names, (t.grad for t in inputs)))
+
+    out, grads = run(x, kv, params, mask, weight)
+    sums = {n: 0.0 for n in shared}
+    for k in range(x.shape[0]):
+        out_k, grads_k = run(
+            x[k], None if kv is None else kv[k],
+            {n: p if n in shared else p[k] for n, p in params.items()},
+            None if mask is None else mask[k], weight[k])
+        np.testing.assert_array_equal(out[k], out_k)
+        for n, g in grads_k.items():
+            if n in shared:
+                sums[n] = sums[n] + g
+            else:
+                np.testing.assert_array_equal(grads[n][k], g, err_msg=n)
+    for n in shared:
+        np.testing.assert_allclose(grads[n], sums[n], rtol=0, atol=1e-12)
+
+
+def _norm_of(p):
+    return LayerNormParams(p["gamma"], p["beta"])
+
+
+def _members(rng, k, shapes):
+    return {n: rng.normal(size=(k, *s)) for n, s in shapes.items()}
+
+
+@pytest.mark.parametrize("shape, shared", [((3, 5, 8), ()),
+                                           ((3, 2, 4, 8), ()),
+                                           ((3, 5, 8), ("beta",))])
+def test_stacked_layer_norm_matches_separate_calls(shape, shared):
+    rng = np.random.default_rng(30)
+    params = _members(rng, 3, {"gamma": (8,), "beta": (8,)})
+    for n in shared:
+        params[n] = params[n][0]
+    _stacked_matches_separate(lambda x, kv, p, m: layer_norm(x, _norm_of(p)),
+                              rng.normal(size=shape) * 2 + 1, params, shared)
+
+
+# (shape of x, of kv or None for self-attention, masked, shared parameters):
+# "mixed" is stacked wq/wk/wv beside a shared wo and norm;
+# "packed_mixed" shares two of the three packed weights; "frames" is the
+# broadcast-and-average path, one query set per member over its frames
+STACKED_ATTENTION = {
+    "self": ((3, 5, 8), None, False, ()),
+    "self_4d": ((3, 2, 4, 8), None, False, ()),
+    "mixed": ((3, 5, 8), None, False, ("wo", "gamma", "beta")),
+    "packed_mixed": ((3, 5, 8), None, False, ("wk", "wv")),
+    "cross_masked": ((3, 4, 8), (3, 6, 8), True, ()),
+    "frames": ((3, 1, 4, 8), (3, 2, 5, 8), False, ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACKED_ATTENTION))
+def test_stacked_attention_block_matches_separate_calls(case):
+    shape, kv_shape, masked, shared = STACKED_ATTENTION[case]
+    rng = np.random.default_rng(31)
+    params = _members(rng, 3, {**{w: (8, 8) for w in ("wq", "wk", "wv", "wo")},
+                               "gamma": (8,), "beta": (8,)})
+    for n in shared:
+        params[n] = params[n][0]
+    kv = None if kv_shape is None else rng.normal(size=kv_shape)
+    mask = None
+    if masked:
+        mask = rng.random(shape[:-1] + kv_shape[-2:-1]) < 0.7
+        mask[..., 0] = True
+
+    def call(x, kv, p, m):
+        attn = AttentionParams(2, 8, p["wq"], p["wk"], p["wv"], p["wo"])
+        return attention_block(x, _norm_of(p), attn, kv, m)
+
+    _stacked_matches_separate(call, rng.normal(size=shape), params, shared,
+                              kv, mask)
+
+
+@pytest.mark.parametrize("shape, shared", [((3, 5, 8), ()),
+                                           ((3, 2, 4, 8), ()),
+                                           ((3, 5, 8), ("w1", "b2", "gamma"))])
+def test_stacked_feed_forward_block_matches_separate_calls(shape, shared):
+    rng = np.random.default_rng(32)
+    params = _members(rng, 3, {"w1": (8, 16), "b1": (16,), "w2": (16, 8),
+                               "b2": (8,), "gamma": (8,), "beta": (8,)})
+    for n in shared:
+        params[n] = params[n][0]
+
+    def call(x, kv, p, m):
+        ffn = FeedForwardParams(p["w1"], p["b1"], p["w2"], p["b2"])
+        return feed_forward_block(x, _norm_of(p), ffn)
+
+    _stacked_matches_separate(call, rng.normal(size=shape), params, shared)
+
+
+# (block, x shape, parameter, its bad shape, kv shape, the shape the message
+# names beside x's): the bad parameter's, or kv's where kv is what disagrees
+MEMBER_MISMATCHES = {
+    "layer_norm_k": ("layer_norm", (2, 5, 8), "gamma", (3, 8), None, (3, 8)),
+    "layer_norm_rank": ("layer_norm", (2, 5, 8), "beta", (2, 1, 8), None,
+                        (2, 1, 8)),
+    "layer_norm_1d_x": ("layer_norm", (8,), "gamma", (8, 8), None, (8, 8)),
+    "self_attention_k": ("attention", (2, 5, 8), "wq", (3, 8, 8), None,
+                         (3, 8, 8)),
+    "self_attention_rank": ("attention", (2, 5, 8), "wo", (2, 1, 8, 8), None,
+                            (2, 1, 8, 8)),
+    "cross_attention_k": ("attention", (2, 5, 8), "wk", (3, 8, 8), (3, 6, 8),
+                          (3, 8, 8)),
+    "cross_attention_kv": ("attention", (2, 5, 8), "wv", (2, 8, 8), (1, 6, 8),
+                           (1, 6, 8)),
+    "feed_forward_k": ("ffn", (2, 5, 8), "b1", (3, 16), None, (3, 16)),
+    "feed_forward_rank": ("ffn", (2, 5, 8), "w2", (2, 2, 16, 8), None,
+                          (2, 2, 16, 8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMBER_MISMATCHES))
+def test_member_axis_mismatch_names_both_shapes(case):
+    # a stacked parameter must sit on x's leading axis with one extra axis;
+    # anything else fails here, not as a broadcast error inside matmul
+    block, x_shape, name, bad, kv_shape, named = MEMBER_MISMATCHES[case]
+    shapes = {"gamma": (8,), "beta": (8,), "wq": (8, 8), "wk": (8, 8),
+              "wv": (8, 8), "wo": (8, 8), "w1": (8, 16), "b1": (16,),
+              "w2": (16, 8), "b2": (8,), name: bad}
+    p = {n: Tensor(np.zeros(s)) for n, s in shapes.items()}
+    x, norm = Tensor(np.zeros(x_shape)), _norm_of(p)
+    kv = None if kv_shape is None else Tensor(np.zeros(kv_shape))
+    calls = {
+        "layer_norm": lambda: layer_norm(x, norm),
+        "attention": lambda: attention_block(
+            x, norm, AttentionParams(2, 8, p["wq"], p["wk"], p["wv"], p["wo"]),
+            kv),
+        "ffn": lambda: feed_forward_block(
+            x, norm, FeedForwardParams(p["w1"], p["b1"], p["w2"], p["b2"])),
+    }
+    with pytest.raises(ShapeError, match=re.escape(str(named)) + ".*"
+                       + re.escape(str(x_shape))):
+        calls[block]()

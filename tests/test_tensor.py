@@ -1,5 +1,6 @@
 """Autodiff engine: forward values, gradients, graph contracts, container."""
 
+import re
 import struct
 import tempfile
 
@@ -533,6 +534,69 @@ def test_linear_weight_gradient_sums_over_all_leading_axes():
     T.tsum(T.mul(T.linear(x, w), Tensor(weight))).backward()
     np.testing.assert_allclose(w.grad, np.einsum("abik,abij->kj", x.data,
                                                  weight), rtol=0, atol=1e-12)
+
+
+# each member is a matrix of rows: a shared w multiplies a lone 1-d row as a
+# vector-matrix product, whose rounding differs from a row of one GEMM
+@pytest.mark.parametrize("x_shape", [(3, 1, 4), (3, 5, 4), (3, 2, 5, 4)])
+@pytest.mark.parametrize("stacked", ["w_and_b", "w", "b", "w_no_bias"])
+def test_stacked_linear_matches_separate_calls(x_shape, stacked):
+    # member k of a weight or bias stacked on x's leading axis applies to
+    # x[k]: the same bits as K separate calls, forward and backward; a
+    # shared parameter's gradient sums the members in another order
+    rng = np.random.default_rng(23)
+    k = x_shape[0]
+    x = rng.normal(size=x_shape)
+    w = rng.normal(size=(k, 4, 3) if "w" in stacked else (4, 3))
+    b = None if stacked == "w_no_bias" else rng.normal(
+        size=(k, 3) if "b" in stacked else (3,))
+    weight = rng.normal(size=x_shape[:-1] + (3,))
+    inputs = [t(x), t(w)] + ([] if b is None else [t(b)])
+    out, grads = _grads(T.linear, inputs, Tensor(weight))
+    sums = [0.0] * len(inputs)
+    for m in range(k):
+        member = [t(a[m] if a.ndim > base else a)
+                  for a, base in zip((x, w, b), (1, 2, 1)) if a is not None]
+        out_m, grads_m = _grads(T.linear, member, Tensor(weight[m]))
+        np.testing.assert_array_equal(out[m], out_m)
+        for i, (g, g_m) in enumerate(zip(grads, grads_m)):
+            if g.ndim == g_m.ndim:          # shared: summed over the members
+                sums[i] = sums[i] + g_m
+            else:
+                np.testing.assert_array_equal(g[m], g_m)
+    for g, total in zip(grads, sums):
+        if not np.isscalar(total):
+            np.testing.assert_allclose(g, total, rtol=0, atol=1e-12)
+
+
+def test_member_axis_helpers_keep_the_2d_arithmetic():
+    # an unstacked parameter takes exactly the one-GEMM expressions the ops
+    # used before the member axis existed
+    rng = np.random.default_rng(24)
+    a, g = rng.normal(size=(2, 3, 5, 4)), rng.normal(size=(2, 3, 5, 6))
+    w, b = rng.normal(size=(4, 6)), rng.normal(size=6)
+    np.testing.assert_array_equal(T.apply_weight(a, w), a @ w)
+    np.testing.assert_array_equal(T.apply_weight(g, np.swapaxes(w, -1, -2)),
+                                  g @ w.T)
+    np.testing.assert_array_equal(T.weight_grad(a, g, w),
+                                  T.rows(a).T @ T.rows(g))
+    np.testing.assert_array_equal(T.row_sum(g, b), T.rows(g).sum(axis=0))
+    assert T.per_member(b, 4) is b
+
+
+@pytest.mark.parametrize("x_shape, w_shape, b_shape, bad", [
+    ((2, 5, 4), (3, 4, 3), None, (3, 4, 3)),
+    ((2, 5, 4), (4, 3), (3, 3), (3, 3)),
+    ((2, 5, 4), (2, 4, 3), (2, 1, 3), (2, 1, 3)),
+    ((4,), (4, 4, 3), None, (4, 4, 3)),
+    ((2, 5, 4), (1, 2, 4, 3), None, (1, 2, 4, 3)),
+])
+def test_linear_member_axis_mismatch_names_both_shapes(x_shape, w_shape,
+                                                       b_shape, bad):
+    b = None if b_shape is None else t(np.zeros(b_shape))
+    with pytest.raises(ShapeError, match=re.escape(str(bad)) + ".*"
+                       + re.escape(str(x_shape))):
+        T.linear(t(np.zeros(x_shape)), t(np.zeros(w_shape)), b)
 
 
 def test_gelu_matches_composed_reference():
