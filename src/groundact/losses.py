@@ -1,6 +1,7 @@
 """Grounding objective: L1 + generalized IoU on Hungarian-matched boxes (one
-fused graph node per decoder layer), plus group cross-entropy and per-actor
-binary cross-entropy, accumulated over every decoder layer.
+fused graph node per decoder layer, one value per clip), plus group
+cross-entropy and per-actor binary cross-entropy, accumulated over every
+decoder layer.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import tensor as T
 from .config import LossWeights
-from .tensor import ContractError, Tensor
+from .tensor import ContractError, ShapeError, Tensor
 
 
 # -- box geometry ------------------------------------------------------------
@@ -70,22 +71,26 @@ def pairwise_iou(pred_cxcywh: np.ndarray, gt_cxcywh: np.ndarray):
 
 def box_loss(boxes: Tensor, index, gt: np.ndarray, weights: np.ndarray,
              l1_weight: float, giou_weight: float) -> Tuple[Tensor, float, float]:
-    """L1 + gIoU over matched (cx, cy, w, h) pairs as one graph node.
+    """L1 + gIoU over matched (cx, cy, w, h) pairs as one graph node, one
+    value per row.
 
-    The pairs are ``boxes[index]`` against ``gt``, both [..., 4]; ``weights``
-    (broadcastable to [...]) weights each pair.  Returns the scalar
-    l1_weight * L1 + giou_weight * G and the two terms as floats, where
-    L1 = sum(weights * mean |pred - gt| over the 4 coordinates) and
-    G = sum(weights * (1 - gIoU)).  The backward is written out by hand and
-    keeps the subgradients of the elementwise ops at ties: |0|' = 0, the
-    clamp of an empty intersection passes the gradient at exactly 0, and a
-    min/max tie sends it to the prediction.
+    The pairs are ``boxes[index]``, of shape [R, ..., 4], against ``gt``
+    (broadcastable to that shape); ``weights`` (broadcastable to [R, ...])
+    weights each pair.  Returns the [R] values l1_weight * L1_r +
+    giou_weight * G_r over each row's pairs, and the two terms summed over
+    all pairs as floats, where L1 = sum(weights * mean |pred - gt| over the
+    4 coordinates) and G = sum(weights * (1 - gIoU)).  The backward is
+    written out by hand and keeps the subgradients of the elementwise ops
+    at ties: |0|' = 0, the clamp of an empty intersection passes the
+    gradient at exactly 0, and a min/max tie sends it to the prediction.
     """
     pred = boxes.data[index]
     gt = np.asarray(gt, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
+    _check_pairs(pred.shape, gt.shape, w.shape)
     diff = pred - gt
-    l1 = float((np.abs(diff) * (np.expand_dims(w, -1) / pred.shape[-1])).sum())
+    l1_pairs = np.abs(diff) * (np.expand_dims(w, -1) / pred.shape[-1])
+    l1 = float(l1_pairs.sum())
 
     p = cxcywh_to_corners(pred)
     g = cxcywh_to_corners(gt)
@@ -102,13 +107,18 @@ def box_loss(boxes: Tensor, index, gt: np.ndarray, weights: np.ndarray,
     hh = np.maximum(py2, gy2) - np.minimum(py1, gy1)
     hull = hw * hh
     giou = inter / union - (hull - union) / hull
-    gl = float(((1.0 - giou) * w).sum())
-    data = np.asarray(l1_weight * l1 + giou_weight * gl)
+    gl_pairs = (1.0 - giou) * w
+    gl = float(gl_pairs.sum())
+    # a row's sums add its pairs in the order a call on that row alone does
+    pairs = tuple(range(1, pred.ndim - 1))
+    data = (l1_weight * l1_pairs.sum(axis=pairs + (-1,))
+            + giou_weight * gl_pairs.sum(axis=pairs))
     req = boxes.requires_grad
 
     def backward(grad):
-        grad = float(grad)
-        d_pred = np.sign(diff) * (grad * l1_weight
+        # [R] -> [R, 1, ...], broadcast over each row's pairs
+        grad = grad.reshape(grad.shape + (1,) * len(pairs))
+        d_pred = np.sign(diff) * (np.expand_dims(grad * l1_weight, -1)
                                   * np.expand_dims(w, -1) / pred.shape[-1])
         d_giou = -(grad * giou_weight) * w
         d_inter = d_giou / union
@@ -131,6 +141,23 @@ def box_loss(boxes: Tensor, index, gt: np.ndarray, weights: np.ndarray,
         boxes.accumulate(full)
 
     return Tensor(data, req, (boxes,), backward if req else None), l1, gl
+
+
+def _check_pairs(pred: tuple, gt: tuple, weights: tuple) -> None:
+    """``box_loss``'s boundary: [R, ..., 4] matched boxes, a gt that
+    broadcasts to them and weights that broadcast to [R, ...]."""
+    if len(pred) < 2 or pred[-1] != 4:
+        raise ShapeError(f"box_loss needs matched boxes [R, ..., 4], "
+                         f"got shape {pred}")
+    for name, shape, target in (("gt", gt, pred),
+                                ("weights", weights, pred[:-1])):
+        try:
+            fits = np.broadcast_shapes(shape, target) == target
+        except ValueError:
+            fits = False
+        if not fits:
+            raise ShapeError(f"box_loss {name} of shape {shape} does not "
+                             f"broadcast to {target} (matched boxes {pred})")
 
 
 # -- matching ----------------------------------------------------------------
@@ -289,8 +316,8 @@ def total_objective(decoder_out, annotations, weights: LossWeights,
         idx = np.stack([np.resize(m.pred_indices, gt.shape[1])
                         for m in matches])
         loss, l1, gl = box_loss(boxes, (rows, idx), gt, box_w,
-                                weights.l1, weights.giou)     # [B, M, T, 4]
-        total = T.add(total, loss)
+                                weights.l1, weights.giou)     # [B] per clip
+        total = T.add(total, T.tsum(loss))
         breakdown["l1"] += l1
         breakdown["giou"] += gl
 

@@ -607,22 +607,13 @@ def broadcast_to(x, shape):
 
 # -- gradient checking -------------------------------------------------------
 
-def rowwise(f1: Callable[[Tensor], Tensor]) -> Callable[[Tensor], Tensor]:
-    """Lift a scalar function of one input to the stacked form that
-    :func:`grad_check` takes: row k of the result is ``f1(stack[k])``."""
-    def f(stack: Tensor) -> Tensor:
-        return concat([reshape(f1(stack[k]), (1,))
-                       for k in range(stack.shape[0])])
-    return f
-
-
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
                eps: float = 1e-5, kink_tol: float = 1e-3) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``f`` maps a stack ``[K, *x.shape]`` of inputs to their ``K`` values,
-    each row on its own; :func:`rowwise` lifts a scalar function of one
-    input to that form.  The analytic gradient is one backward of
+    each row on its own, as the ops do with a stack as one more leading
+    axis.  The analytic gradient is one backward of
     ``f(x[None])``.  The unperturbed value and the 2N central-difference
     points (each coordinate moved to ``orig + eps`` and ``orig - eps``)
     are one stack of 2N + 1 rows, evaluated by a single call under

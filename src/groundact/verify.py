@@ -185,7 +185,7 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
 def block_cases(rng: np.random.Generator):
     """Scalar losses through each assembled block at toy sizes, one per row
     of a stack of inputs: the stack is the batch axis of the block, and
-    ``box_loss``, which sums over its pairs, runs once per row."""
+    ``box_loss`` returns one value per row of its matched pairs."""
     d, t, hw, l, n = (TOY[k] for k in ("d", "t", "hw", "l", "n"))
     cfg = ModelConfig(d_model=d, num_heads=2, encoder_layers=1,
                       decoder_layers=1, frames=t, grid_h=2, grid_w=2,
@@ -228,16 +228,15 @@ def block_cases(rng: np.random.Generator):
         out = decode(encoded(v_flat), dec, cfg, fus, ref)
         # mean L1 + mean (1 - gIoU) of query 0's tube against one gt tube
         gt = np.array([[[0.3, 0.4, 0.2, 0.2]] * t])
-        box_terms = T.rowwise(lambda boxes: box_loss(
-            boxes, slice(0, 1), gt, np.full((1, t), 1.0 / t), 1.0, 1.0)[0])
-        return T.add(box_terms(out.per_layer_boxes[-1]),
-                     _row_sums(T.mul(out.action_logits, 0.01)))
+        box_terms = box_loss(out.per_layer_boxes[-1],
+                             (slice(None), slice(0, 1)), gt,
+                             np.full((1, t), 1.0 / t), 1.0, 1.0)[0]
+        return T.add(box_terms, _row_sums(T.mul(out.action_logits, 0.01)))
 
     def through_losses(boxes_flat: Tensor) -> Tensor:
         pred = T.add(T.mul(T.sigmoid(boxes_flat), 0.4), 0.2)  # well inside (0,1)
         gt = np.array([[0.35, 0.45, 0.2, 0.25], [0.6, 0.55, 0.3, 0.2]])
-        return T.rowwise(lambda p: box_loss(p, slice(None), gt, np.full(2, 0.5),
-                                            5.0, 2.0)[0])(pred)
+        return box_loss(pred, slice(None), gt, np.full(2, 0.5), 5.0, 2.0)[0]
 
     return [
         ("vl_encoder", through_encoder,

@@ -6,6 +6,7 @@ exercised on a smaller budget plus all the exact hand-derived cases.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 from groundact import losses as L
 from groundact import tensor as T
 from groundact.config import LossWeights
-from groundact.tensor import ContractError, Tensor, grad_check
+from groundact.tensor import ContractError, ShapeError, Tensor, grad_check
+
+from helpers import rowwise
 
 
 # -- oracles -----------------------------------------------------------------
@@ -213,8 +216,9 @@ def test_box_loss_empty_match_is_zero():
     idx = (np.zeros((2, 0), dtype=int), np.zeros((2, 0), dtype=int))
     loss, l1, gl = L.box_loss(boxes, idx, np.zeros((2, 0, 4)),
                               np.zeros((2, 0)), 5.0, 2.0)
-    assert (loss.item(), l1, gl) == (0.0, 0.0, 0.0)
-    loss.backward()
+    np.testing.assert_array_equal(loss.data, [0.0, 0.0])
+    assert (l1, gl) == (0.0, 0.0)
+    T.tsum(loss).backward()
     np.testing.assert_array_equal(boxes.grad, np.zeros((2, 3, 4)))
 
 
@@ -222,9 +226,9 @@ def test_giou_loss_gradient():
     gt = np.array([[0.5, 0.5, 0.3, 0.3], [0.2, 0.7, 0.15, 0.2]])
     pred0 = Tensor(np.array([[0.45, 0.55, 0.25, 0.35], [0.3, 0.6, 0.2, 0.15]]))
     w = np.full(2, 0.5)
-    err = grad_check(
-        T.rowwise(lambda p: L.box_loss(p, slice(None), gt, w, 0.0, 1.0)[0]),
-        pred0)
+    # the stack is box_loss's row axis: gt and w broadcast over it
+    err = grad_check(lambda p: L.box_loss(p, slice(None), gt, w, 0.0, 1.0)[0],
+                     pred0)
     assert err <= 1e-4
 
 
@@ -283,20 +287,87 @@ def test_fused_box_loss_matches_composed(case):
         x = Tensor(boxes.copy(), requires_grad=True)
         if fused:
             loss, l1, gl = L.box_loss(x, index, gt, weights, 5.0, 2.0)
+            rows = loss.data.tolist()
+            loss = T.tsum(loss)
         else:
             l1_t, gl_t = l1_loss(x[index], gt, weights), giou_loss(
                 x[index], gt, weights)
             l1, gl = l1_t.item(), gl_t.item()
             loss = T.add(T.mul(l1_t, 5.0), T.mul(gl_t, 2.0))
+            # each clip's value, composed over that clip's pairs alone
+            pred = boxes[index]
+            rows = [5.0 * l1_loss(Tensor(pred[i]), gt[i], weights[i]).item()
+                    + 2.0 * giou_loss(Tensor(pred[i]), gt[i],
+                                      weights[i]).item()
+                    for i in range(len(idx))]
         T.mul(loss, 0.75).backward()
-        results.append((loss.item(), l1, gl, x.grad))
-    (v_f, l1_f, gl_f, g_f), (v_c, l1_c, gl_c, g_c) = results
-    assert (v_f, l1_f, gl_f) == (v_c, l1_c, gl_c)
+        results.append((rows, l1, gl, x.grad))
+    (rows_f, l1_f, gl_f, g_f), (rows_c, l1_c, gl_c, g_c) = results
+    # per clip, not the total: the sum over clips of 5 L1 + 2 G can differ
+    # from 5 L1 + 2 G of the sums in the last ulp
+    assert (rows_f, l1_f, gl_f) == (rows_c, l1_c, gl_c)
     np.testing.assert_allclose(g_f, g_c, rtol=0, atol=1e-12)
     if case == 0:
         # unmatched queries get nothing, nor does the padded repeat
         assert not g_f[:, 2].any() and not g_f[1, 1].any()
         assert g_f[0, 0].any() and g_f[0, 1].any() and g_f[1, 0].any()
+
+
+def _rows_alone(boxes, idx, gt, weights, upstream):
+    """box_loss on each clip of a case alone: its value and the gradient of
+    upstream[i] times that value."""
+    out = []
+    for i in range(len(idx)):
+        x = Tensor(boxes[i:i + 1].copy(), requires_grad=True)
+        loss = L.box_loss(x, (np.zeros((1, 1), dtype=int), idx[i:i + 1]),
+                          gt[i:i + 1], weights[i:i + 1], 5.0, 2.0)[0]
+        T.mul(T.tsum(loss), upstream[i]).backward()
+        out.append((loss.data[0], x.grad[0]))
+    return out
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_box_loss_rows_match_each_clip_alone(case):
+    boxes, idx, gt, weights = list(_box_loss_cases())[case]
+    # an upstream gradient that differs per clip: training seeds every row
+    # with the same value, and grad_check's analytic pass has one row
+    upstream = np.array([0.3, -1.7, 2.9])[:len(idx)]
+    x = Tensor(boxes.copy(), requires_grad=True)
+    loss, l1, gl = L.box_loss(x, (np.arange(len(idx))[:, None], idx), gt,
+                              weights, 5.0, 2.0)
+    T.tsum(T.mul(loss, upstream)).backward()
+    alone = _rows_alone(boxes, idx, gt, weights, upstream)
+    assert loss.shape == (len(idx),)
+    np.testing.assert_array_equal(loss.data, [a[0] for a in alone])
+    for i, a in enumerate(alone):
+        np.testing.assert_array_equal(x.grad[i], a[1])
+    # the totals are those of every pair in one row
+    _, l1_one, gl_one = L.box_loss(Tensor(boxes[np.arange(len(idx))[:, None],
+                                                 idx][None]),
+                                   slice(None), gt[None], weights[None],
+                                   5.0, 2.0)
+    assert (l1, gl) == (l1_one, gl_one)
+
+
+@pytest.mark.parametrize("gt_shape,w_shape,bad", [
+    ((3, 4), (2, 2), "gt of shape (3, 4)"),
+    ((2, 1, 2, 4), (2, 2), "gt of shape (2, 1, 2, 4)"),   # adds an axis
+    ((2, 4), (3,), "weights of shape (3,)"),
+    ((2, 4), (2, 2, 4), "weights of shape (2, 2, 4)"),    # the coordinates
+])
+def test_box_loss_rejects_pairs_that_do_not_broadcast(gt_shape, w_shape, bad):
+    boxes = Tensor(np.full((2, 2, 4), 0.5), requires_grad=True)
+    with pytest.raises(ShapeError, match=re.escape(bad) + ".*"
+                       + re.escape("(matched boxes (2, 2, 4))")):
+        L.box_loss(boxes, slice(None), np.full(gt_shape, 0.5),
+                   np.ones(w_shape), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3)])
+def test_box_loss_needs_a_row_axis_and_four_coordinates(shape):
+    with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+        L.box_loss(Tensor(np.full(shape, 0.5)), slice(None),
+                   np.full(shape, 0.5), np.ones(shape[:-1]), 1.0, 1.0)
 
 
 # -- matching ----------------------------------------------------------------
@@ -475,7 +546,7 @@ def test_bce_gradient():
     y = (rng.random((2, 3)) > 0.5).astype(float)
     x0 = Tensor(rng.normal(size=(2, 3)))
     err = grad_check(
-        T.rowwise(lambda v: L.binary_cross_entropy_with_logits(v, y)), x0)
+        rowwise(lambda v: L.binary_cross_entropy_with_logits(v, y)), x0)
     assert err <= 1e-6
 
 
@@ -709,7 +780,7 @@ def test_batched_objective_gradient_wrt_boxes():
         out.per_layer_boxes = [boxes]
         return L.total_objective(out, anns, LossWeights(), keyframe=1)[0]
 
-    assert grad_check(T.rowwise(loss), Tensor(arrays["boxes"][0])) <= 1e-6
+    assert grad_check(rowwise(loss), Tensor(arrays["boxes"][0])) <= 1e-6
 
 
 @settings(deadline=None, max_examples=25)

@@ -14,6 +14,8 @@ from groundact.nn import (AttentionParams, FeedForwardParams, LayerNormParams,
                           feed_forward_block, layer_norm, positional_encode)
 from groundact.tensor import ContractError, ShapeError, Tensor
 
+from helpers import rowwise
+
 
 def identity_attention(d, heads=1):
     eye = Tensor(np.eye(d), requires_grad=True)
@@ -260,8 +262,8 @@ def test_conv1d_gradient_correct():
     rng = np.random.default_rng(9)
     kern = Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
     x0 = Tensor(rng.normal(size=(4, 2)))
-    err = T.grad_check(T.rowwise(lambda v: T.tsum(T.mul(conv1d(v, kern),
-                                                        conv1d(v, kern)))), x0)
+    err = T.grad_check(rowwise(lambda v: T.tsum(T.mul(conv1d(v, kern),
+                                                      conv1d(v, kern)))), x0)
     assert err <= 1e-6
 
 

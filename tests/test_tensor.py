@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from groundact import tensor as T
 from groundact.tensor import ContractError, ShapeError, Tensor, grad_check
 
+from helpers import rowwise
+
 
 def t(data, rg=True):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=rg)
@@ -297,9 +299,9 @@ def test_transpose_reshape_round_trip():
 def test_grad_check_eps_bounds():
     x = t(np.ones(2))
     with pytest.raises(ValueError):
-        grad_check(T.rowwise(T.tsum), x, eps=1e-8)
+        grad_check(rowwise(T.tsum), x, eps=1e-8)
     with pytest.raises(ValueError):
-        grad_check(T.rowwise(T.tsum), x, eps=1e-2)
+        grad_check(rowwise(T.tsum), x, eps=1e-2)
 
 
 def test_grad_check_flags_wrong_gradient():
@@ -320,7 +322,7 @@ def test_grad_check_flags_wrong_gradient():
 
 def test_grad_check_excludes_relu_kink():
     x = t([0.0, 1.0, -1.0])
-    err = grad_check(T.rowwise(lambda v: T.tsum(T.relu(v))), x)
+    err = grad_check(rowwise(lambda v: T.tsum(T.relu(v))), x)
     assert err <= 1e-4  # coordinate 0 sits on the kink and is skipped
 
 
@@ -331,7 +333,7 @@ def test_grad_check_smooth_ops_tight():
               lambda v: T.tsum(T.mul(T.sigmoid(v), v)),
               lambda v: T.tsum(T.log(T.add(T.exp(v), 1.0))),
               lambda v: T.tsum(T.mul(T.softmax(v), v))):
-        assert grad_check(T.rowwise(f), x) <= 1e-6
+        assert grad_check(rowwise(f), x) <= 1e-6
 
 
 def test_grad_check_rejects_one_value_for_the_stack():
@@ -343,7 +345,7 @@ def test_rowwise_evaluates_each_row_and_passes_gradients():
     rng = np.random.default_rng(12)
     stack = Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
     f1 = lambda v: T.tsum(T.mul(T.tanh(v), v))
-    out = T.rowwise(f1)(stack)
+    out = rowwise(f1)(stack)
     assert out.shape == (3,)
     for k in range(3):
         assert out.data[k] == f1(Tensor(stack.data[k])).item()

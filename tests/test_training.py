@@ -178,7 +178,8 @@ def test_training_step_graph_node_count():
     # attention sublayer is one pre-norm residual node: 3 self-attentions
     # and V2T/T2V per encoder layer, actor self-attention and two
     # cross-attentions per decoder layer, and the text stub's self-attention.
-    # Nodes are keyed by their backward closure's qualname
+    # Each decoder layer's box loss is one node of per-clip values and one
+    # tsum over them.  Nodes are keyed by their backward closure's qualname
     cfg = tiny_cfg()
     cfg.model.encoder_layers = cfg.model.decoder_layers = 2
     corpus = tiny_corpus()
@@ -189,7 +190,7 @@ def test_training_step_graph_node_count():
     _, out = model.forward(batch)
     loss, _ = tr.batch_objective(out, batch, cfg, model.keyframe(), False)
     nodes = loss.topo_order()
-    assert len(nodes) == 322
+    assert len(nodes) == 324
     kinds = Counter(n._backward.__qualname__.split(".")[0] for n in nodes
                     if n._backward is not None)
     assert {k: n for k, n in kinds.items() if "attention" in k} == {

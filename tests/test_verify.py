@@ -7,6 +7,8 @@ from groundact import tensor as T
 from groundact import verify
 from groundact.tensor import Tensor, grad_check, no_grad
 
+from helpers import rowwise
+
 _rng = np.random.default_rng(0)
 CASES = verify.op_cases(_rng) + verify.block_cases(_rng)
 
@@ -24,20 +26,16 @@ def test_case_rows_are_independent(name, f, x):
     np.testing.assert_array_equal(stacked, alone)
 
 
-# the block cases that still run box_loss, which sums over its pairs, once
-# per row through T.rowwise
-ROWWISE = {"action_decoder", "box_losses"}
-
-
 @pytest.mark.parametrize("name,f,x", CASES, ids=[c[0] for c in CASES])
 def test_case_graph_does_not_grow_with_the_stack(name, f, x):
-    # a case that takes the stack as one more axis builds the same graph for
-    # any number of rows; one that loops over the rows builds more per row
+    # every case takes the stack as one more axis, so it builds the same
+    # graph for any number of rows; one that looped over the rows would
+    # build more per row
     def nodes(k):
         stack = Tensor(np.repeat(x.data[None], k, axis=0), requires_grad=True)
         return len(f(stack).topo_order())
 
-    assert (nodes(1) == nodes(9)) == (name not in ROWWISE)
+    assert nodes(1) == nodes(9)
 
 
 # the cases whose weights are unpacked from the checked input
@@ -62,7 +60,7 @@ def test_unstacked_weight_gradients_pass_grad_check(name, monkeypatch):
     monkeypatch.setattr(T, "weight_grad", spy(T.weight_grad, 2))
     monkeypatch.setattr(T, "row_sum", spy(T.row_sum, 1))
     f, x = next((f, x) for n, f, x in CASES if n == name)
-    err = grad_check(T.rowwise(lambda v: T.tsum(f(v))), x)
+    err = grad_check(rowwise(lambda v: T.tsum(f(v))), x)
     assert err <= verify.TOLERANCE
     # every parameter gradient went through the unstacked branch
     assert seen and all(ndim == (2 if fn == "weight_grad" else 1)
