@@ -162,20 +162,23 @@ def _at_least_one(text: str) -> int:
     return n
 
 
+def _seed(text: str) -> int:
+    """A seed argument: an integer >= 0."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed {seed} is negative")
+    return seed
+
+
 def _seed_list(text: str) -> list:
     """A non-empty comma-separated list of seeds, each an integer >= 0."""
-    seeds = []
-    for part in text.split(","):
-        try:
-            seed = int(part)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid seed list {text!r}: {part!r} is not an integer")
-        if seed < 0:
-            raise argparse.ArgumentTypeError(
-                f"invalid seed list {text!r}: seed {seed} is negative")
-        seeds.append(seed)
-    return seeds
+    try:
+        return [_seed(part) for part in text.split(",")]
+    except argparse.ArgumentTypeError as err:
+        raise argparse.ArgumentTypeError(f"invalid seed list {text!r}: {err}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--actors", type=_at_least_one, default=2)
     g.add_argument("--frames", type=_at_least_one, default=8)
     g.add_argument("--raster", type=_at_least_one, default=32)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train on a corpus directory")
@@ -198,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", required=True)
     t.add_argument("--mode", choices=["full", "weak"],
                    help="supervision mode (default: [train] mode)")
-    t.add_argument("--seed", type=int)
+    t.add_argument("--seed", type=_seed)
     t.add_argument("--steps", type=_at_least_one, help="cap on training steps")
     t.add_argument("--out", help="checkpoint path")
     t.add_argument("--log", help="metrics log path (JSON lines)")
@@ -221,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=cmd_retrieve)
 
     c = sub.add_parser("gradcheck", help="run the operator gradient suite")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_seed, default=0)
     c.add_argument("--repeats", type=_at_least_one, default=1)
     c.set_defaults(func=cmd_gradcheck)
 
@@ -230,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--data", required=True)
     a.add_argument("--seeds", type=_seed_list, default="0,1,2",
                    help="comma-separated training seeds")
-    a.add_argument("--seed", type=int, default=0, help="split seed")
+    a.add_argument("--seed", type=_seed, default=0, help="split seed")
     a.add_argument("--steps", type=_at_least_one)
     a.add_argument("--out", help="write JSON summary here")
     a.set_defaults(func=cmd_ablate)

@@ -16,6 +16,15 @@ class ConfigError(ValueError):
     pass
 
 
+def _at_least(section: str, cfg, low, names):
+    """A ConfigError naming ``[section] key`` for the first of ``names``
+    whose value in cfg is below ``low``, or NaN."""
+    for name in names:
+        if not getattr(cfg, name) >= low:
+            raise ConfigError(f"[{section}] {name} = {getattr(cfg, name)!r} "
+                              f"must be at least {low}")
+
+
 @dataclass
 class ModelConfig:
     """Every architectural hyperparameter of the grounded GAR model."""
@@ -62,13 +71,20 @@ class ModelConfig:
         return self.raster_w // self.grid_w
 
     def validate(self):
-        if self.d_model % self.num_heads:
-            raise ConfigError(
-                f"d_model {self.d_model} not divisible by num_heads {self.num_heads}")
-        if self.raster_h % self.grid_h or self.raster_w % self.grid_w:
-            raise ConfigError("raster size not divisible by patch grid")
+        _at_least("model", self, 1, (
+            "d_model", "num_heads", "d_ff_mult", "frames", "grid_h", "grid_w",
+            "raster_h", "raster_w", "channels", "l_max", "num_queries"))
+        _at_least("model", self, 0, ("encoder_layers", "decoder_layers"))
+        if self.d_model % 4:    # the grid encoding's halves are sin/cos pairs
+            raise ConfigError(f"[model] d_model = {self.d_model} is not a "
+                              f"multiple of 4")
+        for name, by in (("d_model", "num_heads"), ("raster_h", "grid_h"),
+                         ("raster_w", "grid_w")):
+            if getattr(self, name) % getattr(self, by):
+                raise ConfigError(f"[model] {name} = {getattr(self, name)} is "
+                                  f"not divisible by [model] {by}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
+            raise ConfigError(f"[model] dropout {self.dropout} outside [0, 1)")
 
 
 @dataclass
@@ -79,10 +95,7 @@ class LossWeights:
     action_bce: float = 1.0
 
     def validate(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, float) and v < 0:
-                raise ConfigError(f"loss weight {f.name} negative: {v}")
+        _at_least("loss", self, 0, [f.name for f in fields(self)])
 
 
 @dataclass
@@ -108,12 +121,15 @@ class TrainConfig:
         return self.warmup_epochs * self.steps_per_epoch
 
     def validate(self):
+        _at_least("train", self, 1, ("batch_size", "steps_per_epoch"))
+        _at_least("train", self, 0, ("seed", "peak_lr", "grad_clip",
+                                     "warmup_epochs"))
         if self.warmup_epochs >= self.total_epochs:
-            raise ConfigError("warmup_epochs must be < total_epochs")
+            raise ConfigError("[train] warmup_epochs must be < total_epochs")
         if self.weight_decay_start > self.weight_decay_end:
-            raise ConfigError("weight decay bounds out of order")
+            raise ConfigError("[train] weight_decay_start > weight_decay_end")
         if self.mode not in ("full", "weak"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
+            raise ConfigError(f"[train] mode: unknown mode {self.mode!r}")
 
 
 @dataclass

@@ -246,52 +246,9 @@ def mul(a, b):
                    lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
-def div(a, b):
-    return _binary(a, b, lambda x, y: x / y,
-                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
-
-
-def maximum(a, b):
-    def bwd_a(g, x, y):
-        return g * (x >= y)
-
-    def bwd_b(g, x, y):
-        return g * (x < y)
-
-    return _binary(a, b, np.maximum, bwd_a, bwd_b)
-
-
-def minimum(a, b):
-    def bwd_a(g, x, y):
-        return g * (x <= y)
-
-    def bwd_b(g, x, y):
-        return g * (x > y)
-
-    return _binary(a, b, np.minimum, bwd_a, bwd_b)
-
-
 def rows(x: np.ndarray) -> np.ndarray:
     """[..., n] -> [rows, n]."""
     return x.reshape(-1, x.shape[-1])
-
-
-def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    data = a.data @ b.data
-    req = a.requires_grad or b.requires_grad
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            b.accumulate(unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
-
-    return Tensor(data, req, (a, b), backward if req else None)
 
 
 # -- the member axis ---------------------------------------------------------
@@ -404,19 +361,6 @@ def gelu_slope(v: np.ndarray, t: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner
 
 
-def gelu(x):
-    """tanh-approximated GELU; backward reuses the forward tanh."""
-    x = as_tensor(x)
-    v = x.data
-    data, t = gelu_forward(v)
-    req = x.requires_grad
-
-    def backward(g):
-        x.accumulate(g * gelu_slope(v, t))
-
-    return Tensor(data, req, (x,), backward if req else None)
-
-
 def sigmoid(x):
     def fwd(v):
         out = np.empty_like(v)
@@ -429,26 +373,6 @@ def sigmoid(x):
     return _unary(x, fwd, lambda g, v, out: g * out * (1.0 - out))
 
 
-def tanh(x):
-    return _unary(x, np.tanh, lambda g, v, out: g * (1.0 - out * out))
-
-
-def exp(x):
-    return _unary(x, np.exp, lambda g, v, out: g * out)
-
-
-def log(x):
-    return _unary(x, np.log, lambda g, v, out: g / v)
-
-
-def sqrt(x):
-    return _unary(x, np.sqrt, lambda g, v, out: g * 0.5 / out)
-
-
-def absolute(x):
-    return _unary(x, np.abs, lambda g, v, out: g * np.sign(v))
-
-
 def softplus(x):
     # log(1 + e^x), computed without overflow
     def fwd(v):
@@ -458,17 +382,6 @@ def softplus(x):
         return g * (1.0 / (1.0 + np.exp(-np.clip(v, -500, 500))))
 
     return _unary(x, fwd, bwd)
-
-
-def where(cond: np.ndarray, a, b):
-    """Select from two tensors with a constant boolean mask."""
-    def bwd_a(g, x, y):
-        return g * cond
-
-    def bwd_b(g, x, y):
-        return g * ~cond
-
-    return _binary(a, b, lambda x, y: np.where(cond, x, y), bwd_a, bwd_b)
 
 
 # -- reductions & normalizers ------------------------------------------------
@@ -495,22 +408,6 @@ def tmean(x, axis=None, keepdims=False):
     else:
         n = x.shape[axis]
     return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def softmax(x, axis: int = -1):
-    x = as_tensor(x)
-    if not (-x.ndim <= axis < x.ndim):
-        raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-    req = x.requires_grad
-
-    def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        x.accumulate(out * (g - dot))
-
-    return Tensor(out, req, (x,), backward if req else None)
 
 
 def log_softmax(x, axis: int = -1):

@@ -1,5 +1,5 @@
 """Finite-difference verification suite for every differentiable operation
-and for each assembled block at toy sizes."""
+that the program runs and for each assembled block at toy sizes."""
 
 from __future__ import annotations
 
@@ -43,25 +43,23 @@ def _dropout() -> _RowDropout:
 
 
 def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
-    """(name, function, input) triples covering every registered op, each
-    function in the stacked form that :func:`grad_check` takes.
+    """(name, function, input) triples covering every op that the program
+    runs, each function in the stacked form that :func:`grad_check` takes.
 
     Every case takes the stack as one more leading axis, so one call
     evaluates every row, and sums each row of its output.  Weights unpacked
     from the input are stacked on that axis (the member axis of
     :func:`T.linear` and the :mod:`nn` blocks), and the dropout cases share
-    one keep mask across the stack through :class:`_RowDropout`.
+    one keep mask across the stack through :class:`_RowDropout`.  Inputs
+    are drawn in list order: removing a case moves the inputs of every
+    later draw from the same generator, :func:`block_cases`' too.
     """
     rs = _row_sums
     # constants are drawn once, outside the closures: grad_check re-invokes
     # each function many times and expects it to be deterministic
     u = lambda *s: Tensor(rng.uniform(-1, 1, size=s))
-    pos = lambda *s: Tensor(rng.uniform(0.1, 1, size=s))
     b = u(4, 3)
-    denom = pos(4, 3)
     big = u(5, 4, 3)
-    rhs = u(3, 5)
-    rhs_b = u(2, 3, 4)
     m34, m43, m22, m83, m543 = u(3, 4), u(3, 4), u(2, 2), u(8, 3), u(5, 4, 3)
     v4 = u(4)
     # the fused-op cases draw from a child generator, so the other cases and
@@ -132,26 +130,14 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
         ("add", lambda x: rs(T.add(x, b)), u(4, 3)),
         ("sub", lambda x: rs(T.sub(x, b)), u(4, 3)),
         ("mul", lambda x: rs(T.mul(x, b)), u(4, 3)),
-        ("div", lambda x: rs(T.div(x, denom)), u(4, 3)),
         ("broadcast_add",
          lambda x: rs(T.mul(T.add(T.reshape(x, (-1, 1, 1, 3)), big), big)),
          u(3)),
-        ("matmul", lambda x: rs(T.matmul(x, rhs)), u(4, 3)),
-        ("batched_matmul", lambda x: rs(T.matmul(x, rhs_b)), u(2, 5, 3)),
-        ("maximum", lambda x: rs(T.maximum(x, b)), u(4, 3)),
-        ("minimum", lambda x: rs(T.minimum(x, b)), u(4, 3)),
         ("relu", lambda x: rs(T.relu(x)), u(4, 3)),
-        ("gelu", lambda x: rs(T.gelu(x)), u(4, 3)),
         ("sigmoid", lambda x: rs(T.sigmoid(x)), u(4, 3)),
-        ("tanh", lambda x: rs(T.tanh(x)), u(4, 3)),
-        ("exp", lambda x: rs(T.exp(x)), u(4, 3)),
-        ("log", lambda x: rs(T.log(x)), pos(4, 3)),
-        ("sqrt", lambda x: rs(T.sqrt(x)), pos(4, 3)),
-        ("abs", lambda x: rs(T.absolute(x)), u(4, 3)),
         ("softplus", lambda x: rs(T.softplus(x)), u(4, 3)),
         ("sum_axis", lambda x: rs(T.mul(T.tsum(x, axis=-1), v4)), u(4, 3)),
         ("mean", lambda x: T.tmean(T.mul(x, b), axis=(1, 2)), u(4, 3)),
-        ("softmax", lambda x: rs(T.mul(T.softmax(x, axis=-1), b)), u(4, 3)),
         ("log_softmax", lambda x: rs(T.mul(T.log_softmax(x, axis=-1), b)),
          u(4, 3)),
         ("reshape", lambda x: rs(T.mul(T.reshape(x, (-1, 3, 4)), m34)),
@@ -166,8 +152,6 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
         ("broadcast_to",
          lambda x: rs(T.mul(T.broadcast_to(T.reshape(x, (-1, 1, 4, 3)),
                                            (x.shape[0], 5, 4, 3)), m543)),
-         u(4, 3)),
-        ("where", lambda x: rs(T.where(np.eye(4, 3, dtype=bool), x, b)),
          u(4, 3)),
         ("softmax_cross_entropy",
          lambda x: T.mul(rs(T.mul(T.log_softmax(x, axis=-1),

@@ -173,6 +173,11 @@ def test_ablate_on_an_empty_split_fails_before_training(tmp_path,
     ["gen-data", "--raster", "0"],
     ["retrieve", "--top", "0"],
     ["retrieve", "--top", "-1"],
+    # seeds may be 0, but numpy's generators take no negative seed
+    ["gradcheck", "--seed", "-1"],
+    ["gen-data", "--seed", "-1"],
+    ["train", "--seed", "-1"],
+    ["ablate", "--seed", "-1"],
 ])
 def test_counts_below_one_are_rejected_before_any_work(tmp_path, capsys, argv):
     out = tmp_path / "data"
@@ -184,6 +189,8 @@ def test_counts_below_one_are_rejected_before_any_work(tmp_path, capsys, argv):
     assert exc.value.code == 2
     reason = ("must be at least 1" if value.lstrip("-").isdigit()
               else f"invalid int value: {value!r}")
+    if argv[1] == "--seed":
+        reason = f"seed {value} is negative"
     assert f"argument {argv[1]}: {reason}" in capsys.readouterr().err
     assert not out.exists()
 

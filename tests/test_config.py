@@ -2,6 +2,7 @@
 
 import configparser
 import dataclasses
+import re
 
 import pytest
 
@@ -138,20 +139,48 @@ def test_dict_round_trip():
     assert config_to_dict(again) == config_to_dict(cfg)
 
 
+def _set(cfg, section, **values):
+    """Set keys of cfg's [section]; return the first as ``[section] key``,
+    the name that the ConfigError must give."""
+    for key, value in values.items():
+        setattr(getattr(cfg, section), key, value)
+    return f"[{section}] {next(iter(values))}"
+
+
 @pytest.mark.parametrize("mutate", [
-    lambda c: setattr(c.model, "d_model", 30),           # not divisible by heads
-    lambda c: setattr(c.model, "raster_h", 33),
-    lambda c: setattr(c.model, "raster_w", 33),
-    lambda c: setattr(c.model, "dropout", 1.5),
-    lambda c: setattr(c.train, "warmup_epochs", 40),
-    lambda c: setattr(c.train, "weight_decay_start", 0.5),
-    lambda c: setattr(c.train, "mode", "semi"),
-    lambda c: setattr(c.loss, "l1", -1.0),
+    lambda c: _set(c, "model", d_model=36),  # not divisible by heads
+    lambda c: _set(c, "model", raster_h=33),
+    lambda c: _set(c, "model", raster_w=33),
+    lambda c: _set(c, "model", dropout=1.5),
+    lambda c: _set(c, "train", warmup_epochs=40),
+    lambda c: _set(c, "train", weight_decay_start=0.5),
+    lambda c: _set(c, "train", mode="semi"),
+    lambda c: _set(c, "loss", l1=-1.0),
+    # zeros and negatives that used to fail later, deep in init or training
+    lambda c: _set(c, "model", num_heads=0),
+    lambda c: _set(c, "model", grid_h=0),
+    lambda c: _set(c, "model", d_model=0),
+    lambda c: _set(c, "model", frames=0),
+    lambda c: _set(c, "model", l_max=0),
+    lambda c: _set(c, "model", channels=0),
+    lambda c: _set(c, "model", num_queries=0),
+    lambda c: _set(c, "model", encoder_layers=-1),
+    lambda c: _set(c, "train", batch_size=0),
+    lambda c: _set(c, "train", steps_per_epoch=0),
+    lambda c: _set(c, "train", seed=-1),
+    lambda c: _set(c, "train", peak_lr=-1e-3),
+    lambda c: _set(c, "train", grad_clip=-1.0),
+    lambda c: _set(c, "train", warmup_epochs=-1),
+    lambda c: _set(c, "train", peak_lr=float("nan")),
+    lambda c: _set(c, "loss", giou=-2),  # an int, as a dict may hold
+    # the grid encoding's row and column halves are sin / cos pairs
+    lambda c: _set(c, "model", d_model=9, num_heads=3),
+    lambda c: _set(c, "model", d_model=10, num_heads=2),
 ])
 def test_validation_rejects_bad_settings(mutate):
     cfg = ExperimentConfig()
-    mutate(cfg)
-    with pytest.raises(ConfigError):
+    where = mutate(cfg)
+    with pytest.raises(ConfigError, match=re.escape(where)):
         cfg.validate()
 
 

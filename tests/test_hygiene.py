@@ -1,7 +1,8 @@
 """Static checks over the package source: every config field and every
 dataclass field is read, no module imports a name it never uses, every
-top-level function has a caller outside the tests, and every program name
-the benchmark traces or calls exists."""
+top-level function has a caller outside the tests, the gradient suite
+checks exactly the ops that the program runs, and every program name the
+benchmark traces or calls exists."""
 
 import ast
 import pathlib
@@ -215,12 +216,19 @@ def _references(tree, stem) -> Counter:
     return refs
 
 
+def _program_references(skip=()) -> Counter:
+    """The references of every program file but those in ``skip``."""
+    total = Counter()
+    for p in PROGRAM:
+        if p not in skip:
+            total += _references(_tree(p), p.stem)
+    return total
+
+
 def _without_program_caller(paths):
     """Top-level functions of ``paths`` that no program file refers to,
     other than from inside their own definition."""
-    total = Counter()
-    for p in PROGRAM:
-        total += _references(_tree(p), p.stem)
+    total = _program_references()
     entry = (ROOT / "pyproject.toml").read_text()
     return [f"{path.stem}.{name}" for path in paths
             for name in _top_level_functions(_tree(path))
@@ -262,6 +270,74 @@ def test_caller_check_ignores_names_that_cannot_bind_the_function():
                        "np.stack(xs)\n"
                        "def g(st):\n    return st\n")
     assert _references(caller, "run")[("tensor", "stack")] == 2
+
+
+# -- the gradient suite checks exactly the ops the program runs ---------------
+
+VERIFY = SRC / "verify.py"
+# (module, name) -> definition, for each top-level tensor and nn function
+OPS = {(stem, name): fn for stem in ("tensor", "nn")
+       for name, fn in _top_level_functions(_tree(SRC / f"{stem}.py")).items()}
+
+
+def _suite_refs(tree) -> set:
+    """The (module, name) pairs that ``op_cases`` in tree, the file of
+    verify.py, refers to; indexing a Tensor, ``x[idx]``, runs T.getitem."""
+    cases = _top_level_functions(tree)["op_cases"]
+    imports = [node for node in tree.body
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    refs = set(_references(ast.Module(body=imports + [cases],
+                                      type_ignores=[]), "verify"))
+    if any(isinstance(node, ast.Subscript) for node in ast.walk(cases)):
+        refs.add(("tensor", "getitem"))
+    return refs
+
+
+def _builds_node(fn) -> bool:
+    """Whether fn calls ``_binary`` or ``_unary``, or builds a Tensor with
+    parents and a backward."""
+    return any(isinstance(node, ast.Call) and (
+        _receiver(node.func) in ("_binary", "_unary")
+        or _receiver(node.func) == "Tensor" and (
+            len(node.args) >= 4
+            or any(k.arg == "_backward" for k in node.keywords)))
+        for node in ast.walk(fn))
+
+
+def test_every_op_the_suite_checks_has_a_program_caller_besides_verify():
+    # an op that only the suite runs is dead code with a gradient check
+    callers = _program_references(skip=(VERIFY,))
+    only_suite = sorted(f"{stem}.{name}" for stem, name
+                        in _suite_refs(_tree(VERIFY)) & set(OPS)
+                        if not callers[(stem, name)])
+    assert not only_suite, f"ops only the gradient suite runs: {only_suite}"
+
+
+def test_every_op_the_program_runs_has_a_suite_case():
+    # private helpers (_binary, _unary) are reached through the public ops
+    callers = _program_references(skip=(VERIFY,))
+    suite = _suite_refs(_tree(VERIFY))
+    unchecked = sorted(f"{stem}.{name}" for (stem, name), fn in OPS.items()
+                       if not name.startswith("_") and _builds_node(fn)
+                       and callers[(stem, name)] and (stem, name) not in suite)
+    assert not unchecked, f"ops with no finite-difference case: {unchecked}"
+
+
+def test_suite_checks_see_op_cases_and_graph_nodes():
+    verify = ("from . import tensor as T\ndef op_cases(rng):\n"
+              "    return [('div', lambda x: T.div(x, {}))]\n"
+              "def block_cases(rng):\n    return T.matmul(x, x[0])\n")
+    assert _suite_refs(ast.parse(verify.format("2.0"))) == {("tensor", "div")}
+    assert ("tensor", "getitem") in _suite_refs(ast.parse(
+        verify.format("x[0]")))
+    fns = _top_level_functions(ast.parse(
+        "def exp(x):\n    return _unary(x, np.exp, lambda g, v, o: g * o)\n"
+        "def node(x):\n    return Tensor(x.data, True, (x,), print)\n"
+        "def hook(x):\n    return T.Tensor(x.data, _backward=print)\n"
+        "def leaf(x):\n    return Tensor(x.data, requires_grad=True)\n"
+        "def composed(x):\n    return add(x, exp(x))\n"))
+    assert [n for n, fn in fns.items() if _builds_node(fn)] == [
+        "exp", "node", "hook"]
 
 
 # -- dataclass fields that nothing reads --------------------------------------

@@ -18,6 +18,7 @@ from groundact import tensor as T
 from groundact.config import LossWeights
 from groundact.tensor import ContractError, ShapeError, Tensor, grad_check
 
+import helpers as H
 from helpers import rowwise
 
 
@@ -158,13 +159,13 @@ def _giou_tensor(pred_corners: Tensor, gt_corners) -> Tensor:
     area_p = T.mul(T.sub(px2, px1), T.sub(py2, py1))
     area_g = T.mul(T.sub(gx2, gx1), T.sub(gy2, gy1))
     zero = Tensor(np.zeros(area_p.shape))
-    iw = T.maximum(T.sub(T.minimum(px2, gx2), T.maximum(px1, gx1)), zero)
-    ih = T.maximum(T.sub(T.minimum(py2, gy2), T.maximum(py1, gy1)), zero)
+    iw = H.maximum(T.sub(H.minimum(px2, gx2), H.maximum(px1, gx1)), zero)
+    ih = H.maximum(T.sub(H.minimum(py2, gy2), H.maximum(py1, gy1)), zero)
     inter = T.mul(iw, ih)
     union = T.sub(T.add(area_p, area_g), inter)
-    hull = T.mul(T.sub(T.maximum(px2, gx2), T.minimum(px1, gx1)),
-                 T.sub(T.maximum(py2, gy2), T.minimum(py1, gy1)))
-    return T.sub(T.div(inter, union), T.div(T.sub(hull, union), hull))
+    hull = T.mul(T.sub(H.maximum(px2, gx2), H.minimum(px1, gx1)),
+                 T.sub(H.maximum(py2, gy2), H.minimum(py1, gy1)))
+    return T.sub(H.div(inter, union), H.div(T.sub(hull, union), hull))
 
 
 def giou_loss(pred: Tensor, gt, weights=None) -> Tensor:
@@ -178,7 +179,7 @@ def giou_loss(pred: Tensor, gt, weights=None) -> Tensor:
 def l1_loss(pred: Tensor, gt, weights=None) -> Tensor:
     """Mean absolute coordinate difference over matched pairs [..., P, 4];
     with ``weights``, the weighted sum over pairs of each pair's mean."""
-    diff = T.absolute(T.sub(pred, gt))
+    diff = H.absolute(T.sub(pred, gt))
     if weights is None:
         return T.tmean(diff)
     return T.tsum(T.mul(diff, np.expand_dims(weights, -1) / pred.shape[-1]))

@@ -14,6 +14,7 @@ from groundact.nn import (AttentionParams, FeedForwardParams, LayerNormParams,
                           feed_forward_block, layer_norm, positional_encode)
 from groundact.tensor import ContractError, ShapeError, Tensor
 
+import helpers as H
 from helpers import rowwise
 
 
@@ -374,29 +375,29 @@ def _composed_attention(q_seq, kv_seq, params, mask=None, rng=None):
         x = T.transpose(x, tuple(range(nb)) + (nb + 1, nb, nb + 2))
         return T.reshape(x, (*batch, L, h * dh))
 
-    q = split(T.matmul(q_seq, params.wq))
-    k = split(T.matmul(kv_seq, params.wk))
-    v = split(T.matmul(kv_seq, params.wv))
+    q = split(H.matmul(q_seq, params.wq))
+    k = split(H.matmul(kv_seq, params.wk))
+    v = split(H.matmul(kv_seq, params.wv))
     kt = T.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
     scale = 1.0 / np.sqrt(params.d_model // params.num_heads)
-    scores = T.mul(T.matmul(q, kt), scale)
+    scores = T.mul(H.matmul(q, kt), scale)
     if mask is not None:
         m = np.expand_dims(mask, -3) if mask.ndim >= 3 else mask
         m = np.broadcast_to(m, scores.shape)
-        scores = T.where(m, scores, Tensor(np.full(scores.shape, -1e9)))
-    attn = T.softmax(scores, axis=-1)
+        scores = H.where(m, scores, Tensor(np.full(scores.shape, -1e9)))
+    attn = H.softmax(scores, axis=-1)
     if rng is not None:
         rate = params.dropout_rate
         attn = T.mul(attn, Tensor((rng.random(attn.shape) >= rate)
                                   / (1.0 - rate)))
-    return T.matmul(merge(T.matmul(attn, v)), params.wo)
+    return H.matmul(merge(H.matmul(attn, v)), params.wo)
 
 
 def _composed_layer_norm(x, params, eps=1e-5):
     mean = T.tmean(x, axis=-1, keepdims=True)
     centered = T.sub(x, mean)
     var = T.tmean(T.mul(centered, centered), axis=-1, keepdims=True)
-    normed = T.div(centered, T.sqrt(T.add(var, eps)))
+    normed = H.div(centered, H.sqrt(T.add(var, eps)))
     return T.add(T.mul(normed, params.gamma), params.beta)
 
 
@@ -511,7 +512,7 @@ def test_fused_layer_norm_matches_composed(shape):
 
 
 def _composed_feed_forward_block(x, norm, params, rng=None):
-    hidden = T.gelu(T.linear(_composed_layer_norm(x, norm), params.w1,
+    hidden = H.gelu(T.linear(_composed_layer_norm(x, norm), params.w1,
                              params.b1))
     if rng is not None:
         rate = params.dropout_rate

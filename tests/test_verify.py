@@ -1,4 +1,5 @@
-"""The finite-difference suite's cases take a stack of inputs, one per row."""
+"""The finite-difference suite's cases, and those of the reference ops that
+the tests keep, take a stack of inputs, one per row."""
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from groundact import tensor as T
 from groundact import verify
 from groundact.tensor import Tensor, grad_check, no_grad
 
-from helpers import rowwise
+from helpers import reference_cases, rowwise
 
 _rng = np.random.default_rng(0)
-CASES = verify.op_cases(_rng) + verify.block_cases(_rng)
+REFERENCE = reference_cases(np.random.default_rng(0))
+CASES = verify.op_cases(_rng) + verify.block_cases(_rng) + REFERENCE
 
 
 @pytest.mark.parametrize("name,f,x", CASES, ids=[c[0] for c in CASES])
@@ -36,6 +38,14 @@ def test_case_graph_does_not_grow_with_the_stack(name, f, x):
         return len(f(stack).topo_order())
 
     assert nodes(1) == nodes(9)
+
+
+@pytest.mark.parametrize("name,f,x", REFERENCE, ids=[c[0] for c in REFERENCE])
+def test_reference_op_passes_grad_check(name, f, x):
+    # the composed references that the fused kernels are compared against
+    # are built from these ops, so their gradients are checked as the
+    # suite's are
+    assert grad_check(f, x) <= verify.TOLERANCE
 
 
 # the cases whose weights are unpacked from the checked input
