@@ -201,12 +201,27 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
+# a stored value's types by its field's annotated type: an int is a valid
+# float, and a bool (an int to Python) is valid only for a bool field
+_STORED_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float),
+                 "str": (str,)}
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
     _known_sections(d, "config dict")
     parts = {}
     for section, cls in _SECTIONS.items():
         values = d.get(section, {})
-        _known_fields(section, values)
+        if not isinstance(values, dict):
+            raise ConfigError(f"[{section}] = {values!r} is not a section "
+                              f"of keys, in config dict")
+        known = _known_fields(section, values)
+        for key, value in values.items():
+            ftype = known[key].type
+            if (not isinstance(value, _STORED_TYPES[ftype])
+                    or isinstance(value, bool) and ftype != "bool"):
+                raise ConfigError(f"[{section}] {key} = {value!r} is not a "
+                                  f"valid {ftype}, in config dict")
         parts[section] = cls(**values)
     cfg = ExperimentConfig(**parts)
     cfg.validate()

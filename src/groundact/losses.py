@@ -6,15 +6,45 @@ decoder layer.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import tensor as T
 from .config import LossWeights
 from .tensor import ContractError, ShapeError, Tensor
+
+
+def _load_assignment_solver():
+    """scipy's compiled rectangular assignment solver, without importing
+    ``scipy.optimize``.
+
+    ``scipy.optimize.linear_sum_assignment`` is the builtin of the extension
+    module ``scipy/optimize/_lsap``. Loading that one file, found without
+    importing scipy, skips importing the whole package, which took most of
+    the program's start-up time and memory; the function and its
+    tie-breaking are the same. Where scipy has no standalone compiled
+    ``_lsap``, the public import is used."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is not None and scipy.submodule_search_locations:
+        path = [os.path.join(p, "optimize")
+                for p in scipy.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec(f"{__package__}._lsap",
+                                                        path)
+        if spec is not None and isinstance(
+                spec.loader, importlib.machinery.ExtensionFileLoader):
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.linear_sum_assignment
+    from scipy.optimize import linear_sum_assignment
+    return linear_sum_assignment
+
+
+linear_sum_assignment = _load_assignment_solver()
 
 
 # -- box geometry ------------------------------------------------------------

@@ -91,6 +91,22 @@ def test_unknown_dict_section_rejected():
         config_from_dict(d)
 
 
+@pytest.mark.parametrize("section, value, message", [
+    ("model", {"d_model": "32"}, "[model] d_model = '32'"),
+    ("model", {"use_actor_fusion": 1}, "[model] use_actor_fusion = 1"),
+    ("loss", {"l1": True}, "[loss] l1 = True"),
+    ("train", {"seed": 1.0}, "[train] seed = 1.0"),
+    ("train", {"mode": None}, "[train] mode = None"),
+    ("model", "x", "[model] = 'x'"),   # a section that is not a dict of keys
+])
+def test_bad_dict_value_names_section_and_key(section, value, message):
+    # a stored config is checked by each field's type, as an INI file is
+    d = config_to_dict(ExperimentConfig())
+    d[section] = value if isinstance(value, str) else {**d[section], **value}
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        config_from_dict(d)
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.ini")
@@ -134,8 +150,10 @@ def test_unparseable_value_names_key_text_and_file(tmp_path, section, key,
 def test_dict_round_trip():
     cfg = ExperimentConfig()
     cfg.model.decoder_layers = 1
+    cfg.loss.giou = 3         # an int is a valid float
     again = config_from_dict(config_to_dict(cfg))
     assert again.model.decoder_layers == 1
+    assert again.loss.giou == 3
     assert config_to_dict(again) == config_to_dict(cfg)
 
 

@@ -1,11 +1,15 @@
 """Static checks over the package source: every config field and every
 dataclass field is read, no module imports a name it never uses, every
 top-level function has a caller outside the tests, the gradient suite
-checks exactly the ops that the program runs, and every program name the
-benchmark traces or calls exists."""
+checks exactly the ops that the program runs, every program name the
+benchmark traces or calls exists, and the program starts without importing
+``scipy.optimize``."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -486,3 +490,21 @@ def test_bench_name_check_sees_a_missing_name():
     assert _unresolved({("model", "GroundedModel.gone"),
                         ("nowhere", "f")}) == [
         "model.GroundedModel.gone", "nowhere.f"]
+
+
+# -- start-up imports ----------------------------------------------------------
+
+def test_program_starts_without_scipy_optimize():
+    # losses.py loads only scipy's compiled assignment solver; the whole
+    # package would cost most of a process's start-up time and memory
+    code = ("import sys\n"
+            "import groundact, groundact.cli, groundact.training, "
+            "groundact.verify\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy.optimize'\n"
+            "             or m.startswith('scipy.optimize.')))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -451,6 +451,28 @@ def test_match_cost_tie_break_lowest_index():
     assert L.hungarian_match(cost).pairs() == [(0, 0)]
 
 
+def test_loaded_solver_equals_scipy_optimize():
+    # every shape the workloads match, with float costs and with costs of
+    # exact ties, where the two must break them the same way
+    from scipy.optimize import linear_sum_assignment
+    rng = np.random.default_rng(20)
+    for m in range(1, 13):
+        for n in range(m, 13):
+            for cost in (rng.random((m, n)),
+                         rng.integers(0, 3, (m, n)).astype(np.float64)):
+                rows, cols = L.linear_sum_assignment(cost)
+                want_rows, want_cols = linear_sum_assignment(cost)
+                assert np.array_equal(rows, want_rows)
+                assert np.array_equal(cols, want_cols)
+
+
+def test_solver_falls_back_to_scipy_optimize(monkeypatch):
+    import importlib.util
+    from scipy.optimize import linear_sum_assignment
+    monkeypatch.setattr(importlib.util, "find_spec", lambda *args: None)
+    assert L._load_assignment_solver() is linear_sum_assignment
+
+
 def _padded(action_lists):
     """Ragged per-actor action lists -> [M, K] indices padded with -1."""
     out = np.full((len(action_lists), max(map(len, action_lists), default=0)),
