@@ -32,7 +32,7 @@ UNK = 0
 def load_vocab() -> List[str]:
     """The packaged vocabulary, one token per line; the line number is the
     index, and line 0 is UNK."""
-    text = resources.files("groundact").joinpath("vocab.txt").read_text()
+    text = resources.files(__package__).joinpath("vocab.txt").read_text()
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 

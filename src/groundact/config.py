@@ -208,6 +208,9 @@ _STORED_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float),
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
+    if not isinstance(d, dict):
+        raise ConfigError(f"config dict is a {type(d).__name__}, not a dict "
+                          f"of section dicts")
     _known_sections(d, "config dict")
     parts = {}
     for section, cls in _SECTIONS.items():

@@ -7,7 +7,10 @@ rule.  Every node built under grad mode is recorded, by weak reference, on a
 tape in creation order; calling :func:`backward` on a scalar root runs the
 backward rules in reverse creation order (a valid topological order, since a
 node is always created after its parents) and accumulates gradients
-additively into every ``requires_grad`` leaf.
+additively into every ``requires_grad`` leaf.  Each node releases its rule,
+the values that rule saved, and its parents as soon as the rule has run, so
+a graph is differentiated once: a second backward through a walked node
+raises :class:`ContractError`.
 
 Double precision is the default everywhere; the finite-difference checker
 :func:`grad_check` relies on it.
@@ -158,9 +161,12 @@ class Tensor:
         accumulated additively, so a silent re-run would double them.
 
         The tape is walked from its newest node back: a node's gradient is
-        complete once every later node has run.  Each interior node's
-        gradient is freed as soon as its backward rule has run, so a later
-        backward through a shared subgraph starts from zero there.
+        complete once every later node has run.  As soon as an interior
+        node's backward rule has run, the node drops its gradient, its rule
+        (and with it the values the rule saved) and its parents, so the
+        graph is freed as the walk goes.  A later backward through a node
+        that this one walked raises :class:`ContractError`.  Nodes that this
+        backward does not reach are left as they are.
         """
         if self.size != 1:
             raise ContractError(
@@ -170,16 +176,19 @@ class Tensor:
                 "backward already run on this root; call zero_grad first")
         self._backward_run = True
         self.accumulate(np.ones_like(self.data))
-        tape = _tape[:]
+        # strong references: a node whose only holder is its child's rule
+        # must outlive that rule until the walk reaches it
+        nodes = [ref() for ref in _tape]
         try:
-            for ref in reversed(tape):
-                node = ref()
+            for i in range(len(nodes) - 1, -1, -1):
+                node, nodes[i] = nodes[i], None
                 if node is not None and node.grad is not None:
                     node._backward(node.grad)
                     node.grad = None
+                    node._backward, node._parents = _released, ()
         except BaseException:
             # no half-propagated gradient may reach a later backward
-            for ref in tape:
+            for ref in _tape:
                 node = ref()
                 if node is not None:
                     node.grad = None
@@ -187,6 +196,11 @@ class Tensor:
 
     def __getitem__(self, idx):
         return getitem(self, idx)
+
+
+def _released(g):
+    raise ContractError("backward through a graph whose saved values a "
+                        "previous backward has freed")
 
 
 def _record(node: Tensor):

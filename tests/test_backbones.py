@@ -30,6 +30,31 @@ def test_default_vocab_well_formed():
         assert action in vocab
 
 
+def test_package_loads_under_another_name(monkeypatch):
+    # two source trees in one process need distinct package names; no module
+    # may reach the package by its literal name "groundact"
+    import importlib
+    import importlib.util
+    import os
+    import sys
+    root = os.path.dirname(bb.__file__)
+    alias, vocab = "groundact_alias", load_vocab()
+    spec = importlib.util.spec_from_file_location(
+        alias, os.path.join(root, "__init__.py"),
+        submodule_search_locations=[root])
+    monkeypatch.setitem(sys.modules, "groundact", None)   # unimportable
+    try:
+        package = importlib.util.module_from_spec(spec)
+        sys.modules[alias] = package
+        spec.loader.exec_module(package)
+        backbones = importlib.import_module(f"{alias}.backbones")
+        assert backbones.load_vocab() == vocab
+    finally:
+        for name in [m for m in sys.modules
+                     if m == alias or m.startswith(alias + ".")]:
+            del sys.modules[name]
+
+
 def test_tokenize_known_words():
     vocab = ["<unk>", "walk", "stand"]
     assert tokenize("Walk, stand! walk", vocab) == [1, 2, 1]

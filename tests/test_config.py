@@ -107,6 +107,14 @@ def test_bad_dict_value_names_section_and_key(section, value, message):
         config_from_dict(d)
 
 
+@pytest.mark.parametrize("stored, kind", [
+    ("model", "str"), (["model"], "list"), (None, "NoneType")])
+def test_dict_that_is_not_a_dict_of_sections_says_so(stored, kind):
+    with pytest.raises(ConfigError, match=rf"^config dict is a {kind}, not a "
+                       rf"dict of section dicts$"):
+        config_from_dict(stored)
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.ini")

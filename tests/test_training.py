@@ -231,6 +231,62 @@ def test_tape_order_gradients_equal_dfs_order_on_a_model_step():
         assert np.abs(tape[k] - dfs[k]).max() <= 1e-12 * scale, k
 
 
+def _tiny_step():
+    cfg = tiny_cfg()
+    corpus = tiny_corpus()
+    model = GroundedModel(cfg.model, seed=0)
+    anns = [a for _, a in corpus]
+    batch = make_batch([c for c, _ in corpus], [D.prompt_for(a) for a in anns],
+                       cfg.model, VOCAB, anns)
+    return cfg, model, batch
+
+
+def test_backward_frees_the_saved_values_of_a_model_step():
+    # With out and loss still bound, the graph's saved values must be gone
+    # after backward: what stays live is the outputs' own data and the
+    # parameter gradients.  Measured at this config: 0.36 of the live memory
+    # after the forward; 1.28 when every node kept its rule after the walk.
+    import gc
+    import tracemalloc
+    cfg, model, batch = _tiny_step()
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, out = model.forward(batch)
+        loss, _ = tr.batch_objective(out, batch, cfg, model.keyframe(), False)
+        after_forward = tracemalloc.get_traced_memory()[0] - base
+        model.zero_grad()
+        loss.backward()
+        after_backward = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert after_backward < 0.5 * after_forward, (after_backward,
+                                                  after_forward)
+
+
+def test_backward_leaves_no_interior_node_alive_but_the_outputs():
+    import weakref
+    cfg, model, batch = _tiny_step()
+    _, out = model.forward(batch)
+    loss, _ = tr.batch_objective(out, batch, cfg, model.keyframe(), False)
+    own = {id(x) for x in (*out.per_layer_boxes, out.actor_embeddings,
+                           out.action_logits, out.group_logits, loss)}
+    refs = [weakref.ref(n) for n in loss.topo_order()
+            if n._backward is not None and id(n) not in own]
+    assert len(refs) > 50
+    model.zero_grad()
+    loss.backward()
+    alive = sum(r() is not None for r in refs)
+    assert alive == 0, f"{alive} of {len(refs)} interior nodes alive"
+    # the outputs keep their values, and nothing below them
+    assert loss._parents == () and out.final_boxes._parents == ()
+    assert np.isfinite(out.final_boxes.data).all()
+
+
 # -- checkpointing -----------------------------------------------------------
 
 def test_checkpoint_round_trip_bit_identical_forward(tmp_path):
