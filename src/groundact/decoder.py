@@ -26,7 +26,7 @@ from .fusion import (ActorBoxSet, ActorFusionParams, ReferenceBoxParams,
                      fuse, reference_logits)
 from .nn import (AttentionParams, FeedForwardParams, LayerNormParams,
                  RunContext)
-from .tensor import Tensor
+from .tensor import ShapeError, Tensor
 
 
 @dataclass
@@ -46,10 +46,66 @@ class BoxHeadParams:
                    nn.param(rng, d, d), nn.zeros_param(d),
                    nn.zeros_param(d, 4), nn.zeros_param(4))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        h = T.relu(T.linear(x, self.w1, self.b1))
-        h = T.relu(T.linear(h, self.w2, self.b2))
-        return T.linear(h, self.w3, self.b3)
+
+def box_head(actors: Tensor, frame_rows: Tensor,
+             params: BoxHeadParams) -> Tensor:
+    """relu(relu((actors + frame_rows) w1 + b1) w2 + b2) w3 + b3, the
+    per-frame box offsets of each query, as one graph node with a
+    hand-written backward.
+
+    actors [..., N, 1, d] and frame_rows [..., 1, T, d] broadcast to the
+    [..., N, T, d] rows of the perceptron; the result is [..., N, T, 4].
+    Any parameter may be stacked on the leading axis, as in
+    :func:`nn.attention_block`.  For the backward the node keeps the two
+    hidden layers after their ReLUs, whose positive entries are the ReLU
+    masks, and rebuilds the summed input rows from actors and frame_rows.
+    """
+    w1, b1, w2, b2, w3, b3 = (params.w1, params.b1, params.w2, params.b2,
+                              params.w3, params.b3)
+    if actors.shape[-1] != w1.shape[-2]:
+        raise ShapeError(f"box head width mismatch: actors {actors.shape} "
+                         f"vs w1 {w1.shape}")
+    try:
+        rows = actors.data + frame_rows.data
+    except ValueError:
+        raise ShapeError(f"box head: actors {actors.shape} and frame rows "
+                         f"{frame_rows.shape} do not broadcast") from None
+    T.check_members("box_head", rows.shape,
+                    [("w1", w1.shape, 2), ("b1", b1.shape, 1),
+                     ("w2", w2.shape, 2), ("b2", b2.shape, 1),
+                     ("w3", w3.shape, 2), ("b3", b3.shape, 1)])
+
+    def layer(a, w, b):
+        out = T.apply_weight(a, w.data)
+        out += T.per_member(b.data, out.ndim)
+        return out
+
+    h1 = np.maximum(layer(rows, w1, b1), 0.0)
+    h2 = np.maximum(layer(h1, w2, b2), 0.0)
+    data = layer(h2, w3, b3)
+
+    parents = (actors, frame_rows, w1, b1, w2, b2, w3, b3)
+    req = any(p.requires_grad for p in parents)
+
+    def backward(g):
+        d_h = g
+        for h, w, b in ((h2, w3, b3), (h1, w2, b2)):
+            if w.requires_grad:
+                w.accumulate(T.weight_grad(h, d_h, w.data))
+            if b.requires_grad:
+                b.accumulate(T.row_sum(d_h, b.data))
+            d_h = T.apply_weight(d_h, np.swapaxes(w.data, -1, -2)) * (h > 0)
+        if w1.requires_grad:
+            w1.accumulate(T.weight_grad(actors.data + frame_rows.data, d_h,
+                                        w1.data))
+        if b1.requires_grad:
+            b1.accumulate(T.row_sum(d_h, b1.data))
+        d_rows = T.apply_weight(d_h, np.swapaxes(w1.data, -1, -2))
+        for x in (actors, frame_rows):
+            if x.requires_grad:
+                x.accumulate(T.unbroadcast(d_rows, x.shape))
+
+    return Tensor(data, req, parents, backward if req else None)
 
 
 @dataclass
@@ -176,8 +232,8 @@ def decode(rep: SharedRepresentation,
         # box refinement: per-frame offsets from query + frame feature;
         # only the actor rows get boxes
         actors = x[:, :n, :]
-        hbox = T.add(T.reshape(actors, (b, n, 1, d)), frame_rows)
-        offsets = layer.box_head(hbox)                      # [B, N, T, 4]
+        offsets = box_head(T.reshape(actors, (b, n, 1, d)), frame_rows,
+                           layer.box_head)                  # [B, N, T, 4]
         prev = box_logits if li == 0 else box_logits.detach()
         box_logits = T.add(prev, offsets)
         per_layer_boxes.append(T.sigmoid(box_logits))

@@ -110,8 +110,12 @@ def _merge(x: np.ndarray) -> np.ndarray:
 def _attend(q, k, v, mask, ctx: RunContext, rate: float):
     """Scaled, masked softmax attention of split heads q [..., h, Lq, dh]
     over k, v [..., h, Lk, dh], with dropout on the weights.  Returns the
-    weighted sum [..., h, Lq, dh] and its backward, d_out -> (d_q, d_k, d_v)
-    before any broadcast is summed away."""
+    weighted sum [..., h, Lq, dh] and its backward, d_out -> ((d_q, d_k,
+    d_v) before any broadcast is summed away, the weighted sum).
+
+    The backward keeps q, k, v, the softmax weights and the dropout mask;
+    it rebuilds the dropped weights and the weighted sum from them, which
+    it hands back for the output projection's weight gradient."""
     if mask is not None and not mask.any(axis=-1).all():
         raise ContractError("attention mask has a fully masked query row")
     scale = 1.0 / np.sqrt(q.shape[-1])
@@ -122,19 +126,24 @@ def _attend(q, k, v, mask, ctx: RunContext, rate: float):
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
     keep = ctx.keep_mask(attn.shape, rate)
-    dropped = attn if keep is None else attn * keep
+
+    def weighted():
+        dropped = attn if keep is None else attn * keep
+        return dropped, dropped @ v
 
     def backward(d_out):
+        dropped, out = weighted()
         d_attn = d_out @ np.swapaxes(v, -1, -2)            # [..., h, Lq, Lk]
         d_v = np.swapaxes(dropped, -1, -2) @ d_out         # [..., h, Lk, dh]
+        del dropped
         if keep is not None:
             d_attn *= keep
         # softmax backward; masked weights are exactly 0, so are their scores'
         d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
         d_scores *= scale
-        return d_scores @ k, np.swapaxes(d_scores, -1, -2) @ q, d_v
+        return (d_scores @ k, np.swapaxes(d_scores, -1, -2) @ q, d_v), out
 
-    return dropped @ v, backward
+    return weighted()[1], backward
 
 
 def attention_block(x: Tensor, norm: LayerNormParams, params: AttentionParams,
@@ -162,6 +171,11 @@ def attention_block(x: Tensor, norm: LayerNormParams, params: AttentionParams,
     Any of the norm's and the attention's parameters may be stacked on x's
     leading axis (a weight [K, d, d], gamma [K, d]); member k then applies
     to x[k] and kv[k], and kv must have x's rank and leading axis.
+
+    For the backward the node keeps the normalized rows and their standard
+    deviations, Q, K and V, the softmax weights and the dropout mask.  It
+    rebuilds the normed-and-scaled rows, the packed weight and the merged
+    heads from those and from the parameters' current values.
     """
     d, h = params.d_model, params.num_heads
     if x.shape[-1] != d or (kv is not None and kv.shape[-1] != d):
@@ -177,11 +191,15 @@ def attention_block(x: Tensor, norm: LayerNormParams, params: AttentionParams,
         raise ShapeError(f"attention_block: stacked weights need kv "
                          f"{kv.shape} with the rank and leading axis of "
                          f"x {x.shape}")
-    hn, normed, std = _layer_norm_forward(x.data, norm)
+    normed, std = _layer_norm_forward(x.data, norm)
+    hn = _layer_norm_affine(normed, norm)
+
+    def packed_weight():
+        return np.concatenate(np.broadcast_arrays(wq.data, wk.data, wv.data),
+                              axis=-1)
+
     if kv is None:
-        w_qkv = np.concatenate(np.broadcast_arrays(wq.data, wk.data, wv.data),
-                               axis=-1)
-        qkv = _split(T.apply_weight(hn, w_qkv), 3 * h)      # [..., 3h, L, dh]
+        qkv = _split(T.apply_weight(hn, packed_weight()), 3 * h)
         q, k, v = (qkv[..., i * h:(i + 1) * h, :, :] for i in range(3))
     else:
         xkv = kv.data
@@ -189,8 +207,7 @@ def attention_block(x: Tensor, norm: LayerNormParams, params: AttentionParams,
                    _split(T.apply_weight(xkv, wk.data), h),
                    _split(T.apply_weight(xkv, wv.data), h))
     out, attend_backward = _attend(q, k, v, mask, ctx, params.dropout_rate)
-    merged = _merge(out)
-    attended = T.apply_weight(merged, wo.data)
+    attended = T.apply_weight(_merge(out), wo.data)
     full = attended.shape
     if full != x.shape:
         scale = 1.0 / (attended.size // x.size)
@@ -204,13 +221,19 @@ def attention_block(x: Tensor, norm: LayerNormParams, params: AttentionParams,
     def backward(g):
         g_attn = (g if full == x.shape
                   else np.broadcast_to(g * scale, full).copy())
-        if wo.requires_grad:
-            wo.accumulate(T.weight_grad(merged, g_attn, wo.data))
         d_merged = T.apply_weight(g_attn, np.swapaxes(wo.data, -1, -2))
-        grads = attend_backward(_split(d_merged, h))
+        grads, out = attend_backward(_split(d_merged, h))
+        if wo.requires_grad:
+            wo.accumulate(T.weight_grad(_merge(out), g_attn, wo.data))
+        # a rebuilt value is freed as soon as it is used, so that the next
+        # allocation takes its place: a heap grown during backward is
+        # trimmed by malloc, and every step would fault its pages back in
+        del out
         if kv is None:
+            w_qkv = packed_weight()
             d_qkv = _merge(np.concatenate(grads, axis=-3))  # [..., L, 3d]
-            d_w = T.weight_grad(hn, d_qkv, w_qkv)
+            d_w = T.weight_grad(_layer_norm_affine(normed, norm), d_qkv,
+                                w_qkv)
             for i, w in enumerate((wq, wk, wv)):
                 if w.requires_grad:
                     # a shared weight beside stacked ones sums the members
@@ -219,8 +242,11 @@ def attention_block(x: Tensor, norm: LayerNormParams, params: AttentionParams,
             d_hn = T.apply_weight(d_qkv, np.swapaxes(w_qkv, -1, -2))
         else:
             d_q, d_k, d_v = (T.unbroadcast(_merge(dz), a.shape) for dz, a
-                             in zip(grads, (hn, xkv, xkv)))
-            for w, a, dw in ((wq, hn, d_q), (wk, xkv, d_k), (wv, xkv, d_v)):
+                             in zip(grads, (normed, xkv, xkv)))
+            if wq.requires_grad:
+                wq.accumulate(T.weight_grad(_layer_norm_affine(normed, norm),
+                                            d_q, wq.data))
+            for w, a, dw in ((wk, xkv, d_k), (wv, xkv, d_v)):
                 if w.requires_grad:
                     w.accumulate(T.weight_grad(a, dw, w.data))
             if kv.requires_grad:
@@ -260,20 +286,24 @@ def feed_forward_block(x: Tensor, norm: LayerNormParams,
     """x + GELU perceptron(layer_norm(x)), d -> d_ff -> d with dropout on the
     hidden layer, as one graph node with a hand-written backward.  Any
     parameter may be stacked on x's leading axis, as in
-    :func:`attention_block`."""
+    :func:`attention_block`.
+
+    For the backward the node keeps the normalized rows and their standard
+    deviations, the pre-activation, the GELU's tanh and the dropout mask; it
+    rebuilds the normed-and-scaled rows and the hidden layer from those."""
     w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
     if x.shape[-1] != w1.shape[-2]:
         raise ShapeError(f"ffn width mismatch: {x.shape} vs {w1.shape}")
     T.check_members("feed_forward_block", x.shape,
                     [("w1", w1.shape, 2), ("b1", b1.shape, 1),
                      ("w2", w2.shape, 2), ("b2", b2.shape, 1)])
-    hn, normed, std = _layer_norm_forward(x.data, norm)
-    pre = T.apply_weight(hn, w1.data)
+    normed, std = _layer_norm_forward(x.data, norm)
+    pre = T.apply_weight(_layer_norm_affine(normed, norm), w1.data)
     pre += T.per_member(b1.data, pre.ndim)
     hidden, tanh = T.gelu_forward(pre)
     keep = ctx.keep_mask(hidden.shape, params.dropout_rate)
     if keep is not None:
-        hidden = hidden * keep
+        hidden *= keep
     out = T.apply_weight(hidden, w2.data)
     out += T.per_member(b2.data, out.ndim)
     data = x.data + out
@@ -283,7 +313,11 @@ def feed_forward_block(x: Tensor, norm: LayerNormParams,
 
     def backward(g):
         if w2.requires_grad:
+            hidden = T.gelu_from_tanh(pre, tanh)
+            if keep is not None:
+                hidden *= keep
             w2.accumulate(T.weight_grad(hidden, g, w2.data))
+            del hidden
         if b2.requires_grad:
             b2.accumulate(T.row_sum(g, b2.data))
         d_hidden = T.apply_weight(g, np.swapaxes(w2.data, -1, -2))
@@ -291,7 +325,8 @@ def feed_forward_block(x: Tensor, norm: LayerNormParams,
             d_hidden *= keep
         d_pre = d_hidden * T.gelu_slope(pre, tanh)
         if w1.requires_grad:
-            w1.accumulate(T.weight_grad(hn, d_pre, w1.data))
+            w1.accumulate(T.weight_grad(_layer_norm_affine(normed, norm),
+                                        d_pre, w1.data))
         if b1.requires_grad:
             b1.accumulate(T.row_sum(d_pre, b1.data))
         d_hn = T.apply_weight(d_pre, np.swapaxes(w1.data, -1, -2))
@@ -318,9 +353,9 @@ _LN_EPS = 1e-5
 
 
 def _layer_norm_forward(x: np.ndarray, params: LayerNormParams):
-    """Normalized, scaled and shifted x, plus the normalized rows and their
-    standard deviations for the backward.  gamma and beta may be stacked
-    [K, n] on x's leading axis."""
+    """The normalized rows of x and their standard deviations, which the
+    backward takes; :func:`_layer_norm_affine` scales and shifts them.
+    gamma and beta may be stacked [K, n] on x's leading axis."""
     gamma, beta = params.gamma, params.beta
     n = x.shape[-1]
     if gamma.shape[-1:] != (n,) or beta.shape[-1:] != (n,):
@@ -332,9 +367,16 @@ def _layer_norm_forward(x: np.ndarray, params: LayerNormParams):
     centered = x - mean
     var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
     std = np.sqrt(var + _LN_EPS)
-    normed = centered / std
-    return (normed * T.per_member(gamma.data, x.ndim)
-            + T.per_member(beta.data, x.ndim)), normed, std
+    return centered / std, std
+
+
+def _layer_norm_affine(normed: np.ndarray,
+                       params: LayerNormParams) -> np.ndarray:
+    """normed * gamma + beta: the layer norm's output, from its normalized
+    rows; one elementwise pass, so a backward rebuilds it, not keeps it."""
+    out = normed * T.per_member(params.gamma.data, normed.ndim)
+    out += T.per_member(params.beta.data, normed.ndim)
+    return out
 
 
 def _layer_norm_backward(g: np.ndarray, normed: np.ndarray, std: np.ndarray,
@@ -355,7 +397,8 @@ def _layer_norm_backward(g: np.ndarray, normed: np.ndarray, std: np.ndarray,
 
 def layer_norm(x: Tensor, params: LayerNormParams) -> Tensor:
     """Normalize the last axis, then scale and shift; one graph node."""
-    data, normed, std = _layer_norm_forward(x.data, params)
+    normed, std = _layer_norm_forward(x.data, params)
+    data = _layer_norm_affine(normed, params)
     parents = (x, params.gamma, params.beta)
     req = any(p.requires_grad for p in parents)
 

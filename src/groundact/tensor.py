@@ -12,6 +12,13 @@ the values that rule saved, and its parents as soon as the rule has run, so
 a graph is differentiated once: a second backward through a walked node
 raises :class:`ContractError`.
 
+A backward rule reads its parameters' current ``.data``: the fused nodes
+keep no copy of a weight, and rebuild some of their cheap intermediates
+(a layer norm's scaled output, a GELU's value) from what they keep, the
+parameters included.  So reassigning a parameter's ``.data`` between a
+forward and its backward is outside the contract; an optimizer step comes
+after the backward, as it must anyway.
+
 Double precision is the default everywhere; the finite-difference checker
 :func:`grad_check` relies on it.
 """
@@ -355,18 +362,21 @@ def linear(x, w, b=None):
 
 # -- nonlinearities ----------------------------------------------------------
 
-def relu(x):
-    return _unary(x, lambda v: np.maximum(v, 0.0),
-                  lambda g, v, out: g * (v > 0))
-
-
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def gelu_forward(v: np.ndarray):
     """tanh-approximated GELU of an array, and the tanh its slope reuses."""
     t = np.tanh(_GELU_C * (v + 0.044715 * (v * v * v)))
-    return 0.5 * v * (1.0 + t), t
+    return gelu_from_tanh(v, t), t
+
+
+def gelu_from_tanh(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """GELU of v, given the tanh from :func:`gelu_forward`: one elementwise
+    pass, which a backward runs to rebuild the value instead of keeping it."""
+    out = 0.5 * v
+    out *= 1.0 + t
+    return out
 
 
 def gelu_slope(v: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 from . import nn
 from . import tensor as T
 from .config import ModelConfig
-from .decoder import ActionDecoderParams, decode
+from .decoder import ActionDecoderParams, BoxHeadParams, box_head, decode
 from .encoder import VLEncoderParams, encode
 from .fusion import ActorBoxSet, ActorFusionParams, ReferenceBoxParams, fuse
 from .losses import box_loss
@@ -79,6 +79,10 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
     norm = nn.LayerNormParams(ub(4), ub(4))
     wo = ub(4, 4)
     m_block = ub(1, 2, 4)
+    # the box head's input comes from a third child generator; only its
+    # output weights come from rng, 12 values where the case it replaced
+    # drew its input, so every later draw from rng is unchanged
+    hrng = rng.spawn(1)[0]
 
     def unpack(x, *shapes):
         """Consecutive slices of the last axis of x, each reshaped; any
@@ -120,6 +124,17 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
         return rs(T.mul(nn.attention_block(xs, norm, p, ctx=_dropout()),
                         m_block))
 
+    def box_head_rows(m):
+        # 3 queries' rows broadcast over 2 frames' rows, every weight
+        # stacked; m [3, 1, 4] weighs each query's offsets on every frame
+        def f(x):
+            actors, frame_rows, *weights = unpack(
+                x, (1, 3, 1, 3), (1, 1, 2, 3), (3, 3), (3,), (3, 3), (3,),
+                (3, 4), (4,))
+            return rs(T.mul(box_head(actors, frame_rows,
+                                     BoxHeadParams(*weights)), m))
+        return f
+
     def feed_forward_block(x):
         xs, w1, b1, w2, b2 = unpack(x, (1, 2, 4), (4, 4), (4,), (4, 4), (4,))
         p = nn.FeedForwardParams(w1, b1, w2, b2, dropout_rate=0.25)
@@ -133,7 +148,8 @@ def op_cases(rng: np.random.Generator) -> List[Tuple[str, Callable, Tensor]]:
         ("broadcast_add",
          lambda x: rs(T.mul(T.add(T.reshape(x, (-1, 1, 1, 3)), big), big)),
          u(3)),
-        ("relu", lambda x: rs(T.relu(x)), u(4, 3)),
+        ("box_head", box_head_rows(u(3, 1, 4)),
+         Tensor(hrng.uniform(-1, 1, size=9 + 6 + 2 * (9 + 3) + 12 + 4))),
         ("sigmoid", lambda x: rs(T.sigmoid(x)), u(4, 3)),
         ("softplus", lambda x: rs(T.softplus(x)), u(4, 3)),
         ("sum_axis", lambda x: rs(T.mul(T.tsum(x, axis=-1), v4)), u(4, 3)),

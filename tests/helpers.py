@@ -7,6 +7,8 @@ is compared, are built from them, one node per step.
 :func:`reference_cases` checks each against finite differences.
 """
 
+import gc
+import tracemalloc
 from typing import Callable
 
 import numpy as np
@@ -23,6 +25,29 @@ def rowwise(f1: Callable[[Tensor], Tensor]) -> Callable[[Tensor], Tensor]:
         return T.concat([T.reshape(f1(stack[k]), (1,))
                          for k in range(stack.shape[0])])
     return f
+
+
+def held_array_bytes(build: Callable[[], Tensor]) -> int:
+    """The bytes of numpy array data that ``build()`` leaves alive besides
+    its output's, by tracemalloc in numpy's own domain: for a graph node
+    built from inputs that exist already, the arrays its backward keeps.
+    Python objects (the node, its closure, the tape's list) do not count."""
+    def arrays() -> int:
+        snap = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        return sum(stat.size for stat in snap.statistics("filename"))
+
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = arrays()
+        out = build()
+        return arrays() - base - out.data.nbytes
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 # -- reference ops -----------------------------------------------------------
@@ -46,6 +71,11 @@ def where(cond: np.ndarray, a, b):
     """Select from two tensors with a constant boolean mask."""
     return T._binary(a, b, lambda x, y: np.where(cond, x, y),
                      lambda g, x, y: g * cond, lambda g, x, y: g * ~cond)
+
+
+def relu(x):
+    return T._unary(x, lambda v: np.maximum(v, 0.0),
+                    lambda g, v, out: g * (v > 0))
 
 
 def tanh(x):
@@ -115,4 +145,5 @@ def reference_cases(rng: np.random.Generator):
         ("softmax", lambda x: rs(T.mul(softmax(x, axis=-1), b)), u(4, 3)),
         ("where", lambda x: rs(where(np.eye(4, 3, dtype=bool), x, b)),
          u(4, 3)),
+        ("relu", lambda x: rs(relu(x)), u(4, 3)),
     ]

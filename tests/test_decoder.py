@@ -1,16 +1,20 @@
 """Box-refining decoder: reference start, tube validity, actor fusion."""
 
 import numpy as np
+import pytest
 
 from groundact import tensor as T
 from groundact.config import LossWeights, ModelConfig
 from groundact.data import ACTIONS, GROUPS, ActorAnnotation, SceneAnnotation
-from groundact.decoder import ActionDecoderParams, decode
+from groundact.decoder import (ActionDecoderParams, BoxHeadParams, box_head,
+                               decode)
 from groundact.encoder import VLEncoderParams, encode
 from groundact.fusion import (ActorFusionParams, ReferenceBoxParams,
                               reference_logits)
 from groundact.losses import total_objective
-from groundact.tensor import Tensor
+from groundact.tensor import ShapeError, Tensor
+
+import helpers as H
 
 
 def toy_cfg(**kw):
@@ -64,6 +68,56 @@ def test_boxes_stay_in_unit_interval():
         assert boxes.shape == (2, cfg.num_queries, cfg.frames, 4)
         assert boxes.data.min() > 0.0 and boxes.data.max() < 1.0
     assert out.final_boxes is out.per_layer_boxes[-1]
+
+
+def _box_head_inputs(rng, b=2, n=3, t=4, d=8):
+    """actors [B, N, 1, d], frame rows [B, 1, T, d] and a box head whose
+    every layer, the zero-initialized last one too, has random weights."""
+    leaf = lambda *s: Tensor(rng.normal(size=s), requires_grad=True)
+    params = BoxHeadParams(leaf(d, d), leaf(d), leaf(d, d), leaf(d),
+                           leaf(d, 4), leaf(4))
+    return leaf(b, n, 1, d), leaf(b, 1, t, d), params
+
+
+def _composed_box_head(actors, frame_rows, p):
+    """The box head as the decoder once built it, one node per step."""
+    h = H.relu(T.linear(T.add(actors, frame_rows), p.w1, p.b1))
+    h = H.relu(T.linear(h, p.w2, p.b2))
+    return T.linear(h, p.w3, p.b3)
+
+
+def test_box_head_matches_composed():
+    rng = np.random.default_rng(11)
+    actors, frame_rows, p = _box_head_inputs(rng)
+    inputs = [actors, frame_rows, p.w1, p.b1, p.w2, p.b2, p.w3, p.b3]
+    weight = Tensor(rng.normal(size=(2, 3, 4, 4)))
+    results = []
+    for f in (box_head, _composed_box_head):
+        for x in inputs:
+            x.zero_grad()
+        out = f(actors, frame_rows, p)
+        T.tsum(T.mul(out, weight)).backward()
+        results.append([out.data] + [x.grad for x in inputs])
+    # the first ReLU's mask has entries both ways
+    pre = (actors.data + frame_rows.data) @ p.w1.data + p.b1.data
+    assert (pre < 0).any() and (pre > 0).any()
+    for fused, composed in zip(*results):
+        np.testing.assert_array_equal(fused, composed)
+
+
+def test_box_head_keeps_only_its_hidden_layers():
+    # the summed input rows and the pre-activations are not kept
+    actors, frame_rows, p = _box_head_inputs(np.random.default_rng(12))
+    held = H.held_array_bytes(lambda: box_head(actors, frame_rows, p))
+    assert abs(held - 8 * 2 * (2 * 3 * 4 * 8)) <= 1024
+
+
+def test_box_head_rejects_mismatched_rows():
+    actors, frame_rows, p = _box_head_inputs(np.random.default_rng(13))
+    with pytest.raises(ShapeError, match="actors"):
+        box_head(Tensor(np.zeros((2, 3, 1, 6))), frame_rows, p)
+    with pytest.raises(ShapeError, match="broadcast"):
+        box_head(actors, Tensor(np.zeros((3, 1, 4, 8))), p)
 
 
 def test_logit_shapes():

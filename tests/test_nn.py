@@ -674,6 +674,48 @@ def test_fused_layer_norm_rejects_mismatched_params():
         layer_norm(Tensor(np.zeros((2, 4))), p)
 
 
+# -- what each fused node keeps for its backward ----------------------------
+
+def _held_cases():
+    """name -> (build, the float64 elements the node's rule keeps): one
+    grad-mode call each, heads 2, dropout on, every array larger than 1 KiB
+    that a node could keep besides those."""
+    rng = np.random.default_rng(30)
+    leaf = lambda *s: Tensor(rng.normal(size=s), requires_grad=True)
+    ctx = RunContext(training=True, rng=np.random.default_rng(31))
+    norm = LayerNormParams(leaf(16), leaf(16))
+    attn = AttentionParams(2, 16, *[leaf(16, 16) for _ in range(4)],
+                           dropout_rate=0.25)
+    ffn = FeedForwardParams(leaf(16, 32), leaf(32), leaf(32, 16), leaf(16),
+                            dropout_rate=0.25)
+    x = leaf(2, 8, 16)
+    q, kv = leaf(2, 1, 8, 16), leaf(2, 4, 5, 16)
+    b, lq, t, lk, d = 2, 8, 4, 5, 16
+    # normed rows + their std, per row of x
+    ln = b * lq * d + b * lq
+    return {
+        # + the packed Q/K/V rows, + the weights and their dropout mask
+        "self_attention": (lambda: attention_block(x, norm, attn, ctx=ctx),
+                           ln + b * lq * 3 * d + 2 * b * 2 * lq * lq),
+        # + Q, K, V, + per-frame weights [B, T, h, Lq, Lk] and their mask
+        "frames_cross_attention": (
+            lambda: attention_block(q, norm, attn, kv, ctx=ctx),
+            ln + b * lq * d + 2 * b * t * lk * d + 2 * b * t * 2 * lq * lk),
+        # + the pre-activation, its tanh and the dropout mask
+        "feed_forward_block": (lambda: feed_forward_block(x, norm, ffn, ctx),
+                               ln + 3 * b * lq * 32),
+    }
+
+
+@pytest.mark.parametrize("case", ["self_attention", "frames_cross_attention",
+                                  "feed_forward_block"])
+def test_fused_block_keeps_only_its_documented_arrays(case):
+    # the scaled layer-norm output, the packed weight, the merged heads, the
+    # dropped weights and the GELU output are rebuilt in backward, not kept
+    build, elements = _held_cases()[case]
+    assert abs(H.held_array_bytes(build) - 8 * elements) <= 1024
+
+
 # -- the member axis ---------------------------------------------------------
 
 def _stacked_matches_separate(call, x, params, shared=(), kv=None, mask=None):

@@ -29,7 +29,7 @@ def test_elementwise_forward():
     np.testing.assert_array_equal(T.mul(a, b).data, [4.0, -10.0, -18.0])
     np.testing.assert_allclose(H.div(a, b).data, [0.25, -0.4, -0.5])
     np.testing.assert_array_equal(H.maximum(a, b).data, [4.0, 5.0, 3.0])
-    np.testing.assert_array_equal(T.relu(a).data, [1.0, 0.0, 3.0])
+    np.testing.assert_array_equal(H.relu(a).data, [1.0, 0.0, 3.0])
     np.testing.assert_array_equal(H.absolute(a).data, [1.0, 2.0, 3.0])
 
 
@@ -181,7 +181,7 @@ def test_backward_order_independent():
     w = t(rng.normal(size=(3, 3)))
 
     def build():
-        h = T.relu(H.matmul(x, w))
+        h = H.relu(H.matmul(x, w))
         return T.tsum(T.mul(H.softmax(h), h))
 
     y1 = build()
@@ -327,7 +327,7 @@ def test_grad_check_flags_wrong_gradient():
 
 def test_grad_check_excludes_relu_kink():
     x = t([0.0, 1.0, -1.0])
-    err = grad_check(rowwise(lambda v: T.tsum(T.relu(v))), x)
+    err = grad_check(rowwise(lambda v: T.tsum(H.relu(v))), x)
     assert err <= 1e-4  # coordinate 0 sits on the kink and is skipped
 
 
