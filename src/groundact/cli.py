@@ -89,13 +89,15 @@ def cmd_eval(args) -> int:
     corpus = load_corpus(args.data)
     vocab = bb.load_vocab()
     ev = evaluate(model, corpus, cfg, vocab)
+    ks = [int(m.split("@")[1]) for m in wanted if m not in _EVAL_METRICS]
+    rk = (retrieval_recall(model, corpus, cfg, vocab, ks=tuple(ks))
+          if ks else {})
     out = {}
     for m in wanted:
         if m in _EVAL_METRICS:
             out.update(_EVAL_METRICS[m](ev))
         else:
             k = int(m.split("@")[1])
-            rk = retrieval_recall(model, corpus, cfg, vocab, ks=(k,))
             out[f"recall@{k}"] = rk.get(k)
     for k, v in out.items():
         print(f"{k}: {v:.4f}" if v is not None else f"{k}: n/a")

@@ -5,8 +5,9 @@ ACTIONS and GROUPS are the label world: their lengths size the decoder's
 action and group heads.  Synthetic clips render each actor as a
 distinct-intensity rectangle moving by a scripted rule, so the annotation
 tubes are exact by construction.  The group activity is derived from the
-actors' actions by the same majority vote used at inference time
-(``metrics.group_activity_vote``), which makes it exactly learnable.
+actors' actions by majority vote (``metrics.group_activity_vote``), which
+makes it exactly learnable.  Inference runs an array form of the same rule
+over the whole batch (``training.evaluate``); a test pins the two together.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ def hierarchical_infer(partition_logits: Sequence[np.ndarray],
 
     A metric-only utility for label hierarchies: no prediction path calls
     it.  The model predicts flat per-actor action labels and a group label
-    (``training.predict_actions`` / ``predict_group``).
+    (``training.evaluate``).
     """
     hierarchy.validate()
     if len(partition_logits) != len(hierarchy.partitions):

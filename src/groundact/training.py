@@ -20,9 +20,8 @@ from .config import (ConfigError, ExperimentConfig, config_from_dict,
                      config_to_dict)
 from .losses import (ground_truth, keyframe_matches, pairwise_iou,
                      total_objective)
-from .metrics import (ActorPrediction, PredictionRecord, group_activity_vote,
-                      mca, mean_per_class_accuracy, multilabel_prf,
-                      recall_at_k)
+from .metrics import (ActorPrediction, PredictionRecord, mca,
+                      mean_per_class_accuracy, multilabel_prf, recall_at_k)
 from .model import Batch, GroundedModel, make_batch
 from .nn import RunContext
 from .optim import (OptimizerState, adam_step, clip_grad_norm, cosine_decay,
@@ -107,36 +106,6 @@ class EvalResult:
     records: List[PredictionRecord] = field(default_factory=list)
 
 
-def predict_actions(action_logits: np.ndarray) -> List[List[int]]:
-    """Per query: sigmoid-thresholded label set, top-1 if nothing confident."""
-    probs = 1.0 / (1.0 + np.exp(-action_logits))
-    out = []
-    for row in probs:
-        labels = [int(i) for i in np.flatnonzero(row > 0.5)]
-        out.append(labels if labels else [int(np.argmax(row))])
-    return out
-
-
-def predict_group(group_logits: np.ndarray, action_logits: np.ndarray,
-                  use_vote: bool) -> Tuple[int, float]:
-    """Group label of one clip ([G] group and [N, A] action logits) via
-    member majority vote over confident actor queries, falling back to the
-    group-token classifier."""
-    probs = np.exp(group_logits - group_logits.max())
-    probs /= probs.sum()
-    cls_label, cls_conf = int(np.argmax(group_logits)), float(probs.max())
-    if not use_vote:
-        return cls_label, cls_conf
-    sig = 1.0 / (1.0 + np.exp(-action_logits))
-    confident = [i for i in range(action_logits.shape[0]) if sig[i].max() > 0.5]
-    if not confident:
-        return cls_label, cls_conf
-    members = [[int(np.argmax(action_logits[i]))] for i in confident]
-    label = group_activity_vote(members, D.ACTION_TO_GROUP)
-    conf = float(np.mean([sig[i].max() for i in confident]))
-    return label, conf
-
-
 def infer(model: GroundedModel, corpus, cfg: ExperimentConfig,
           vocab: List[str]):
     """Batch the (clip, annotation) pairs with their prompts and run the
@@ -152,43 +121,62 @@ def infer(model: GroundedModel, corpus, cfg: ExperimentConfig,
 
 def evaluate(model: GroundedModel, corpus, cfg: ExperimentConfig,
              vocab: List[str], use_vote: Optional[bool] = None) -> EvalResult:
-    """Metrics over (clip, annotation) pairs; also emits prediction records."""
+    """Metrics over (clip, annotation) pairs; also emits prediction records.
+
+    Every prediction comes from array ops over the batch's logits:
+    - a query's labels are the actions with sigmoid > 0.5, or its sigmoid
+      argmax when there is none;
+    - the queries whose top sigmoid is > 0.5 vote, each with its logit
+      argmax (saturated sigmoids tie where logits do not), and the most
+      frequent action, ties to the lowest, names the group through
+      ``D.ACTION_TO_GROUP``: ``metrics.group_activity_vote``'s rule.  Its
+      confidence is the mean of the voters' top sigmoids;
+    - with no voter, or when ``use_vote`` is off, the group is the group
+      head's softmax argmax, at its probability.
+    """
     if use_vote is None:
         use_vote = cfg.model.decoder_layers >= 1
     batch, _, out = infer(model, corpus, cfg, vocab)
     keyframe = model.keyframe()
     boxes = out.final_boxes.data
-    act_all = out.action_logits.data
+    logits = out.action_logits.data                               # [B, N, A]
     gt = ground_truth(batch.annotations)
-    matches = keyframe_matches(boxes, act_all, gt, cfg.loss, keyframe)
+    matches = keyframe_matches(boxes, logits, gt, cfg.loss, keyframe)
     iou_all = pairwise_iou(boxes[:, :, keyframe, :],
                            gt.tubes[:, :, keyframe, :])[0]       # [B, M, N]
+
+    sig = 1.0 / (1.0 + np.exp(-logits))
+    labels = sig > 0.5
+    voters = labels.any(-1)                                       # [B, N]
+    labels[~voters, sig[~voters].argmax(-1)] = True
+    votes = np.eye(sig.shape[-1], dtype=bool)[logits.argmax(-1)]
+    voted = (votes & voters[..., None]).sum(1).argmax(-1)  # ties: lowest
+    group_logits = out.group_logits.data
+    group_probs = np.exp(group_logits - group_logits.max(-1, keepdims=True))
+    group_probs /= group_probs.sum(-1, keepdims=True)
 
     pred_groups, gt_groups = [], []
     pred_sets, gt_sets = [], []
     ious, records = [], []
     for i, (ann, match) in enumerate(zip(batch.annotations, matches)):
-        act_logits = act_all[i]
-        label, conf = predict_group(out.group_logits.data[i], act_logits,
-                                    use_vote)
+        if use_vote and voters[i].any():
+            label = D.ACTION_TO_GROUP[int(voted[i])]
+            conf = float(np.mean(sig[i, voters[i]].max(-1)))
+        else:
+            label = int(np.argmax(group_logits[i]))
+            conf = float(group_probs[i].max())
         pred_groups.append(label)
         gt_groups.append(ann.group_activity)
-
-        query_actions = predict_actions(act_logits)
+        actions = [np.flatnonzero(row).tolist() for row in labels[i]]
         ious.extend(iou_all[i, match.gt_indices, match.pred_indices].tolist())
-
-        matched_pred_actions = [set(query_actions[j]) for j in match.pred_indices]
-        matched_gt_actions = [set(ann.actors[k].actions) for k in match.gt_indices]
-        pred_sets.extend(matched_pred_actions)
-        gt_sets.extend(matched_gt_actions)
-
-        sig = 1.0 / (1.0 + np.exp(-act_logits))
+        pred_sets.extend(set(actions[j]) for j in match.pred_indices)
+        gt_sets.extend(set(ann.actors[k].actions) for k in match.gt_indices)
         records.append(PredictionRecord(
             clip_id=ann.clip_id, group_label=label, group_confidence=conf,
             actors=[ActorPrediction(
-                labels=query_actions[q],
-                confidences=[float(sig[q, a]) for a in query_actions[q]],
-                keyframe_box=[float(v) for v in boxes[i, q, keyframe]])
+                labels=actions[q],
+                confidences=sig[i, q, labels[i, q]].tolist(),
+                keyframe_box=boxes[i, q, keyframe].tolist())
                 for q in range(boxes.shape[1])]))
 
     merge = {g: D.MERGED_GROUPS[D.GROUPS[g]] for g in range(len(D.GROUPS))}

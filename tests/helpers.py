@@ -5,15 +5,25 @@ the fused kernels replaced them.  They live here, not in groundact.tensor,
 because the tests' composed references, against which every fused kernel
 is compared, are built from them, one node per step.
 :func:`reference_cases` checks each against finite differences.
+
+The reference predictions at the end are ``training.evaluate`` as it was
+before it worked on whole-batch arrays: one clip at a time, through
+:func:`predict_actions` and :func:`predict_group`.
 """
 
 import gc
 import tracemalloc
-from typing import Callable
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from groundact import data as D
 from groundact import tensor as T
+from groundact import training
+from groundact.losses import ground_truth, keyframe_matches, pairwise_iou
+from groundact.metrics import (ActorPrediction, PredictionRecord,
+                               group_activity_vote, mca,
+                               mean_per_class_accuracy, multilabel_prf)
 from groundact.tensor import Tensor
 from groundact.verify import _row_sums
 
@@ -27,24 +37,27 @@ def rowwise(f1: Callable[[Tensor], Tensor]) -> Callable[[Tensor], Tensor]:
     return f
 
 
+def array_bytes() -> int:
+    """The bytes of numpy array data alive now, by tracemalloc in numpy's
+    own domain (tracing must be on).  Python objects do not count."""
+    snap = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    return sum(stat.size for stat in snap.statistics("filename"))
+
+
 def held_array_bytes(build: Callable[[], Tensor]) -> int:
     """The bytes of numpy array data that ``build()`` leaves alive besides
-    its output's, by tracemalloc in numpy's own domain: for a graph node
-    built from inputs that exist already, the arrays its backward keeps.
-    Python objects (the node, its closure, the tape's list) do not count."""
-    def arrays() -> int:
-        snap = tracemalloc.take_snapshot().filter_traces(
-            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
-        return sum(stat.size for stat in snap.statistics("filename"))
-
+    its output's (:func:`array_bytes`): for a graph node built from inputs
+    that exist already, the arrays its backward keeps.  Python objects (the
+    node, its closure, the tape's list) do not count."""
     gc.collect()
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
-        base = arrays()
+        base = array_bytes()
         out = build()
-        return arrays() - base - out.data.nbytes
+        return array_bytes() - base - out.data.nbytes
     finally:
         if started:
             tracemalloc.stop()
@@ -147,3 +160,81 @@ def reference_cases(rng: np.random.Generator):
          u(4, 3)),
         ("relu", lambda x: rs(relu(x)), u(4, 3)),
     ]
+
+
+# -- reference predictions ---------------------------------------------------
+
+def predict_actions(action_logits: np.ndarray) -> List[List[int]]:
+    """Per query: sigmoid-thresholded label set, top-1 if nothing confident."""
+    probs = 1.0 / (1.0 + np.exp(-action_logits))
+    out = []
+    for row in probs:
+        labels = [int(i) for i in np.flatnonzero(row > 0.5)]
+        out.append(labels if labels else [int(np.argmax(row))])
+    return out
+
+
+def predict_group(group_logits: np.ndarray, action_logits: np.ndarray,
+                  use_vote: bool) -> Tuple[int, float]:
+    """Group label of one clip ([G] group and [N, A] action logits) via
+    member majority vote over confident actor queries, falling back to the
+    group-token classifier."""
+    probs = np.exp(group_logits - group_logits.max())
+    probs /= probs.sum()
+    cls_label, cls_conf = int(np.argmax(group_logits)), float(probs.max())
+    if not use_vote:
+        return cls_label, cls_conf
+    sig = 1.0 / (1.0 + np.exp(-action_logits))
+    confident = [i for i in range(action_logits.shape[0])
+                 if sig[i].max() > 0.5]
+    if not confident:
+        return cls_label, cls_conf
+    members = [[int(np.argmax(action_logits[i]))] for i in confident]
+    label = group_activity_vote(members, D.ACTION_TO_GROUP)
+    conf = float(np.mean([sig[i].max() for i in confident]))
+    return label, conf
+
+
+def reference_evaluate(model, corpus, cfg, vocab,
+                       use_vote: Optional[bool] = None):
+    """``training.evaluate``, one clip at a time."""
+    if use_vote is None:
+        use_vote = cfg.model.decoder_layers >= 1
+    batch, _, out = training.infer(model, corpus, cfg, vocab)
+    keyframe = model.keyframe()
+    boxes = out.final_boxes.data
+    act_all = out.action_logits.data
+    gt = ground_truth(batch.annotations)
+    matches = keyframe_matches(boxes, act_all, gt, cfg.loss, keyframe)
+    iou_all = pairwise_iou(boxes[:, :, keyframe, :],
+                           gt.tubes[:, :, keyframe, :])[0]
+    pred_groups, gt_groups = [], []
+    pred_sets, gt_sets = [], []
+    ious, records = [], []
+    for i, (ann, match) in enumerate(zip(batch.annotations, matches)):
+        act_logits = act_all[i]
+        label, conf = predict_group(out.group_logits.data[i], act_logits,
+                                    use_vote)
+        pred_groups.append(label)
+        gt_groups.append(ann.group_activity)
+        query_actions = predict_actions(act_logits)
+        ious.extend(iou_all[i, match.gt_indices, match.pred_indices].tolist())
+        pred_sets.extend(set(query_actions[j]) for j in match.pred_indices)
+        gt_sets.extend(set(ann.actors[k].actions) for k in match.gt_indices)
+        sig = 1.0 / (1.0 + np.exp(-act_logits))
+        records.append(PredictionRecord(
+            clip_id=ann.clip_id, group_label=label, group_confidence=conf,
+            actors=[ActorPrediction(
+                labels=query_actions[q],
+                confidences=[float(sig[q, a]) for a in query_actions[q]],
+                keyframe_box=[float(v) for v in boxes[i, q, keyframe]])
+                for q in range(boxes.shape[1])]))
+    merge = {g: D.MERGED_GROUPS[D.GROUPS[g]] for g in range(len(D.GROUPS))}
+    prf = (multilabel_prf(pred_sets, gt_sets)
+           if any(gt_sets) else (0.0, 0.0, 0.0))
+    return training.EvalResult(
+        group_accuracy=mca(pred_groups, gt_groups),
+        merged_mca=mca(pred_groups, gt_groups, merge=merge),
+        mpca=mean_per_class_accuracy(pred_groups, gt_groups),
+        mean_keyframe_iou=float(np.mean(ious)) if ious else 0.0,
+        action_prf=prf, records=records)

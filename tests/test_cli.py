@@ -95,6 +95,31 @@ def test_train_eval_retrieve_pipeline(workspace, capsys):
     assert "sim=" in out[0] and "clip=" in out[0]
 
 
+def test_eval_runs_retrieval_once_for_all_recalls(workspace, capsys,
+                                                  monkeypatch):
+    from groundact import training
+    tmp, data, cfg = workspace
+    ckpt = tmp / "model.ckpt"
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--steps", "2", "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    infer, calls = training.infer, []
+    monkeypatch.setattr(training, "infer",
+                        lambda *a: calls.append(a) or infer(*a))
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--metrics", "iou,recall@1,recall@2"]) == 0
+    assert len(calls) == 2          # one for evaluate, one for retrieval
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "mean_keyframe_iou", "recall@1", "recall@2"]
+    # 6 clips of 2 actors: 12 candidates, so K = 13 has no value
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--metrics", "recall@13,mca,recall@12"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "recall@13: n/a" and lines[2] == "recall@12: 1.0000"
+    assert lines[1].startswith("mca: ")
+
+
 def test_train_reads_mode_from_config(workspace):
     tmp, data, cfg = workspace
     cfg.write_text(TINY_INI + "mode = weak\n")
