@@ -76,7 +76,8 @@ _EVAL_METRICS = {
 
 
 def cmd_eval(args) -> int:
-    from .training import evaluate, load_checkpoint, retrieval_recall
+    from .training import (embedding_pool, infer_matched, load_checkpoint,
+                           retrieval_recall, score)
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
     for m in wanted:
         if not (m in _EVAL_METRICS
@@ -88,10 +89,12 @@ def cmd_eval(args) -> int:
     model, cfg, _, _ = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.data)
     vocab = bb.load_vocab()
-    ev = evaluate(model, corpus, cfg, vocab)
+    # one forward and one matching serve the metrics and every recall@K
+    inference = infer_matched(model, corpus, cfg, vocab)
+    ev = score(inference, cfg)
     ks = [int(m.split("@")[1]) for m in wanted if m not in _EVAL_METRICS]
-    rk = (retrieval_recall(model, corpus, cfg, vocab, ks=tuple(ks))
-          if ks else {})
+    rk = (retrieval_recall(model, *embedding_pool(inference, cfg), vocab,
+                           ks=tuple(ks)) if ks else {})
     out = {}
     for m in wanted:
         if m in _EVAL_METRICS:

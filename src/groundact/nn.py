@@ -110,12 +110,9 @@ def _merge(x: np.ndarray) -> np.ndarray:
 def _attend(q, k, v, mask, ctx: RunContext, rate: float):
     """Scaled, masked softmax attention of split heads q [..., h, Lq, dh]
     over k, v [..., h, Lk, dh], with dropout on the weights.  Returns the
-    weighted sum [..., h, Lq, dh] and its backward, d_out -> ((d_q, d_k,
-    d_v) before any broadcast is summed away, the weighted sum).
-
-    The backward keeps q, k, v, the softmax weights and the dropout mask;
-    it rebuilds the dropped weights and the weighted sum from them, which
-    it hands back for the output projection's weight gradient."""
+    weighted sum [..., h, Lq, dh], the softmax weights and the dropout's
+    keep mask (None without dropout): what :func:`_attend_backward` takes
+    besides q, k and v, which a backward rebuilds."""
     if mask is not None and not mask.any(axis=-1).all():
         raise ContractError("attention mask has a fully masked query row")
     scale = 1.0 / np.sqrt(q.shape[-1])
@@ -126,24 +123,36 @@ def _attend(q, k, v, mask, ctx: RunContext, rate: float):
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
     keep = ctx.keep_mask(attn.shape, rate)
+    dropped = attn if keep is None else attn * keep
+    return dropped @ v, attn, keep
 
-    def weighted():
-        dropped = attn if keep is None else attn * keep
-        return dropped, dropped @ v
 
-    def backward(d_out):
-        dropped, out = weighted()
-        d_attn = d_out @ np.swapaxes(v, -1, -2)            # [..., h, Lq, Lk]
-        d_v = np.swapaxes(dropped, -1, -2) @ d_out         # [..., h, Lk, dh]
-        del dropped
-        if keep is not None:
-            d_attn *= keep
-        # softmax backward; masked weights are exactly 0, so are their scores'
-        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
-        d_scores *= scale
-        return (d_scores @ k, np.swapaxes(d_scores, -1, -2) @ q, d_v), out
-
-    return weighted()[1], backward
+def _attend_backward(d_out, qkv: list, attn, keep):
+    """The backward of :func:`_attend`, given the gradient of its weighted
+    sum and the list [q, k, v], which it empties: each of them is dropped
+    as soon as its last use is done (v after the weighted sum and the
+    weights' gradient, k after q's), so that the next allocation takes its
+    place.  Returns ((d_q, d_k, d_v) before any broadcast is summed away,
+    the weighted sum), which it rebuilds for the output projection's
+    weight gradient."""
+    q, k, v = qkv
+    qkv.clear()
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    dropped = attn if keep is None else attn * keep
+    out = dropped @ v
+    d_attn = d_out @ np.swapaxes(v, -1, -2)                # [..., h, Lq, Lk]
+    del v
+    d_v = np.swapaxes(dropped, -1, -2) @ d_out             # [..., h, Lk, dh]
+    del dropped
+    if keep is not None:
+        d_attn *= keep
+    # softmax backward; masked weights are exactly 0, so are their scores'
+    d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+    del d_attn
+    d_scores *= scale
+    d_q = d_scores @ k
+    del k
+    return (d_q, np.swapaxes(d_scores, -1, -2) @ q, d_v), out
 
 
 def attention_block(x: Tensor, norm: LayerNormParams, params: AttentionParams,
@@ -173,9 +182,12 @@ def attention_block(x: Tensor, norm: LayerNormParams, params: AttentionParams,
     to x[k] and kv[k], and kv must have x's rank and leading axis.
 
     For the backward the node keeps the normalized rows and their standard
-    deviations, Q, K and V, the softmax weights and the dropout mask.  It
-    rebuilds the normed-and-scaled rows, the packed weight and the merged
-    heads from those and from the parameters' current values.
+    deviations, the softmax weights and the dropout mask.  It rebuilds the
+    normed-and-scaled rows once, and from them, from kv's current value and
+    from the parameters' current values it rebuilds Q, K and V (the same
+    projections as the forward's), the dropped weights, the weighted sum
+    and the merged heads.  The softmax weights are kept, not rebuilt: they
+    cost a score GEMM, an exp and a normalization per head.
     """
     d, h = params.d_model, params.num_heads
     if x.shape[-1] != d or (kv is not None and kv.shape[-1] != d):
@@ -191,22 +203,30 @@ def attention_block(x: Tensor, norm: LayerNormParams, params: AttentionParams,
         raise ShapeError(f"attention_block: stacked weights need kv "
                          f"{kv.shape} with the rank and leading axis of "
                          f"x {x.shape}")
+
+    def query_weight():
+        """The weight applied to the normed rows: the packed [wq | wk | wv]
+        for self-attention, wq for cross-attention."""
+        if kv is None:
+            return np.concatenate(
+                np.broadcast_arrays(wq.data, wk.data, wv.data), axis=-1)
+        return wq.data
+
+    def project(hn, w):
+        """The split heads [q, k, v] of the normed rows hn, given
+        :func:`query_weight`: one GEMM for self-attention; for
+        cross-attention hn @ wq and kv's rows times wk and wv."""
+        if kv is None:
+            qkv = _split(T.apply_weight(hn, w), 3 * h)
+            return [qkv[..., i * h:(i + 1) * h, :, :] for i in range(3)]
+        return [_split(T.apply_weight(hn, w), h),
+                _split(T.apply_weight(kv.data, wk.data), h),
+                _split(T.apply_weight(kv.data, wv.data), h)]
+
     normed, std = _layer_norm_forward(x.data, norm)
-    hn = _layer_norm_affine(normed, norm)
-
-    def packed_weight():
-        return np.concatenate(np.broadcast_arrays(wq.data, wk.data, wv.data),
-                              axis=-1)
-
-    if kv is None:
-        qkv = _split(T.apply_weight(hn, packed_weight()), 3 * h)
-        q, k, v = (qkv[..., i * h:(i + 1) * h, :, :] for i in range(3))
-    else:
-        xkv = kv.data
-        q, k, v = (_split(T.apply_weight(hn, wq.data), h),
-                   _split(T.apply_weight(xkv, wk.data), h),
-                   _split(T.apply_weight(xkv, wv.data), h))
-    out, attend_backward = _attend(q, k, v, mask, ctx, params.dropout_rate)
+    out, attn, keep = _attend(
+        *project(_layer_norm_affine(normed, norm), query_weight()), mask,
+        ctx, params.dropout_rate)
     attended = T.apply_weight(_merge(out), wo.data)
     full = attended.shape
     if full != x.shape:
@@ -222,38 +242,40 @@ def attention_block(x: Tensor, norm: LayerNormParams, params: AttentionParams,
         g_attn = (g if full == x.shape
                   else np.broadcast_to(g * scale, full).copy())
         d_merged = T.apply_weight(g_attn, np.swapaxes(wo.data, -1, -2))
-        grads, out = attend_backward(_split(d_merged, h))
+        hn = _layer_norm_affine(normed, norm)
+        w_in = query_weight()
+        grads, out = _attend_backward(_split(d_merged, h), project(hn, w_in),
+                                      attn, keep)
         if wo.requires_grad:
             wo.accumulate(T.weight_grad(_merge(out), g_attn, wo.data))
         # a rebuilt value is freed as soon as it is used, so that the next
-        # allocation takes its place: a heap grown during backward is
-        # trimmed by malloc, and every step would fault its pages back in
-        del out
+        # allocation takes its place
+        del out, d_merged
         if kv is None:
-            w_qkv = packed_weight()
             d_qkv = _merge(np.concatenate(grads, axis=-3))  # [..., L, 3d]
-            d_w = T.weight_grad(_layer_norm_affine(normed, norm), d_qkv,
-                                w_qkv)
+            del grads
+            d_w = T.weight_grad(hn, d_qkv, w_in)
             for i, w in enumerate((wq, wk, wv)):
                 if w.requires_grad:
                     # a shared weight beside stacked ones sums the members
                     w.accumulate(T.unbroadcast(d_w[..., i * d:(i + 1) * d],
                                                w.shape))
-            d_hn = T.apply_weight(d_qkv, np.swapaxes(w_qkv, -1, -2))
+            d_hn = T.apply_weight(d_qkv, np.swapaxes(w_in, -1, -2))
         else:
-            d_q, d_k, d_v = (T.unbroadcast(_merge(dz), a.shape) for dz, a
-                             in zip(grads, (normed, xkv, xkv)))
+            d_q, d_k, d_v = (T.unbroadcast(_merge(dz), shape) for dz, shape
+                             in zip(grads, (normed.shape, kv.shape, kv.shape)))
+            del grads
             if wq.requires_grad:
-                wq.accumulate(T.weight_grad(_layer_norm_affine(normed, norm),
-                                            d_q, wq.data))
-            for w, a, dw in ((wk, xkv, d_k), (wv, xkv, d_v)):
+                wq.accumulate(T.weight_grad(hn, d_q, w_in))
+            for w, dw in ((wk, d_k), (wv, d_v)):
                 if w.requires_grad:
-                    w.accumulate(T.weight_grad(a, dw, w.data))
+                    w.accumulate(T.weight_grad(kv.data, dw, w.data))
             if kv.requires_grad:
                 kv.accumulate(
                     T.apply_weight(d_k, np.swapaxes(wk.data, -1, -2))
                     + T.apply_weight(d_v, np.swapaxes(wv.data, -1, -2)))
-            d_hn = T.apply_weight(d_q, np.swapaxes(wq.data, -1, -2))
+            d_hn = T.apply_weight(d_q, np.swapaxes(w_in, -1, -2))
+        del hn
         d_x = _layer_norm_backward(d_hn, normed, std, norm)
         # when kv is x, both writes land in the same tensor
         if x.requires_grad:

@@ -12,12 +12,22 @@ the values that rule saved, and its parents as soon as the rule has run, so
 a graph is differentiated once: a second backward through a walked node
 raises :class:`ContractError`.
 
-A backward rule reads its parameters' current ``.data``: the fused nodes
-keep no copy of a weight, and rebuild some of their cheap intermediates
-(a layer norm's scaled output, a GELU's value) from what they keep, the
-parameters included.  So reassigning a parameter's ``.data`` between a
-forward and its backward is outside the contract; an optimizer step comes
-after the backward, as it must anyway.
+A backward rule reads the current ``.data`` of its parameters and of its
+``kv`` input: the fused nodes keep no copy of a weight or of an input, and
+rebuild their cheap intermediates (a layer norm's scaled output, a GELU's
+value, an attention block's Q, K and V projections) from what they keep,
+the parameters and inputs included.  So reassigning a parameter's or an
+input's ``.data`` between a forward and its backward is outside the
+contract; an optimizer step comes after the backward, as it must anyway.
+
+Freeing the graph during backward, and the rebuilt values that come and go
+in it, would make glibc's malloc give the top of its heap back to the
+system after every step, and the next forward would fault those pages in
+again.  So the first backward of a process tells malloc to keep its heap
+(:func:`_keep_heap`): it pins the mmap threshold at 32 MiB and sets a top
+pad of 64 MiB, which every heap growth adds and every trim leaves in place.
+The setting is process-wide and changes no number; there is no option for
+it, and where the C library has no ``mallopt`` nothing is set.
 
 Double precision is the default everywhere; the finite-difference checker
 :func:`grad_check` relies on it.
@@ -29,6 +39,7 @@ import math
 import os
 import struct
 import weakref
+import zlib
 from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
@@ -181,6 +192,8 @@ class Tensor:
         if self._backward_run:
             raise ContractError(
                 "backward already run on this root; call zero_grad first")
+        if not _heap_kept:
+            _keep_heap()
         self._backward_run = True
         self.accumulate(np.ones_like(self.data))
         # strong references: a node whose only holder is its child's rule
@@ -203,6 +216,38 @@ class Tensor:
 
     def __getitem__(self, idx):
         return getitem(self, idx)
+
+
+_heap_kept = False
+
+# glibc's mallopt parameters (malloc.h)
+_M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3
+
+
+def _keep_heap():
+    """Make glibc's malloc keep the pages a step frees, once per process.
+
+    The top pad of 64 MiB is what keeps the pages: a trim leaves that much
+    free space at the top of the heap.  But setting any of malloc's pads or
+    thresholds switches off its dynamic mmap threshold, which would stay at
+    128 KiB, and every larger array would be mapped and unmapped, faulting
+    its pages in each time.  So the mmap threshold is pinned first, at
+    32 MiB (glibc's largest), and arrays below it come from the heap.  Where
+    the C library has no ``mallopt`` this does nothing."""
+    global _heap_kept
+    _heap_kept = True
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for name, param, value in (
+            ("M_MMAP_THRESHOLD", _M_MMAP_THRESHOLD, 32 << 20),
+            ("M_TOP_PAD", _M_TOP_PAD, 64 << 20)):
+        if mallopt(param, value) != 1:
+            raise RuntimeError(f"mallopt({name}, {value}) failed")
 
 
 def _released(g):
@@ -585,10 +630,13 @@ def _stack_values(f, stack: Tensor) -> Tensor:
 # Binary layout (little-endian throughout):
 #   magic "GACT", u32 version, u32 count
 #   per array: u16 name length, name (utf-8), u8 dtype tag, u8 ndim,
-#              u32 dims..., raw data bytes.
+#              u32 dims..., raw data bytes, u32 CRC-32 (zlib) of the
+#              array's record up to it, from the name length on;
+#   nothing after the last array.
+# Version 1 had no checksums; a version-1 file is rejected by its version.
 
 _MAGIC = b"GACT"
-_VERSION = 1
+_VERSION = 2
 _DTYPE_TAGS = {0: np.dtype("<f8"), 1: np.dtype("<f4"),
                2: np.dtype("<i8"), 3: np.dtype("<u1")}
 _TAG_FOR = {np.dtype("float64"): 0, np.dtype("float32"): 1,
@@ -605,19 +653,22 @@ def save_arrays(path, arrays: dict):
             if arr.dtype not in _TAG_FOR:
                 raise ValueError(f"unsupported dtype {arr.dtype} for {name!r}")
             nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<BB", _TAG_FOR[arr.dtype], arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+            head = (struct.pack("<H", len(nb)) + nb
+                    + struct.pack("<BB", _TAG_FOR[arr.dtype], arr.ndim)
+                    + struct.pack(f"<{arr.ndim}I", *arr.shape))
+            data = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+            fh.write(head)
+            fh.write(data)
+            fh.write(struct.pack("<I", zlib.crc32(data, zlib.crc32(head))))
 
 
 def load_arrays(path) -> dict:
     """Read a container written by :func:`save_arrays`.
 
-    A malformed or truncated file raises ValueError naming the path and the
-    array being read; every declared size is checked against the bytes left
-    before it is read.
+    A malformed, truncated or corrupted file raises ValueError naming the
+    path and the array being read; every declared size is checked against
+    the bytes left before it is read, and every array against its CRC-32
+    before it is interpreted.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -636,23 +687,36 @@ def load_arrays(path) -> dict:
             raise ValueError(f"{path}: unsupported container version {version}")
         out = {}
         for i in range(count):
-            (nlen,) = struct.unpack("<H", read(2, f"array #{i} name length"))
+            head = read(2, f"array #{i} name length")
+            (nlen,) = struct.unpack("<H", head)
+            raw = read(nlen, f"array #{i} name")
+            head += raw
             try:
-                name = read(nlen, f"array #{i} name").decode("utf-8")
+                name = raw.decode("utf-8")
             except UnicodeDecodeError:
                 raise ValueError(f"{path}: array #{i} name is not UTF-8") from None
-            tag, ndim = struct.unpack("<BB", read(2, f"array {name!r} header"))
-            shape = struct.unpack(f"<{ndim}I",
-                                  read(4 * ndim, f"array {name!r} shape"))
+            raw = read(2, f"array {name!r} header")
+            head += raw
+            tag, ndim = struct.unpack("<BB", raw)
+            raw = read(4 * ndim, f"array {name!r} shape")
+            head += raw
+            shape = struct.unpack(f"<{ndim}I", raw)
             if tag not in _DTYPE_TAGS:
                 raise ValueError(f"{path}: array {name!r} has unknown dtype "
                                  f"tag {tag}")
             dtype = _DTYPE_TAGS[tag]
             data = read(math.prod(shape) * dtype.itemsize,
                         f"array {name!r} data")
+            (crc,) = struct.unpack("<I", read(4, f"array {name!r} checksum"))
+            if zlib.crc32(data, zlib.crc32(head)) != crc:
+                raise ValueError(f"{path}: array {name!r} does not match its "
+                                 f"CRC-32: the file is corrupted")
             try:
                 arr = np.frombuffer(data, dtype=dtype).reshape(shape)
             except ValueError as exc:      # more axes than numpy supports
                 raise ValueError(f"{path}: array {name!r}: {exc}") from None
             out[name] = arr.astype(dtype.newbyteorder("="))
+        if fh.tell() != size:
+            raise ValueError(f"{path}: {size - fh.tell()} bytes after the "
+                             f"last of {count} arrays")
         return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -18,8 +18,9 @@ from . import data as D
 from . import tensor as T
 from .config import (ConfigError, ExperimentConfig, config_from_dict,
                      config_to_dict)
-from .losses import (ground_truth, keyframe_matches, pairwise_iou,
-                     total_objective)
+from .decoder import DecoderOutput
+from .losses import (GroundTruth, ground_truth, keyframe_matches,
+                     pairwise_iou, total_objective)
 from .metrics import (ActorPrediction, PredictionRecord, mca,
                       mean_per_class_accuracy, multilabel_prf, recall_at_k)
 from .model import Batch, GroundedModel, make_batch
@@ -119,9 +120,38 @@ def infer(model: GroundedModel, corpus, cfg: ExperimentConfig,
     return batch, rep, out
 
 
+class Inference(NamedTuple):
+    """What :func:`infer_matched` returns, which the metrics and the
+    retrieval pool both read."""
+    batch: Batch
+    out: DecoderOutput
+    gt: GroundTruth
+    matches: list               # one keyframe matching per clip
+    keyframe: int
+
+
+def infer_matched(model: GroundedModel, corpus, cfg: ExperimentConfig,
+                  vocab: List[str]) -> Inference:
+    """:func:`infer`, then match each clip's predicted actors to its
+    ground-truth actors at the keyframe."""
+    batch, _, out = infer(model, corpus, cfg, vocab)
+    keyframe = model.keyframe()
+    gt = ground_truth(batch.annotations)
+    matches = keyframe_matches(out.final_boxes.data, out.action_logits.data,
+                               gt, cfg.loss, keyframe)
+    return Inference(batch, out, gt, matches, keyframe)
+
+
 def evaluate(model: GroundedModel, corpus, cfg: ExperimentConfig,
              vocab: List[str], use_vote: Optional[bool] = None) -> EvalResult:
-    """Metrics over (clip, annotation) pairs; also emits prediction records.
+    """Metrics over (clip, annotation) pairs; also emits prediction records
+    (:func:`score`)."""
+    return score(infer_matched(model, corpus, cfg, vocab), cfg, use_vote)
+
+
+def score(inference: Inference, cfg: ExperimentConfig,
+          use_vote: Optional[bool] = None) -> EvalResult:
+    """The metrics and prediction records of one :func:`infer_matched`.
 
     Every prediction comes from array ops over the batch's logits:
     - a query's labels are the actions with sigmoid > 0.5, or its sigmoid
@@ -136,12 +166,9 @@ def evaluate(model: GroundedModel, corpus, cfg: ExperimentConfig,
     """
     if use_vote is None:
         use_vote = cfg.model.decoder_layers >= 1
-    batch, _, out = infer(model, corpus, cfg, vocab)
-    keyframe = model.keyframe()
+    batch, out, gt, matches, keyframe = inference
     boxes = out.final_boxes.data
     logits = out.action_logits.data                               # [B, N, A]
-    gt = ground_truth(batch.annotations)
-    matches = keyframe_matches(boxes, logits, gt, cfg.loss, keyframe)
     iou_all = pairwise_iou(boxes[:, :, keyframe, :],
                            gt.tubes[:, :, keyframe, :])[0]       # [B, M, N]
 
@@ -309,20 +336,23 @@ def text_query_embedding(model: GroundedModel, prompt: str,
 
 def actor_embedding_pool(model: GroundedModel, corpus, cfg: ExperimentConfig,
                          vocab: List[str]):
-    """Decoder actor embeddings matched to ground-truth actors.
+    """Decoder actor embeddings matched to ground-truth actors
+    (:func:`embedding_pool`)."""
+    return embedding_pool(infer_matched(model, corpus, cfg, vocab), cfg)
+
+
+def embedding_pool(inference: Inference, cfg: ExperimentConfig):
+    """The decoder actor embeddings of one :func:`infer_matched` that are
+    matched to ground-truth actors.
 
     Returns (embeddings [C, d], entries), one entry per matched gt actor:
     dicts with clip_id, track_id, actions, keyframe_box.
     """
     if not cfg.model.decoder_layers:
         raise TrainingError("retrieval needs at least one decoder layer")
-    batch, _, out = infer(model, corpus, cfg, vocab)
+    batch, out, _, matches, keyframe = inference
     emb_all = out.actor_embeddings.data
     boxes_all = out.final_boxes.data
-    keyframe = model.keyframe()
-    matches = keyframe_matches(boxes_all, out.action_logits.data,
-                               ground_truth(batch.annotations), cfg.loss,
-                               keyframe)
     embeddings, entries = [], []
     for i, (ann, match) in enumerate(zip(batch.annotations, matches)):
         for gt_i, pred_j in match.pairs():
@@ -334,11 +364,12 @@ def actor_embedding_pool(model: GroundedModel, corpus, cfg: ExperimentConfig,
     return np.stack(embeddings), entries
 
 
-def retrieval_recall(model: GroundedModel, corpus, cfg: ExperimentConfig,
-                     vocab: List[str], ks=(1, 5, 10)) -> Dict[int, float]:
-    """R@K: does an actor's embedding rank in the top K for the text query
-    built from its own action word?  Each distinct query is encoded once."""
-    embeddings, entries = actor_embedding_pool(model, corpus, cfg, vocab)
+def retrieval_recall(model: GroundedModel, embeddings: np.ndarray,
+                     entries: list, vocab: List[str],
+                     ks=(1, 5, 10)) -> Dict[int, float]:
+    """R@K over a pool from :func:`embedding_pool`: does an actor's
+    embedding rank in the top K for the text query built from its own
+    action word?  Each distinct query is encoded once."""
     encoded: Dict[str, np.ndarray] = {}
     queries, gt_idx = [], []
     for ci, entry in enumerate(entries):

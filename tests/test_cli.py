@@ -108,7 +108,7 @@ def test_eval_runs_retrieval_once_for_all_recalls(workspace, capsys,
                         lambda *a: calls.append(a) or infer(*a))
     assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
                  "--metrics", "iou,recall@1,recall@2"]) == 0
-    assert len(calls) == 2          # one for evaluate, one for retrieval
+    assert len(calls) == 1          # one for the metrics and the recalls
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         "mean_keyframe_iou", "recall@1", "recall@2"]

@@ -690,17 +690,22 @@ def _held_cases():
                             dropout_rate=0.25)
     x = leaf(2, 8, 16)
     q, kv = leaf(2, 1, 8, 16), leaf(2, 4, 5, 16)
-    b, lq, t, lk, d = 2, 8, 4, 5, 16
+    text, pad = leaf(2, 6, 16), np.arange(6) < np.array([[[6]], [[3]]])
+    b, lq, t, lk, lt, d = 2, 8, 4, 5, 6, 16
     # normed rows + their std, per row of x
     ln = b * lq * d + b * lq
     return {
-        # + the packed Q/K/V rows, + the weights and their dropout mask
+        # + the weights [B, h, Lq, Lq] and their dropout mask
         "self_attention": (lambda: attention_block(x, norm, attn, ctx=ctx),
-                           ln + b * lq * 3 * d + 2 * b * 2 * lq * lq),
-        # + Q, K, V, + per-frame weights [B, T, h, Lq, Lk] and their mask
+                           ln + 2 * b * 2 * lq * lq),
+        # + per-frame weights [B, T, h, Lq, Lk] and their mask
         "frames_cross_attention": (
             lambda: attention_block(q, norm, attn, kv, ctx=ctx),
-            ln + b * lq * d + 2 * b * t * lk * d + 2 * b * t * 2 * lq * lk),
+            ln + 2 * b * t * 2 * lq * lk),
+        # + the weights over padded text [B, h, Lq, Lt] and their mask
+        "cross_attention": (
+            lambda: attention_block(x, norm, attn, text, pad, ctx=ctx),
+            ln + 2 * b * 2 * lq * lt),
         # + the pre-activation, its tanh and the dropout mask
         "feed_forward_block": (lambda: feed_forward_block(x, norm, ffn, ctx),
                                ln + 3 * b * lq * 32),
@@ -708,10 +713,11 @@ def _held_cases():
 
 
 @pytest.mark.parametrize("case", ["self_attention", "frames_cross_attention",
-                                  "feed_forward_block"])
+                                  "cross_attention", "feed_forward_block"])
 def test_fused_block_keeps_only_its_documented_arrays(case):
-    # the scaled layer-norm output, the packed weight, the merged heads, the
-    # dropped weights and the GELU output are rebuilt in backward, not kept
+    # the scaled layer-norm output, the packed weight, Q, K and V, the merged
+    # heads, the dropped weights and the GELU output are rebuilt in backward,
+    # not kept
     build, elements = _held_cases()[case]
     assert abs(H.held_array_bytes(build) - 8 * elements) <= 1024
 

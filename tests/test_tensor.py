@@ -393,6 +393,14 @@ def test_addition_grads_symmetric(u, v):
     np.testing.assert_array_equal(a.grad, b.grad)
 
 
+def test_keep_heap_does_nothing_without_mallopt(monkeypatch):
+    import ctypes
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    monkeypatch.setattr(T, "_heap_kept", False)
+    T._keep_heap()
+    assert T._heap_kept
+
+
 # -- named-array container ---------------------------------------------------
 
 def test_container_round_trip_all_dtypes(tmp_path):
@@ -440,9 +448,35 @@ def test_container_truncated_names_path_and_array(tmp_path):
 def _one_array_container(name: bytes, shape) -> bytes:
     """A container of one float64 array with the given raw name and shape
     fields and no data."""
-    return (b"GACT" + struct.pack("<II", 1, 1) + struct.pack("<H", len(name))
+    return (b"GACT" + struct.pack("<II", T._VERSION, 1)
+            + struct.pack("<H", len(name))
             + name + struct.pack("<BB", 0, len(shape))
             + struct.pack(f"<{len(shape)}I", *shape))
+
+
+def test_container_of_version_1_rejected_by_version(tmp_path):
+    # version 1 stored no checksums
+    path = tmp_path / "old.bin"
+    path.write_bytes(b"GACT" + struct.pack("<II", 1, 0))
+    with pytest.raises(ValueError, match=r"old\.bin: unsupported container "
+                                         r"version 1"):
+        T.load_arrays(path)
+
+
+def test_container_corrupted_byte_names_path_and_array(tmp_path):
+    path = tmp_path / "arrays.bin"
+    T.save_arrays(path, {"first": np.zeros(4), "second": np.ones((8, 8))})
+    good = path.read_bytes()
+    bad = bytearray(good)
+    bad[-40] ^= 1                       # inside the data of 'second'
+    path.write_bytes(bad)
+    with pytest.raises(ValueError, match=r"arrays\.bin: array 'second' does "
+                                         r"not match its CRC-32"):
+        T.load_arrays(path)
+    path.write_bytes(good + b"\0")
+    with pytest.raises(ValueError, match=r"arrays\.bin: 1 bytes after the "
+                                         r"last of 2 arrays"):
+        T.load_arrays(path)
 
 
 def test_container_declared_size_checked_before_read(tmp_path):

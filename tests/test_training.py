@@ -1,8 +1,13 @@
 """Training loop, checkpointing, evaluation plumbing, linear probe."""
 
 import copy
+import ctypes
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,6 +285,44 @@ def test_backward_frees_the_saved_values_of_a_model_step():
         after_backward, outputs, grads)
 
 
+def _has_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_train_steps_keep_their_heap_pages():
+    # Backward frees the graph and rebuilds values as it goes; unless malloc
+    # keeps the heap's top, it trims it after each step and the next forward
+    # faults the pages back in: ~1500 minor faults per overfit step
+    code = (
+        "import resource, sys\n"
+        "from test_acceptance import VOCAB, overfit_cfg, overfit_corpus\n"
+        "from groundact import training\n"
+        "faults, adam = [], training.adam_step\n"
+        "def step(*args):\n"
+        "    adam(*args)\n"
+        "    faults.append(resource.getrusage(resource.RUSAGE_SELF)"
+        ".ru_minflt)\n"
+        "training.adam_step = step\n"
+        "training.train(overfit_cfg(), overfit_corpus(), max_steps=13,\n"
+        "               vocab=VOCAB)\n"
+        "print((faults[12] - faults[2]) / 10)\n")
+    tests = Path(__file__).parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(filter(
+               None, [str(tests.parent / "src"), str(tests),
+                      os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    # 3 warm-up steps, then 10 steps
+    assert float(run.stdout) < 100
+
+
 def test_backward_leaves_no_interior_node_alive_but_the_outputs():
     import weakref
     cfg, model, batch = _tiny_step()
@@ -345,6 +388,24 @@ def test_truncated_checkpoint_names_path_and_array(tmp_path):
     path.write_bytes(data[:len(data) // 2])
     with pytest.raises(ValueError, match=r"model\.ckpt: truncated .*array '"):
         load_checkpoint(path)
+
+
+def test_byte_mutated_checkpoints_fail_naming_the_path(tmp_path):
+    # every array carries a CRC-32, so no single changed byte loads: without
+    # it 162 of these 300 copies loaded with silently changed weights
+    cfg = tiny_cfg()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, GroundedModel(cfg.model, seed=0), cfg)
+    data = path.read_bytes()
+    rng = np.random.default_rng(24)
+    for at, flip in zip(rng.integers(0, len(data), 300),
+                        rng.integers(1, 256, 300)):
+        bad = bytearray(data)
+        bad[at] ^= flip
+        path.write_bytes(bad)
+        with pytest.raises((ValueError, TrainingError)) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value), (at, flip, err.value)
 
 
 def _rewrite_meta(path, meta_bytes):
@@ -606,7 +667,9 @@ def test_retrieval_recall_bounds():
     cfg = tiny_cfg()
     corpus = tiny_corpus(n=5)
     model = GroundedModel(cfg.model, seed=5)
-    rec = retrieval_recall(model, corpus, cfg, VOCAB, ks=(1, 5))
+    rec = retrieval_recall(
+        model, *tr.actor_embedding_pool(model, corpus, cfg, VOCAB), VOCAB,
+        ks=(1, 5))
     assert set(rec) == {1, 5}
     assert 0.0 <= rec[1] <= rec[5] <= 1.0
 
@@ -616,7 +679,9 @@ def test_retrieval_rejects_a_corpus_without_action_labels():
     corpus = [(c, D.weak_supervision_view(a)) for c, a in tiny_corpus()]
     model = GroundedModel(cfg.model, seed=5)
     with pytest.raises(TrainingError, match="no matched actor has action"):
-        retrieval_recall(model, corpus, cfg, VOCAB, ks=(1,))
+        retrieval_recall(
+            model, *tr.actor_embedding_pool(model, corpus, cfg, VOCAB), VOCAB,
+            ks=(1,))
 
 
 def test_retrieval_needs_a_decoder_layer():
@@ -648,7 +713,9 @@ def test_retrieval_encodes_each_distinct_prompt_once(monkeypatch):
         return encode(*args, **kwargs)
 
     monkeypatch.setattr(bb, "text_encode", counted)
-    rec = retrieval_recall(model, corpus, cfg, VOCAB, ks=(1, 5))
+    rec = retrieval_recall(
+        model, *tr.actor_embedding_pool(model, corpus, cfg, VOCAB), VOCAB,
+        ks=(1, 5))
     assert rec == expected
     # one batched forward over the corpus, then one encode per prompt
     assert len(entries) > len(set(prompts))
