@@ -11,14 +11,15 @@ import json
 
 from groundact import data as D
 from groundact.ablation import run_ablation
+from groundact.cli import _at_least_one, _seed
 from groundact.config import ExperimentConfig, ModelConfig, TrainConfig
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--steps", type=int, default=300)
-    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    ap.add_argument("--clips", type=int, default=64)
+    ap.add_argument("--steps", type=_at_least_one, default=300)
+    ap.add_argument("--seeds", type=_seed, nargs="+", default=[0, 1, 2])
+    ap.add_argument("--clips", type=_at_least_one, default=64)
     ap.add_argument("--out", help="optional JSON path for the summary")
     args = ap.parse_args()
 

@@ -10,16 +10,17 @@ import time
 
 from groundact import backbones as bb
 from groundact import data as D
+from groundact.cli import _at_least_one, _seed
 from groundact.config import ExperimentConfig, ModelConfig, TrainConfig
 from groundact.training import evaluate, train
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--steps", type=int, default=500)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--steps", type=_at_least_one, default=500)
+    ap.add_argument("--seed", type=_seed, default=0)
     ap.add_argument("--mode", choices=("full", "weak"), default="full")
-    ap.add_argument("--queries", type=int, default=2)
+    ap.add_argument("--queries", type=_at_least_one, default=2)
     args = ap.parse_args()
 
     cfg = ExperimentConfig()

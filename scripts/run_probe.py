@@ -10,6 +10,7 @@ import argparse
 
 from groundact import backbones as bb
 from groundact import data as D
+from groundact.cli import _at_least_one, _seed
 from groundact.training import (extract_embeddings, linear_probe,
                                 load_checkpoint)
 
@@ -17,9 +18,9 @@ from groundact.training import (extract_embeddings, linear_probe,
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--checkpoint", required=True)
-    ap.add_argument("--clips", type=int, default=32)
-    ap.add_argument("--epochs", type=int, default=100)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--clips", type=_at_least_one, default=32)
+    ap.add_argument("--epochs", type=_at_least_one, default=100)
+    ap.add_argument("--seed", type=_seed, default=0)
     args = ap.parse_args()
 
     model, cfg, _, _ = load_checkpoint(args.checkpoint)

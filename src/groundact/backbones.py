@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 
@@ -40,11 +40,17 @@ def load_vocab() -> List[str]:
 VOCAB_SIZE = len(load_vocab())
 
 
-def tokenize(raw: str, vocab: List[str], l_max: int = 16) -> List[int]:
-    """Lowercase, split on whitespace/punctuation, closed-vocabulary lookup."""
+def vocab_index(vocab: List[str]) -> Dict[str, int]:
+    """word -> token id; a batch builds it once for all its prompts."""
+    return {w: i for i, w in enumerate(vocab)}
+
+
+def tokenize(raw: str, vocab, l_max: int = 16) -> List[int]:
+    """Lowercase, split on whitespace/punctuation, closed-vocabulary lookup
+    in the word list ``vocab`` or its :func:`vocab_index`."""
     if not raw or not raw.strip():
         raise DataError("empty prompt")
-    index = {w: i for i, w in enumerate(vocab)}
+    index = vocab if isinstance(vocab, dict) else vocab_index(vocab)
     words = [w for w in re.split(r"[^a-z0-9]+", raw.lower()) if w]
     if not words:
         raise DataError(f"prompt {raw!r} contains no tokens")

@@ -162,30 +162,34 @@ def _known_sections(sections, where: str):
                               f"expected one of {sorted(_SECTIONS)}")
 
 
-def _known_fields(section: str, keys) -> dict:
+def _known_fields(section: str, keys, where: str) -> dict:
     """The section's fields by name; an unknown key is a ConfigError."""
     known = {f.name: f for f in fields(_SECTIONS[section])}
     for key in keys:
         if key not in known:
-            raise ConfigError(f"unknown key [{section}] {key}")
+            raise ConfigError(f"unknown key [{section}] {key}, in {where}")
     return known
 
 
 def load_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    """The config an INI file sets.  Any error in the file is a ConfigError
+    that names it.  Values are plain text: ``%`` interpolates nothing."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
-        sections = {s: parser.items(s) for s in parser.sections()}
+        read = parser.read(path, encoding="utf-8")
     except configparser.Error as err:
         # configparser's text names the file and line
         raise ConfigError(str(err)) from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path} is not UTF-8 text: {err}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    sections = {s: parser.items(s) for s in parser.sections()}
     _known_sections(sections, path)
     cfg = ExperimentConfig()
     for section, items in sections.items():
         target = getattr(cfg, section)
-        known = _known_fields(section, [key for key, _ in items])
+        known = _known_fields(section, [key for key, _ in items], path)
         for key, raw in items:
             ftype = known[key].type
             try:
@@ -193,7 +197,10 @@ def load_config(path) -> ExperimentConfig:
             except (KeyError, ValueError):
                 raise ConfigError(f"[{section}] {key} = {raw!r} is not a "
                                   f"valid {ftype}, in {path}") from None
-    cfg.validate()
+    try:
+        cfg.validate()
+    except ConfigError as err:
+        raise ConfigError(f"{err}, in {path}") from None
     return cfg
 
 
@@ -218,7 +225,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         if not isinstance(values, dict):
             raise ConfigError(f"[{section}] = {values!r} is not a section "
                               f"of keys, in config dict")
-        known = _known_fields(section, values)
+        known = _known_fields(section, values, "config dict")
         for key, value in values.items():
             ftype = known[key].type
             if (not isinstance(value, _STORED_TYPES[ftype])

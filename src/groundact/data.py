@@ -285,21 +285,25 @@ def load_annotations(path) -> List[SceneAnnotation]:
     """Read a file written by :func:`save_annotations`.  A malformed line is
     a ParseError (bad encoding, JSON, field or type) or a DataError (a label
     or box outside the label world or the unit square, or a keyframe other
-    than the middle frame ``T // 2`` of the record's tubes) naming the
-    line."""
+    than the middle frame ``T // 2`` of the record's tubes) naming the line
+    and the file."""
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()
     out = []
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"line {lineno}: not UTF-8: {exc}") from None
-        if lineno == 1:
-            if line.strip() != _NATIVE_HEADER:
-                raise ParseError(f"line 1: expected header {_NATIVE_HEADER!r}")
-        elif line.strip():
-            out.append(_parse_record(line, lineno))
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"line {lineno}: not UTF-8: {exc}") from None
+            if lineno == 1:
+                if line.strip() != _NATIVE_HEADER:
+                    raise ParseError(f"line 1: expected header "
+                                     f"{_NATIVE_HEADER!r}")
+            elif line.strip():
+                out.append(_parse_record(line, lineno))
+    except (ParseError, DataError) as exc:
+        raise type(exc)(f"{exc}, in {path}") from None
     return out
 
 

@@ -14,6 +14,7 @@ import numpy as np
 from . import backbones as bb
 from . import nn
 from .config import ConfigError, ModelConfig
+from .data import ActorAnnotation
 from .decoder import ActionDecoderParams, DecoderOutput, decode
 from .encoder import SharedRepresentation, VLEncoderParams, encode
 from .fusion import ActorFusionParams, ReferenceBoxParams
@@ -57,9 +58,12 @@ def make_batch(clips, prompts: Sequence[str], cfg: ModelConfig,
         raise bb.DataError("no clips to batch: the corpus or split is empty")
     for c in clips:
         _check_clip(c, cfg)
-    idx = [bb.frame_indices(c.frames.shape[0], cfg.frames) for c in clips]
+    by_length = {n: bb.frame_indices(n, cfg.frames)
+                 for n in {c.frames.shape[0] for c in clips}}
+    idx = [by_length[c.frames.shape[0]] for c in clips]
     frames = np.stack([c.frames[i] for c, i in zip(clips, idx)])
-    token_lists = [bb.tokenize(p, vocab, cfg.l_max) for p in prompts]
+    index = bb.vocab_index(vocab)
+    token_lists = [bb.tokenize(p, index, cfg.l_max) for p in prompts]
     for c, t in zip(clips, token_lists):
         if max(t) >= bb.VOCAB_SIZE:
             raise bb.DataError(f"clip {c.clip_id!r} has prompt token {max(t)}, "
@@ -85,7 +89,8 @@ def _sample_annotation(ann, clip: bb.VideoClip, idx: np.ndarray):
             raise bb.DataError(f"clip {clip.clip_id!r}: track {a.track_id} "
                                f"has {a.tube.shape[0]} boxes, but the clip "
                                f"has {total} frames")
-    actors = [replace(a, tube=a.tube[idx]) for a in ann.actors]
+    actors = [ActorAnnotation(a.track_id, a.tube[idx], a.actions)
+              for a in ann.actors]
     return replace(ann, actors=actors, keyframe=len(idx) // 2)
 
 

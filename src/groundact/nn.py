@@ -107,21 +107,73 @@ def _merge(x: np.ndarray) -> np.ndarray:
     return x.reshape(*x.shape[:-2], -1)
 
 
+# a key axis of up to this many keys is reduced one key column at a time:
+# numpy reduces a short last axis at ~50 ns a row, an elementwise op over
+# a column of every row costs a few ns an element
+_COLUMN_KEYS = 32
+
+
+def _key_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1, keepdims=True), the max over the key axis; by one
+    np.maximum per key column for 2 to ``_COLUMN_KEYS`` keys."""
+    k = a.shape[-1]
+    if k > _COLUMN_KEYS or k == 1:
+        return a.max(axis=-1, keepdims=True)
+    out = np.maximum(a[..., 0:1], a[..., 1:2])
+    for j in range(2, k):
+        np.maximum(out, a[..., j:j + 1], out=out)
+    return out
+
+
+def _key_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1, keepdims=True), the sum over the key axis, bit for
+    bit; by key columns for 2 to ``_COLUMN_KEYS`` keys, in numpy's order
+    for a contiguous row of up to 128 elements: below 8, left to right;
+    otherwise 8 running partials p0..p7 over blocks of 8, combined as
+    ((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7)), then the tail left to right."""
+    k = a.shape[-1]
+    if k > _COLUMN_KEYS or k == 1:
+        return a.sum(axis=-1, keepdims=True)
+    if k < 8:
+        out = a[..., 0:1] + a[..., 1:2]
+        tail = 2
+    else:
+        tail = k - k % 8
+        part = a[..., 0:8].copy()                 # the partials p0..p7
+        for i in range(8, tail, 8):
+            part += a[..., i:i + 8]
+        pairs = part[..., 0::2] + part[..., 1::2]
+        out = pairs[..., 0:1] + pairs[..., 1:2]
+        out += pairs[..., 2:3] + pairs[..., 3:4]
+    for j in range(tail, k):
+        out += a[..., j:j + 1]
+    return out
+
+
 def _attend(q, k, v, mask, ctx: RunContext, rate: float):
     """Scaled, masked softmax attention of split heads q [..., h, Lq, dh]
     over k, v [..., h, Lk, dh], with dropout on the weights.  Returns the
     weighted sum [..., h, Lq, dh], the softmax weights and the dropout's
     keep mask (None without dropout): what :func:`_attend_backward` takes
-    besides q, k and v, which a backward rebuilds."""
+    besides q, k and v, which a backward rebuilds.
+
+    The softmax runs in place in the score buffer, which becomes the
+    weights: scale, masked fill with -1e9, minus the row max, exp, divided
+    by the row sum.  These are the ops of the composed
+    ``e = np.exp(s - s.max(-1)); e / e.sum(-1)``, in its order, and the row
+    max and sum (:func:`_key_max`, :func:`_key_sum`) are numpy's bit for
+    bit, so the weights equal the composed expression's."""
     if mask is not None and not mask.any(axis=-1).all():
         raise ContractError("attention mask has a fully masked query row")
     scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = (q @ np.swapaxes(k, -1, -2)) * scale
+    attn = q @ np.swapaxes(k, -1, -2)
+    attn *= scale
     if mask is not None:
         m = np.expand_dims(mask, -3) if mask.ndim >= 3 else mask
-        scores = np.where(np.broadcast_to(m, scores.shape), scores, -1e9)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
+        np.copyto(attn, -1e9, where=~m)
+    attn -= _key_max(attn)
+    np.exp(attn, out=attn)
+    attn /= _key_sum(attn)
     keep = ctx.keep_mask(attn.shape, rate)
     dropped = attn if keep is None else attn * keep
     return dropped @ v, attn, keep
@@ -132,23 +184,24 @@ def _attend_backward(d_out, qkv: list, attn, keep):
     sum and the list [q, k, v], which it empties: each of them is dropped
     as soon as its last use is done (v after the weighted sum and the
     weights' gradient, k after q's), so that the next allocation takes its
-    place.  Returns ((d_q, d_k, d_v) before any broadcast is summed away,
-    the weighted sum), which it rebuilds for the output projection's
-    weight gradient."""
+    place.  The softmax backward runs in place in the weights' gradient,
+    never in the kept weights, with its row sum by key columns.  Returns
+    ((d_q, d_k, d_v) before any broadcast is summed away, the weighted
+    sum), which it rebuilds for the output projection's weight gradient."""
     q, k, v = qkv
     qkv.clear()
     scale = 1.0 / np.sqrt(q.shape[-1])
     dropped = attn if keep is None else attn * keep
     out = dropped @ v
-    d_attn = d_out @ np.swapaxes(v, -1, -2)                # [..., h, Lq, Lk]
+    d_scores = d_out @ np.swapaxes(v, -1, -2)              # [..., h, Lq, Lk]
     del v
     d_v = np.swapaxes(dropped, -1, -2) @ d_out             # [..., h, Lk, dh]
     del dropped
     if keep is not None:
-        d_attn *= keep
+        d_scores *= keep
     # softmax backward; masked weights are exactly 0, so are their scores'
-    d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
-    del d_attn
+    d_scores -= _key_sum(d_scores * attn)
+    d_scores *= attn
     d_scores *= scale
     d_q = d_scores @ k
     del k
@@ -377,7 +430,10 @@ _LN_EPS = 1e-5
 def _layer_norm_forward(x: np.ndarray, params: LayerNormParams):
     """The normalized rows of x and their standard deviations, which the
     backward takes; :func:`_layer_norm_affine` scales and shifts them.
-    gamma and beta may be stacked [K, n] on x's leading axis."""
+    gamma and beta may be stacked [K, n] on x's leading axis.  The mean,
+    variance and std are scaled and shifted in place, and the centered rows
+    divided in place: the ops and their order of ``(x - mean) /
+    sqrt(var + eps)``, without its temporaries."""
     gamma, beta = params.gamma, params.beta
     n = x.shape[-1]
     if gamma.shape[-1:] != (n,) or beta.shape[-1:] != (n,):
@@ -385,11 +441,15 @@ def _layer_norm_forward(x: np.ndarray, params: LayerNormParams):
                          f"beta {beta.shape}")
     T.check_members("layer_norm", x.shape,
                     [("gamma", gamma.shape, 1), ("beta", beta.shape, 1)])
-    mean = x.sum(axis=-1, keepdims=True) * (1.0 / n)
+    mean = x.sum(axis=-1, keepdims=True)
+    mean *= 1.0 / n
     centered = x - mean
-    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
-    std = np.sqrt(var + _LN_EPS)
-    return centered / std, std
+    std = (centered * centered).sum(axis=-1, keepdims=True)
+    std *= 1.0 / n
+    std += _LN_EPS
+    np.sqrt(std, out=std)
+    centered /= std
+    return centered, std
 
 
 def _layer_norm_affine(normed: np.ndarray,

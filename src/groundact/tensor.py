@@ -411,8 +411,15 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def gelu_forward(v: np.ndarray):
-    """tanh-approximated GELU of an array, and the tanh its slope reuses."""
-    t = np.tanh(_GELU_C * (v + 0.044715 * (v * v * v)))
+    """tanh-approximated GELU of an array, and the tanh its slope reuses.
+    The tanh's argument ``C * (v + 0.044715 * v^3)`` is built in one buffer,
+    with the composed expression's ops in its order."""
+    t = v * v
+    t *= v
+    t *= 0.044715
+    t += v
+    t *= _GELU_C
+    np.tanh(t, out=t)
     return gelu_from_tanh(v, t), t
 
 

@@ -181,30 +181,40 @@ def score(inference: Inference, cfg: ExperimentConfig,
     group_logits = out.group_logits.data
     group_probs = np.exp(group_logits - group_logits.max(-1, keepdims=True))
     group_probs /= group_probs.sum(-1, keepdims=True)
+    # the records are Python lists, read off each array once
+    head_labels = group_logits.argmax(-1).tolist()
+    head_confs = group_probs.max(-1).tolist()
+    voted, voters = voted.tolist(), voters.tolist()
+    tops = sig.max(-1).tolist()
+    sig_rows, label_rows = sig.tolist(), labels.tolist()
+    keyframe_boxes, iou_rows = boxes[:, :, keyframe].tolist(), iou_all.tolist()
 
     pred_groups, gt_groups = [], []
     pred_sets, gt_sets = [], []
     ious, records = [], []
     for i, (ann, match) in enumerate(zip(batch.annotations, matches)):
-        if use_vote and voters[i].any():
-            label = D.ACTION_TO_GROUP[int(voted[i])]
-            conf = float(np.mean(sig[i, voters[i]].max(-1)))
+        if use_vote and any(voters[i]):
+            label = D.ACTION_TO_GROUP[voted[i]]
+            conf = float(np.mean([top for top, voter in zip(tops[i], voters[i])
+                                  if voter]))
         else:
-            label = int(np.argmax(group_logits[i]))
-            conf = float(group_probs[i].max())
+            label, conf = head_labels[i], head_confs[i]
         pred_groups.append(label)
         gt_groups.append(ann.group_activity)
-        actions = [np.flatnonzero(row).tolist() for row in labels[i]]
-        ious.extend(iou_all[i, match.gt_indices, match.pred_indices].tolist())
+        actions = [[a for a, on in enumerate(row) if on]
+                   for row in label_rows[i]]
+        ious.extend(iou_rows[i][k][j]
+                    for k, j in zip(match.gt_indices, match.pred_indices))
         pred_sets.extend(set(actions[j]) for j in match.pred_indices)
         gt_sets.extend(set(ann.actors[k].actions) for k in match.gt_indices)
         records.append(PredictionRecord(
             clip_id=ann.clip_id, group_label=label, group_confidence=conf,
             actors=[ActorPrediction(
-                labels=actions[q],
-                confidences=sig[i, q, labels[i, q]].tolist(),
-                keyframe_box=boxes[i, q, keyframe].tolist())
-                for q in range(boxes.shape[1])]))
+                labels=acts, confidences=[s for s, on in zip(sigs, row) if on],
+                keyframe_box=box)
+                for acts, sigs, row, box in zip(actions, sig_rows[i],
+                                                label_rows[i],
+                                                keyframe_boxes[i])]))
 
     merge = {g: D.MERGED_GROUPS[D.GROUPS[g]] for g in range(len(D.GROUPS))}
     # without per-actor labels (weak annotations) precision/recall is undefined

@@ -12,6 +12,7 @@ before it worked on whole-batch arrays: one clip at a time, through
 """
 
 import gc
+import random
 import tracemalloc
 from typing import Callable, List, Optional, Tuple
 
@@ -238,3 +239,32 @@ def reference_evaluate(model, corpus, cfg, vocab,
         mpca=mean_per_class_accuracy(pred_groups, gt_groups),
         mean_keyframe_iou=float(np.mean(ious)) if ious else 0.0,
         action_prf=prf, records=records)
+
+
+# -- reader mutations --------------------------------------------------------
+
+def mutated(rng: random.Random, data: bytes, pool: List[bytes]) -> bytes:
+    """data after one to three seeded edits, each of a line (deleted,
+    duplicated, swapped with another or replaced by a line of ``pool``) or
+    of a byte (replaced, inserted or deleted, any of the 256 values)."""
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(7)
+        if op < 4:
+            lines = data.split(b"\n")
+            i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+            if op == 0:
+                del lines[i]
+            elif op == 1:
+                lines.insert(i, lines[j])
+            elif op == 2:
+                lines[i], lines[j] = lines[j], lines[i]
+            else:
+                lines[i] = rng.choice(pool)
+            data = b"\n".join(lines)
+        else:
+            at = rng.randrange(len(data) + 1)
+            byte = bytes([rng.randrange(256)])
+            data = (data[:at] + byte + data[at + 1:] if op == 4
+                    else data[:at] + byte + data[at:] if op == 5
+                    else data[:at] + data[at + 1:])
+    return data

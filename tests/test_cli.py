@@ -1,6 +1,10 @@
 """End-to-end command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,3 +251,27 @@ def test_ablate_command(workspace, capsys):
                             "no-fusion"}
     for metrics in summary.values():
         assert {"merged_mca", "iou", "group_accuracy"} <= set(metrics)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("script, args, flag", [
+    ("run_overfit.py", ["--steps", "0"], "--steps"),
+    ("run_overfit.py", ["--seed", "-1"], "--seed"),
+    ("run_overfit.py", ["--queries", "0"], "--queries"),
+    ("run_ablation.py", ["--seeds", "0", "-1"], "--seeds"),
+    ("run_ablation.py", ["--clips", "0"], "--clips"),
+    ("run_probe.py", ["--checkpoint", "absent.npz", "--epochs", "0"],
+     "--epochs"),
+])
+def test_script_rejects_a_bad_int_with_a_usage_error(script, args, flag):
+    # argparse's exit code 2, before any corpus, model or training
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+                          *args], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 2, run.stderr
+    assert "usage:" in run.stderr
+    assert f"error: argument {flag}" in run.stderr

@@ -2,6 +2,7 @@
 
 import configparser
 import dataclasses
+import random
 import re
 
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from groundact.config import (ConfigError, ExperimentConfig, LossWeights,
                               ModelConfig, TrainConfig, config_from_dict,
                               config_to_dict, load_config)
+
+import helpers as H
 
 
 def test_defaults_match_reference_recipe():
@@ -220,7 +223,8 @@ def test_removed_key_in_ini_is_unknown(tmp_path, section, key, value):
     # kernel is 3 and every decoder layer is supervised
     path = tmp_path / "cfg.ini"
     path.write_text(f"[{section}]\n{key} = {value}\n")
-    with pytest.raises(ConfigError, match=rf"unknown key \[{section}\] {key}$"):
+    with pytest.raises(ConfigError, match=rf"unknown key \[{section}\] {key}, "
+                       rf"in {re.escape(str(path))}$"):
         load_config(path)
 
 
@@ -228,5 +232,50 @@ def test_removed_key_in_ini_is_unknown(tmp_path, section, key, value):
 def test_removed_key_in_dict_is_unknown(section, key, value):
     d = config_to_dict(ExperimentConfig())
     d[section][key] = value
-    with pytest.raises(ConfigError, match=rf"unknown key \[{section}\] {key}$"):
+    with pytest.raises(ConfigError, match=rf"unknown key \[{section}\] {key}, "
+                       rf"in config dict$"):
         config_from_dict(d)
+
+
+VALID_INI = b"""\
+[model]
+d_model = 16
+num_heads = 2
+dropout = 0.0
+use_actor_fusion = true
+num_queries = 3
+
+[loss]
+giou = 2.0
+
+[train]
+warmup_epochs = 1
+total_epochs = 4
+mode = full
+"""
+# lines that a mutation puts in place of another: unknown sections and keys,
+# bad values and bounds, configparser's syntax errors, interpolation
+INI_LINES = [b"[model]", b"[loss]", b"[train]", b"[modle]", b"[DEFAULT]",
+             b"d_model = 0", b"d_model = 10", b"num_heads = 3", b"foo = 1",
+             b"d_model = x", b"dropout = 1.5", b"dropout = nan",
+             b"use_actor_fusion = maybe", b"mode = %(x)s", b"peak_lr = 1%",
+             b"seed = -1", b"warmup_epochs = 9", b"batch_size = 0",
+             b"weight_decay_start = 1", b"= 5", b"d_model", b"  indented",
+             b"[unclosed", b"\xff\xfe = 1", b"\xc3\x28", b""]
+
+
+def test_mutated_ini_fails_only_with_a_config_error_naming_the_file(
+        tmp_path):
+    # seeded line and byte mutations of a valid file: each loads, or fails
+    # as a ConfigError whose message names the file
+    path = tmp_path / "exp.ini"
+    rng = random.Random(0)
+    failed = 0
+    for _ in range(2000):
+        path.write_bytes(H.mutated(rng, VALID_INI, INI_LINES))
+        try:
+            load_config(path)
+        except ConfigError as err:
+            failed += 1
+            assert str(path) in str(err), err
+    assert failed > 1000

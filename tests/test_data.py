@@ -1,6 +1,7 @@
 """Synthetic scene generator, the annotation file, splits."""
 
 import json
+import random
 import re
 import tempfile
 
@@ -14,6 +15,8 @@ from groundact.data import (ACTIONS, GROUPS, DataError, ParseError,
                             ScenarioScript, SceneAnnotation, generate_corpus,
                             generate_scene, load_annotations, make_splits,
                             save_annotations, weak_supervision_view)
+
+import helpers as H
 
 
 def script(motions, speeds=None, **kw):
@@ -285,6 +288,51 @@ def test_annotation_loader_fails_only_at_the_boundary(cut, edits):
             load_annotations(path)
         except (ParseError, DataError) as exc:
             assert re.match(r"line \d+: ", str(exc)), exc
+
+
+# values a mutated record puts in place of a field or a list element
+JSON_VALUES = [None, True, -1, 0, 1, 99, 1.5, -0.5, 1e400, "x", "", [], {},
+               [[0.5, 0.5, 0.1, 0.1]], [0.5, 0.5, 0.1], [[[1]]], {"0": 0}]
+
+
+def _variant(rng: random.Random, rec):
+    """rec with one value, at a seeded place in its nesting, replaced by one
+    of JSON_VALUES or removed."""
+    rec = json.loads(json.dumps(rec))
+    node = rec
+    while True:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        if not keys:
+            return rec
+        key = rng.choice(list(keys))
+        if isinstance(node[key], (dict, list)) and rng.random() < 0.6:
+            node = node[key]
+            continue
+        if rng.random() < 0.2:
+            del node[key]
+        else:
+            node[key] = rng.choice(JSON_VALUES)
+        return rec
+
+
+def test_mutated_annotations_fail_only_with_errors_naming_the_file(tmp_path):
+    # seeded line, record-field and byte mutations of a valid file: each
+    # loads, or fails as a ParseError or DataError naming the line and file
+    records = [json.loads(line) for line in ANNOTATION_FILE.splitlines()[1:]]
+    rng = random.Random(0)
+    pool = [json.dumps(_variant(rng, rng.choice(records))).encode()
+            for _ in range(300)] + [_HEADER.encode(), b"#header v2", b"{"]
+    path = tmp_path / "ann.txt"
+    failed = 0
+    for _ in range(1500):
+        path.write_bytes(H.mutated(rng, ANNOTATION_FILE, pool))
+        try:
+            load_annotations(path)
+        except (ParseError, DataError) as err:
+            failed += 1
+            assert re.match(r"line \d+: ", str(err)), err
+            assert str(err).endswith(f", in {path}"), err
+    assert failed > 750
 
 
 # -- splits ------------------------------------------------------------------

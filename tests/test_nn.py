@@ -674,6 +674,112 @@ def test_fused_layer_norm_rejects_mismatched_params():
         layer_norm(Tensor(np.zeros((2, 4))), p)
 
 
+# -- the kernels against the composed numpy they replace ---------------------
+
+def _short_rows(k: int) -> np.ndarray:
+    """[3, 40, k]: random rows of mixed magnitude, rows with -1e9 masked
+    entries (as the softmax fills them) and zero rows."""
+    rng = np.random.default_rng(k)
+    rows = rng.normal(size=(3, 40, k)) * 10.0 ** rng.uniform(-3, 3, (3, 40, k))
+    rows[1][rng.random((40, k)) < 0.4] = -1e9
+    rows[2, ::2] = 0.0
+    return rows
+
+
+@pytest.mark.parametrize("k", list(range(1, 33)) + [33, 40, 129])
+def test_key_max_and_sum_are_numpys(k):
+    # by key columns up to 32 keys, numpy's own reduce above; the sum must
+    # follow numpy's pairwise order, which differs from left to right from
+    # 8 elements on
+    rows = _short_rows(k)
+    np.testing.assert_array_equal(nn._key_max(rows),
+                                  rows.max(axis=-1, keepdims=True))
+    np.testing.assert_array_equal(nn._key_sum(rows),
+                                  rows.sum(axis=-1, keepdims=True))
+
+
+def _composed_attend(q, k, v, mask, keep):
+    """The weighted sum and the softmax weights, as the composed formulas."""
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    scores = (q @ np.swapaxes(k, -1, -2)) * scale
+    if mask is not None:
+        m = np.expand_dims(mask, -3) if mask.ndim >= 3 else mask
+        scores = np.where(np.broadcast_to(m, scores.shape), scores, -1e9)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    dropped = attn if keep is None else attn * keep
+    return dropped @ v, attn
+
+
+def _composed_attend_backward(d_out, q, k, v, attn, keep):
+    """(d_q, d_k, d_v), as the composed formulas."""
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    dropped = attn if keep is None else attn * keep
+    d_attn = d_out @ np.swapaxes(v, -1, -2)
+    d_v = np.swapaxes(dropped, -1, -2) @ d_out
+    if keep is not None:
+        d_attn = d_attn * keep
+    d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+    d_scores = d_scores * scale
+    return d_scores @ k, np.swapaxes(d_scores, -1, -2) @ q, d_v
+
+
+@pytest.mark.parametrize("case", [
+    # (q leading axes, Lq, Lk, mask shape or None, dropout rate)
+    ((2, 2), 9, 9, (2, 1, 9), 0.0),             # self-attention, padded keys
+    ((2, 2), 5, 20, None, 0.3),                 # cross-attention, dropout
+    ((2, 3, 2), 4, 13, (2, 3, 1, 13), 0.2),     # 5-d: per-frame grid cells
+    ((3, 2), 3, 17, (3, 3, 17), 0.0),           # per-query masks
+    ((1, 2), 6, 40, None, 0.0),                 # numpy's reduce above 32 keys
+])
+def test_attend_is_the_composed_softmax_attention(case):
+    lead, lq, lk, mask_shape, rate = case
+    rng = np.random.default_rng(lk)
+    q, k, v = (rng.normal(size=(*lead, n, 5)) * 3 for n in (lq, lk, lk))
+    mask = None
+    if mask_shape is not None:
+        mask = rng.random(mask_shape) < 0.6
+        mask[..., 0] = True
+    ctx = RunContext(training=True, rng=np.random.default_rng(1))
+    out, attn, keep = nn._attend(q, k, v, mask, ctx, rate)
+    assert (keep is None) == (rate == 0.0)
+    want_out, want_attn = _composed_attend(q, k, v, mask, keep)
+    np.testing.assert_array_equal(attn, want_attn)
+    np.testing.assert_array_equal(out, want_out)
+
+    d_out = rng.normal(size=out.shape)
+    kept = attn.copy()
+    grads, rebuilt = nn._attend_backward(d_out, [q, k, v], attn, keep)
+    np.testing.assert_array_equal(attn, kept)        # the kept weights
+    np.testing.assert_array_equal(rebuilt, want_out)
+    for got, want in zip(grads, _composed_attend_backward(d_out, q, k, v,
+                                                          kept, keep)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(5, 8), (2, 3, 7, 64), (4, 129)])
+def test_layer_norm_forward_is_the_composed_expression(shape):
+    rng = np.random.default_rng(shape[-1])
+    x = rng.normal(size=shape) * 4 + 2
+    norm = LayerNormParams.init(shape[-1])
+    n = shape[-1]
+    mean = x.sum(axis=-1, keepdims=True) * (1.0 / n)
+    centered = x - mean
+    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
+    std = np.sqrt(var + 1e-5)
+    normed, got_std = nn._layer_norm_forward(x, norm)
+    np.testing.assert_array_equal(got_std, std)
+    np.testing.assert_array_equal(normed, centered / std)
+
+
+def test_gelu_forward_is_the_composed_expression():
+    v = np.random.default_rng(0).normal(size=(6, 50)) * 3
+    t = np.tanh(np.sqrt(2.0 / np.pi) * (v + 0.044715 * (v * v * v)))
+    out, got_t = T.gelu_forward(v)
+    np.testing.assert_array_equal(got_t, t)
+    np.testing.assert_array_equal(out, 0.5 * v * (1.0 + t))
+
+
 # -- what each fused node keeps for its backward ----------------------------
 
 def _held_cases():

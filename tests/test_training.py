@@ -112,6 +112,37 @@ def test_sampled_tubes_frame_the_sampled_pixels(frames):
             assert fitted == box.tolist()
 
 
+def test_make_batch_samples_each_clip_at_its_own_length():
+    # clips of two lengths in one batch; the per-clip rules of frame_indices
+    # and tokenize, and a copy of each annotation with sampled tubes
+    cfg = tiny_cfg().model
+    corpus = (tiny_corpus(n=2) + D.generate_corpus(
+        seed=1, num_clips=2, num_actors=2, t_total=6, raster=(8, 8)))
+    clips, anns = [c for c, _ in corpus], [a for _, a in corpus]
+    prompts = [D.prompt_for(a) for a in anns]
+    batch = make_batch(clips, prompts, cfg, VOCAB, anns)
+    for i, (clip, ann) in enumerate(corpus):
+        idx = bb.frame_indices(clip.frames.shape[0], cfg.frames)
+        np.testing.assert_array_equal(batch.frames[i], clip.frames[idx])
+        tokens = bb.tokenize(prompts[i], VOCAB, cfg.l_max)
+        assert batch.tokens[i, :len(tokens)].tolist() == tokens
+        assert batch.text_mask[i].sum() == len(tokens)
+        got = batch.annotations[i]
+        assert (got.clip_id, got.group_activity, got.weak, got.keyframe) == (
+            ann.clip_id, ann.group_activity, ann.weak, cfg.frames // 2)
+        for a, b in zip(got.actors, ann.actors):
+            assert (a.track_id, a.actions) == (b.track_id, b.actions)
+            np.testing.assert_array_equal(a.tube, b.tube[idx])
+        assert ann.actors[0].tube.shape[0] == clip.frames.shape[0]
+
+
+def test_tokenize_by_index_is_tokenize_by_word_list():
+    index = bb.vocab_index(VOCAB)
+    for prompt in ("walk", "Walk, stand! somersault", "a " * 30):
+        assert (bb.tokenize(prompt, index, 5)
+                == bb.tokenize(prompt, VOCAB, 5))
+
+
 def test_make_batch_rejects_a_tube_of_another_length():
     from dataclasses import replace
     corpus = tiny_corpus(n=2)
