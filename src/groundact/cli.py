@@ -112,14 +112,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    from .training import (actor_embedding_pool, load_checkpoint,
+    from .training import (embedding_pool, infer_matched, load_checkpoint,
                            text_query_embedding)
     from .metrics import cosine_ranking
     model, cfg, _, _ = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.data)
     vocab = bb.load_vocab()
     query = text_query_embedding(model, args.prompt, vocab)
-    embeddings, entries = actor_embedding_pool(model, corpus, cfg, vocab)
+    embeddings, entries = embedding_pool(
+        infer_matched(model, corpus, cfg, vocab), cfg)
     sims, order = cosine_ranking(query[None], embeddings)
     for rank, i in enumerate(order[0, :args.top], start=1):
         e = entries[i]
@@ -142,7 +143,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    from .ablation import run_ablation
+    from .experiments import run_ablation
     cfg = _load_cfg(args)
     corpus = load_corpus(args.data)
     train_set, test_set = D.make_splits(corpus, (0.75, 0.25), seed=args.seed)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import sys
 from dataclasses import dataclass, field, fields
 
 
@@ -139,9 +140,16 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self):
-        self.model.validate()
-        self.loss.validate()
-        self.train.validate()
+        """A ConfigError naming ``[section] key`` for the first bad value; a
+        float field must be a finite float (a dict may hold it as an int)."""
+        for section in _SECTIONS:
+            part = getattr(self, section)
+            for f in fields(part):
+                value = getattr(part, f.name)
+                if f.type == "float" and not abs(value) <= sys.float_info.max:
+                    raise ConfigError(f"[{section}] {f.name} = {value!r} is "
+                                      f"not a finite float")
+            part.validate()
 
 
 _SECTIONS = {"model": ModelConfig, "loss": LossWeights, "train": TrainConfig}
@@ -171,6 +179,15 @@ def _known_fields(section: str, keys, where: str) -> dict:
     return known
 
 
+def _validated(cfg: ExperimentConfig, where) -> ExperimentConfig:
+    """cfg, once it validates; its ConfigError names ``where`` it came from."""
+    try:
+        cfg.validate()
+    except ConfigError as err:
+        raise ConfigError(f"{err}, in {where}") from None
+    return cfg
+
+
 def load_config(path) -> ExperimentConfig:
     """The config an INI file sets.  Any error in the file is a ConfigError
     that names it.  Values are plain text: ``%`` interpolates nothing."""
@@ -197,11 +214,7 @@ def load_config(path) -> ExperimentConfig:
             except (KeyError, ValueError):
                 raise ConfigError(f"[{section}] {key} = {raw!r} is not a "
                                   f"valid {ftype}, in {path}") from None
-    try:
-        cfg.validate()
-    except ConfigError as err:
-        raise ConfigError(f"{err}, in {path}") from None
-    return cfg
+    return _validated(cfg, path)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -233,6 +246,4 @@ def config_from_dict(d: dict) -> ExperimentConfig:
                 raise ConfigError(f"[{section}] {key} = {value!r} is not a "
                                   f"valid {ftype}, in config dict")
         parts[section] = cls(**values)
-    cfg = ExperimentConfig(**parts)
-    cfg.validate()
-    return cfg
+    return _validated(ExperimentConfig(**parts), "config dict")

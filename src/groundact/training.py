@@ -344,13 +344,6 @@ def text_query_embedding(model: GroundedModel, prompt: str,
     return t_f.data[0].mean(axis=0)
 
 
-def actor_embedding_pool(model: GroundedModel, corpus, cfg: ExperimentConfig,
-                         vocab: List[str]):
-    """Decoder actor embeddings matched to ground-truth actors
-    (:func:`embedding_pool`)."""
-    return embedding_pool(infer_matched(model, corpus, cfg, vocab), cfg)
-
-
 def embedding_pool(inference: Inference, cfg: ExperimentConfig):
     """The decoder actor embeddings of one :func:`infer_matched` that are
     matched to ground-truth actors.

@@ -12,8 +12,12 @@ before it worked on whole-batch arrays: one clip at a time, through
 """
 
 import gc
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -268,3 +272,16 @@ def mutated(rng: random.Random, data: bytes, pool: List[bytes]) -> bytes:
                     else data[:at] + byte + data[at:] if op == 5
                     else data[:at] + data[at + 1:])
     return data
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(*args, timeout=120) -> subprocess.CompletedProcess:
+    """``python ARGS`` in a child process at one BLAS thread, with ``src/``
+    on its path; its output is captured as text."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)

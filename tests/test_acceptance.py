@@ -3,8 +3,9 @@
 Each criterion is a single test that prints ``criterion N (<name>): PASS`` on
 success (visible with ``pytest -s`` or in captured-output reports) and the
 matching FAIL line before re-raising on failure.  The expensive experiments
-(overfit, weak-supervision, ablation) are cached in module-scoped fixtures so
-the suite trains each model exactly once.
+(overfit, weak-supervision, ablation) come from ``groundact.experiments``,
+which the scripts run too; the overfit and weak runs are cached in
+module-scoped fixtures so the suite trains each model exactly once.
 """
 
 import itertools
@@ -18,15 +19,14 @@ import pytest
 
 from groundact import backbones as bb
 from groundact import data as D
+from groundact import experiments as E
 from groundact import losses as L
 from groundact import metrics as M
-from groundact.ablation import run_ablation
 from groundact.config import ExperimentConfig, ModelConfig, TrainConfig
-from groundact.model import GroundedModel, make_batch
+from groundact.model import make_batch
 from groundact.optim import lr_at, wd_at
 from groundact.tensor import Tensor
-from groundact.training import (evaluate, load_checkpoint, save_checkpoint,
-                                train)
+from groundact.training import load_checkpoint, save_checkpoint, train
 from groundact.verify import TOLERANCE, run_suite
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -84,44 +84,16 @@ def brute_force_match(cost):
 
 # -- shared experiment fixtures ----------------------------------------------
 
-def overfit_cfg():
-    cfg = ExperimentConfig()
-    cfg.model = ModelConfig(d_model=64, num_heads=4, d_ff_mult=2, dropout=0.0,
-                            encoder_layers=2, decoder_layers=2, frames=8,
-                            grid_h=4, grid_w=4, raster_h=32, raster_w=32,
-                            num_queries=2)
-    cfg.train = TrainConfig(peak_lr=1e-3, warmup_epochs=1, total_epochs=20,
-                            steps_per_epoch=25, batch_size=8, seed=0,
-                            eval_every=0)
-    return cfg
-
-
-def overfit_corpus():
-    # 8 clips, 2 actors each, the 3 motion-derived actions, 8 frames
-    return D.generate_corpus(seed=0, num_clips=8, num_actors=2, t_total=8,
-                             motion_pool=("stationary", "linear", "oscillate"))
-
-
 @pytest.fixture(scope="module")
 def overfit_run():
-    cfg = overfit_cfg()
-    corpus = overfit_corpus()
-    start = time.time()
-    res = train(cfg, corpus, max_steps=500, vocab=VOCAB)
-    elapsed = time.time() - start
-    ev = evaluate(res.model, corpus, cfg, VOCAB)
-    return res, ev, elapsed
+    return E.train_and_evaluate(E.overfit_config(), E.overfit_corpus(),
+                                E.OVERFIT_STEPS)
 
 
 @pytest.fixture(scope="module")
 def weak_run():
-    cfg = overfit_cfg()
-    cfg.train.mode = "weak"
-    corpus = overfit_corpus()
-    res = train(cfg, corpus, max_steps=500, vocab=VOCAB)
-    weak_corpus = [(c, D.weak_supervision_view(a)) for c, a in corpus]
-    ev = evaluate(res.model, weak_corpus, cfg, VOCAB)
-    return res, ev
+    return E.train_and_evaluate(E.overfit_config("weak"), E.overfit_corpus(),
+                                E.OVERFIT_STEPS)
 
 
 # -- the ten criteria --------------------------------------------------------
@@ -202,25 +174,9 @@ def test_criterion_4_overfit_grounding(overfit_run):
 
 def test_criterion_5_ablation_ordering():
     with report(5, "ablation ordering"):
-        # 3-actor scenes: the prompt lists only the deduplicated action
-        # words, so the majority group label requires visual counting.  The
-        # 300-step budget sits below the point where the encoder-only
-        # variant memorises the 64-clip benchmark to 1.0, so a genuinely
-        # faster-fitting stage can still show a strict improvement.
-        cfg = ExperimentConfig()
-        cfg.model = ModelConfig(d_model=32, num_heads=4, d_ff_mult=2,
-                                dropout=0.0, encoder_layers=2,
-                                decoder_layers=2, frames=4, grid_h=4,
-                                grid_w=4, raster_h=32, raster_w=32,
-                                num_queries=3)
-        cfg.train = TrainConfig(peak_lr=1e-3, warmup_epochs=1, total_epochs=4,
-                                steps_per_epoch=225, batch_size=8,
-                                eval_every=0)
-        corpus = D.generate_corpus(
-            seed=7, num_clips=64, num_actors=3, t_total=8,
-            motion_pool=("stationary", "linear", "oscillate"))
-        res = run_ablation(cfg, corpus, corpus, seeds=(0, 1, 2),
-                           max_steps=300)
+        corpus = E.ablation_corpus()
+        res = E.run_ablation(E.ablation_config(), corpus, corpus,
+                             max_steps=E.ABLATION_STEPS)
         pv = res.per_variant
         assert (pv["encoder"]["merged_mca"]
                 > pv["features-only"]["merged_mca"]), pv
@@ -326,7 +282,7 @@ def test_criterion_9_determinism_and_checkpointing(tmp_path):
 
 def test_criterion_10_weak_supervision_contract(weak_run):
     with report(10, "weak supervision contract"):
-        res, ev = weak_run
+        res, ev, _ = weak_run
         assert res.history, "no training log records"
         assert all(rec["action_bce"] == 0.0 for rec in res.history)
         ratio = res.final_loss / res.initial_loss

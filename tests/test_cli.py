@@ -1,16 +1,14 @@
 """End-to-end command-line surface."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+import re
 
-import numpy as np
 import pytest
 
 from groundact.backbones import DataError
 from groundact.cli import load_corpus, main, save_corpus
+
+import helpers as H
 
 
 TINY_INI = """\
@@ -172,12 +170,12 @@ def test_gradcheck_command(capsys):
 def test_ablate_on_an_empty_split_fails_before_training(tmp_path,
                                                        monkeypatch):
     # one clip splits 0.75 / 0.25 into 1 train clip and 0 test clips
-    from groundact import ablation
+    from groundact import experiments
 
     def no_train(*args, **kwargs):
         raise AssertionError("train ran on an ablation with an empty split")
 
-    monkeypatch.setattr(ablation, "train", no_train)
+    monkeypatch.setattr(experiments, "train", no_train)
     data = tmp_path / "data"
     assert main(["gen-data", "--out", str(data), "--clips", "1",
                  "--actors", "2", "--frames", "4", "--raster", "8"]) == 0
@@ -253,7 +251,7 @@ def test_ablate_command(workspace, capsys):
         assert {"merged_mca", "iou", "group_accuracy"} <= set(metrics)
 
 
-ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = H.SRC.parent / "scripts"
 
 
 @pytest.mark.parametrize("script, args, flag", [
@@ -267,11 +265,40 @@ ROOT = Path(__file__).resolve().parent.parent
 ])
 def test_script_rejects_a_bad_int_with_a_usage_error(script, args, flag):
     # argparse's exit code 2, before any corpus, model or training
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
-                          *args], env=env, capture_output=True, text=True,
-                         timeout=120)
+    run = H.run_python(str(SCRIPTS / script), *args)
     assert run.returncode == 2, run.stderr
     assert "usage:" in run.stderr
     assert f"error: argument {flag}" in run.stderr
+
+
+OVERFIT_LINES = [r"trained 2 steps in \d+s \({mode} mode\)",
+                 r"loss: \d+\.\d{{3}} -> \d+\.\d{{3}} "
+                 r"\(\d+\.\d% of initial\)",
+                 r"keyframe IoU \(matched\): \d\.\d{{3}}",
+                 r"group accuracy: \d\.\d{{3}}"]
+
+
+@pytest.mark.parametrize("script, args, lines", [
+    ("run_overfit.py", ["--steps", "2"],
+     [line.format(mode="full") for line in OVERFIT_LINES]),
+    ("run_overfit.py", ["--steps", "2", "--mode", "weak"],
+     [line.format(mode="weak") for line in OVERFIT_LINES]
+     + [r"max logged action-BCE: 0\.0"]),
+    ("run_ablation.py", ["--steps", "2", "--seeds", "0", "--clips", "4",
+                         "--out", "{out}"],
+     [rf"{v} +merged-mca=\d\.\d{{4}} keyframe-iou=\d\.\d{{4}}"
+      for v in ("features-only", "encoder", "encoder-decoder", "no-fusion")]
+     + [r"wrote .+summary\.json"]),
+])
+def test_script_runs_its_experiment_and_prints_every_line(tmp_path, script,
+                                                          args, lines):
+    out = tmp_path / "summary.json"
+    run = H.run_python(str(SCRIPTS / script),
+                       *(arg.format(out=out) for arg in args))
+    assert run.returncode == 0, run.stderr
+    printed = run.stdout.splitlines()
+    assert len(printed) == len(lines), run.stdout
+    for text, line in zip(printed, lines):
+        assert re.fullmatch(line, text), (line, text)
+    if "--out" in args:
+        assert len(json.loads(out.read_text())) == 4

@@ -101,6 +101,7 @@ def test_unknown_dict_section_rejected():
     ("train", {"seed": 1.0}, "[train] seed = 1.0"),
     ("train", {"mode": None}, "[train] mode = None"),
     ("model", "x", "[model] = 'x'"),   # a section that is not a dict of keys
+    ("loss", {"l1": 10 ** 400}, "[loss] l1 = 1000"),   # past float's range
 ])
 def test_bad_dict_value_names_section_and_key(section, value, message):
     # a stored config is checked by each field's type, as an INI file is
@@ -211,6 +212,31 @@ def test_validation_rejects_bad_settings(mutate):
     where = mutate(cfg)
     with pytest.raises(ConfigError, match=re.escape(where)):
         cfg.validate()
+
+
+FLOAT_KEYS = [(section, f.name) for section, cls in (
+    ("model", ModelConfig), ("loss", LossWeights), ("train", TrainConfig))
+    for f in dataclasses.fields(cls) if f.type == "float"]
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e999"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS)
+def test_a_non_finite_float_fails_naming_its_key_and_where(tmp_path, section,
+                                                          key, text):
+    # a value that would otherwise stop training deep in matching, or slip
+    # past every range check as NaN does
+    value = float(text)
+    message = f"[{section}] {key} = {value!r} is not a finite float, in "
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[{section}]\n{key} = {text}\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == message + str(path)
+    d = config_to_dict(ExperimentConfig())
+    d[section][key] = value
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(d)
+    assert str(err.value) == message + "config dict"
 
 
 REMOVED_KEYS = [("model", "num_actions", "3"), ("model", "num_groups", "2"),

@@ -2,19 +2,18 @@
 dataclass field is read, no module imports a name it never uses, every
 top-level function has a caller outside the tests, the gradient suite
 checks exactly the ops that the program runs, every program name the
-benchmark traces or calls exists, and the program starts without importing
+benchmark traces or calls exists, the benchmark's overfit workload is the
+overfit experiment, and the program starts without importing
 ``scipy.optimize``."""
 
 import ast
-import os
-import pathlib
-import subprocess
-import sys
 from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "groundact"
+import helpers as H
+
+SRC = H.SRC / "groundact"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 CONFIG_CLASSES = ("ModelConfig", "LossWeights", "TrainConfig")
 
@@ -492,6 +491,26 @@ def test_bench_name_check_sees_a_missing_name():
         "model.GroundedModel.gone", "nowhere.f"]
 
 
+def test_the_bench_overfit_workload_is_the_overfit_experiment(monkeypatch):
+    # bench/ keeps its own copy of the overfit experiment; this keeps the
+    # two equal: the model, every schedule field but the seed (the bench's
+    # seed draws the batch order) and the corpus arguments
+    from groundact import data as D
+    from groundact import experiments as E
+    from groundact.config import config_to_dict
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+    w = workloads.WORKLOADS["overfit"]
+    bench, ours = (config_to_dict(workloads.experiment(w, seed=1)),
+                   config_to_dict(E.overfit_config()))
+    del bench["train"]["seed"], ours["train"]["seed"]
+    assert bench == ours
+    calls = []
+    monkeypatch.setattr(D, "generate_corpus", lambda **kw: calls.append(kw))
+    E.overfit_corpus()
+    assert calls == [{"seed": w.corpus_seed, **w.corpus}]
+
+
 # -- start-up imports ----------------------------------------------------------
 
 def test_program_starts_without_scipy_optimize():
@@ -502,9 +521,6 @@ def test_program_starts_without_scipy_optimize():
             "groundact.verify\n"
             "print(sorted(m for m in sys.modules if m == 'scipy.optimize'\n"
             "             or m.startswith('scipy.optimize.')))\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
+    run = H.run_python("-c", code)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"

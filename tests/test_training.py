@@ -1,13 +1,8 @@
 """Training loop, checkpointing, evaluation plumbing, linear probe."""
 
-import copy
 import ctypes
 import json
-import os
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +14,7 @@ from groundact import training as tr
 from groundact.config import (ConfigError, ExperimentConfig, ModelConfig,
                               TrainConfig)
 from groundact.model import GroundedModel, make_batch
-from groundact.tensor import Tensor, load_arrays, save_arrays
+from groundact.tensor import load_arrays, save_arrays
 from groundact.training import (TrainingError, evaluate, linear_probe,
                                 load_checkpoint, retrieval_recall,
                                 save_checkpoint, train)
@@ -331,24 +326,17 @@ def test_train_steps_keep_their_heap_pages():
     # faults the pages back in: ~1500 minor faults per overfit step
     code = (
         "import resource, sys\n"
-        "from test_acceptance import VOCAB, overfit_cfg, overfit_corpus\n"
-        "from groundact import training\n"
+        "from groundact import experiments as E, training\n"
         "faults, adam = [], training.adam_step\n"
         "def step(*args):\n"
         "    adam(*args)\n"
         "    faults.append(resource.getrusage(resource.RUSAGE_SELF)"
         ".ru_minflt)\n"
         "training.adam_step = step\n"
-        "training.train(overfit_cfg(), overfit_corpus(), max_steps=13,\n"
-        "               vocab=VOCAB)\n"
+        "training.train(E.overfit_config(), E.overfit_corpus(), "
+        "max_steps=13)\n"
         "print((faults[12] - faults[2]) / 10)\n")
-    tests = Path(__file__).parent
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(filter(
-               None, [str(tests.parent / "src"), str(tests),
-                      os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=300)
+    run = H.run_python("-c", code, timeout=300)
     assert run.returncode == 0, run.stderr
     # 3 warm-up steps, then 10 steps
     assert float(run.stdout) < 100
@@ -698,9 +686,8 @@ def test_retrieval_recall_bounds():
     cfg = tiny_cfg()
     corpus = tiny_corpus(n=5)
     model = GroundedModel(cfg.model, seed=5)
-    rec = retrieval_recall(
-        model, *tr.actor_embedding_pool(model, corpus, cfg, VOCAB), VOCAB,
-        ks=(1, 5))
+    pool = tr.embedding_pool(tr.infer_matched(model, corpus, cfg, VOCAB), cfg)
+    rec = retrieval_recall(model, *pool, VOCAB, ks=(1, 5))
     assert set(rec) == {1, 5}
     assert 0.0 <= rec[1] <= rec[5] <= 1.0
 
@@ -709,18 +696,18 @@ def test_retrieval_rejects_a_corpus_without_action_labels():
     cfg = tiny_cfg()
     corpus = [(c, D.weak_supervision_view(a)) for c, a in tiny_corpus()]
     model = GroundedModel(cfg.model, seed=5)
+    pool = tr.embedding_pool(tr.infer_matched(model, corpus, cfg, VOCAB), cfg)
     with pytest.raises(TrainingError, match="no matched actor has action"):
-        retrieval_recall(
-            model, *tr.actor_embedding_pool(model, corpus, cfg, VOCAB), VOCAB,
-            ks=(1,))
+        retrieval_recall(model, *pool, VOCAB, ks=(1,))
 
 
 def test_retrieval_needs_a_decoder_layer():
     cfg = tiny_cfg()
     cfg.model.decoder_layers = 0
     model = GroundedModel(cfg.model, seed=5)
+    inference = tr.infer_matched(model, tiny_corpus(), cfg, VOCAB)
     with pytest.raises(TrainingError, match="at least one decoder layer"):
-        tr.actor_embedding_pool(model, tiny_corpus(), cfg, VOCAB)
+        tr.embedding_pool(inference, cfg)
 
 
 def test_retrieval_encodes_each_distinct_prompt_once(monkeypatch):
@@ -729,7 +716,8 @@ def test_retrieval_encodes_each_distinct_prompt_once(monkeypatch):
     corpus = tiny_corpus(n=8, seed=3)
     model = GroundedModel(cfg.model, seed=5)
     # the reference: one text encode per matched actor
-    embeddings, entries = tr.actor_embedding_pool(model, corpus, cfg, VOCAB)
+    inference = tr.infer_matched(model, corpus, cfg, VOCAB)
+    embeddings, entries = tr.embedding_pool(inference, cfg)
     prompts = [" ".join(D.ACTIONS[a] for a in e["actions"]) for e in entries]
     queries = np.stack([tr.text_query_embedding(model, p, VOCAB)
                         for p in prompts])
@@ -744,9 +732,8 @@ def test_retrieval_encodes_each_distinct_prompt_once(monkeypatch):
         return encode(*args, **kwargs)
 
     monkeypatch.setattr(bb, "text_encode", counted)
-    rec = retrieval_recall(
-        model, *tr.actor_embedding_pool(model, corpus, cfg, VOCAB), VOCAB,
-        ks=(1, 5))
+    pool = tr.embedding_pool(tr.infer_matched(model, corpus, cfg, VOCAB), cfg)
+    rec = retrieval_recall(model, *pool, VOCAB, ks=(1, 5))
     assert rec == expected
     # one batched forward over the corpus, then one encode per prompt
     assert len(entries) > len(set(prompts))
