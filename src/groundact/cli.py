@@ -10,9 +10,18 @@ import sys
 
 from . import backbones as bb
 from . import data as D
-from .backbones import VideoClip
-from .config import ExperimentConfig, load_config
+from .backbones import DataError, VideoClip
+from .config import ConfigError, ExperimentConfig, load_config
+from .data import ParseError
+from .optim import OptimizerError
 from .tensor import load_arrays, save_arrays
+from .training import TrainingError
+
+# errors in what the user gave the program: a config, a corpus, a checkpoint,
+# a split or a schedule.  main reports them in one line; any other exception
+# is a fault of the program and keeps its traceback
+_USER_ERRORS = (ConfigError, ParseError, DataError, TrainingError,
+                OptimizerError)
 
 
 def save_corpus(out_dir: str, corpus):
@@ -248,7 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _USER_ERRORS as err:
+        print(f"groundact: error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -56,9 +56,11 @@ def box_head(actors: Tensor, frame_rows: Tensor,
     actors [..., N, 1, d] and frame_rows [..., 1, T, d] broadcast to the
     [..., N, T, d] rows of the perceptron; the result is [..., N, T, 4].
     Any parameter may be stacked on the leading axis, as in
-    :func:`nn.attention_block`.  For the backward the node keeps the two
-    hidden layers after their ReLUs, whose positive entries are the ReLU
-    masks, and rebuilds the summed input rows from actors and frame_rows.
+    :func:`nn.attention_block`.  For the backward the node keeps no array:
+    it rebuilds the summed input rows from the current values of actors and
+    frame_rows, and the two hidden layers after their ReLUs, whose positive
+    entries are the ReLU masks, from those rows and the parameters' current
+    values, with the forward's ops in its order.
     """
     w1, b1, w2, b2, w3, b3 = (params.w1, params.b1, params.w2, params.b2,
                               params.w3, params.b3)
@@ -80,14 +82,19 @@ def box_head(actors: Tensor, frame_rows: Tensor,
         out += T.per_member(b.data, out.ndim)
         return out
 
-    h1 = np.maximum(layer(rows, w1, b1), 0.0)
-    h2 = np.maximum(layer(h1, w2, b2), 0.0)
-    data = layer(h2, w3, b3)
+    def hidden(rows):
+        """The two hidden layers after their ReLUs."""
+        h1 = np.maximum(layer(rows, w1, b1), 0.0)
+        return h1, np.maximum(layer(h1, w2, b2), 0.0)
+
+    data = layer(hidden(rows)[1], w3, b3)
 
     parents = (actors, frame_rows, w1, b1, w2, b2, w3, b3)
     req = any(p.requires_grad for p in parents)
 
     def backward(g):
+        rows = actors.data + frame_rows.data
+        h1, h2 = hidden(rows)
         d_h = g
         for h, w, b in ((h2, w3, b3), (h1, w2, b2)):
             if w.requires_grad:
@@ -96,8 +103,7 @@ def box_head(actors: Tensor, frame_rows: Tensor,
                 b.accumulate(T.row_sum(d_h, b.data))
             d_h = T.apply_weight(d_h, np.swapaxes(w.data, -1, -2)) * (h > 0)
         if w1.requires_grad:
-            w1.accumulate(T.weight_grad(actors.data + frame_rows.data, d_h,
-                                        w1.data))
+            w1.accumulate(T.weight_grad(rows, d_h, w1.data))
         if b1.requires_grad:
             b1.accumulate(T.row_sum(d_h, b1.data))
         d_rows = T.apply_weight(d_h, np.swapaxes(w1.data, -1, -2))

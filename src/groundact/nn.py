@@ -234,13 +234,14 @@ def attention_block(x: Tensor, norm: LayerNormParams, params: AttentionParams,
     leading axis (a weight [K, d, d], gamma [K, d]); member k then applies
     to x[k] and kv[k], and kv must have x's rank and leading axis.
 
-    For the backward the node keeps the normalized rows and their standard
-    deviations, the softmax weights and the dropout mask.  It rebuilds the
-    normed-and-scaled rows once, and from them, from kv's current value and
-    from the parameters' current values it rebuilds Q, K and V (the same
-    projections as the forward's), the dropped weights, the weighted sum
-    and the merged heads.  The softmax weights are kept, not rebuilt: they
-    cost a score GEMM, an exp and a normalization per head.
+    For the backward the node keeps each row's mean and standard deviation,
+    the softmax weights and the dropout mask.  It rebuilds the normalized
+    rows from x's current value and the normed-and-scaled rows from those,
+    and from them, from kv's current value and from the parameters' current
+    values it rebuilds Q, K and V (the same projections as the forward's),
+    the dropped weights, the weighted sum and the merged heads.  The softmax
+    weights are kept, not rebuilt: they cost a score GEMM, an exp and a
+    normalization per head.
     """
     d, h = params.d_model, params.num_heads
     if x.shape[-1] != d or (kv is not None and kv.shape[-1] != d):
@@ -276,7 +277,7 @@ def attention_block(x: Tensor, norm: LayerNormParams, params: AttentionParams,
                 _split(T.apply_weight(kv.data, wk.data), h),
                 _split(T.apply_weight(kv.data, wv.data), h)]
 
-    normed, std = _layer_norm_forward(x.data, norm)
+    normed, mean, std = _layer_norm_forward(x.data, norm)
     out, attn, keep = _attend(
         *project(_layer_norm_affine(normed, norm), query_weight()), mask,
         ctx, params.dropout_rate)
@@ -295,6 +296,7 @@ def attention_block(x: Tensor, norm: LayerNormParams, params: AttentionParams,
         g_attn = (g if full == x.shape
                   else np.broadcast_to(g * scale, full).copy())
         d_merged = T.apply_weight(g_attn, np.swapaxes(wo.data, -1, -2))
+        normed = _normalize(x.data, mean, std)
         hn = _layer_norm_affine(normed, norm)
         w_in = query_weight()
         grads, out = _attend_backward(_split(d_merged, h), project(hn, w_in),
@@ -316,7 +318,7 @@ def attention_block(x: Tensor, norm: LayerNormParams, params: AttentionParams,
             d_hn = T.apply_weight(d_qkv, np.swapaxes(w_in, -1, -2))
         else:
             d_q, d_k, d_v = (T.unbroadcast(_merge(dz), shape) for dz, shape
-                             in zip(grads, (normed.shape, kv.shape, kv.shape)))
+                             in zip(grads, (x.shape, kv.shape, kv.shape)))
             del grads
             if wq.requires_grad:
                 wq.accumulate(T.weight_grad(hn, d_q, w_in))
@@ -363,19 +365,21 @@ def feed_forward_block(x: Tensor, norm: LayerNormParams,
     parameter may be stacked on x's leading axis, as in
     :func:`attention_block`.
 
-    For the backward the node keeps the normalized rows and their standard
-    deviations, the pre-activation, the GELU's tanh and the dropout mask; it
-    rebuilds the normed-and-scaled rows and the hidden layer from those."""
+    For the backward the node keeps each row's mean and standard deviation,
+    the pre-activation and the dropout mask.  It rebuilds the normalized
+    rows from x's current value and the normed-and-scaled rows from those,
+    and the GELU's tanh and the hidden layer from the pre-activation.  The
+    pre-activation is kept, not rebuilt: it costs a GEMM."""
     w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
     if x.shape[-1] != w1.shape[-2]:
         raise ShapeError(f"ffn width mismatch: {x.shape} vs {w1.shape}")
     T.check_members("feed_forward_block", x.shape,
                     [("w1", w1.shape, 2), ("b1", b1.shape, 1),
                      ("w2", w2.shape, 2), ("b2", b2.shape, 1)])
-    normed, std = _layer_norm_forward(x.data, norm)
+    normed, mean, std = _layer_norm_forward(x.data, norm)
     pre = T.apply_weight(_layer_norm_affine(normed, norm), w1.data)
     pre += T.per_member(b1.data, pre.ndim)
-    hidden, tanh = T.gelu_forward(pre)
+    hidden, _ = T.gelu_forward(pre)
     keep = ctx.keep_mask(hidden.shape, params.dropout_rate)
     if keep is not None:
         hidden *= keep
@@ -387,6 +391,7 @@ def feed_forward_block(x: Tensor, norm: LayerNormParams,
     req = any(p.requires_grad for p in parents)
 
     def backward(g):
+        tanh = T.gelu_tanh(pre)
         if w2.requires_grad:
             hidden = T.gelu_from_tanh(pre, tanh)
             if keep is not None:
@@ -399,6 +404,8 @@ def feed_forward_block(x: Tensor, norm: LayerNormParams,
         if keep is not None:
             d_hidden *= keep
         d_pre = d_hidden * T.gelu_slope(pre, tanh)
+        del d_hidden, tanh
+        normed = _normalize(x.data, mean, std)
         if w1.requires_grad:
             w1.accumulate(T.weight_grad(_layer_norm_affine(normed, norm),
                                         d_pre, w1.data))
@@ -428,12 +435,13 @@ _LN_EPS = 1e-5
 
 
 def _layer_norm_forward(x: np.ndarray, params: LayerNormParams):
-    """The normalized rows of x and their standard deviations, which the
-    backward takes; :func:`_layer_norm_affine` scales and shifts them.
-    gamma and beta may be stacked [K, n] on x's leading axis.  The mean,
-    variance and std are scaled and shifted in place, and the centered rows
-    divided in place: the ops and their order of ``(x - mean) /
-    sqrt(var + eps)``, without its temporaries."""
+    """The normalized rows of x, their means and their standard deviations;
+    :func:`_layer_norm_affine` scales and shifts the rows, and a backward
+    keeps the means and deviations and rebuilds the rows from them
+    (:func:`_normalize`).  gamma and beta may be stacked [K, n] on x's
+    leading axis.  The mean, variance and std are scaled and shifted in
+    place, and the centered rows divided in place: the ops and their order
+    of ``(x - mean) / sqrt(var + eps)``, without its temporaries."""
     gamma, beta = params.gamma, params.beta
     n = x.shape[-1]
     if gamma.shape[-1:] != (n,) or beta.shape[-1:] != (n,):
@@ -449,7 +457,17 @@ def _layer_norm_forward(x: np.ndarray, params: LayerNormParams):
     std += _LN_EPS
     np.sqrt(std, out=std)
     centered /= std
-    return centered, std
+    return centered, mean, std
+
+
+def _normalize(x: np.ndarray, mean: np.ndarray,
+               std: np.ndarray) -> np.ndarray:
+    """(x - mean) / std, the normalized rows that
+    :func:`_layer_norm_forward` returned for x, bit for bit: its ops in
+    its order, so a backward rebuilds them instead of keeping them."""
+    out = x - mean
+    out /= std
+    return out
 
 
 def _layer_norm_affine(normed: np.ndarray,
@@ -478,14 +496,17 @@ def _layer_norm_backward(g: np.ndarray, normed: np.ndarray, std: np.ndarray,
 
 
 def layer_norm(x: Tensor, params: LayerNormParams) -> Tensor:
-    """Normalize the last axis, then scale and shift; one graph node."""
-    normed, std = _layer_norm_forward(x.data, params)
+    """Normalize the last axis, then scale and shift; one graph node.  For
+    the backward it keeps each row's mean and standard deviation and
+    rebuilds the normalized rows from x's current value."""
+    normed, mean, std = _layer_norm_forward(x.data, params)
     data = _layer_norm_affine(normed, params)
     parents = (x, params.gamma, params.beta)
     req = any(p.requires_grad for p in parents)
 
     def backward(g):
-        d_x = _layer_norm_backward(g, normed, std, params)
+        d_x = _layer_norm_backward(g, _normalize(x.data, mean, std), std,
+                                   params)
         if x.requires_grad:
             x.accumulate(d_x)
 

@@ -13,12 +13,26 @@ a graph is differentiated once: a second backward through a walked node
 raises :class:`ContractError`.
 
 A backward rule reads the current ``.data`` of its parameters and of its
-``kv`` input: the fused nodes keep no copy of a weight or of an input, and
-rebuild their cheap intermediates (a layer norm's scaled output, a GELU's
-value, an attention block's Q, K and V projections) from what they keep,
-the parameters and inputs included.  So reassigning a parameter's or an
-input's ``.data`` between a forward and its backward is outside the
-contract; an optimizer step comes after the backward, as it must anyway.
+inputs: the fused nodes keep no copy of a weight or of an input, and
+rebuild their cheap intermediates from what they keep, the parameters and
+inputs included.  What each keeps is what costs more than an elementwise
+pass or one small matmul to rebuild:
+
+* the attention, feed-forward and layer-norm nodes keep each row's mean
+  and standard deviation; the normalized rows are ``(x - mean) / std`` of
+  the input's ``.data`` again, and the scaled output one more pass;
+* the attention block keeps its softmax weights, which would cost a score
+  GEMM, an exp and a normalization per head, and rebuilds Q, K, V, the
+  weighted sum and the merged heads;
+* the feed-forward block keeps its pre-activation, which would cost a GEMM,
+  and rebuilds the GELU's tanh and value from it;
+* both keep their dropout masks, which are random draws;
+* the box head keeps nothing: its summed rows and two hidden layers are
+  rebuilt with two small GEMMs.
+
+So reassigning a parameter's or an input's ``.data`` between a forward and
+its backward is outside the contract; an optimizer step comes after the
+backward, as it must anyway.
 
 Freeing the graph during backward, and the rebuilt values that come and go
 in it, would make glibc's malloc give the top of its heap back to the
@@ -411,16 +425,23 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def gelu_forward(v: np.ndarray):
-    """tanh-approximated GELU of an array, and the tanh its slope reuses.
-    The tanh's argument ``C * (v + 0.044715 * v^3)`` is built in one buffer,
-    with the composed expression's ops in its order."""
+    """tanh-approximated GELU of an array, and the tanh its slope reuses
+    (:func:`gelu_tanh`)."""
+    t = gelu_tanh(v)
+    return gelu_from_tanh(v, t), t
+
+
+def gelu_tanh(v: np.ndarray) -> np.ndarray:
+    """The GELU's tanh of ``C * (v + 0.044715 * v^3)``, its argument built
+    in one buffer with the composed expression's ops in its order; a
+    backward calls it to rebuild the tanh of the forward, bit for bit."""
     t = v * v
     t *= v
     t *= 0.044715
     t += v
     t *= _GELU_C
     np.tanh(t, out=t)
-    return gelu_from_tanh(v, t), t
+    return t
 
 
 def gelu_from_tanh(v: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -438,13 +459,11 @@ def gelu_slope(v: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x):
+    # e = exp(-|v|) never overflows: 1 / (1 + e) for v >= 0 and e / (1 + e)
+    # below, the same two expressions as a masked split, without the masks
     def fwd(v):
-        out = np.empty_like(v)
-        pos = v >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-        ev = np.exp(v[~pos])
-        out[~pos] = ev / (1.0 + ev)
-        return out
+        e = np.exp(-np.abs(v))
+        return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
     return _unary(x, fwd, lambda g, v, out: g * out * (1.0 - out))
 

@@ -163,9 +163,13 @@ def score(inference: Inference, cfg: ExperimentConfig,
       confidence is the mean of the voters' top sigmoids;
     - with no voter, or when ``use_vote`` is off, the group is the group
       head's softmax argmax, at its probability.
+
+    ``use_vote`` defaults to on when there is a decoder layer, except for a
+    ``[train] mode = weak`` config: a weak run never trains the action
+    logits that vote.
     """
     if use_vote is None:
-        use_vote = cfg.model.decoder_layers >= 1
+        use_vote = cfg.model.decoder_layers >= 1 and cfg.train.mode != "weak"
     batch, out, gt, matches, keyframe = inference
     boxes = out.final_boxes.data
     logits = out.action_logits.data                               # [B, N, A]

@@ -142,6 +142,17 @@ def gelu(x):
     return Tensor(data, req, (x,), backward if req else None)
 
 
+def sigmoid_values(v: np.ndarray) -> np.ndarray:
+    """The logistic function of an array by a masked split: 1 / (1 + e^-v)
+    where v >= 0, e^v / (1 + e^v) elsewhere (NaN included)."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
 def reference_cases(rng: np.random.Generator):
     """(name, function, input) triples for the ops above, in the stacked
     form that :func:`T.grad_check` takes: the stack is one more leading
@@ -204,7 +215,7 @@ def reference_evaluate(model, corpus, cfg, vocab,
                        use_vote: Optional[bool] = None):
     """``training.evaluate``, one clip at a time."""
     if use_vote is None:
-        use_vote = cfg.model.decoder_layers >= 1
+        use_vote = cfg.model.decoder_layers >= 1 and cfg.train.mode != "weak"
     batch, _, out = training.infer(model, corpus, cfg, vocab)
     keyframe = model.keyframe()
     boxes = out.final_boxes.data

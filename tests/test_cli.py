@@ -5,7 +5,6 @@ import re
 
 import pytest
 
-from groundact.backbones import DataError
 from groundact.cli import load_corpus, main, save_corpus
 
 import helpers as H
@@ -168,7 +167,7 @@ def test_gradcheck_command(capsys):
 
 
 def test_ablate_on_an_empty_split_fails_before_training(tmp_path,
-                                                       monkeypatch):
+                                                       monkeypatch, capsys):
     # one clip splits 0.75 / 0.25 into 1 train clip and 0 test clips
     from groundact import experiments
 
@@ -181,7 +180,32 @@ def test_ablate_on_an_empty_split_fails_before_training(tmp_path,
                  "--actors", "2", "--frames", "4", "--raster", "8"]) == 0
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(TINY_INI)
-    with pytest.raises(DataError, match="got 1 train and 0 test"):
+    assert main(["ablate", "--config", str(cfg), "--data", str(data),
+                 "--seeds", "0", "--steps", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "groundact: error: ablation needs clips on both sides of the split, "
+        "got 1 train and 0 test\n")
+
+
+def test_a_bad_config_value_fails_in_one_line(workspace, capsys):
+    tmp_path, data, _ = workspace
+    cfg = tmp_path / "inf.ini"
+    cfg.write_text(TINY_INI.replace("peak_lr = 0.001", "peak_lr = inf"))
+    assert main(["train", "--config", str(cfg), "--data", str(data)]) == 1
+    assert capsys.readouterr().err == (
+        f"groundact: error: [train] peak_lr = inf is not a finite float, "
+        f"in {cfg}\n")
+
+
+def test_a_program_fault_keeps_its_traceback(workspace, monkeypatch):
+    from groundact import experiments
+
+    def faulty_train(*args, **kwargs):
+        raise ZeroDivisionError("a fault in the program")
+
+    monkeypatch.setattr(experiments, "train", faulty_train)
+    _, data, cfg = workspace
+    with pytest.raises(ZeroDivisionError, match="a fault in the program"):
         main(["ablate", "--config", str(cfg), "--data", str(data),
               "--seeds", "0", "--steps", "2"])
 

@@ -105,11 +105,10 @@ def test_box_head_matches_composed():
         np.testing.assert_array_equal(fused, composed)
 
 
-def test_box_head_keeps_only_its_hidden_layers():
-    # the summed input rows and the pre-activations are not kept
+def test_box_head_keeps_no_array():
+    # the summed input rows and both hidden layers are rebuilt in backward
     actors, frame_rows, p = _box_head_inputs(np.random.default_rng(12))
-    held = H.held_array_bytes(lambda: box_head(actors, frame_rows, p))
-    assert abs(held - 8 * 2 * (2 * 3 * 4 * 8)) <= 1024
+    assert H.held_array_bytes(lambda: box_head(actors, frame_rows, p)) == 0
 
 
 def test_box_head_rejects_mismatched_rows():

@@ -767,9 +767,12 @@ def test_layer_norm_forward_is_the_composed_expression(shape):
     centered = x - mean
     var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
     std = np.sqrt(var + 1e-5)
-    normed, got_std = nn._layer_norm_forward(x, norm)
+    normed, got_mean, got_std = nn._layer_norm_forward(x, norm)
+    np.testing.assert_array_equal(got_mean, mean)
     np.testing.assert_array_equal(got_std, std)
     np.testing.assert_array_equal(normed, centered / std)
+    # what a backward rebuilds from the kept mean and std
+    np.testing.assert_array_equal(nn._normalize(x, got_mean, got_std), normed)
 
 
 def test_gelu_forward_is_the_composed_expression():
@@ -777,6 +780,7 @@ def test_gelu_forward_is_the_composed_expression():
     t = np.tanh(np.sqrt(2.0 / np.pi) * (v + 0.044715 * (v * v * v)))
     out, got_t = T.gelu_forward(v)
     np.testing.assert_array_equal(got_t, t)
+    np.testing.assert_array_equal(T.gelu_tanh(v), t)
     np.testing.assert_array_equal(out, 0.5 * v * (1.0 + t))
 
 
@@ -784,8 +788,7 @@ def test_gelu_forward_is_the_composed_expression():
 
 def _held_cases():
     """name -> (build, the float64 elements the node's rule keeps): one
-    grad-mode call each, heads 2, dropout on, every array larger than 1 KiB
-    that a node could keep besides those."""
+    grad-mode call each, heads 2, dropout on."""
     rng = np.random.default_rng(30)
     leaf = lambda *s: Tensor(rng.normal(size=s), requires_grad=True)
     ctx = RunContext(training=True, rng=np.random.default_rng(31))
@@ -798,8 +801,8 @@ def _held_cases():
     q, kv = leaf(2, 1, 8, 16), leaf(2, 4, 5, 16)
     text, pad = leaf(2, 6, 16), np.arange(6) < np.array([[[6]], [[3]]])
     b, lq, t, lk, lt, d = 2, 8, 4, 5, 6, 16
-    # normed rows + their std, per row of x
-    ln = b * lq * d + b * lq
+    # the mean and the std of each row of x
+    ln = 2 * b * lq
     return {
         # + the weights [B, h, Lq, Lq] and their dropout mask
         "self_attention": (lambda: attention_block(x, norm, attn, ctx=ctx),
@@ -812,20 +815,23 @@ def _held_cases():
         "cross_attention": (
             lambda: attention_block(x, norm, attn, text, pad, ctx=ctx),
             ln + 2 * b * 2 * lq * lt),
-        # + the pre-activation, its tanh and the dropout mask
+        # + the pre-activation and the dropout mask
         "feed_forward_block": (lambda: feed_forward_block(x, norm, ffn, ctx),
-                               ln + 3 * b * lq * 32),
+                               ln + 2 * b * lq * 32),
+        "layer_norm": (lambda: layer_norm(x, norm), ln),
     }
 
 
 @pytest.mark.parametrize("case", ["self_attention", "frames_cross_attention",
-                                  "cross_attention", "feed_forward_block"])
+                                  "cross_attention", "feed_forward_block",
+                                  "layer_norm"])
 def test_fused_block_keeps_only_its_documented_arrays(case):
-    # the scaled layer-norm output, the packed weight, Q, K and V, the merged
-    # heads, the dropped weights and the GELU output are rebuilt in backward,
-    # not kept
+    # the normalized rows and their scaled output, the packed weight, Q, K
+    # and V, the merged heads, the dropped weights, the GELU's tanh and its
+    # output are rebuilt in backward, not kept; byte for byte, so that even
+    # one kept row mean too many fails
     build, elements = _held_cases()[case]
-    assert abs(H.held_array_bytes(build) - 8 * elements) <= 1024
+    assert H.held_array_bytes(build) == 8 * elements
 
 
 # -- the member axis ---------------------------------------------------------

@@ -88,6 +88,16 @@ def test_sigmoid_extremes_stable():
     assert np.all(np.isfinite(s))
 
 
+@pytest.mark.parametrize("shape", [(7,), (64, 12, 4, 4), (3, 5, 129)])
+def test_sigmoid_is_the_masked_split(shape):
+    rng = np.random.default_rng(len(shape))
+    v = rng.normal(size=shape) * 10
+    special = [0.0, -0.0, 1e-320, -1e-320, 800.0, -800.0, np.nan]
+    v.reshape(-1)[:len(special)] = special
+    # NaN stays NaN; its sign bit is not part of the contract
+    np.testing.assert_array_equal(T.sigmoid(t(v)).data, H.sigmoid_values(v))
+
+
 def test_softplus_extremes_stable():
     s = T.softplus(t([-1000.0, 0.0, 1000.0])).data
     assert np.all(np.isfinite(s))

@@ -278,6 +278,22 @@ def _tiny_step():
     return cfg, model, batch
 
 
+def test_a_model_step_holds_its_pinned_graph_bytes():
+    # The numpy bytes one forward + loss holds before backward: every node's
+    # output and what each rule keeps, byte for byte, so that a change which
+    # keeps one more intermediate fails.  The fused nodes keep row means and
+    # stds, softmax weights, the FFN pre-activation and no box-head layer;
+    # when they kept the normalized rows, the GELU's tanh and the box head's
+    # hidden layers, this read 199320
+    cfg, model, batch = _tiny_step()
+
+    def build():
+        _, out = model.forward(batch)
+        return tr.batch_objective(out, batch, cfg, model.keyframe(), False)[0]
+
+    assert H.held_array_bytes(build) == 144088
+
+
 def test_backward_frees_the_saved_values_of_a_model_step():
     # With out and loss still bound, the graph's saved values must be gone
     # after backward: what stays live in numpy's domain is the outputs' own
@@ -680,6 +696,19 @@ def test_evaluate_predicts_as_the_clip_by_clip_rules(monkeypatch, use_vote,
     else:
         logits = tr.infer(model, corpus, cfg, VOCAB)[2].group_logits.data
         assert [r.group_label for r in rec] == logits.argmax(-1).tolist()
+
+
+def test_weak_mode_evaluates_with_the_group_head(monkeypatch):
+    # a weak run never trains the action logits, so by default they do not
+    # vote; the crafted logits make the vote and the group head disagree
+    cfg = tiny_cfg(mode="weak")
+    corpus = tiny_corpus(n=8)
+    model = GroundedModel(cfg.model, seed=3)
+    _crafted_infer(monkeypatch)
+    ev = evaluate(model, corpus, cfg, VOCAB)
+    assert ev == evaluate(model, corpus, cfg, VOCAB, use_vote=False)
+    assert ev == H.reference_evaluate(model, corpus, cfg, VOCAB)
+    assert ev != evaluate(model, corpus, cfg, VOCAB, use_vote=True)
 
 
 def test_retrieval_recall_bounds():
