@@ -15,7 +15,9 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .data import ParseError
 from .optim import OptimizerError
 from .tensor import load_arrays, save_arrays
-from .training import TrainingError
+from .training import (TrainingError, embedding_pool, infer_matched,
+                       load_checkpoint, retrieval_recall, score,
+                       text_query_embedding, train)
 
 # errors in what the user gave the program: a config, a corpus, a checkpoint,
 # a split or a schedule.  main reports them in one line; any other exception
@@ -59,7 +61,6 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .training import train
     cfg = _load_cfg(args)
     if args.seed is not None:
         cfg.train.seed = args.seed
@@ -85,8 +86,6 @@ _EVAL_METRICS = {
 
 
 def cmd_eval(args) -> int:
-    from .training import (embedding_pool, infer_matched, load_checkpoint,
-                           retrieval_recall, score)
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
     for m in wanted:
         if not (m in _EVAL_METRICS
@@ -121,8 +120,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    from .training import (embedding_pool, infer_matched, load_checkpoint,
-                           text_query_embedding)
     from .metrics import cosine_ranking
     model, cfg, _, _ = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.data)
