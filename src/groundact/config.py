@@ -2,13 +2,14 @@
 
 Config files are standard INI text with three sections, [model], [loss] and
 [train]; every field has a default, so a config file only needs the keys it
-overrides.
+overrides.  A checkpoint stores its config as the same text
+(:func:`config_text`), and :func:`parse_config` reads both, so a bad value
+fails the same way and names the file or checkpoint it came from.
 """
 
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -141,7 +142,7 @@ class ExperimentConfig:
 
     def validate(self):
         """A ConfigError naming ``[section] key`` for the first bad value; a
-        float field must be a finite float (a dict may hold it as an int)."""
+        float field must be a finite float (code may set it as an int)."""
         for section in _SECTIONS:
             part = getattr(self, section)
             for f in fields(part):
@@ -152,7 +153,7 @@ class ExperimentConfig:
             part.validate()
 
 
-_SECTIONS = {"model": ModelConfig, "loss": LossWeights, "train": TrainConfig}
+_SECTIONS = ("model", "loss", "train")
 
 
 _BOOLS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
@@ -162,88 +163,58 @@ _PARSERS = {"bool": lambda text: _BOOLS[text.strip().lower()],
             "int": int, "float": float}
 
 
-def _known_sections(sections, where: str):
-    """An unknown section is a ConfigError naming it."""
-    for section in sections:
+def parse_config(text: str, source) -> ExperimentConfig:
+    """The validated config that INI ``text`` sets, read from ``source``: a
+    config file or a checkpoint.  Any error is a one-line ConfigError that
+    names the source.  Values are plain text: ``%`` interpolates nothing."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text, source=str(source))
+    except configparser.Error as err:
+        # configparser's text names the source and line, over several lines
+        raise ConfigError(" ".join(line.strip()
+                                   for line in str(err).splitlines())) from None
+    cfg = ExperimentConfig()
+    for section in parser.sections():
         if section not in _SECTIONS:
-            raise ConfigError(f"unknown section [{section}] in {where}; "
+            raise ConfigError(f"unknown section [{section}] in {source}; "
                               f"expected one of {sorted(_SECTIONS)}")
-
-
-def _known_fields(section: str, keys, where: str) -> dict:
-    """The section's fields by name; an unknown key is a ConfigError."""
-    known = {f.name: f for f in fields(_SECTIONS[section])}
-    for key in keys:
-        if key not in known:
-            raise ConfigError(f"unknown key [{section}] {key}, in {where}")
-    return known
-
-
-def _validated(cfg: ExperimentConfig, where) -> ExperimentConfig:
-    """cfg, once it validates; its ConfigError names ``where`` it came from."""
+        target = getattr(cfg, section)
+        types = {f.name: f.type for f in fields(target)}
+        for key, raw in parser.items(section):
+            if key not in types:
+                raise ConfigError(f"unknown key [{section}] {key}, in {source}")
+            try:
+                setattr(target, key, _PARSERS.get(types[key], str)(raw))
+            except (KeyError, ValueError):
+                raise ConfigError(f"[{section}] {key} = {raw!r} is not a "
+                                  f"valid {types[key]}, in {source}") from None
     try:
         cfg.validate()
     except ConfigError as err:
-        raise ConfigError(f"{err}, in {where}") from None
+        raise ConfigError(f"{err}, in {source}") from None
     return cfg
 
 
 def load_config(path) -> ExperimentConfig:
-    """The config an INI file sets.  Any error in the file is a ConfigError
-    that names it.  Values are plain text: ``%`` interpolates nothing."""
-    parser = configparser.ConfigParser(interpolation=None)
+    """The config an INI file sets; any error is a ConfigError naming it."""
     try:
-        read = parser.read(path, encoding="utf-8")
-    except configparser.Error as err:
-        # configparser's text names the file and line
-        raise ConfigError(str(err)) from None
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path} is not UTF-8 text: {err}") from None
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    sections = {s: parser.items(s) for s in parser.sections()}
-    _known_sections(sections, path)
-    cfg = ExperimentConfig()
-    for section, items in sections.items():
-        target = getattr(cfg, section)
-        known = _known_fields(section, [key for key, _ in items], path)
-        for key, raw in items:
-            ftype = known[key].type
-            try:
-                setattr(target, key, _PARSERS.get(ftype, str)(raw))
-            except (KeyError, ValueError):
-                raise ConfigError(f"[{section}] {key} = {raw!r} is not a "
-                                  f"valid {ftype}, in {path}") from None
-    return _validated(cfg, path)
+    except OSError as err:
+        raise ConfigError(f"cannot read config file {path}: "
+                          f"{err.strerror}") from None
+    return parse_config(text, path)
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
-# a stored value's types by its field's annotated type: an int is a valid
-# float, and a bool (an int to Python) is valid only for a bool field
-_STORED_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float),
-                 "str": (str,)}
-
-
-def config_from_dict(d: dict) -> ExperimentConfig:
-    if not isinstance(d, dict):
-        raise ConfigError(f"config dict is a {type(d).__name__}, not a dict "
-                          f"of section dicts")
-    _known_sections(d, "config dict")
-    parts = {}
-    for section, cls in _SECTIONS.items():
-        values = d.get(section, {})
-        if not isinstance(values, dict):
-            raise ConfigError(f"[{section}] = {values!r} is not a section "
-                              f"of keys, in config dict")
-        known = _known_fields(section, values, "config dict")
-        for key, value in values.items():
-            ftype = known[key].type
-            if (not isinstance(value, _STORED_TYPES[ftype])
-                    or isinstance(value, bool) and ftype != "bool"):
-                raise ConfigError(f"[{section}] {key} = {value!r} is not a "
-                                  f"valid {ftype}, in config dict")
-        parts[section] = cls(**values)
-    return _validated(ExperimentConfig(**parts), "config dict")
+def config_text(cfg: ExperimentConfig) -> str:
+    """cfg as the INI text that :func:`parse_config` reads back ``==``: one
+    ``key = value`` line per field under its section."""
+    lines = []
+    for section in _SECTIONS:
+        part = getattr(cfg, section)
+        lines += [f"[{section}]", *(f"{f.name} = {getattr(part, f.name)}"
+                                    for f in fields(part)), ""]
+    return "\n".join(lines)

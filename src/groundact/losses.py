@@ -9,6 +9,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -80,21 +81,38 @@ def giou_corners(a, b) -> float:
     return inter / union - (hull - union) / hull
 
 
+# the gIoU terms of corner-form boxes p against g, broadcast together;
+# iw_raw and ih_raw are the intersection's sides before the clamp at 0, and
+# hw and hh the hull's
+_Overlap = namedtuple("_Overlap", "pw ph iw_raw ih_raw iw ih inter union hw "
+                                  "hh hull iou giou")
+
+
+def _overlap(p: np.ndarray, g: np.ndarray) -> _Overlap:
+    """The geometry that ``pairwise_iou`` and ``box_loss`` share."""
+    px1, py1, px2, py2 = (p[..., i] for i in range(4))
+    gx1, gy1, gx2, gy2 = (g[..., i] for i in range(4))
+    pw, ph = px2 - px1, py2 - py1
+    area_g = (gx2 - gx1) * (gy2 - gy1)
+    iw_raw = np.minimum(px2, gx2) - np.maximum(px1, gx1)
+    ih_raw = np.minimum(py2, gy2) - np.maximum(py1, gy1)
+    iw, ih = np.maximum(iw_raw, 0.0), np.maximum(ih_raw, 0.0)
+    inter = iw * ih
+    union = pw * ph + area_g - inter
+    hw = np.maximum(px2, gx2) - np.minimum(px1, gx1)
+    hh = np.maximum(py2, gy2) - np.minimum(py1, gy1)
+    hull = hw * hh
+    iou = inter / union
+    return _Overlap(pw, ph, iw_raw, ih_raw, iw, ih, inter, union, hw, hh,
+                    hull, iou, iou - (hull - union) / hull)
+
+
 def pairwise_iou(pred_cxcywh: np.ndarray, gt_cxcywh: np.ndarray):
     """Pairwise IoU and gIoU over shared leading axes,
     pred [..., N, 4] x gt [..., M, 4] -> ([..., M, N], [..., M, N])."""
-    p = cxcywh_to_corners(pred_cxcywh)[..., None, :, :]
-    g = cxcywh_to_corners(gt_cxcywh)[..., :, None, :]
-    area_p = (p[..., 2] - p[..., 0]) * (p[..., 3] - p[..., 1])
-    area_g = (g[..., 2] - g[..., 0]) * (g[..., 3] - g[..., 1])
-    iw = np.clip(np.minimum(p[..., 2], g[..., 2]) - np.maximum(p[..., 0], g[..., 0]), 0, None)
-    ih = np.clip(np.minimum(p[..., 3], g[..., 3]) - np.maximum(p[..., 1], g[..., 1]), 0, None)
-    inter = iw * ih
-    union = area_p + area_g - inter
-    hull = ((np.maximum(p[..., 2], g[..., 2]) - np.minimum(p[..., 0], g[..., 0]))
-            * (np.maximum(p[..., 3], g[..., 3]) - np.minimum(p[..., 1], g[..., 1])))
-    iou = inter / union
-    return iou, iou - (hull - union) / hull
+    ov = _overlap(cxcywh_to_corners(pred_cxcywh)[..., None, :, :],
+                  cxcywh_to_corners(gt_cxcywh)[..., :, None, :])
+    return ov.iou, ov.giou
 
 
 # -- differentiable box loss -------------------------------------------------
@@ -113,31 +131,17 @@ def box_loss(boxes: Tensor, index, gt: np.ndarray, weights: np.ndarray,
     written out by hand and keeps the subgradients of the elementwise ops
     at ties: |0|' = 0, the clamp of an empty intersection passes the
     gradient at exactly 0, and a min/max tie sends it to the prediction.
+    The node keeps no array of its own: the backward rebuilds the pairs and
+    their geometry from ``boxes.data[index]`` and ``gt``.
     """
     pred = boxes.data[index]
     gt = np.asarray(gt, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     _check_pairs(pred.shape, gt.shape, w.shape)
-    diff = pred - gt
-    l1_pairs = np.abs(diff) * (np.expand_dims(w, -1) / pred.shape[-1])
+    l1_pairs = np.abs(pred - gt) * (np.expand_dims(w, -1) / pred.shape[-1])
     l1 = float(l1_pairs.sum())
-
-    p = cxcywh_to_corners(pred)
-    g = cxcywh_to_corners(gt)
-    px1, py1, px2, py2 = (p[..., i] for i in range(4))
-    gx1, gy1, gx2, gy2 = (g[..., i] for i in range(4))
-    pw, ph = px2 - px1, py2 - py1
-    area_g = (gx2 - gx1) * (gy2 - gy1)
-    iw_raw = np.minimum(px2, gx2) - np.maximum(px1, gx1)
-    ih_raw = np.minimum(py2, gy2) - np.maximum(py1, gy1)
-    iw, ih = np.maximum(iw_raw, 0.0), np.maximum(ih_raw, 0.0)
-    inter = iw * ih
-    union = pw * ph + area_g - inter
-    hw = np.maximum(px2, gx2) - np.minimum(px1, gx1)
-    hh = np.maximum(py2, gy2) - np.minimum(py1, gy1)
-    hull = hw * hh
-    giou = inter / union - (hull - union) / hull
-    gl_pairs = (1.0 - giou) * w
+    gl_pairs = (1.0 - _overlap(cxcywh_to_corners(pred),
+                               cxcywh_to_corners(gt)).giou) * w
     gl = float(gl_pairs.sum())
     # a row's sums add its pairs in the order a call on that row alone does
     pairs = tuple(range(1, pred.ndim - 1))
@@ -146,22 +150,28 @@ def box_loss(boxes: Tensor, index, gt: np.ndarray, weights: np.ndarray,
     req = boxes.requires_grad
 
     def backward(grad):
+        pred = boxes.data[index]
+        p, g = cxcywh_to_corners(pred), cxcywh_to_corners(gt)
+        px1, py1, px2, py2 = (p[..., i] for i in range(4))
+        gx1, gy1, gx2, gy2 = (g[..., i] for i in range(4))
+        ov = _overlap(p, g)
         # [R] -> [R, 1, ...], broadcast over each row's pairs
         grad = grad.reshape(grad.shape + (1,) * len(pairs))
-        d_pred = np.sign(diff) * (np.expand_dims(grad * l1_weight, -1)
-                                  * np.expand_dims(w, -1) / pred.shape[-1])
+        d_pred = np.sign(pred - gt) * (np.expand_dims(grad * l1_weight, -1)
+                                       * np.expand_dims(w, -1) / pred.shape[-1])
         d_giou = -(grad * giou_weight) * w
+        union, hull = ov.union, ov.hull
         d_inter = d_giou / union
-        d_union = -d_giou * inter / (union * union) + d_giou / hull
+        d_union = -d_giou * ov.inter / (union * union) + d_giou / hull
         d_hull = -d_giou / hull + d_giou * (hull - union) / (hull * hull)
         d_inter = d_inter - d_union
-        d_iw = d_inter * ih * (iw_raw >= 0)
-        d_ih = d_inter * iw * (ih_raw >= 0)
-        d_hw, d_hh = d_hull * hh, d_hull * hw
-        d_x2 = d_union * ph + d_iw * (px2 <= gx2) + d_hw * (px2 >= gx2)
-        d_x1 = -d_union * ph - d_iw * (px1 >= gx1) - d_hw * (px1 <= gx1)
-        d_y2 = d_union * pw + d_ih * (py2 <= gy2) + d_hh * (py2 >= gy2)
-        d_y1 = -d_union * pw - d_ih * (py1 >= gy1) - d_hh * (py1 <= gy1)
+        d_iw = d_inter * ov.ih * (ov.iw_raw >= 0)
+        d_ih = d_inter * ov.iw * (ov.ih_raw >= 0)
+        d_hw, d_hh = d_hull * ov.hh, d_hull * ov.hw
+        d_x2 = d_union * ov.ph + d_iw * (px2 <= gx2) + d_hw * (px2 >= gx2)
+        d_x1 = -d_union * ov.ph - d_iw * (px1 >= gx1) - d_hw * (px1 <= gx1)
+        d_y2 = d_union * ov.pw + d_ih * (py2 <= gy2) + d_hh * (py2 >= gy2)
+        d_y1 = -d_union * ov.pw - d_ih * (py1 >= gy1) - d_hh * (py1 <= gy1)
         d_pred[..., 0] += d_x1 + d_x2
         d_pred[..., 1] += d_y1 + d_y2
         d_pred[..., 2] += 0.5 * (d_x2 - d_x1)
@@ -364,9 +374,9 @@ def total_objective(decoder_out, annotations, weights: LossWeights,
     if not weak and weights.action_bce > 0 and strong.size:
         logits = decoder_out.action_logits                        # [B, N, A]
         targets = np.zeros(logits.shape)
-        for i, (ann, m) in enumerate(zip(anns, matches)):
-            for gt_i, pred_j in m.pairs():
-                targets[i, pred_j, ann.actors[gt_i].actions] = 1.0
+        # each actor's actions, at the query the last layer matched it to
+        clip, actor, k = np.nonzero(truth.actions >= 0)
+        targets[clip, idx[clip, actor], truth.actions[clip, actor, k]] = 1.0
         if strong.size < b:
             logits, targets = logits[strong], targets[strong]
         bce = binary_cross_entropy_with_logits(logits, targets)

@@ -51,13 +51,18 @@ def _check_clip(clip: bb.VideoClip, cfg: ModelConfig):
 
 def make_batch(clips, prompts: Sequence[str], cfg: ModelConfig,
                vocab: List[str], annotations) -> Batch:
-    """Check each clip and prompt against the config, sample frames, tokenize
-    and pad prompts, stack into arrays; each annotation's tubes are sampled
-    at its clip's frames."""
+    """Check each clip, prompt and annotation against the config, sample
+    frames, tokenize and pad prompts, stack into arrays; each annotation's
+    tubes are sampled at its clip's frames."""
     if not clips:
         raise bb.DataError("no clips to batch: the corpus or split is empty")
     for c in clips:
         _check_clip(c, cfg)
+    for ann in annotations:
+        if len(ann.actors) > cfg.num_queries:
+            raise ConfigError(
+                f"clip {ann.clip_id!r} has {len(ann.actors)} actors, more "
+                f"than [model] num_queries = {cfg.num_queries}")
     by_length = {n: bb.frame_indices(n, cfg.frames)
                  for n in {c.frames.shape[0] for c in clips}}
     idx = [by_length[c.frames.shape[0]] for c in clips]

@@ -599,23 +599,26 @@ def broadcast_to(x, shape):
 
 # -- gradient checking -------------------------------------------------------
 
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
-               eps: float = 1e-5, kink_tol: float = 1e-3) -> float:
+# grad_check's central-difference step, and the relative gap between its two
+# one-sided differences above which a coordinate sits on a kink
+GRAD_CHECK_EPS = 1e-5
+KINK_TOL = 1e-3
+
+
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``f`` maps a stack ``[K, *x.shape]`` of inputs to their ``K`` values,
     each row on its own, as the ops do with a stack as one more leading
     axis.  The analytic gradient is one backward of
     ``f(x[None])``.  The unperturbed value and the 2N central-difference
-    points (each coordinate moved to ``orig + eps`` and ``orig - eps``)
-    are one stack of 2N + 1 rows, evaluated by a single call under
+    points (each coordinate moved ``GRAD_CHECK_EPS`` up and down) are one
+    stack of 2N + 1 rows, evaluated by a single call under
     :func:`no_grad`.  Coordinates where the two one-sided differences
-    disagree by more than ``kink_tol`` (relative) sit on a kink of a
+    disagree by more than ``KINK_TOL`` (relative) sit on a kink of a
     piecewise-smooth function (e.g. relu at 0) and are excluded from the
     max, since a finite difference is meaningless there.
     """
-    if not (1e-7 <= eps <= 1e-3):
-        raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
     x = Tensor(x.data.astype(np.float64), requires_grad=True)
     out = _stack_values(f, x[None])
     out.backward()
@@ -625,17 +628,17 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
     n = flat.size
     stack = np.tile(flat, (2 * n + 1, 1))
     at = np.arange(n)
-    stack[1 + at, at] = flat + eps
-    stack[1 + n + at, at] = flat - eps
+    stack[1 + at, at] = flat + GRAD_CHECK_EPS
+    stack[1 + n + at, at] = flat - GRAD_CHECK_EPS
     stack = Tensor(stack.reshape(2 * n + 1, *x.shape))
     with no_grad():
         values = _stack_values(f, stack).data
     f0, fp, fm = values[0], values[1:n + 1], values[n + 1:]
-    d_plus = (fp - f0) / eps
-    d_minus = (f0 - fm) / eps
+    d_plus = (fp - f0) / GRAD_CHECK_EPS
+    d_minus = (f0 - fm) / GRAD_CHECK_EPS
     scale = np.maximum(1.0, np.maximum(np.abs(d_plus), np.abs(d_minus)))
-    smooth = ~(np.abs(d_plus - d_minus) > kink_tol * scale)
-    numeric = (fp - fm) / (2 * eps)
+    smooth = ~(np.abs(d_plus - d_minus) > KINK_TOL * scale)
+    numeric = (fp - fm) / (2 * GRAD_CHECK_EPS)
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     err = np.abs(analytic - numeric) / denom
     return float(err[smooth].max(initial=0.0))

@@ -2,7 +2,9 @@
 
 Runs are deterministic given the seed: batch order, dropout, and every
 numeric update derive from one seeded generator, and the metrics log
-contains no wall-clock fields.
+contains no wall-clock fields.  A checkpoint keeps its config as INI text,
+which loads through the parser that reads config files, so a bad value
+fails naming the checkpoint.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ import numpy as np
 from . import backbones as bb
 from . import data as D
 from . import tensor as T
-from .config import (ConfigError, ExperimentConfig, config_from_dict,
-                     config_to_dict)
+from .config import ConfigError, ExperimentConfig, config_text, parse_config
 from .decoder import DecoderOutput
 from .losses import (GroundTruth, ground_truth, keyframe_matches,
                      pairwise_iou, total_objective)
@@ -36,7 +37,7 @@ class TrainingError(RuntimeError):
 
 # -- checkpoints -------------------------------------------------------------
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 def save_checkpoint(path, model: GroundedModel, cfg: ExperimentConfig,
@@ -49,7 +50,7 @@ def save_checkpoint(path, model: GroundedModel, cfg: ExperimentConfig,
         for k, v in opt.v.items():
             arrays[f"opt/v/{k}"] = v
     meta = {"format_version": CHECKPOINT_VERSION, "step": step, "seed": seed,
-            "config": config_to_dict(cfg),
+            "config": config_text(cfg),
             "opt": None if opt is None else
             {"kind": opt.kind, "step": opt.step, "beta1": opt.beta1,
              "beta2": opt.beta2, "eps": opt.eps, "momentum": opt.momentum}}
@@ -71,7 +72,11 @@ def load_checkpoint(path) -> Tuple[GroundedModel, ExperimentConfig,
         raise TrainingError(f"checkpoint version {version} "
                             f"unsupported; this build reads version "
                             f"{CHECKPOINT_VERSION}")
-    cfg = config_from_dict(meta["config"])
+    text = meta["config"]
+    if not isinstance(text, str):
+        raise ConfigError(f"checkpoint config is a {type(text).__name__}, "
+                          f"not INI text, in {path}")
+    cfg = parse_config(text, path)
     model = GroundedModel(cfg.model, seed=meta.get("seed", 0))
     model.load_state({k[len("param/"):]: v for k, v in arrays.items()
                       if k.startswith("param/")})
@@ -259,11 +264,6 @@ def train(cfg: ExperimentConfig, corpus, log_path: Optional[str] = None,
     rng = np.random.default_rng(seed)
 
     anns = [a for _, a in corpus]
-    for ann in anns:
-        if len(ann.actors) > cfg.model.num_queries:
-            raise ConfigError(
-                f"clip {ann.clip_id!r} has {len(ann.actors)} actors, more "
-                f"than [model] num_queries = {cfg.model.num_queries}")
     if weak:
         anns = [D.weak_supervision_view(a) for a in anns]
     clips = [c for c, _ in corpus]
@@ -399,6 +399,10 @@ def retrieval_recall(model: GroundedModel, embeddings: np.ndarray,
 
 # -- linear probe ------------------------------------------------------------
 
+PROBE_BATCH = 32
+PROBE_LR = 1e-3
+
+
 def extract_embeddings(model: GroundedModel, corpus, cfg: ExperimentConfig,
                        vocab: List[str]) -> Tuple[np.ndarray, np.ndarray]:
     """Frozen group-token embeddings and group labels for probing."""
@@ -408,23 +412,23 @@ def extract_embeddings(model: GroundedModel, corpus, cfg: ExperimentConfig,
 
 
 def linear_probe(embeddings: np.ndarray, labels: np.ndarray,
-                 num_classes: int, epochs: int = 100, batch_size: int = 32,
-                 lr: float = 1e-3, momentum: float = 0.9,
-                 seed: int = 0) -> float:
-    """SGD-with-momentum softmax probe over frozen embeddings, cosine decay;
-    returns its accuracy on the embeddings it was trained on."""
+                 num_classes: int, epochs: int = 100, seed: int = 0) -> float:
+    """Softmax probe over frozen embeddings, trained by SGD with
+    ``OptimizerState``'s momentum in batches of ``PROBE_BATCH``, cosine decay
+    from ``PROBE_LR``; returns its accuracy on the embeddings it was trained
+    on."""
     rng = np.random.default_rng(seed)
     n, d = embeddings.shape
     w = Tensor(np.zeros((d, num_classes)), requires_grad=True)
     b = Tensor(np.zeros(num_classes), requires_grad=True)
     params = {"w": w, "b": b}
-    opt = OptimizerState(kind="sgd-momentum", momentum=momentum)
-    total_steps = epochs * -(-n // batch_size)     # a short last batch counts
+    opt = OptimizerState(kind="sgd-momentum")
+    total_steps = epochs * -(-n // PROBE_BATCH)    # a short last batch counts
     step = 0
     for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, n, PROBE_BATCH):
+            idx = order[start:start + PROBE_BATCH]
             x = Tensor(embeddings[idx])
             logits = T.linear(x, w, b)
             logp = T.log_softmax(logits, axis=-1)
@@ -432,7 +436,8 @@ def linear_probe(embeddings: np.ndarray, labels: np.ndarray,
             for p in params.values():
                 p.zero_grad()
             nll.backward()
-            sgd_momentum_step(params, opt, cosine_decay(step, total_steps, lr))
+            sgd_momentum_step(params, opt,
+                              cosine_decay(step, total_steps, PROBE_LR))
             step += 1
     pred = np.argmax(embeddings @ w.data + b.data, axis=-1)
     return float((pred == labels).mean())

@@ -12,6 +12,7 @@ before it worked on whole-batch arrays: one clip at a time, through
 """
 
 import gc
+import json
 import os
 import random
 import subprocess
@@ -66,6 +67,17 @@ def held_array_bytes(build: Callable[[], Tensor]) -> int:
     finally:
         if started:
             tracemalloc.stop()
+
+
+def edit_checkpoint_meta(path, **entries) -> None:
+    """Set ``entries`` in the meta of the checkpoint at ``path``, and write
+    it again through ``save_arrays``."""
+    arrays = T.load_arrays(path)
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    meta.update(entries)
+    arrays["__meta__"] = np.frombuffer(
+        json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8).copy()
+    T.save_arrays(path, arrays)
 
 
 # -- reference ops -----------------------------------------------------------

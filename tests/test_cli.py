@@ -197,6 +197,46 @@ def test_a_bad_config_value_fails_in_one_line(workspace, capsys):
         f"in {cfg}\n")
 
 
+def _checkpoint(workspace):
+    """A checkpoint trained for 2 steps on the workspace corpus."""
+    tmp_path, data, cfg = workspace
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--steps", "2", "--out", str(ckpt)]) == 0
+    return ckpt
+
+
+@pytest.mark.parametrize("command", [["eval"],
+                                     ["retrieve", "--prompt", "walk"]])
+def test_more_actors_than_queries_fails_in_one_line(workspace, capsys,
+                                                    command):
+    # the checkpoint has [model] num_queries = 3; these clips have 4 actors
+    tmp_path = workspace[0]
+    ckpt, crowd = _checkpoint(workspace), tmp_path / "crowd"
+    assert main(["gen-data", "--out", str(crowd), "--clips", "2",
+                 "--actors", "4", "--frames", "4", "--raster", "8"]) == 0
+    clip = load_corpus(str(crowd))[0][1].clip_id
+    capsys.readouterr()
+    assert main([command[0], "--checkpoint", str(ckpt), "--data", str(crowd),
+                 *command[1:]]) == 1
+    assert capsys.readouterr().err == (
+        f"groundact: error: clip {clip!r} has 4 actors, more than [model] "
+        f"num_queries = 3\n")
+
+
+def test_a_bad_checkpoint_config_value_fails_naming_the_checkpoint(
+        workspace, capsys):
+    ckpt = _checkpoint(workspace)
+    H.edit_checkpoint_meta(ckpt, config=TINY_INI.replace(
+        "peak_lr = 0.001", "peak_lr = -1.0"))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt),
+                 "--data", str(workspace[1])]) == 1
+    assert capsys.readouterr().err == (
+        f"groundact: error: [train] peak_lr = -1.0 must be at least 0, "
+        f"in {ckpt}\n")
+
+
 def test_a_program_fault_keeps_its_traceback(workspace, monkeypatch):
     from groundact import experiments
 

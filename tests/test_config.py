@@ -1,4 +1,5 @@
-"""Configuration dataclasses and INI round-tripping."""
+"""Configuration dataclasses, INI files and the config text a checkpoint
+stores."""
 
 import configparser
 import dataclasses
@@ -7,9 +8,13 @@ import re
 
 import pytest
 
+from groundact import experiments as E
+from groundact import training
 from groundact.config import (ConfigError, ExperimentConfig, LossWeights,
-                              ModelConfig, TrainConfig, config_from_dict,
-                              config_to_dict, load_config)
+                              ModelConfig, TrainConfig, config_text,
+                              load_config, parse_config)
+from groundact.model import GroundedModel
+from groundact.training import load_checkpoint, save_checkpoint
 
 import helpers as H
 
@@ -72,51 +77,11 @@ def test_unknown_key_rejected(tmp_path):
         load_config(path)
 
 
-def test_unknown_dict_field_names_section_and_key():
-    # a checkpoint written before a field was removed still stores it
-    d = config_to_dict(ExperimentConfig())
-    d["model"]["fusion_refeed"] = False
-    with pytest.raises(ConfigError, match=r"\[model\] fusion_refeed"):
-        config_from_dict(d)
-
-
 def test_unknown_ini_section_rejected(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text("[model]\nd_model = 64\n[modle]\nd_model = 7\n")
     with pytest.raises(ConfigError, match=r"unknown section \[modle\]"):
         load_config(path)
-
-
-def test_unknown_dict_section_rejected():
-    d = config_to_dict(ExperimentConfig())
-    d["modle"] = {"d_model": 7}
-    with pytest.raises(ConfigError, match=r"unknown section \[modle\]"):
-        config_from_dict(d)
-
-
-@pytest.mark.parametrize("section, value, message", [
-    ("model", {"d_model": "32"}, "[model] d_model = '32'"),
-    ("model", {"use_actor_fusion": 1}, "[model] use_actor_fusion = 1"),
-    ("loss", {"l1": True}, "[loss] l1 = True"),
-    ("train", {"seed": 1.0}, "[train] seed = 1.0"),
-    ("train", {"mode": None}, "[train] mode = None"),
-    ("model", "x", "[model] = 'x'"),   # a section that is not a dict of keys
-    ("loss", {"l1": 10 ** 400}, "[loss] l1 = 1000"),   # past float's range
-])
-def test_bad_dict_value_names_section_and_key(section, value, message):
-    # a stored config is checked by each field's type, as an INI file is
-    d = config_to_dict(ExperimentConfig())
-    d[section] = value if isinstance(value, str) else {**d[section], **value}
-    with pytest.raises(ConfigError, match="^" + re.escape(message)):
-        config_from_dict(d)
-
-
-@pytest.mark.parametrize("stored, kind", [
-    ("model", "str"), (["model"], "list"), (None, "NoneType")])
-def test_dict_that_is_not_a_dict_of_sections_says_so(stored, kind):
-    with pytest.raises(ConfigError, match=rf"^config dict is a {kind}, not a "
-                       rf"dict of section dicts$"):
-        config_from_dict(stored)
 
 
 def test_missing_file_rejected(tmp_path):
@@ -159,16 +124,6 @@ def test_unparseable_value_names_key_text_and_file(tmp_path, section, key,
     assert str(path) in msg
 
 
-def test_dict_round_trip():
-    cfg = ExperimentConfig()
-    cfg.model.decoder_layers = 1
-    cfg.loss.giou = 3         # an int is a valid float
-    again = config_from_dict(config_to_dict(cfg))
-    assert again.model.decoder_layers == 1
-    assert again.loss.giou == 3
-    assert config_to_dict(again) == config_to_dict(cfg)
-
-
 def _set(cfg, section, **values):
     """Set keys of cfg's [section]; return the first as ``[section] key``,
     the name that the ConfigError must give."""
@@ -202,7 +157,7 @@ def _set(cfg, section, **values):
     lambda c: _set(c, "train", grad_clip=-1.0),
     lambda c: _set(c, "train", warmup_epochs=-1),
     lambda c: _set(c, "train", peak_lr=float("nan")),
-    lambda c: _set(c, "loss", giou=-2),  # an int, as a dict may hold
+    lambda c: _set(c, "loss", giou=-2),  # an int, as code may set
     # the grid encoding's row and column halves are sin / cos pairs
     lambda c: _set(c, "model", d_model=9, num_heads=3),
     lambda c: _set(c, "model", d_model=10, num_heads=2),
@@ -232,11 +187,6 @@ def test_a_non_finite_float_fails_naming_its_key_and_where(tmp_path, section,
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert str(err.value) == message + str(path)
-    d = config_to_dict(ExperimentConfig())
-    d[section][key] = value
-    with pytest.raises(ConfigError) as err:
-        config_from_dict(d)
-    assert str(err.value) == message + "config dict"
 
 
 REMOVED_KEYS = [("model", "num_actions", "3"), ("model", "num_groups", "2"),
@@ -252,15 +202,6 @@ def test_removed_key_in_ini_is_unknown(tmp_path, section, key, value):
     with pytest.raises(ConfigError, match=rf"unknown key \[{section}\] {key}, "
                        rf"in {re.escape(str(path))}$"):
         load_config(path)
-
-
-@pytest.mark.parametrize("section,key,value", REMOVED_KEYS)
-def test_removed_key_in_dict_is_unknown(section, key, value):
-    d = config_to_dict(ExperimentConfig())
-    d[section][key] = value
-    with pytest.raises(ConfigError, match=rf"unknown key \[{section}\] {key}, "
-                       rf"in config dict$"):
-        config_from_dict(d)
 
 
 VALID_INI = b"""\
@@ -293,7 +234,7 @@ INI_LINES = [b"[model]", b"[loss]", b"[train]", b"[modle]", b"[DEFAULT]",
 def test_mutated_ini_fails_only_with_a_config_error_naming_the_file(
         tmp_path):
     # seeded line and byte mutations of a valid file: each loads, or fails
-    # as a ConfigError whose message names the file
+    # as a one-line ConfigError whose message names the file
     path = tmp_path / "exp.ini"
     rng = random.Random(0)
     failed = 0
@@ -303,5 +244,127 @@ def test_mutated_ini_fails_only_with_a_config_error_naming_the_file(
             load_config(path)
         except ConfigError as err:
             failed += 1
-            assert str(path) in str(err), err
+            assert str(path) in str(err) and "\n" not in str(err), err
     assert failed > 1000
+
+
+# -- the config text a checkpoint stores -------------------------------------
+
+TINY = ExperimentConfig(model=ModelConfig(
+    d_model=16, num_heads=2, d_ff_mult=2, encoder_layers=1, decoder_layers=1,
+    frames=2, grid_h=2, grid_w=2, raster_h=8, raster_w=8, l_max=4,
+    num_queries=3))
+
+
+@pytest.fixture(scope="module")
+def tiny_model():
+    return GroundedModel(TINY.model, seed=0)
+
+
+@pytest.fixture()
+def checkpoint(tmp_path, tiny_model):
+    """A function that writes a checkpoint whose config is the given text
+    and returns its path."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, tiny_model, TINY)
+
+    def write(text: str):
+        H.edit_checkpoint_meta(path, config=text)
+        return path
+    return write
+
+
+def _with_value(text: str, key: str, value: str) -> str:
+    """Config text with the line of ``key`` set to ``key = value``."""
+    return re.sub(rf"^{key} = .*$", lambda _: f"{key} = {value}", text,
+                  flags=re.M)
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(), TINY, E.overfit_config(), E.overfit_config("weak"),
+    E.ablation_config(),
+    *(E.variant_config(E.ablation_config(), v) for v in E.VARIANTS)],
+    ids=["default", "tiny", "overfit", "overfit-weak", "ablation",
+         *E.VARIANTS])
+def test_config_text_parses_back_equal(cfg):
+    assert parse_config(config_text(cfg), "model.ckpt") == cfg
+
+
+def test_a_checkpoint_loads_the_config_it_stores(checkpoint):
+    cfg = E.overfit_config()
+    cfg.model = TINY.model      # the stored arrays are the tiny model's
+    cfg.loss.giou = 3           # an int, as code may set, loads as 3.0
+    _, loaded, _, _ = load_checkpoint(checkpoint(config_text(cfg)))
+    assert loaded == cfg and loaded.loss.giou == 3.0
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("model", "fusion_refeed", "False"), *REMOVED_KEYS])
+def test_unknown_checkpoint_key_names_section_key_and_path(checkpoint,
+                                                          section, key,
+                                                          value):
+    # a checkpoint written before a key was removed still stores it
+    text = config_text(TINY).replace(f"[{section}]\n",
+                                     f"[{section}]\n{key} = {value}\n")
+    path = checkpoint(text)
+    with pytest.raises(ConfigError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"unknown key [{section}] {key}, in {path}"
+
+
+def test_unknown_checkpoint_section_names_it_and_the_path(checkpoint):
+    path = checkpoint(config_text(TINY) + "\n[modle]\nd_model = 7\n")
+    with pytest.raises(ConfigError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == (f"unknown section [modle] in {path}; expected "
+                              f"one of ['loss', 'model', 'train']")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("l1", "True", "[loss] l1 = 'True' is not a valid float"),
+    ("seed", "1.0", "[train] seed = '1.0' is not a valid int"),
+    ("use_actor_fusion", "2", "[model] use_actor_fusion = '2' is not a "
+                              "valid bool"),
+    ("mode", "None", "[train] mode: unknown mode 'None'"),
+    ("peak_lr", "-1.0", "[train] peak_lr = -1.0 must be at least 0"),
+    ("giou", "1e999", "[loss] giou = inf is not a finite float"),
+    ("dropout", "nan", "[model] dropout = nan is not a finite float"),
+])
+def test_bad_checkpoint_value_names_section_key_and_path(checkpoint, key,
+                                                         value, message):
+    path = checkpoint(_with_value(config_text(TINY), key, value))
+    with pytest.raises(ConfigError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{message}, in {path}"
+
+
+def test_mutated_checkpoint_config_fails_only_with_a_config_error_naming_it(
+        checkpoint, monkeypatch):
+    # seeded line and byte mutations of a checkpoint's config text: each
+    # loads a config that validates, or fails as a one-line ConfigError
+    # that names the checkpoint.  A mutant may size a model far larger than
+    # the stored arrays, and only the config is under test, so no model is
+    # built
+    class NoModel:
+        def __init__(self, cfg, seed=0):
+            pass
+
+        def load_state(self, arrays):
+            pass
+
+    monkeypatch.setattr(training, "GroundedModel", NoModel)
+    text = config_text(TINY).encode()
+    rng = random.Random(1)
+    failed = 0
+    for _ in range(500):
+        # bytes that are not UTF-8 reach the parser as lone surrogates
+        path = checkpoint(H.mutated(rng, text, INI_LINES)
+                          .decode("utf-8", "surrogateescape"))
+        try:
+            _, cfg, _, _ = load_checkpoint(path)
+        except ConfigError as err:
+            failed += 1
+            assert str(path) in str(err) and "\n" not in str(err), err
+        else:
+            cfg.validate()
+    assert failed > 200

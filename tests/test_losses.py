@@ -223,6 +223,18 @@ def test_box_loss_empty_match_is_zero():
     np.testing.assert_array_equal(boxes.grad, np.zeros((2, 3, 4)))
 
 
+def test_box_loss_keeps_no_array():
+    # backward rebuilds the pairs and their geometry from boxes.data[index]
+    # and gt, as the fused nodes rebuild theirs
+    rng = np.random.default_rng(14)
+    boxes = Tensor(rng.uniform(0.3, 0.6, (8, 6, 4, 4)), requires_grad=True)
+    index = (np.arange(8)[:, None], rng.integers(0, 6, (8, 3)))
+    gt = rng.uniform(0.3, 0.6, (8, 3, 4, 4))
+    w = np.full((8, 3, 1), 0.01)
+    assert H.held_array_bytes(
+        lambda: L.box_loss(boxes, index, gt, w, 5.0, 2.0)[0]) == 0
+
+
 def test_giou_loss_gradient():
     gt = np.array([[0.5, 0.5, 0.3, 0.3], [0.2, 0.7, 0.15, 0.2]])
     pred0 = Tensor(np.array([[0.45, 0.55, 0.25, 0.35], [0.3, 0.6, 0.2, 0.15]]))

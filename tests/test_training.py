@@ -1,6 +1,7 @@
 """Training loop, checkpointing, evaluation plumbing, linear probe."""
 
 import ctypes
+import dataclasses
 import json
 from collections import Counter
 
@@ -282,16 +283,16 @@ def test_a_model_step_holds_its_pinned_graph_bytes():
     # The numpy bytes one forward + loss holds before backward: every node's
     # output and what each rule keeps, byte for byte, so that a change which
     # keeps one more intermediate fails.  The fused nodes keep row means and
-    # stds, softmax weights, the FFN pre-activation and no box-head layer;
-    # when they kept the normalized rows, the GELU's tanh and the box head's
-    # hidden layers, this read 199320
+    # stds, softmax weights, the FFN pre-activation and no box-head layer,
+    # and box_loss keeps nothing; when box_loss kept its gIoU geometry, this
+    # read 144088
     cfg, model, batch = _tiny_step()
 
     def build():
         _, out = model.forward(batch)
         return tr.batch_objective(out, batch, cfg, model.keyframe(), False)[0]
 
-    assert H.held_array_bytes(build) == 144088
+    assert H.held_array_bytes(build) == 141144
 
 
 def test_backward_frees_the_saved_values_of_a_model_step():
@@ -396,7 +397,7 @@ def test_checkpoint_round_trip_bit_identical_forward(tmp_path):
     assert (out_a.group_logits.data.tobytes()
             == out_b.group_logits.data.tobytes())
     assert meta["step"] == 3
-    assert cfg2.model.d_model == cfg.model.d_model
+    assert cfg2 == cfg
 
 
 def test_checkpoint_preserves_optimizer_state(tmp_path):
@@ -467,25 +468,23 @@ def test_malformed_checkpoint_meta_names_path(tmp_path, meta_bytes):
 
 
 def _older_checkpoint(path, version, model_keys, loss_keys=None):
-    """A checkpoint whose meta claims ``version`` and whose stored config
-    holds keys this build does not know."""
+    """Write a checkpoint whose meta claims ``version`` and stores its config
+    as formats 1 to 4 did, a dict of section dicts, here with keys this
+    build does not know."""
     cfg = tiny_cfg()
     save_checkpoint(path, GroundedModel(cfg.model, seed=0), cfg)
-    arrays = load_arrays(path)
-    meta = json.loads(bytes(arrays["__meta__"]).decode())
-    meta["format_version"] = version
-    meta["config"]["model"].update(model_keys)
-    meta["config"]["loss"].update(loss_keys or {})
-    arrays["__meta__"] = np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8).copy()
-    return arrays
+    config = dataclasses.asdict(cfg)
+    config["model"].update(model_keys)
+    config["loss"].update(loss_keys or {})
+    H.edit_checkpoint_meta(path, format_version=version, config=config)
 
 
 def test_version_1_checkpoint_rejected_by_version(tmp_path):
     # a format-1 file holds a parameter and a [model] key that format 2 does
     # not know, so the version check must run before the config is parsed
     path = tmp_path / "v1.ckpt"
-    arrays = _older_checkpoint(path, 1, {"retired_option": False})
+    _older_checkpoint(path, 1, {"retired_option": False})
+    arrays = load_arrays(path)
     arrays["param/decoder.retired_proj"] = np.zeros((4, 16))
     save_arrays(path, arrays)
     with pytest.raises(TrainingError, match="checkpoint version 1 unsupported"):
@@ -496,9 +495,8 @@ def test_version_2_checkpoint_rejected_by_version(tmp_path):
     # format 2 stored the label-head widths, the fusion kernel and the
     # aux-layer switch in its config
     path = tmp_path / "v2.ckpt"
-    save_arrays(path, _older_checkpoint(
-        path, 2, {"num_actions": 6, "num_groups": 6, "fusion_kernel": 3},
-        {"aux_layers": True}))
+    _older_checkpoint(path, 2, {"num_actions": 6, "num_groups": 6,
+                                "fusion_kernel": 3}, {"aux_layers": True})
     with pytest.raises(TrainingError, match="checkpoint version 2 unsupported"):
         load_checkpoint(path)
 
@@ -506,9 +504,29 @@ def test_version_2_checkpoint_rejected_by_version(tmp_path):
 def test_version_3_checkpoint_rejected_by_version(tmp_path):
     # format 3 stored the text embedding's row count as [model] vocab_size
     path = tmp_path / "v3.ckpt"
-    save_arrays(path, _older_checkpoint(path, 3, {"vocab_size": 64}))
+    _older_checkpoint(path, 3, {"vocab_size": 64})
     with pytest.raises(TrainingError, match="checkpoint version 3 unsupported"):
         load_checkpoint(path)
+
+
+def test_version_4_checkpoint_rejected_by_version(tmp_path):
+    # format 4 stored the config as a dict of section dicts, not INI text
+    path = tmp_path / "v4.ckpt"
+    _older_checkpoint(path, 4, {})
+    with pytest.raises(TrainingError, match="^checkpoint version 4 "
+                       "unsupported; this build reads version 5$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_config_that_is_not_text_names_the_path(tmp_path):
+    path = tmp_path / "model.ckpt"
+    cfg = tiny_cfg()
+    save_checkpoint(path, GroundedModel(cfg.model, seed=0), cfg)
+    H.edit_checkpoint_meta(path, config=dataclasses.asdict(cfg))
+    with pytest.raises(ConfigError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == (f"checkpoint config is a dict, not INI text, "
+                              f"in {path}")
 
 
 def test_checkpoint_wrong_shape_rejected(tmp_path):
@@ -791,9 +809,8 @@ def test_linear_probe_defaults_match_recipe():
     import inspect
     sig = inspect.signature(linear_probe)
     assert sig.parameters["epochs"].default == 100
-    assert sig.parameters["batch_size"].default == 32
-    assert sig.parameters["lr"].default == 1e-3
-    assert sig.parameters["momentum"].default == 0.9
+    assert tr.PROBE_BATCH == 32 and tr.PROBE_LR == 1e-3
+    assert tr.OptimizerState("sgd-momentum").momentum == 0.9
 
 
 def test_linear_probe_schedule_spans_every_step(monkeypatch):
@@ -809,7 +826,7 @@ def test_linear_probe_schedule_spans_every_step(monkeypatch):
                                               decay(i, total, lr))[1])
     rng = np.random.default_rng(2)
     linear_probe(rng.normal(size=(40, 4)), rng.integers(0, 3, size=40),
-                 num_classes=3, epochs=4, batch_size=32)
+                 num_classes=3, epochs=4)
     assert totals == {len(lrs)} and len(lrs) == 8
     assert min(lrs) > 0.0
 
