@@ -223,9 +223,8 @@ def hungarian_match(cost: np.ndarray) -> MatchResult:
         raise ContractError(f"more ground truths ({m}) than predictions ({n})")
     if not np.isfinite(cost).all():
         raise ContractError("non-finite entries in cost matrix")
+    # with M <= N the solver returns rows 0..M-1 in order
     rows, cols = linear_sum_assignment(cost)
-    order = np.argsort(rows)
-    rows, cols = rows[order], cols[order]
     return MatchResult(rows, cols, float(cost[rows, cols].sum()))
 
 
@@ -278,21 +277,30 @@ class GroundTruth:
 _PAD_BOX = np.array([0.5, 0.5, 0.5, 0.5])
 
 
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """Each item's index within its group, for consecutive groups of
+    ``counts`` items."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
+                                               counts)
+
+
 def ground_truth(annotations) -> GroundTruth:
-    """Pad the clips' actor tubes and sorted action lists into arrays."""
+    """Pad the clips' actor tubes and sorted action lists into arrays, each
+    filled by one scatter."""
     anns = list(annotations)
     for ann in anns:
         if not ann.actors:
             raise ValueError(f"annotation {ann.clip_id} has no actor boxes")
-    counts = np.array([len(a.actors) for a in anns])
-    frames = anns[0].actors[0].tube.shape[0]
-    tubes = np.tile(_PAD_BOX, (len(anns), counts.max(), frames, 1))
-    most = max(len(a.actions) for ann in anns for a in ann.actors)
-    actions = np.full(tubes.shape[:2] + (most,), -1, dtype=np.int64)
-    for i, ann in enumerate(anns):
-        tubes[i, :counts[i]] = [a.tube for a in ann.actors]
-        for j, actor in enumerate(ann.actors):
-            actions[i, j, :len(actor.actions)] = sorted(actor.actions)
+    actors = [a for ann in anns for a in ann.actors]
+    counts = np.array([len(ann.actors) for ann in anns])
+    clip, slot = np.repeat(np.arange(len(anns)), counts), _ranks(counts)
+    stacked = np.array([a.tube for a in actors])             # [sum M, T, 4]
+    tubes = np.tile(_PAD_BOX, (len(anns), counts.max(), stacked.shape[1], 1))
+    tubes[clip, slot] = stacked
+    lengths = np.array([len(a.actions) for a in actors])
+    actions = np.full(tubes.shape[:2] + (lengths.max(),), -1, dtype=np.int64)
+    actions[np.repeat(clip, lengths), np.repeat(slot, lengths),
+            _ranks(lengths)] = [act for a in actors for act in sorted(a.actions)]
     return GroundTruth(tubes, counts, actions,
                        np.array([a.weak for a in anns], dtype=bool))
 

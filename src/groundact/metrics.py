@@ -119,6 +119,8 @@ def multilabel_prf(pred_sets: Sequence[Set], gt_sets: Sequence[Set]
     """Per-sample precision/recall/F1, averaged over samples.
 
     Samples with an empty ground-truth set are skipped (recall undefined).
+    The set-by-set reference for :func:`prf_from_counts`, which the
+    program uses; the acceptance tests check it against golden values.
     """
     if len(pred_sets) != len(gt_sets):
         raise MetricError("length mismatch")
@@ -138,6 +140,27 @@ def multilabel_prf(pred_sets: Sequence[Set], gt_sets: Sequence[Set]
     if not ps:
         raise MetricError("no samples with non-empty ground truth")
     return float(np.mean(ps)), float(np.mean(rs)), float(np.mean(fs))
+
+
+def prf_from_counts(hits: np.ndarray, predicted: np.ndarray,
+                    relevant: np.ndarray) -> Tuple[float, float, float]:
+    """:func:`multilabel_prf` from each sample's |pred & gt|, |pred| and
+    |gt| (integer arrays): p = hits / predicted (0 with nothing predicted),
+    r = hits / relevant, f = 2 p r / (p + r) (0 where p + r is 0), each
+    averaged over the samples with relevant > 0; the others are skipped
+    with a warning."""
+    keep = relevant > 0
+    if not keep.all():
+        warnings.warn(f"{int((~keep).sum())} sample(s) with empty "
+                      f"ground-truth set skipped")
+    if not keep.any():
+        raise MetricError("no samples with non-empty ground truth")
+    hits, predicted, relevant = hits[keep], predicted[keep], relevant[keep]
+    p = np.divide(hits, predicted, out=np.zeros(hits.shape),
+                  where=predicted > 0)
+    r = hits / relevant
+    f = np.divide(2 * p * r, p + r, out=np.zeros(hits.shape), where=p + r > 0)
+    return float(np.mean(p)), float(np.mean(r)), float(np.mean(f))
 
 
 # -- retrieval ---------------------------------------------------------------

@@ -53,7 +53,11 @@ def make_batch(clips, prompts: Sequence[str], cfg: ModelConfig,
                vocab: List[str], annotations) -> Batch:
     """Check each clip, prompt and annotation against the config, sample
     frames, tokenize and pad prompts, stack into arrays; each annotation's
-    tubes are sampled at its clip's frames."""
+    tubes are sampled at its clip's frames.
+
+    A clip of exactly ``cfg.frames`` frames samples all of them, so its
+    frames are copied once and an annotation whose keyframe is already the
+    middle one is kept as it is.  Each distinct prompt is tokenized once."""
     if not clips:
         raise bb.DataError("no clips to batch: the corpus or split is empty")
     for c in clips:
@@ -63,40 +67,52 @@ def make_batch(clips, prompts: Sequence[str], cfg: ModelConfig,
             raise ConfigError(
                 f"clip {ann.clip_id!r} has {len(ann.actors)} actors, more "
                 f"than [model] num_queries = {cfg.num_queries}")
-    by_length = {n: bb.frame_indices(n, cfg.frames)
+    # None: the clip's frames are the sampled frames
+    by_length = {n: None if n == cfg.frames else bb.frame_indices(n, cfg.frames)
                  for n in {c.frames.shape[0] for c in clips}}
     idx = [by_length[c.frames.shape[0]] for c in clips]
-    frames = np.stack([c.frames[i] for c, i in zip(clips, idx)])
+    frames = np.stack([c.frames if i is None else c.frames[i]
+                       for c, i in zip(clips, idx)])
     index = bb.vocab_index(vocab)
-    token_lists = [bb.tokenize(p, index, cfg.l_max) for p in prompts]
-    for c, t in zip(clips, token_lists):
+    # the distinct prompts, and each clip's row among them
+    distinct = {p: k for k, p in enumerate(dict.fromkeys(prompts))}
+    token_lists = [bb.tokenize(p, index, cfg.l_max) for p in distinct]
+    for p, t in zip(distinct, token_lists):
         if max(t) >= bb.VOCAB_SIZE:
-            raise bb.DataError(f"clip {c.clip_id!r} has prompt token {max(t)}, "
-                               f"outside the packaged vocabulary of "
-                               f"{bb.VOCAB_SIZE} tokens")
+            raise bb.DataError(f"clip {clips[prompts.index(p)].clip_id!r} has "
+                               f"prompt token {max(t)}, outside the packaged "
+                               f"vocabulary of {bb.VOCAB_SIZE} tokens")
     L = max(len(t) for t in token_lists)
-    tokens = np.full((len(clips), L), bb.UNK, dtype=np.int64)
-    mask = np.zeros((len(clips), L), dtype=bool)
+    tokens = np.full((len(token_lists), L), bb.UNK, dtype=np.int64)
+    mask = np.zeros((len(token_lists), L), dtype=bool)
     for i, t in enumerate(token_lists):
         tokens[i, :len(t)] = t
         mask[i, :len(t)] = True
-    anns = [_sample_annotation(a, c, i)
+    anns = [_sample_annotation(a, c, i, cfg.frames)
             for a, c, i in zip(annotations, clips, idx)]
-    return Batch(frames, tokens, mask, anns, [c.clip_id for c in clips])
+    rows = [distinct[p] for p in prompts]
+    return Batch(frames, tokens[rows], mask[rows], anns,
+                 [c.clip_id for c in clips])
 
 
-def _sample_annotation(ann, clip: bb.VideoClip, idx: np.ndarray):
-    """Sample the annotation's tubes at the clip's sampled frames ``idx``;
-    a tube whose length is not the clip's frame count is a DataError."""
+def _sample_annotation(ann, clip: bb.VideoClip, idx, frames: int):
+    """Sample the annotation's tubes at the clip's sampled frames ``idx``
+    (None: all of its ``frames`` frames, where an annotation whose keyframe
+    is the middle one is returned as it is); a tube whose length is not the
+    clip's frame count is a DataError."""
     total = clip.frames.shape[0]
     for a in ann.actors:
         if a.tube.shape[0] != total:
             raise bb.DataError(f"clip {clip.clip_id!r}: track {a.track_id} "
                                f"has {a.tube.shape[0]} boxes, but the clip "
                                f"has {total} frames")
+    if idx is None:
+        if ann.keyframe == frames // 2:
+            return ann
+        idx = np.arange(frames)
     actors = [ActorAnnotation(a.track_id, a.tube[idx], a.actions)
               for a in ann.actors]
-    return replace(ann, actors=actors, keyframe=len(idx) // 2)
+    return replace(ann, actors=actors, keyframe=frames // 2)
 
 
 @dataclass

@@ -23,7 +23,7 @@ from .decoder import DecoderOutput
 from .losses import (GroundTruth, ground_truth, keyframe_matches,
                      pairwise_iou, total_objective)
 from .metrics import (ActorPrediction, PredictionRecord, mca,
-                      mean_per_class_accuracy, multilabel_prf, recall_at_k)
+                      mean_per_class_accuracy, prf_from_counts, recall_at_k)
 from .model import Batch, GroundedModel, make_batch
 from .nn import RunContext
 from .optim import (OptimizerState, adam_step, clip_grad_norm, cosine_decay,
@@ -187,53 +187,60 @@ def score(inference: Inference, cfg: ExperimentConfig,
     labels[~voters, sig[~voters].argmax(-1)] = True
     votes = np.eye(sig.shape[-1], dtype=bool)[logits.argmax(-1)]
     voted = (votes & voters[..., None]).sum(1).argmax(-1)  # ties: lowest
+    to_group = np.array([D.ACTION_TO_GROUP[a] for a in range(sig.shape[-1])])
     group_logits = out.group_logits.data
     group_probs = np.exp(group_logits - group_logits.max(-1, keepdims=True))
     group_probs /= group_probs.sum(-1, keepdims=True)
-    # the records are Python lists, read off each array once
-    head_labels = group_logits.argmax(-1).tolist()
-    head_confs = group_probs.max(-1).tolist()
-    voted, voters = voted.tolist(), voters.tolist()
-    tops = sig.max(-1).tolist()
-    sig_rows, label_rows = sig.tolist(), labels.tolist()
-    keyframe_boxes, iou_rows = boxes[:, :, keyframe].tolist(), iou_all.tolist()
+    vote = voters.any(-1) & use_vote                              # [B]
+    pred_groups = np.where(vote, to_group[voted],
+                           group_logits.argmax(-1)).tolist()
+    confs = group_probs.max(-1).tolist()
+    # a voting clip's confidence is the mean over its own voters, summed as
+    # np.mean sums them: a masked sum over all queries would group the
+    # additions differently
+    voter_tops = sig.max(-1)[voters]                          # clip by clip
+    voter_ends = np.cumsum(voters.sum(-1)).tolist()
+    for i in np.flatnonzero(vote).tolist():
+        top = voter_tops[voter_ends[i - 1] if i else 0:voter_ends[i]]
+        confs[i] = float(top.sum() / top.size)
+    gt_groups = [ann.group_activity for ann in batch.annotations]
 
-    pred_groups, gt_groups = [], []
-    pred_sets, gt_sets = [], []
-    ious, records = [], []
-    for i, (ann, match) in enumerate(zip(batch.annotations, matches)):
-        if use_vote and any(voters[i]):
-            label = D.ACTION_TO_GROUP[voted[i]]
-            conf = float(np.mean([top for top, voter in zip(tops[i], voters[i])
-                                  if voter]))
-        else:
-            label, conf = head_labels[i], head_confs[i]
-        pred_groups.append(label)
-        gt_groups.append(ann.group_activity)
-        actions = [[a for a, on in enumerate(row) if on]
-                   for row in label_rows[i]]
-        ious.extend(iou_rows[i][k][j]
-                    for k, j in zip(match.gt_indices, match.pred_indices))
-        pred_sets.extend(set(actions[j]) for j in match.pred_indices)
-        gt_sets.extend(set(ann.actors[k].actions) for k in match.gt_indices)
-        records.append(PredictionRecord(
-            clip_id=ann.clip_id, group_label=label, group_confidence=conf,
-            actors=[ActorPrediction(
-                labels=acts, confidences=[s for s, on in zip(sigs, row) if on],
-                keyframe_box=box)
-                for acts, sigs, row, box in zip(actions, sig_rows[i],
-                                                label_rows[i],
-                                                keyframe_boxes[i])]))
+    # the matched (clip, gt actor, query) triples, clip by clip
+    clip = np.repeat(np.arange(len(matches)),
+                     [len(m.gt_indices) for m in matches])
+    gt_idx = np.concatenate([m.gt_indices for m in matches])
+    pred_idx = np.concatenate([m.pred_indices for m in matches])
+    ious = iou_all[clip, gt_idx, pred_idx]
+    gt_labels = np.zeros(gt.actions.shape[:2] + labels.shape[-1:], dtype=bool)
+    c, m, k = np.nonzero(gt.actions >= 0)
+    gt_labels[c, m, gt.actions[c, m, k]] = True
+    pred, truth = labels[clip, pred_idx], gt_labels[clip, gt_idx]  # [K, A]
+    relevant = truth.sum(-1)
+    # without per-actor labels (weak annotations) precision/recall is undefined
+    prf = (prf_from_counts((pred & truth).sum(-1), pred.sum(-1), relevant)
+           if relevant.any() else (0.0, 0.0, 0.0))
+
+    # each query's labels and their sigmoids, in row-major order
+    actions = np.nonzero(labels)[2].tolist()
+    sigmoids = sig[labels].tolist()
+    ends = np.cumsum(labels.sum(-1).ravel()).tolist()
+    keyframe_boxes = boxes[:, :, keyframe].reshape(-1, 4).tolist()
+    # (labels, confidences, keyframe box) of each query
+    queries = [ActorPrediction(actions[a:b], sigmoids[a:b], box)
+               for a, b, box in zip([0] + ends[:-1], ends, keyframe_boxes)]
+    n = labels.shape[1]
+    records = [PredictionRecord(clip_id=ann.clip_id, group_label=label,
+                                group_confidence=conf,
+                                actors=queries[i * n:(i + 1) * n])
+               for i, (ann, label, conf) in enumerate(
+                   zip(batch.annotations, pred_groups, confs))]
 
     merge = {g: D.MERGED_GROUPS[D.GROUPS[g]] for g in range(len(D.GROUPS))}
-    # without per-actor labels (weak annotations) precision/recall is undefined
-    prf = (multilabel_prf(pred_sets, gt_sets)
-           if any(gt_sets) else (0.0, 0.0, 0.0))
     return EvalResult(
         group_accuracy=mca(pred_groups, gt_groups),
         merged_mca=mca(pred_groups, gt_groups, merge=merge),
         mpca=mean_per_class_accuracy(pred_groups, gt_groups),
-        mean_keyframe_iou=float(np.mean(ious)) if ious else 0.0,
+        mean_keyframe_iou=float(np.mean(ious)) if ious.size else 0.0,
         action_prf=prf, records=records)
 
 

@@ -26,7 +26,8 @@ import numpy as np
 from groundact import data as D
 from groundact import tensor as T
 from groundact import training
-from groundact.losses import ground_truth, keyframe_matches, pairwise_iou
+from groundact.losses import (GroundTruth, ground_truth, keyframe_matches,
+                              pairwise_iou)
 from groundact.metrics import (ActorPrediction, PredictionRecord,
                                group_activity_vote, mca,
                                mean_per_class_accuracy, multilabel_prf)
@@ -191,6 +192,22 @@ def reference_cases(rng: np.random.Generator):
 
 
 # -- reference predictions ---------------------------------------------------
+
+def reference_ground_truth(annotations):
+    """``losses.ground_truth`` one clip and one actor at a time."""
+    anns = list(annotations)
+    counts = np.array([len(a.actors) for a in anns])
+    frames = anns[0].actors[0].tube.shape[0]
+    tubes = np.tile(np.full(4, 0.5), (len(anns), counts.max(), frames, 1))
+    most = max(len(a.actions) for ann in anns for a in ann.actors)
+    actions = np.full(tubes.shape[:2] + (most,), -1, dtype=np.int64)
+    for i, ann in enumerate(anns):
+        tubes[i, :counts[i]] = [a.tube for a in ann.actors]
+        for j, actor in enumerate(ann.actors):
+            actions[i, j, :len(actor.actions)] = sorted(actor.actions)
+    return GroundTruth(tubes, counts, actions,
+                       np.array([a.weak for a in anns], dtype=bool))
+
 
 def predict_actions(action_logits: np.ndarray) -> List[List[int]]:
     """Per query: sigmoid-thresholded label set, top-1 if nothing confident."""

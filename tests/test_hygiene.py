@@ -121,9 +121,10 @@ ROOT = SRC.parents[1]
 PROGRAM = sorted(p for d in ("src", "scripts", "bench")
                  for p in (ROOT / d).rglob("*.py")
                  if not p.name.startswith("test_"))
-# a metric-only utility and the scalar gIoU reference, which criteria 7
-# and 2 of the acceptance tests gate
-ONLY_TESTED = {"hierarchical_infer", "giou_corners"}
+# a metric-only utility, the scalar gIoU reference and the set-by-set
+# precision/recall reference, which criteria 7, 2 and 6 of the acceptance
+# tests gate
+ONLY_TESTED = {"hierarchical_infer", "giou_corners", "multilabel_prf"}
 
 
 def _top_level_functions(tree):

@@ -1,6 +1,7 @@
 """Hierarchical inference rules and the evaluation metric suite."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,28 @@ def test_prf_bounds_and_zero_rule(samples):
     gts = [g for _, g in samples]
     p, r, f = multilabel_prf(preds, gts)
     assert 0.0 <= p <= 1.0 and 0.0 <= r <= 1.0 and 0.0 <= f <= 1.0
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.sets(st.integers(0, 6), max_size=4),
+                          st.sets(st.integers(0, 6), max_size=4)),
+                min_size=1, max_size=12).filter(
+                    lambda s: any(g for _, g in s)))
+def test_prf_from_counts_is_the_set_by_set_rule(samples):
+    preds = [p for p, _ in samples]
+    gts = [g for _, g in samples]
+    counts = np.array([(len(p & g), len(p), len(g)) for p, g in samples])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert M.prf_from_counts(*counts.T) == multilabel_prf(preds, gts)
+
+
+def test_prf_from_counts_warns_once_and_rejects_all_empty_gt():
+    with pytest.warns(UserWarning, match="^2 sample"):
+        assert M.prf_from_counts(*np.array([[1, 1, 1], [0, 1, 0],
+                                            [0, 2, 0]]).T) == (1.0, 1.0, 1.0)
+    with pytest.warns(UserWarning), pytest.raises(MetricError):
+        M.prf_from_counts(*np.array([[0, 1, 0]]).T)
 
 
 # -- retrieval ---------------------------------------------------------------
