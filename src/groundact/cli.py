@@ -14,16 +14,17 @@ from .backbones import DataError, VideoClip
 from .config import ConfigError, ExperimentConfig, load_config
 from .data import ParseError
 from .optim import OptimizerError
-from .tensor import load_arrays, save_arrays
+from .tensor import ContainerError, load_arrays, save_arrays
 from .training import (TrainingError, embedding_pool, infer_matched,
                        load_checkpoint, retrieval_recall, score,
                        text_query_embedding, train)
 
 # errors in what the user gave the program: a config, a corpus, a checkpoint,
-# a split or a schedule.  main reports them in one line; any other exception
-# is a fault of the program and keeps its traceback
+# a split or a schedule, or a path to one that cannot be read.  main reports
+# them in one line; any other exception is a fault of the program and keeps
+# its traceback
 _USER_ERRORS = (ConfigError, ParseError, DataError, TrainingError,
-                OptimizerError)
+                OptimizerError, ContainerError)
 
 
 def save_corpus(out_dir: str, corpus):

@@ -286,9 +286,13 @@ def load_annotations(path) -> List[SceneAnnotation]:
     a ParseError (bad encoding, JSON, field or type) or a DataError (a label
     or box outside the label world or the unit square, or a keyframe other
     than the middle frame ``T // 2`` of the record's tubes) naming the line
-    and the file."""
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
+    and the file; a file that cannot be read is a DataError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:             # missing, a directory, unreadable
+        raise DataError(f"cannot read annotations: {exc.strerror or exc}, "
+                        f"in {path}") from None
     out = []
     try:
         for lineno, raw in enumerate(lines, start=1):

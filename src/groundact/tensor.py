@@ -64,6 +64,11 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
+class ContainerError(ValueError):
+    """A tensor container file that cannot be read: missing, not a file,
+    malformed, truncated or corrupted.  The message names the path."""
+
+
 class ContractError(RuntimeError):
     """Raised when an operation is called outside its contract."""
 
@@ -694,26 +699,32 @@ def save_arrays(path, arrays: dict):
 def load_arrays(path) -> dict:
     """Read a container written by :func:`save_arrays`.
 
-    A malformed, truncated or corrupted file raises ValueError naming the
-    path and the array being read; every declared size is checked against
-    the bytes left before it is read, and every array against its CRC-32
-    before it is interpreted.
+    A file that cannot be opened, or is malformed, truncated or corrupted,
+    raises a ContainerError naming the path (and the array being read);
+    every declared size is checked against the bytes left before it is
+    read, and every array against its CRC-32 before it is interpreted.
     """
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:             # missing, a directory, unreadable
+        raise ContainerError(f"{path}: cannot read: "
+                             f"{exc.strerror or exc}") from None
+    with fh:
         size = os.fstat(fh.fileno()).st_size
 
         def read(n: int, what: str) -> bytes:
             left = size - fh.tell()
             if n > left:
-                raise ValueError(f"{path}: truncated container: {what} needs "
-                                 f"{n} bytes, {left} left")
+                raise ContainerError(f"{path}: truncated container: {what} "
+                                     f"needs {n} bytes, {left} left")
             return fh.read(n)
 
         if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a tensor container")
+            raise ContainerError(f"{path}: not a tensor container")
         version, count = struct.unpack("<II", read(8, "header"))
         if version != _VERSION:
-            raise ValueError(f"{path}: unsupported container version {version}")
+            raise ContainerError(f"{path}: unsupported container version "
+                                 f"{version}")
         out = {}
         for i in range(count):
             head = read(2, f"array #{i} name length")
@@ -723,7 +734,8 @@ def load_arrays(path) -> dict:
             try:
                 name = raw.decode("utf-8")
             except UnicodeDecodeError:
-                raise ValueError(f"{path}: array #{i} name is not UTF-8") from None
+                raise ContainerError(f"{path}: array #{i} name is not "
+                                     f"UTF-8") from None
             raw = read(2, f"array {name!r} header")
             head += raw
             tag, ndim = struct.unpack("<BB", raw)
@@ -731,21 +743,22 @@ def load_arrays(path) -> dict:
             head += raw
             shape = struct.unpack(f"<{ndim}I", raw)
             if tag not in _DTYPE_TAGS:
-                raise ValueError(f"{path}: array {name!r} has unknown dtype "
-                                 f"tag {tag}")
+                raise ContainerError(f"{path}: array {name!r} has unknown "
+                                     f"dtype tag {tag}")
             dtype = _DTYPE_TAGS[tag]
             data = read(math.prod(shape) * dtype.itemsize,
                         f"array {name!r} data")
             (crc,) = struct.unpack("<I", read(4, f"array {name!r} checksum"))
             if zlib.crc32(data, zlib.crc32(head)) != crc:
-                raise ValueError(f"{path}: array {name!r} does not match its "
-                                 f"CRC-32: the file is corrupted")
+                raise ContainerError(f"{path}: array {name!r} does not match "
+                                     f"its CRC-32: the file is corrupted")
             try:
                 arr = np.frombuffer(data, dtype=dtype).reshape(shape)
             except ValueError as exc:      # more axes than numpy supports
-                raise ValueError(f"{path}: array {name!r}: {exc}") from None
+                raise ContainerError(f"{path}: array {name!r}: "
+                                     f"{exc}") from None
             out[name] = arr.astype(dtype.newbyteorder("="))
         if fh.tell() != size:
-            raise ValueError(f"{path}: {size - fh.tell()} bytes after the "
-                             f"last of {count} arrays")
+            raise ContainerError(f"{path}: {size - fh.tell()} bytes after "
+                                 f"the last of {count} arrays")
         return out

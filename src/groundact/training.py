@@ -28,7 +28,7 @@ from .model import Batch, GroundedModel, make_batch
 from .nn import RunContext
 from .optim import (OptimizerState, adam_step, clip_grad_norm, cosine_decay,
                     lr_at, sgd_momentum_step, wd_at)
-from .tensor import Tensor, load_arrays, save_arrays
+from .tensor import ContainerError, Tensor, load_arrays, save_arrays
 
 
 class TrainingError(RuntimeError):
@@ -66,10 +66,11 @@ def load_checkpoint(path) -> Tuple[GroundedModel, ExperimentConfig,
         meta = json.loads(bytes(arrays.pop("__meta__", b"")).decode())
         version, _ = meta["format_version"], meta["config"]
     except (ValueError, TypeError, KeyError) as e:
-        raise ValueError(f"{path}: checkpoint meta is not a UTF-8 JSON object "
-                         f"with format_version and config ({e!r})") from None
+        raise ContainerError(f"{path}: checkpoint meta is not a UTF-8 JSON "
+                             f"object with format_version and config "
+                             f"({e!r})") from None
     if version != CHECKPOINT_VERSION:
-        raise TrainingError(f"checkpoint version {version} "
+        raise TrainingError(f"{path}: checkpoint version {version} "
                             f"unsupported; this build reads version "
                             f"{CHECKPOINT_VERSION}")
     text = meta["config"]
@@ -78,8 +79,11 @@ def load_checkpoint(path) -> Tuple[GroundedModel, ExperimentConfig,
                           f"not INI text, in {path}")
     cfg = parse_config(text, path)
     model = GroundedModel(cfg.model, seed=meta.get("seed", 0))
-    model.load_state({k[len("param/"):]: v for k, v in arrays.items()
-                      if k.startswith("param/")})
+    try:
+        model.load_state({k[len("param/"):]: v for k, v in arrays.items()
+                          if k.startswith("param/")})
+    except ValueError as e:            # parameters that do not fit the config
+        raise ContainerError(f"{path}: {e}") from None
     opt = None
     if meta.get("opt"):
         o = meta["opt"]

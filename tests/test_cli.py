@@ -237,6 +237,38 @@ def test_a_bad_checkpoint_config_value_fails_naming_the_checkpoint(
         f"in {ckpt}\n")
 
 
+def _truncated(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+@pytest.mark.parametrize("case", ["missing checkpoint", "checkpoint is a "
+                                  "directory", "truncated checkpoint",
+                                  "missing data directory"])
+def test_an_unreadable_input_fails_in_one_line_naming_it(workspace, capsys,
+                                                         case):
+    tmp_path, data, cfg = workspace
+    ckpt = tmp_path / "model.ckpt"
+    argv = ["eval", "--checkpoint", str(ckpt), "--data", str(data)]
+    if case == "missing checkpoint":
+        want = f"{ckpt}: cannot read: No such file or directory"
+    elif case == "checkpoint is a directory":
+        argv[2] = str(data)
+        want = f"{data}: cannot read: Is a directory"
+    elif case == "truncated checkpoint":
+        _truncated(_checkpoint(workspace))
+        want = f"{ckpt}: truncated container: "
+    else:
+        argv = ["train", "--config", str(cfg), "--data", str(tmp_path / "no")]
+        want = (f"cannot read annotations: No such file or directory, in "
+                f"{tmp_path / 'no' / 'annotations.txt'}")
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"groundact: error: {want}"), err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_a_program_fault_keeps_its_traceback(workspace, monkeypatch):
     from groundact import experiments
 

@@ -471,6 +471,33 @@ def test_every_traced_function_exists():
     assert traced and not _unresolved(traced)
 
 
+def test_the_tracer_wraps_every_traced_function_and_restores_it(
+        monkeypatch):
+    # what `bench/run.py --trace 1` does: each (module, attribute) of TRACED
+    # resolves at run time, installing the tracer replaces it by a wrapper,
+    # and uninstalling puts the original back
+    import importlib
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    def resolve(module, attr):
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        return obj
+
+    originals = [resolve(m, a) for m, a, _ in tracer.TRACED]
+    assert all(callable(f) for f in originals)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for (m, a, _), f in zip(tracer.TRACED, originals):
+            assert resolve(m, a).__wrapped__ is f, (m, a)
+    finally:
+        t.uninstall()
+    assert [resolve(m, a) for m, a, _ in tracer.TRACED] == originals
+
+
 def test_every_program_name_the_workloads_use_exists():
     refs = _module_attribute_names(_tree(BENCH / "workloads.py"))
     assert ("training", "batch_objective") in refs

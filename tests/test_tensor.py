@@ -527,7 +527,8 @@ def test_container_fails_only_at_the_boundary(cut, edits):
         try:
             T.load_arrays(path)
         except ValueError as exc:
-            assert type(exc) is ValueError and str(exc).startswith(path), exc
+            assert (type(exc) is T.ContainerError
+                    and str(exc).startswith(path)), exc
 
 
 # -- fused ops against their composed references ------------------------------

@@ -513,9 +513,10 @@ def test_version_4_checkpoint_rejected_by_version(tmp_path):
     # format 4 stored the config as a dict of section dicts, not INI text
     path = tmp_path / "v4.ckpt"
     _older_checkpoint(path, 4, {})
-    with pytest.raises(TrainingError, match="^checkpoint version 4 "
-                       "unsupported; this build reads version 5$"):
+    with pytest.raises(TrainingError) as err:
         load_checkpoint(path)
+    assert str(err.value) == (f"{path}: checkpoint version 4 unsupported; "
+                              f"this build reads version 5")
 
 
 def test_checkpoint_config_that_is_not_text_names_the_path(tmp_path):
