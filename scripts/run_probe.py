@@ -10,7 +10,7 @@ import argparse
 
 from groundact import backbones as bb
 from groundact import data as D
-from groundact.cli import _at_least_one, _seed
+from groundact.cli import _USER_ERRORS, _at_least_one, _seed
 from groundact.training import (extract_embeddings, linear_probe,
                                 load_checkpoint)
 
@@ -23,7 +23,10 @@ def main():
     ap.add_argument("--seed", type=_seed, default=0)
     args = ap.parse_args()
 
-    model, cfg, _, _ = load_checkpoint(args.checkpoint)
+    try:
+        model, cfg, _, _ = load_checkpoint(args.checkpoint)
+    except _USER_ERRORS as err:
+        ap.exit(1, f"{ap.prog}: error: {err}\n")
     vocab = bb.load_vocab()
     corpus = D.generate_corpus(seed=args.seed, num_clips=args.clips,
                                num_actors=2, t_total=cfg.model.frames,

@@ -299,8 +299,9 @@ def ground_truth(annotations) -> GroundTruth:
     tubes[clip, slot] = stacked
     lengths = np.array([len(a.actions) for a in actors])
     actions = np.full(tubes.shape[:2] + (lengths.max(),), -1, dtype=np.int64)
+    flat = [act for a in actors for act in sorted(a.actions)]
     actions[np.repeat(clip, lengths), np.repeat(slot, lengths),
-            _ranks(lengths)] = [act for a in actors for act in sorted(a.actions)]
+            _ranks(lengths)] = flat
     return GroundTruth(tubes, counts, actions,
                        np.array([a.weak for a in anns], dtype=bool))
 

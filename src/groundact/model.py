@@ -67,8 +67,9 @@ def make_batch(clips, prompts: Sequence[str], cfg: ModelConfig,
             raise ConfigError(
                 f"clip {ann.clip_id!r} has {len(ann.actors)} actors, more "
                 f"than [model] num_queries = {cfg.num_queries}")
-    # None: the clip's frames are the sampled frames
-    by_length = {n: None if n == cfg.frames else bb.frame_indices(n, cfg.frames)
+    # None: a clip of exactly cfg.frames frames keeps them all
+    by_length = {n: None if n == cfg.frames else
+                 bb.frame_indices(n, cfg.frames)
                  for n in {c.frames.shape[0] for c in clips}}
     idx = [by_length[c.frames.shape[0]] for c in clips]
     frames = np.stack([c.frames if i is None else c.frames[i]

@@ -367,6 +367,15 @@ def test_script_rejects_a_bad_int_with_a_usage_error(script, args, flag):
     assert f"error: argument {flag}" in run.stderr
 
 
+def test_probe_script_reports_a_missing_checkpoint_in_one_line(tmp_path):
+    path = tmp_path / "absent.ckpt"
+    run = H.run_python(str(SCRIPTS / "run_probe.py"), "--checkpoint",
+                       str(path))
+    assert run.returncode == 1, run.stderr
+    assert run.stderr == (f"run_probe.py: error: {path}: cannot read: No "
+                          f"such file or directory\n")
+
+
 OVERFIT_LINES = [r"trained 2 steps in \d+s \({mode} mode\)",
                  r"loss: \d+\.\d{{3}} -> \d+\.\d{{3}} "
                  r"\(\d+\.\d% of initial\)",

@@ -43,8 +43,9 @@ def ragged_corpus():
                                     raster=(8, 8))
     out = []
     for i, (clip, ann) in enumerate(corpus):
-        actors = [replace(a, actions=a.actions + [(a.actions[0] + j) % 6
-                                                  for j in (2, 0)][:(i + k) % 3])
+        # a second action, then the first one again
+        more = lambda a, k: [(a.actions[0] + j) % 6 for j in (2, 0)][:k % 3]
+        actors = [replace(a, actions=a.actions + more(a, i + k))
                   for k, a in enumerate(ann.actors)]
         ann = replace(ann, actors=actors,
                       group_activity=None if i == 5 else ann.group_activity)

@@ -13,9 +13,9 @@ from groundact import data as D
 from groundact import metrics as M
 from groundact import training as tr
 from groundact.config import (ConfigError, ExperimentConfig, ModelConfig,
-                              TrainConfig)
+                              TrainConfig, config_text)
 from groundact.model import GroundedModel, make_batch
-from groundact.tensor import load_arrays, save_arrays
+from groundact.tensor import ContainerError, load_arrays, save_arrays
 from groundact.training import (TrainingError, evaluate, linear_probe,
                                 load_checkpoint, retrieval_recall,
                                 save_checkpoint, train)
@@ -517,6 +517,18 @@ def test_version_4_checkpoint_rejected_by_version(tmp_path):
         load_checkpoint(path)
     assert str(err.value) == (f"{path}: checkpoint version 4 unsupported; "
                               f"this build reads version 5")
+
+
+def test_checkpoint_whose_parameters_do_not_fit_its_config_names_the_path(
+        tmp_path):
+    path = tmp_path / "model.ckpt"
+    cfg = tiny_cfg()
+    save_checkpoint(path, GroundedModel(cfg.model, seed=0), cfg)
+    wider = config_text(cfg).replace("d_model = 16", "d_model = 32")
+    H.edit_checkpoint_meta(path, config=wider)
+    with pytest.raises(ContainerError) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: shape mismatch for ")
 
 
 def test_checkpoint_config_that_is_not_text_names_the_path(tmp_path):
