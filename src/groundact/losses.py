@@ -277,13 +277,6 @@ class GroundTruth:
 _PAD_BOX = np.array([0.5, 0.5, 0.5, 0.5])
 
 
-def _ranks(counts: np.ndarray) -> np.ndarray:
-    """Each item's index within its group, for consecutive groups of
-    ``counts`` items."""
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts,
-                                               counts)
-
-
 def ground_truth(annotations) -> GroundTruth:
     """Pad the clips' actor tubes and sorted action lists into arrays, each
     filled by one scatter."""
@@ -293,15 +286,16 @@ def ground_truth(annotations) -> GroundTruth:
             raise ValueError(f"annotation {ann.clip_id} has no actor boxes")
     actors = [a for ann in anns for a in ann.actors]
     counts = np.array([len(ann.actors) for ann in anns])
-    clip, slot = np.repeat(np.arange(len(anns)), counts), _ranks(counts)
+    # each actor's clip and slot, and each action's actor and place, in order
+    clip, slot = np.nonzero(np.arange(counts.max()) < counts[:, None])
     stacked = np.array([a.tube for a in actors])             # [sum M, T, 4]
     tubes = np.tile(_PAD_BOX, (len(anns), counts.max(), stacked.shape[1], 1))
     tubes[clip, slot] = stacked
     lengths = np.array([len(a.actions) for a in actors])
+    actor, k = np.nonzero(np.arange(lengths.max()) < lengths[:, None])
     actions = np.full(tubes.shape[:2] + (lengths.max(),), -1, dtype=np.int64)
-    flat = [act for a in actors for act in sorted(a.actions)]
-    actions[np.repeat(clip, lengths), np.repeat(slot, lengths),
-            _ranks(lengths)] = flat
+    actions[clip[actor], slot[actor], k] = [
+        act for a in actors for act in sorted(a.actions)]
     return GroundTruth(tubes, counts, actions,
                        np.array([a.weak for a in anns], dtype=bool))
 
