@@ -33,9 +33,8 @@ def _openblas():
     """numpy's bundled OpenBLAS as a ctypes library, or None."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                         "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-        return ctypes.CDLL(path)
-    return None
+    paths = sorted(glob.glob(os.path.join(libs, "*openblas*")))
+    return ctypes.CDLL(paths[0]) if paths else None
 
 
 def _blas_call(lib, names, restype):

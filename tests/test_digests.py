@@ -21,7 +21,8 @@ def test_arithmetic_matches_the_pinned_digests():
     pinned = json.loads((HERE / "fixtures" / "digests.json").read_text())
     if key not in pinned:
         pytest.skip(f"no pinned digests for {key!r}; write them with "
-                    f"`PYTHONPATH=src python tests/digests.py --write`")
+                    f"`OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python "
+                    f"tests/digests.py --write`")
     changed = sorted(k for k in pinned[key]
                      if pinned[key][k] != found["digests"].get(k))
     assert not changed, (f"arithmetic differs from the pinned digests in "
